@@ -4,8 +4,8 @@ It imports ttolab and parses the workload config (the set-up), then runs the
 workload's subcommands back to back through ``ttolab.cli.main`` and writes a
 JSON report: set-up time measured from the parent's spawn time, wall time
 per subcommand and for the whole sweep, exit codes, peak RSS and, with
-``--trace``, the recorded spans and work counters.  ``--setup-only`` stops
-after the set-up.
+``--trace``, the recorded spans and work counters.  With an empty
+``--commands`` it stops after the set-up.
 """
 
 import argparse
@@ -25,14 +25,14 @@ def main() -> int:
     ap.add_argument("--report", required=True)
     ap.add_argument("--spawned-at", type=float, required=True)
     ap.add_argument("--trace", action="store_true")
-    ap.add_argument("--setup-only", action="store_true")
     args = ap.parse_args()
 
     import ttolab.cli as cli
     cli.parse_config(args.config, {"sequence": {"seed": args.seed}})
     report = {"setup_s": time.monotonic() - args.spawned_at}
 
-    if not args.setup_only:
+    commands = [cmd for cmd in args.commands.split(",") if cmd]
+    if commands:
         tracer = None
         if args.trace:
             from spans import Tracer
@@ -40,7 +40,7 @@ def main() -> int:
             tracer.install()
         command_s, exit_codes = {}, {}
         sweep_start = time.perf_counter()
-        for cmd in args.commands.split(","):
+        for cmd in commands:
             start = time.perf_counter()
             try:
                 rc = cli.main([cmd, "--config", args.config, "--out", f"{args.out}/{cmd}",

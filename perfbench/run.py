@@ -3,14 +3,16 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload shipped-dense --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload shipped-dense --seed 1 --seconds 55 --trace 0
 
 Each timed sample runs the workload's subcommands back to back through
 ``ttolab.cli.main`` in a fresh child process with the BLAS thread variables
 pinned to 1, and checks every (subcommand, N) record of its result files
 (see ``checks.py``).  Samples repeat while the next one is expected to end
-within ``--seconds``, with at least two per run.  ``--trace 0`` reports the
-end-to-end metrics; ``--trace 1`` alternates untraced and traced samples and
+within ``--seconds``, with at least two per run; short probe children
+between them add set-up times and more szego (and stz) times.
+Times report the mean of their samples.  ``--trace 0`` reports the end-to-end
+metrics; ``--trace 1`` alternates untraced and traced samples and
 reports the per-layer metrics from the spans the traced samples record
 (``spans.py``).  The second-to-last line of output is a JSON report with
 quartiles, sample counts, the environment and the failed records; the last
@@ -24,6 +26,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -37,15 +40,19 @@ SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".perfbench_work")
 CHILD = os.path.join(HERE, "child.py")
 
-# workload -> (config in configs/, subcommands in the order they run)
+# workload -> (config in configs/, subcommands in the order they run,
+#              the leading subcommands a probe runs, probes before each sample)
+# A probe is a short child that runs only the first subcommands: it measures
+# setup_s, and szego_s (and stz_s) exactly as a sample does, since they run
+# first in both.
 WORKLOADS = {
-    "shipped-dense": ("shipped-dense.cfg", ("szego", "stz", "angular", "lemmas")),
-    "frostman-boundary": ("frostman-boundary.cfg", ("szego", "stz", "angular")),
-    "classical-large-n": ("classical-large-n.cfg", ("szego", "stz")),
+    "shipped-dense": ("shipped-dense.cfg", ("szego", "stz", "angular", "lemmas"),
+                      ("szego", "stz"), 3),
+    "frostman-boundary": ("frostman-boundary.cfg", ("szego", "stz", "angular"), ("szego",), 4),
 }
 
 MIN_SAMPLES = 2      # so the determinism check always compares two samples
-SETUP_PROBES = 5     # extra set-up-only children per run, for a steady setup_s median
+FIRST_PROBES = 3     # set-up-only probes at the start of a run
 RUN_LIMIT_S = 170    # a run must end within 180 s; children still running then are killed
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -67,7 +74,7 @@ class Run:
     """One benchmark run: spawns the children and collects their reports."""
 
     def __init__(self, workload: str, seed: int, workdir: str):
-        config_name, self.commands = WORKLOADS[workload]
+        config_name, self.commands, self.probe, self.probes_per_sample = WORKLOADS[workload]
         self.config = os.path.join(HERE, "configs", config_name)
         self.seed = str(seed)
         self.workdir = workdir
@@ -76,14 +83,13 @@ class Run:
         self.deadline = time.monotonic() + RUN_LIMIT_S
         self.lost = []           # children that ended without a report
 
-    def spawn(self, *, setup_only=False, trace=False) -> dict | None:
+    def spawn(self, commands, *, trace=False) -> dict | None:
         self.children += 1
         out = os.path.join(self.workdir, f"child{self.children}")
         os.makedirs(out)
         report_path = os.path.join(out, "report.json")
         argv = [sys.executable, CHILD, "--config", self.config, "--seed", self.seed,
-                "--commands", ",".join(self.commands), "--out", out, "--report", report_path]
-        argv += ["--setup-only"] if setup_only else []
+                "--commands", ",".join(commands), "--out", out, "--report", report_path]
         argv += ["--trace"] if trace else []
         with open(os.path.join(out, "child.log"), "w", encoding="utf-8") as log:
             try:
@@ -105,9 +111,19 @@ class Run:
 
 
 def summarize(values: list, unit: str) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values),
-            "unit": unit}
+    """Order statistics of one metric's samples, and the value the result reports.
+
+    A time reports the mean of its samples: on a shared host the CPU can
+    switch between speeds 1.5x apart every few seconds, and the mean moves
+    with the share of slow time in the run, where the median jumps between
+    the two speeds and the fastest sample depends on catching a rare fast
+    stretch.  Peak memory reports the largest sample, other metrics the
+    median.
+    """
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    value = {"s": statistics.fmean(values), "MB": max(values)}.get(unit, median)
+    return {"value": value, "min": min(values), "q1": q1, "median": median, "q3": q3,
+            "max": max(values), "n": len(values), "unit": unit, "samples": values}
 
 
 def environment(seed: int) -> dict:
@@ -125,23 +141,23 @@ def environment(seed: int) -> dict:
 class RecordBook:
     """Record checks across the samples of one run, with the determinism check."""
 
-    def __init__(self, commands, zeros_by_n):
-        self.commands, self.zeros_by_n = commands, zeros_by_n
+    def __init__(self, zeros_by_n):
+        self.zeros_by_n = zeros_by_n
         self.attempted = self.failed = 0
-        self.reference = None
+        self.reference = {}
         self.failures = []
 
     def add(self, report: dict, label: str):
-        problems = checks.record_problems(report["out"], self.commands,
-                                          report["exit_codes"], self.zeros_by_n)
-        hashes = checks.output_hashes(report["out"], self.commands)
-        if self.reference is None:
-            self.reference = hashes
-        for cmd in self.commands:
-            mine, first = hashes[cmd], self.reference[cmd]
+        """Check the records of the subcommands the child ran, if any."""
+        exit_codes = report.get("exit_codes", {})
+        commands = list(exit_codes)
+        problems = checks.record_problems(report["out"], commands, exit_codes, self.zeros_by_n)
+        hashes = checks.output_hashes(report["out"], commands)
+        for cmd in commands:
+            mine, first = hashes[cmd], self.reference.setdefault(cmd, hashes[cmd])
             changed = sorted(k for k in mine.keys() | first.keys() if mine.get(k) != first.get(k))
             if changed:
-                why = f"result files differ from the first sample: {', '.join(changed)}"
+                why = f"result files differ from those of the first {cmd}: {', '.join(changed)}"
                 for n in self.zeros_by_n:
                     problems[(cmd, n)].append(why)
         for (cmd, n), found in problems.items():
@@ -190,11 +206,12 @@ def cross_module_problems(report: dict) -> list[str]:
 
 def timed_run(run: Run, book: RecordBook, seconds: int) -> dict:
     deadline = time.monotonic() + seconds
-    setups = [r["setup_s"] for r in (run.spawn(setup_only=True) for _ in range(SETUP_PROBES)) if r]
+    probes = [run.spawn(()) for _ in range(FIRST_PROBES)]
     samples, last = [], 0.0
     while len(samples) < MIN_SAMPLES or time.monotonic() + last <= deadline:
         started = time.monotonic()
-        report = run.spawn()
+        probes += [run.spawn(run.probe) for _ in range(run.probes_per_sample)]
+        report = run.spawn(run.commands)
         last = time.monotonic() - started
         if report is None:
             break
@@ -202,11 +219,15 @@ def timed_run(run: Run, book: RecordBook, seconds: int) -> dict:
         samples.append(report)
     if not samples:
         return {}
-    setups += [r["setup_s"] for r in samples]
-    values = {"setup_s": setups, "sweep_s": [r["sweep_s"] for r in samples],
+    probes = [r for r in probes if r]
+    for i, report in enumerate(probes):
+        book.add(report, f"probe {i + 1}")
+    values = {"setup_s": [r["setup_s"] for r in probes + samples],
+              "sweep_s": [r["sweep_s"] for r in samples],
               "peak_rss_mb": [r["peak_rss_mb"] for r in samples]}
     for cmd in run.commands:
-        values[f"{cmd}_s"] = [r["command_s"][cmd] for r in samples]
+        values[f"{cmd}_s"] = [r["command_s"][cmd] for r in samples + probes
+                              if cmd in r.get("command_s", {})]
     values["passed_share"] = [1.0 - book.failed / book.attempted]
     return {k: summarize(v, unit_of(k)) for k, v in values.items()}
 
@@ -216,7 +237,7 @@ def traced_run(run: Run, book: RecordBook, seconds: int, names) -> tuple[dict, l
     plain, traced, problems, last = [], [], [], 0.0
     while not traced or time.monotonic() + last <= deadline:
         started = time.monotonic()
-        p, t = run.spawn(), run.spawn(trace=True)
+        p, t = run.spawn(run.commands), run.spawn(run.commands, trace=True)
         last = time.monotonic() - started
         if p is None or t is None:
             break
@@ -235,8 +256,8 @@ def traced_run(run: Run, book: RecordBook, seconds: int, names) -> tuple[dict, l
     metrics = {}
     for name in names:
         if name == "trace_overhead":
-            values = [statistics.median(r["sweep_s"] for r in traced)
-                      / statistics.median(r["sweep_s"] for r in plain)]
+            values = [statistics.fmean(r["sweep_s"] for r in traced)
+                      / statistics.fmean(r["sweep_s"] for r in plain)]
         else:
             layer, quantity = name.rsplit(".", 1)
             if quantity == "self_s":
@@ -258,6 +279,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=int, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
+    # On SIGTERM, unwind: subprocess.run then kills and reaps the running
+    # child, and the run folder is removed.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     if not os.path.isfile(os.path.join(SRC, "ttolab", "cli.py")):
         print(f"perfbench: no ttolab sources under {SRC}; run from the root of a checkout",
@@ -270,11 +294,11 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     wanted = {m["name"]: m["unit"] for m in spec["per_layer" if args.trace else "end_to_end"]}
-    config_name, commands = WORKLOADS[args.workload]
+    config_name = WORKLOADS[args.workload][0]
     parsed = parse_config(os.path.join(HERE, "configs", config_name))
     zeros_by_n = {n: generate_zeros(parsed.experiment.sequence, n)
                   for n in parsed.experiment.n_values}
-    book = RecordBook(commands, zeros_by_n)
+    book = RecordBook(zeros_by_n)
 
     os.makedirs(WORK, exist_ok=True)
     workdir = os.path.join(WORK, f"{args.workload}-{os.getpid()}")
@@ -306,7 +330,7 @@ def main(argv=None) -> int:
     for line in problems:
         print(f"perfbench: {line}", file=sys.stderr)
     result = {"correct": correct, "attempted": max(book.attempted, 1), "failed": book.failed,
-              "metrics": {name: {"value": metrics[name]["median"], "unit": metrics[name]["unit"]}
+              "metrics": {name: {"value": metrics[name]["value"], "unit": metrics[name]["unit"]}
                           for name in wanted if name in metrics}}
     print(json.dumps(result))
     return 0
