@@ -9,14 +9,9 @@ from .blaschke import (
     ZeroSequence,
     abs_derivative_boundary,
     angular_partial_sums,
-    beta_density,
     eval_blaschke,
     generate_zeros,
     model_kernel,
-    nu_density,
-    szego_kernel,
-    szego_kernel_normalized,
-    tmw_basis_eval,
 )
 from .clark import (
     ClarkMeasure,
@@ -29,7 +24,6 @@ from .clark import (
 from .operators import (
     OperatorMatrix,
     ScalarFunction,
-    SpectralData,
     SymbolRep,
     apply_function,
     build_clark_spectral,
@@ -51,7 +45,6 @@ from .quadrature import (
     integrate_circle,
     nu_integral,
     poisson_integral,
-    weighted_l2_norm,
 )
 
 __version__ = "0.1.0"

@@ -310,41 +310,13 @@ def abs_derivative_boundary(B: FiniteBlaschke, zeta) -> float:
     return float(abs_derivative_grid(B, np.array([th]))[0])
 
 
-def nu_density(B: FiniteBlaschke, zeta) -> float:
-    """Density of the mean of the harmonic measures at the zeros: |B'|/N."""
-    return abs_derivative_boundary(B, zeta) / B.degree
-
-
 def nu_density_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     return abs_derivative_grid(B, angles) / B.degree
-
-
-def beta_density(B: FiniteBlaschke, zeta) -> float:
-    """Reciprocal angular derivative 1/|B'|; lies in (0, 1] when B(0) = 0."""
-    return 1.0 / abs_derivative_boundary(B, zeta)
-
-
-def beta_density_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
-    return 1.0 / abs_derivative_grid(B, angles)
 
 
 # ---------------------------------------------------------------------------
 # kernels and the orthonormal basis
 # ---------------------------------------------------------------------------
-
-def szego_kernel(lam: complex, w: complex) -> complex:
-    """Cauchy kernel 1/(1 - conj(lam) w)."""
-    lam, w = complex(lam), complex(w)
-    if abs(lam) >= 1.0:
-        raise ValueError("kernel parameter must lie inside the disk")
-    return 1.0 / (1.0 - lam.conjugate() * w)
-
-
-def szego_kernel_normalized(lam: complex, w: complex) -> complex:
-    """Unit-norm Cauchy kernel sqrt(1-|lam|^2)/(1 - conj(lam) w)."""
-    lam = complex(lam)
-    return math.sqrt(1.0 - abs(lam) ** 2) * szego_kernel(lam, w)
-
 
 def model_kernel(B: FiniteBlaschke, lam, w) -> complex:
     """Reproducing kernel of the model space at lam, evaluated at w.
@@ -400,14 +372,6 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
         E[:, i] = pref * (B._cnorm[i] / denom)
         pref = pref * (B._sigma[i] * (z - lam) / denom)
     return E
-
-
-def tmw_basis_eval(B: FiniteBlaschke, j: int, zeta) -> complex:
-    """Value of basis function j at a circle point."""
-    if not 0 <= j < B.degree:
-        raise IndexError(f"basis index {j} out of range for degree {B.degree}")
-    th = _as_angle(zeta)
-    return complex(tmw_matrix(B, np.array([th]))[0, j])
 
 
 def tmw_kernel_coeffs(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:

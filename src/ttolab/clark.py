@@ -58,10 +58,9 @@ class PhaseFunction:
 
     def __call__(self, angles) -> np.ndarray:
         th = np.atleast_1d(np.asarray(angles, dtype=float))
-        total = np.full(th.shape, self._anchor)
-        for j in range(len(self._r)):
-            total += self._w(th - self._psi[j], self._r[j]) - self._offsets[j]
-        return total
+        # one row per zero, summed over the zeros onto the anchor
+        terms = self._w(th - self._psi[:, None], self._r[:, None]) - self._offsets[:, None]
+        return np.sum(terms, axis=0, initial=self._anchor)
 
     def derivative(self, angles) -> np.ndarray:
         return abs_derivative_grid(self.blaschke, np.atleast_1d(np.asarray(angles, dtype=float)))

@@ -124,6 +124,7 @@ def _read_sections(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     sections: dict = {}
+    seen: dict = {}  # section name or (section, key) -> line of first appearance
     current = None
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -133,7 +134,10 @@ def _read_sections(path: str) -> dict:
             current = line[1:-1].strip()
             if current not in _SCHEMA:
                 raise ConfigError(f"unknown section [{current}] at line {ln}")
-            sections.setdefault(current, {})
+            if current in seen:
+                raise ConfigError(f"duplicate section [{current}] at lines {seen[current]} and {ln}")
+            seen[current] = ln
+            sections[current] = {}
             continue
         if current is None or "=" not in line:
             raise ConfigError(f"expected 'key = value' inside a section at line {ln}")
@@ -141,15 +145,28 @@ def _read_sections(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _SCHEMA[current]:
             raise ConfigError(f"unknown key {current}.{key}")
+        if (current, key) in seen:
+            raise ConfigError(f"duplicate key {current}.{key} at lines {seen[current, key]} and {ln}")
+        seen[current, key] = ln
         sections[current][key] = val
     return sections
 
 
-def _sequence_from_section(sec: dict) -> ZeroSequence:
+def _parse_key(sections: dict, section: str, key: str, default, parse=int):
+    """Parse one value, naming its key path if it is malformed."""
+    text = sections.get(section, {}).get(key)
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: {exc}") from exc
+
+
+def _sequence_from_section(sec: dict, seed: int) -> ZeroSequence:
     kind = sec.get("kind")
     if kind is None:
         raise ConfigError("sequence.kind is required")
-    seed = int(sec.get("seed", 0))
     try:
         if kind == "uniform_zero":
             return ZeroSequence.uniform_zero()
@@ -230,36 +247,34 @@ def parse_config(path: str, overrides: dict | None = None) -> ParsedConfig:
     for section, values in (overrides or {}).items():
         sections.setdefault(section, {}).update(values)
 
-    sweep = sections.get("sweep", {})
-    quad = sections.get("quadrature", {})
+    quad = dict(initial_points=_parse_key(sections, "quadrature", "initial_points", 256),
+                max_points=_parse_key(sections, "quadrature", "max_points", 1 << 20),
+                abs_tol=_parse_key(sections, "quadrature", "abs_tol", 1e-10, float),
+                rel_tol=_parse_key(sections, "quadrature", "rel_tol", 1e-9, float))
     try:
-        qcfg = QuadratureConfig(
-            initial_points=int(quad.get("initial_points", 256)),
-            max_points=int(quad.get("max_points", 1 << 20)),
-            abs_tol=float(quad.get("abs_tol", 1e-10)),
-            rel_tol=float(quad.get("rel_tol", 1e-9)),
-        )
+        qcfg = QuadratureConfig(**quad)
     except ValueError as exc:
         raise ConfigError(f"quadrature: {exc}") from exc
 
+    seed = _parse_key(sections, "sequence", "seed", 0)
     try:
         experiment = ExperimentConfig(
-            sequence=_sequence_from_section(sections.get("sequence", {})),
+            sequence=_sequence_from_section(sections.get("sequence", {}), seed),
             symbol=_symbol_from_section(sections.get("symbol", {})),
             function=_function_from_section(sections.get("function", {})),
-            n_values=parse_int_list(sweep.get("n_values", "8,16,32,64")),
-            alpha_count=int(sweep.get("alpha_count", 32)),
+            n_values=parse_int_list(sections.get("sweep", {}).get("n_values", "8,16,32,64")),
+            alpha_count=_parse_key(sections, "sweep", "alpha_count", 32),
             quadrature=qcfg,
-            seed=int(sections.get("sequence", {}).get("seed", 0)),
+            seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    ang = sections.get("angular", {})
     angular_options = {
-        "J": int(ang.get("j_terms", 10 ** 5)),
-        "grid_size": int(ang.get("grid_size", 64)),
-        "thresholds": tuple(float(t) for t in ang.get("thresholds", "1e2,1e3").split(",")),
+        "J": _parse_key(sections, "angular", "j_terms", 10 ** 5),
+        "grid_size": _parse_key(sections, "angular", "grid_size", 64),
+        "thresholds": _parse_key(sections, "angular", "thresholds", (1e2, 1e3),
+                                 lambda text: tuple(float(t) for t in text.split(","))),
     }
     text = canonical_text(sections)
     return ParsedConfig(

@@ -23,7 +23,7 @@ from .blaschke import (
     circle_grid,
     nu_density_grid,
 )
-from .clark import PhaseFunction, clark_measure, clark_support
+from .clark import PhaseFunction, clark_beta_norm, clark_measure
 from .operators import (
     OperatorMatrix,
     ScalarFunction,
@@ -136,10 +136,8 @@ def angular_condition_a(cfg: ExperimentConfig) -> list[dict]:
     for N in cfg.n_values:
         B = _blaschke(cfg, N)
         phase = PhaseFunction(B)
-        vals = np.empty(len(alphas))
-        for i, a in enumerate(alphas):
-            ang = clark_support(B, complex(math.cos(a), math.sin(a)), phase)
-            vals[i] = (1.0 / abs_derivative_grid(B, ang)).max()
+        vals = np.array([clark_beta_norm(B, complex(math.cos(a), math.sin(a)), phase)
+                         for a in alphas])
         out.append({
             "N": N,
             "max": float(vals.max()),

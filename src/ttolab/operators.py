@@ -5,12 +5,11 @@ space of a finite Blaschke product.  The compressed shift has a closed-form
 lower-triangular-plus-spike matrix in this basis; trigonometric-polynomial
 symbols are therefore built exactly from its powers, while general sampled
 symbols fall back to shared-grid circle quadrature.  Functions of Hermitian
-matrices go through a cyclic complex Jacobi eigensolver.
+matrices and Schatten norms use numpy.linalg (eigh, svd).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -232,13 +231,12 @@ def compressed_shift(B: FiniteBlaschke) -> np.ndarray:
     """
     N = B.degree
     c, sig, r = B._cnorm, B._sigma, B._radii
-    S = np.zeros((N, N), dtype=complex)
+    i, j = np.indices((N, N))
+    # running product down each column, never a ratio of prefix products:
+    # repeated zeros at the origin make those prefixes vanish
+    p = np.cumprod(np.where(i > j + 1, -r[i - 1], 1.0), axis=0)
+    S = np.tril(c[:, None] * c * np.conj(sig) * p, -1)
     np.fill_diagonal(S, B.zeros)
-    for j in range(N):
-        p = 1.0
-        for i in range(j + 1, N):
-            S[i, j] = c[i] * c[j] * np.conj(sig[j]) * p
-            p *= -r[i]
     return S
 
 
@@ -372,62 +370,8 @@ def build_clark_spectral(B: FiniteBlaschke, clark: ClarkMeasure,
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver (cyclic complex Jacobi)
+# functional calculus
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class SpectralData:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def jacobi_eigh(H: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
-    """Eigendecomposition of a Hermitian matrix by cyclic two-sided rotations.
-
-    Returns (eigenvalues ascending, unitary eigenvector matrix).  Each sweep
-    zeroes every off-diagonal entry once; sweeps repeat until the off-diagonal
-    Frobenius mass falls below tol times the matrix norm.
-    """
-    A = np.array(H, dtype=complex)
-    n = A.shape[0]
-    V = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(A))
-    if n == 1 or norm == 0.0:
-        return np.real(np.diag(A)).copy(), V
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                mag = abs(apq)
-                if mag <= 1e-300:
-                    continue
-                phase = apq / mag
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * mag)
-                t = 1.0 if tau == 0.0 else math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # rotation R = diag(1, conj(phase)) . [[c, s], [-s, c]]
-                R = np.array([[c, s], [-s * np.conj(phase), c * np.conj(phase)]])
-                A[:, [p, q]] = A[:, [p, q]] @ R
-                A[[p, q], :] = R.conj().T @ A[[p, q], :]
-                V[:, [p, q]] = V[:, [p, q]] @ R
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-    w = np.real(np.diag(A))
-    order = np.argsort(w)
-    return w[order], V[:, order]
-
-
-def spectral_data(A: OperatorMatrix, tol: float = 1e-12) -> SpectralData:
-    _require_hermitian(A.matrix)
-    w, V = jacobi_eigh(0.5 * (A.matrix + A.matrix.conj().T), tol=tol)
-    return SpectralData(w, V)
-
 
 def _require_hermitian(M: np.ndarray):
     scale = float(np.linalg.norm(M))
@@ -446,7 +390,7 @@ def apply_function(A: OperatorMatrix, f: ScalarFunction) -> OperatorMatrix:
             out = out @ M + c * ident
         return OperatorMatrix(out, A.basis)
     _require_hermitian(M)
-    w, V = jacobi_eigh(0.5 * (M + M.conj().T))
+    w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
     fw = np.asarray(f.eval_scalar(w), dtype=complex)
     return OperatorMatrix((V * fw) @ V.conj().T, A.basis)
 
@@ -464,10 +408,9 @@ def hs_norm(A: OperatorMatrix) -> float:
 
 
 def singular_values(A: OperatorMatrix) -> np.ndarray:
-    """Singular values (descending) via the Jacobi eigenvalues of A*A."""
-    M = A.matrix
-    w, _ = jacobi_eigh(M.conj().T @ M)
-    return np.sqrt(np.clip(w, 0.0, None))[::-1]
+    """Singular values, descending (taken from A itself, not from A*A, so
+    small ones keep their absolute accuracy)."""
+    return np.linalg.svd(A.matrix, compute_uv=False)
 
 
 def trace_norm(A: OperatorMatrix) -> float:

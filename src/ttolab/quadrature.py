@@ -7,7 +7,7 @@ converge is reported in the result, not raised.
 
 Samplers are callables taking a numpy array of angles and returning an array
 of values (complex or real; an extra trailing axis is allowed for batched
-integrands).  Use :func:`from_scalar` to wrap a point function.
+integrands).
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ class IntegralResult:
     estimated_error: float
     points_used: int
     converged: bool
-
-
-def from_scalar(f: Callable) -> Callable:
-    """Wrap a scalar angle->value function as a vectorized sampler."""
-    def sampler(angles: np.ndarray):
-        return np.asarray([f(t) for t in angles])
-    return sampler
 
 
 def blaschke_initial_points(B: FiniteBlaschke, cfg: QuadratureConfig) -> int:
@@ -148,11 +141,3 @@ def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = Quadratu
     def sampler(angles):
         return np.asarray(f(angles)) * nu_density_grid(B, angles)
     return integrate_circle(sampler, cfg, initial_points=blaschke_initial_points(B, cfg))
-
-
-def weighted_l2_norm(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Norm of f in L^2 of the mean harmonic measure of B."""
-    def sq(angles):
-        return np.abs(np.asarray(f(angles))) ** 2
-    res = nu_integral(sq, B, cfg)
-    return math.sqrt(max(0.0, float(np.real(res.value))))

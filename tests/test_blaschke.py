@@ -8,21 +8,16 @@ from ttolab.blaschke import (
     abs_derivative_boundary,
     abs_derivative_grid,
     angular_partial_sums,
-    beta_density,
-    beta_density_grid,
     circle_grid,
     eval_blaschke,
     eval_blaschke_grid,
     generate_zeros,
     model_kernel,
     model_kernel_sq_grid,
-    nu_density,
-    szego_kernel,
-    szego_kernel_normalized,
-    tmw_basis_eval,
+    nu_density_grid,
     tmw_matrix,
 )
-from ttolab.clark import PhaseFunction
+from ttolab.clark import PhaseFunction, clark_measure
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
 ALL_GENERATORS = [
@@ -162,7 +157,7 @@ class TestAngularDerivative:
 class TestDensities:
     def test_nu_constant_for_power(self):
         B = FiniteBlaschke(np.zeros(5, dtype=complex))
-        assert nu_density(B, 1.2) == pytest.approx(1.0)
+        assert nu_density_grid(B, np.array([1.2]))[0] == pytest.approx(1.0)
 
     def test_nu_total_mass(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
@@ -177,18 +172,20 @@ class TestDensities:
         assert res.value == pytest.approx(0.25, abs=1e-10)
 
     def test_beta_values(self):
+        # 1/|B'| at the level set B = 1 is the Clark measure at alpha = 1
         B = FiniteBlaschke(np.zeros(4, dtype=complex))
-        assert beta_density(B, 0.0) == pytest.approx(0.25)
-        B2 = FiniteBlaschke(np.array([0, 0.5]))
-        assert beta_density(B2, 0.0) == pytest.approx(0.25)
+        assert clark_measure(B, 1.0).weights == pytest.approx([0.25] * 4)
+        B2 = FiniteBlaschke(np.array([0, 0.5]))  # level set {1, -1}
+        assert np.sort(clark_measure(B2, 1.0).weights) == pytest.approx([0.25, 0.75])
 
     def test_beta_bounded_by_one(self):
         grid = circle_grid(1024)
         for seq in ALL_GENERATORS:
             B = FiniteBlaschke(generate_zeros(seq, 24))
-            vals = beta_density_grid(B, grid)
-            assert np.all(vals > 0)
-            assert np.all(vals <= 1.0 + 1e-12)
+            # 1/|B'| lies in (0, 1] because the zero at the origin adds 1
+            vals = abs_derivative_grid(B, grid)
+            assert np.all(np.isfinite(vals))
+            assert np.all(vals >= 1.0 - 1e-12)
 
     def test_nu_mass_all_generators(self):
         cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_points=1 << 22)
@@ -208,15 +205,17 @@ class TestDensities:
 
 
 class TestKernels:
-    def test_szego_at_origin(self):
-        assert szego_kernel(0, 0.7j) == pytest.approx(1.0)
-
     def test_szego_value(self):
-        assert szego_kernel(0.5, 0.5) == pytest.approx(4.0 / 3.0)
+        # B(lam) = 0 turns the model kernel at lam into the Szego kernel
+        B = FiniteBlaschke(np.array([0.5 + 0j]))
+        assert model_kernel(B, 0.5, 0.5) == pytest.approx(4.0 / 3.0)
 
     def test_szego_normalized_value(self):
-        expected = np.sqrt(0.75) * 4.0 / 3.0
-        assert szego_kernel_normalized(0.5, 0.5) == pytest.approx(expected)
+        # the second basis function of (0, 0.5) is z times the unit-norm
+        # Szego kernel at 0.5, here taken at z = 1
+        B = FiniteBlaschke(np.array([0, 0.5]))
+        expected = np.sqrt(0.75) / (1.0 - 0.5)
+        assert tmw_matrix(B, np.array([0.0]))[0, 1] == pytest.approx(expected)
 
     def test_szego_normalization(self):
         lam = 0.7j
@@ -263,12 +262,13 @@ class TestTMWBasis:
     def test_monomials_for_power(self):
         B = FiniteBlaschke(np.zeros(4, dtype=complex))
         th = 0.9
-        for j in range(4):
-            assert tmw_basis_eval(B, j, th) == pytest.approx(np.exp(1j * j * th))
+        E = tmw_matrix(B, np.array([th]))
+        assert E[0] == pytest.approx(np.exp(1j * np.arange(4) * th))
 
     def test_first_function_constant(self):
         B = FiniteBlaschke(np.array([0, 0.5, 0.3j]))
-        assert tmw_basis_eval(B, 0, 2.2) == pytest.approx(1.0)
+        grid = circle_grid(64, offset=0.3)
+        assert np.abs(tmw_matrix(B, grid)[:, 0] - 1.0).max() < 1e-15
 
     def test_gram_identity(self):
         B = FiniteBlaschke(np.array([0, 0.5, 0.3j]))
@@ -276,11 +276,6 @@ class TestTMWBasis:
         E = tmw_matrix(B, circle_grid(M))
         G = E.conj().T @ E / M
         assert np.abs(G - np.eye(3)).max() < 1e-8
-
-    def test_index_error(self):
-        B = FiniteBlaschke(np.array([0j]))
-        with pytest.raises(IndexError):
-            tmw_basis_eval(B, 1, 0.0)
 
 
 class TestAngularPartialSums:

@@ -27,7 +27,25 @@ def random_blaschke(n, seed=0, rmax=0.9):
     return FiniteBlaschke(np.concatenate(([0.0 + 0.0j], pts)))
 
 
+def phase_reference(phase, angles):
+    """Theta as the anchor plus one lifted factor phase per zero, summed in a loop."""
+    total = np.full(angles.shape, phase._anchor)
+    for j in range(len(phase._r)):
+        total += phase._w(angles - phase._psi[j], phase._r[j]) - phase._offsets[j]
+    return total
+
+
 class TestPhaseFunction:
+    def test_matches_loop_reference(self, edge_blaschke):
+        B = edge_blaschke
+        phase = PhaseFunction(B)
+        # a uniform grid plus points on and just past each zero's direction,
+        # where near-circle zeros make the phase jump by almost 2*pi
+        psi = np.mod(B._phases, 2 * np.pi)
+        th = np.concatenate((circle_grid(1024, offset=0.25), psi, psi + 1e-9, psi - 1e-9))
+        tol = 1e-13 * 2 * np.pi * B.degree
+        assert np.abs(phase(th) - phase_reference(phase, th)).max() <= tol
+
     def test_winding(self):
         for B in (FiniteBlaschke(np.zeros(3, dtype=complex)), random_blaschke(7, seed=1)):
             phase = PhaseFunction(B)

@@ -101,6 +101,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mystery"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("angular", "j_terms", "lots"),
+        ("angular", "thresholds", "1e2,abc"),
+        ("angular", "grid_size", "6.5"),
+        ("sweep", "alpha_count", "x"),
+        ("quadrature", "max_points", "big"),
+        ("sequence", "seed", "seven"),
+    ])
+    def test_malformed_number_names_key(self, tmp_path, capsys, section, key, value):
+        # parse_config reads [angular] for every subcommand, so szego fails too
+        path = tmp_path / "bad.cfg"
+        header = "" if section == "sequence" else f"[{section}]\n"
+        path.write_text(f"[symbol]\npreset = cos\n[sequence]\nkind = uniform_zero\n"
+                        f"{header}{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(str(path))
+        assert main(["szego", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("[sequence]\nkind = uniform_zero\n[sweep]\nn_values = 4,8\nn_values = 16\n")
+        with pytest.raises(ConfigError, match="duplicate key sweep.n_values at lines 4 and 5"):
+            parse_config(str(path))
+
+    def test_duplicate_section_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("[sweep]\nn_values = 4,8\n[sequence]\nkind = uniform_zero\n[sweep]\n")
+        with pytest.raises(ConfigError, match=r"duplicate section \[sweep\] at lines 1 and 5"):
+            parse_config(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/does/not/exist.cfg")

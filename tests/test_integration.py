@@ -13,7 +13,6 @@ from ttolab.operators import (
     build_clark_spectral,
     build_clark_unitary,
     build_truncated_toeplitz,
-    spectral_data,
     trace,
 )
 from ttolab.quadrature import QuadratureConfig
@@ -43,9 +42,8 @@ class TestFunctionalCalculusRoutes:
     def test_eigenvalue_route_for_hermitian_power(self):
         B = random_blaschke(9, seed=22)
         T = build_truncated_toeplitz(B, SymbolRep.preset("cos"))
-        sd = spectral_data(T)
         f = ScalarFunction.preset("square")
-        via_eigs = float(np.sum(sd.eigenvalues ** 2))
+        via_eigs = float(np.sum(np.linalg.eigvalsh(T.matrix) ** 2))
         via_horner = trace(apply_function(T, f)).real
         assert via_eigs == pytest.approx(via_horner, abs=1e-9)
 

@@ -16,11 +16,9 @@ from ttolab.operators import (
     fejer_values,
     hs_norm,
     inverse_derivative_symbol,
-    jacobi_eigh,
     op_norm,
     rank_one_defect,
     singular_values,
-    spectral_data,
     trace,
     trace_formula_rhs,
     trace_norm,
@@ -35,6 +33,27 @@ def random_blaschke(n, seed=0, rmax=0.85):
 
 
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
+
+
+def shift_reference(B):
+    """The closed form of the compressed shift, entry by entry."""
+    N = B.degree
+    c, sig, r = B._cnorm, B._sigma, B._radii
+    S = np.zeros((N, N), dtype=complex)
+    np.fill_diagonal(S, B.zeros)
+    for j in range(N):
+        p = 1.0
+        for i in range(j + 1, N):
+            S[i, j] = c[i] * c[j] * np.conj(sig[j]) * p
+            p *= -r[i]
+    return S
+
+
+def haar_unitary(n, rng):
+    Z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2)
+    Q, R = np.linalg.qr(Z)
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
 
 
 class TestSymbolRep:
@@ -146,6 +165,17 @@ class TestCompressedShift:
     def test_trace_is_zero_sum(self):
         B = random_blaschke(7, seed=9)
         assert np.trace(compressed_shift(B)) == pytest.approx(B.zeros.sum())
+
+    def test_matches_loop_reference(self, edge_blaschke):
+        S = compressed_shift(edge_blaschke)
+        assert np.abs(S - shift_reference(edge_blaschke)).max() <= 1e-15
+
+    def test_defect_is_projector_onto_constants(self, edge_blaschke):
+        S = compressed_shift(edge_blaschke)
+        N = edge_blaschke.degree
+        P = np.zeros((N, N), dtype=complex)
+        P[0, 0] = 1.0  # the first basis function is the constant 1
+        assert np.abs(np.eye(N) - S @ S.conj().T - P).max() < 1e-14
 
 
 class TestBuildToeplitz:
@@ -332,30 +362,6 @@ class TestApplyFunction:
             apply_function(T, ScalarFunction.preset("abs"))
 
 
-class TestJacobiEig:
-    def test_against_numpy(self):
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
-        H = A + A.conj().T
-        w, V = jacobi_eigh(H)
-        w_np = np.linalg.eigvalsh(H)
-        assert np.abs(w - w_np).max() < 1e-10 * np.abs(w_np).max()
-        assert np.linalg.norm(V.conj().T @ V - np.eye(24)) < 1e-10
-        assert np.linalg.norm(H @ V - V @ np.diag(w)) < 1e-8 * np.linalg.norm(H)
-
-    def test_spectral_data_invariants(self):
-        B = random_blaschke(8, seed=11)
-        T = build_truncated_toeplitz(B, TWO_COS)
-        sd = spectral_data(T)
-        m, V = T.matrix, sd.eigenvectors
-        assert np.linalg.norm(m @ V - V @ np.diag(sd.eigenvalues)) < 1e-8 * np.linalg.norm(m)
-        assert np.linalg.norm(V.conj().T @ V - np.eye(8)) < 1e-8
-
-    def test_diagonal_input(self):
-        w, V = jacobi_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(w, [1, 2, 3])
-
-
 class TestNorms:
     def test_identity_norms(self):
         B = FiniteBlaschke(np.zeros(5, dtype=complex))
@@ -378,6 +384,16 @@ class TestNorms:
             M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             A = OperatorMatrix(M, B)
             assert trace_norm(A) >= abs(trace(A)) - 1e-10
+
+    def test_trace_norm_of_low_rank_matrix(self):
+        # squaring (eigenvalues of A*A) loses the 1e-3 singular value to ~1e-7
+        rng = np.random.default_rng(4)
+        N = 64
+        U, V = haar_unitary(N, rng), haar_unitary(N, rng)
+        s = np.zeros(N)
+        s[:2] = (1.0, 1e-3)
+        A = OperatorMatrix((U * s) @ V.conj().T, FiniteBlaschke(np.zeros(N, dtype=complex)))
+        assert abs(trace_norm(A) - 1.001) < 1e-12
 
     def test_singular_values_against_numpy(self):
         rng = np.random.default_rng(2)

@@ -5,12 +5,15 @@ from ttolab.blaschke import FiniteBlaschke, ZeroSequence, generate_zeros, nu_den
 from ttolab.quadrature import (
     QuadratureConfig,
     blaschke_initial_points,
-    from_scalar,
     integrate_circle,
     nu_integral,
     poisson_integral,
-    weighted_l2_norm,
 )
+
+
+def nu_l2_norm(f, B):
+    """Norm of f in L^2 of the mean harmonic measure of B."""
+    return np.sqrt(nu_integral(lambda t: np.abs(f(t)) ** 2, B).value.real)
 
 
 class TestConfig:
@@ -83,11 +86,6 @@ class TestIntegrateCircle:
         with pytest.raises(ValueError, match="non-finite sample at angle"):
             integrate_circle(bad)
 
-    def test_from_scalar_wrapper(self):
-        res = integrate_circle(from_scalar(lambda t: np.cos(t) ** 2),
-                               QuadratureConfig(initial_points=32, max_points=256))
-        assert res.value.real == pytest.approx(0.5, abs=1e-12)
-
     def test_batched_sampler(self):
         def batch(t):
             return np.stack([np.ones_like(t), np.exp(2j * t)], axis=-1)
@@ -134,16 +132,16 @@ class TestNuIntegrals:
 
     def test_weighted_norm_constant(self):
         B = FiniteBlaschke(np.array([0, 0.5, -0.2j]))
-        assert weighted_l2_norm(lambda t: np.full(t.shape, 3.0 + 0j), B) == pytest.approx(3.0, abs=1e-9)
+        assert nu_l2_norm(lambda t: np.full(t.shape, 3.0 + 0j), B) == pytest.approx(3.0, abs=1e-9)
 
     def test_weighted_norm_power_case_is_plain_l2(self):
         B = FiniteBlaschke(np.zeros(6, dtype=complex))
-        val = weighted_l2_norm(lambda t: 2 * np.cos(t), B)
+        val = nu_l2_norm(lambda t: 2 * np.cos(t), B)
         assert val == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
     def test_weighted_norm_unimodular_function(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
-        assert weighted_l2_norm(lambda t: np.exp(1j * t), B) == pytest.approx(1.0, abs=1e-10)
+        assert nu_l2_norm(lambda t: np.exp(1j * t), B) == pytest.approx(1.0, abs=1e-10)
 
     def test_initial_points_scale_with_zeros(self):
         near = FiniteBlaschke(np.array([0, 0.999]))
