@@ -16,8 +16,8 @@ from .blaschke import (
 from .clark import (
     ClarkMeasure,
     PhaseFunction,
-    clark_beta_norm,
     clark_measure,
+    clark_measures,
     clark_support,
     disintegration_check,
 )

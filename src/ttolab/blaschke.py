@@ -1,5 +1,6 @@
 """Finite Blaschke products: zero-sequence generators, boundary evaluation,
-angular derivatives, reproducing kernels and the Takenaka-Malmquist-Walsh basis.
+angular derivatives, the boundary phase and its inverse, reproducing kernels
+and the Takenaka-Malmquist-Walsh basis.
 
 Everything here is a pure function of immutable inputs.  Points on the unit
 circle are passed either as :class:`CirclePoint`, as a plain angle (float) or
@@ -264,12 +265,16 @@ def eval_blaschke(B: FiniteBlaschke, w: complex) -> complex:
 
 
 def eval_blaschke_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
-    """Values of B at e^{i angles} (vectorized over angles)."""
-    z = np.exp(1j * np.asarray(angles, dtype=float))
-    out = np.ones_like(z)
-    for j in range(B.degree):
-        lam = B.zeros[j]
-        out *= B._sigma[j] * (z - lam) / (1.0 - np.conj(lam) * z)
+    """Values of B at e^{i angles}.  The factor of r e^{i psi} is formed as
+    e^{ix} conj(d)/d, x = angle - psi, d = (1-r) + 2r sin^2(x/2) - i r sin x:
+    (z - lam)/(1 - conj(lam) z) loses eps/|z - lam| next to a near-circle zero."""
+    th = np.asarray(angles, dtype=float)
+    out = np.ones(th.shape, dtype=complex)
+    for r, psi in zip(B._radii, B._phases):
+        x = th - psi
+        half = np.sin(0.5 * x)
+        d = (1.0 - r) + 2.0 * r * half * half - 1j * r * np.sin(x)
+        out *= np.exp(1j * x) * np.conj(d) / d
     return out
 
 
@@ -310,8 +315,104 @@ def abs_derivative_boundary(B: FiniteBlaschke, zeta) -> float:
     return float(abs_derivative_grid(B, np.array([th]))[0])
 
 
-def nu_density_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
-    return abs_derivative_grid(B, angles) / B.degree
+# ---------------------------------------------------------------------------
+# boundary phase and its inverse
+# ---------------------------------------------------------------------------
+
+#: zero x angle cells per block of a phase evaluation (bounds its temporaries)
+PHASE_BLOCK = 1 << 20
+
+
+class PhaseFunction:
+    """Continuous unwrapped argument of B along the circle.
+
+    Theta(0) lies in [0, 2*pi); Theta is strictly increasing with derivative
+    |B'| >= 1 (the product has a zero at the origin contributing 1) and
+    Theta(2*pi) - Theta(0) = 2*pi*degree exactly.
+    """
+
+    def __init__(self, B: FiniteBlaschke):
+        self.blaschke = B
+        self._r = B._radii
+        self._psi = B._phases
+        b1 = complex(np.prod(B._sigma * (1.0 - B.zeros) / (1.0 - np.conj(B.zeros))))
+        self._anchor = math.atan2(b1.imag, b1.real) % TWO_PI
+        # per-factor phase increment accumulated from angle 0
+        self._offsets = self._w(-self._psi, self._r)
+
+    @staticmethod
+    def _w(x, r):
+        """Continuous increasing lift of the factor phase: W' = Poisson kernel."""
+        n = np.floor((x + np.pi) / TWO_PI)
+        x0 = x - TWO_PI * n
+        return 2.0 * np.arctan2((1.0 + r) * np.sin(0.5 * x0),
+                                (1.0 - r) * np.cos(0.5 * x0)) + TWO_PI * n
+
+    def __call__(self, angles) -> np.ndarray:
+        th = np.atleast_1d(np.asarray(angles, dtype=float))
+        out = np.empty(th.shape)
+        step = max(1, PHASE_BLOCK // len(self._r))
+        for start in range(0, len(th), step):
+            block = th[start:start + step, None]
+            # one row per angle: numpy sums the zeros pairwise along the
+            # contiguous axis (a sequential sum drifts by ~sqrt(N) ulps)
+            terms = self._w(block - self._psi, self._r) - self._offsets
+            out[start:start + step] = np.sum(terms, axis=1) + self._anchor
+        return out
+
+
+def invert_phase(phase: PhaseFunction, targets) -> np.ndarray:
+    """Angles in [0, 2*pi] where Theta takes the targets, each in [Theta(0),
+    Theta(0) + 2*pi*N].  Brackets come from one coarse grid of the monotone
+    phase; Newton steps (Theta' = |B'| is exact and >= 1) safeguarded by
+    bisection then polish all targets at once."""
+    B = phase.blaschke
+    N = B.degree
+    targets = np.asarray(targets, dtype=float)
+    base = phase._anchor  # Theta(0): every factor term vanishes at angle 0
+
+    G = max(256, 4 * N)
+    grid = np.linspace(0.0, TWO_PI, G + 1)
+    vals = phase(grid)
+    vals[0], vals[-1] = base, base + TWO_PI * N  # exact endpoints
+    idx = np.clip(np.searchsorted(vals, targets), 1, G)
+    lo, hi = grid[idx - 1].copy(), grid[idx].copy()
+
+    theta = 0.5 * (lo + hi)
+    tol = max(1e-13, 2e-15 * N)
+    active = np.ones(len(targets), dtype=bool)
+    for _ in range(200):
+        err = phase(theta[active]) - targets[active]
+        sub = np.nonzero(active)[0]
+        neg = err < 0.0
+        lo[sub[neg]] = theta[sub[neg]]
+        hi[sub[~neg]] = theta[sub[~neg]]
+        done = np.abs(err) <= tol
+        still = sub[~done]
+        active[sub[done]] = False
+        if not len(still):
+            break
+        newton = theta[still] - (err[~done]) / abs_derivative_grid(B, theta[still])
+        mid = 0.5 * (lo[still] + hi[still])
+        inside = (newton > lo[still]) & (newton < hi[still])
+        theta[still] = np.where(inside, newton, mid)
+        width_done = (hi[still] - lo[still]) <= 1e-15
+        if np.any(width_done):
+            active[still[width_done]] = False
+    return theta
+
+
+def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0) -> np.ndarray:
+    """Theta^{-1} of the count*N levels 2*pi*(k + offset)/count, in [0, 2*pi].
+
+    Theta carries |B'| dm onto uniform measure, so these are equal-weight nodes
+    of nu = |B'|/N dm.  They are also the atoms of the Clark measures at
+    alpha_j = e^{2 pi i (j + offset)/count}: ``reshape(N, count)`` puts alpha_j in column j.
+    """
+    N = phase.blaschke.degree
+    levels = TWO_PI * (np.arange(count * N) + offset) / count
+    # a level below Theta(0) is reached one full winding later
+    return invert_phase(phase, np.where(levels < phase._anchor, levels + TWO_PI * N, levels))
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +530,17 @@ def angular_partial_sums(seq: ZeroSequence, grid, J: int,
     thresholds = tuple(float(t) for t in thresholds)
     crossing = np.full((len(thresholds), P), -1, dtype=int)
 
+    bounds = np.asarray(thresholds)[:, None, None]
     block = 4096
     next_cp = 0
     for start in range(0, J, block):
         lam_b = lam[start:start + block]
         terms = (1.0 - np.abs(lam_b) ** 2)[None, :] / np.abs(z[:, None] - lam_b[None, :]) ** 2
         running = sums[:, None] + np.cumsum(terms, axis=1)
-        for t, bound in enumerate(thresholds):
-            for pidx in np.nonzero(crossing[t] < 0)[0]:
-                hits = np.nonzero(running[pidx] > bound)[0]
-                if len(hits):
-                    crossing[t, pidx] = start + hits[0] + 1
+        above = running[None, :, :] > bounds  # (threshold, point, term)
+        first = np.argmax(above, axis=2)
+        new = (crossing < 0) & above.any(axis=2)
+        crossing[new] = start + first[new] + 1
         while next_cp < len(checkpoints) and checkpoints[next_cp] <= start + len(lam_b):
             partial[:, next_cp] = running[:, checkpoints[next_cp] - start - 1]
             next_cp += 1

@@ -163,31 +163,44 @@ def _parse_key(sections: dict, section: str, key: str, default, parse=int):
         raise ConfigError(f"{section}.{key}: {exc}") from exc
 
 
-def _sequence_from_section(sec: dict, seed: int) -> ZeroSequence:
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"must lie in (0,1), got {value}")
+    return value
+
+
+def _sequence_from_section(sections: dict, seed: int) -> ZeroSequence:
+    sec = sections.get("sequence", {})
     kind = sec.get("kind")
     if kind is None:
         raise ConfigError("sequence.kind is required")
-    try:
-        if kind == "uniform_zero":
-            return ZeroSequence.uniform_zero()
-        if kind == "constant_modulus":
-            r = float(sec.get("r", 0.5))
-            if not 0.0 < r < 1.0:
-                raise ConfigError(f"sequence.r must lie in (0,1), got {r}")
-            return ZeroSequence.constant_modulus(r, sec.get("phase_rule", "equispaced"), seed=seed)
-        if kind == "alternating_3k":
-            lam = float(sec.get("lam", 0.5))
-            if not 0.0 < lam < 1.0:
-                raise ConfigError(f"sequence.lam must lie in (0,1), got {lam}")
-            return ZeroSequence.alternating_3k(lam)
-        if kind == "frostman_fast":
-            return ZeroSequence.frostman_fast(int(sec.get("directions", 4)))
-        if kind == "dense_nonblaschke":
-            return ZeroSequence.dense_nonblaschke(float(sec.get("gamma", 0.6180339887)))
-        if kind == "explicit":
-            return ZeroSequence.from_points(parse_zeros(sec.get("zeros", "")))
-    except ValueError as exc:
-        raise ConfigError(f"sequence: {exc}") from exc
+
+    def value(key, default, parse):
+        return _parse_key(sections, "sequence", key, default, parse)
+
+    if kind == "uniform_zero":
+        return ZeroSequence.uniform_zero()
+    if kind == "constant_modulus":
+        return ZeroSequence.constant_modulus(value("r", 0.5, _unit_interval),
+                                             sec.get("phase_rule", "equispaced"), seed=seed)
+    if kind == "alternating_3k":
+        return ZeroSequence.alternating_3k(value("lam", 0.5, _unit_interval))
+    if kind == "frostman_fast":
+        return ZeroSequence.frostman_fast(value("directions", 4, _positive_int))
+    if kind == "dense_nonblaschke":
+        return ZeroSequence.dense_nonblaschke(value("gamma", 0.6180339887, float))
+    if kind == "explicit":
+        if "zeros" not in sec:
+            raise ConfigError("sequence.zeros is required for explicit sequences")
+        return ZeroSequence.from_points(value("zeros", None, parse_zeros))
     raise ConfigError(
         f"unknown generator tag {kind!r}; valid tags: uniform_zero, constant_modulus, "
         "alternating_3k, frostman_fast, dense_nonblaschke, explicit")
@@ -259,7 +272,7 @@ def parse_config(path: str, overrides: dict | None = None) -> ParsedConfig:
     seed = _parse_key(sections, "sequence", "seed", 0)
     try:
         experiment = ExperimentConfig(
-            sequence=_sequence_from_section(sections.get("sequence", {}), seed),
+            sequence=_sequence_from_section(sections, seed),
             symbol=_symbol_from_section(sections.get("symbol", {})),
             function=_function_from_section(sections.get("function", {})),
             n_values=parse_int_list(sections.get("sweep", {}).get("n_values", "8,16,32,64")),
@@ -271,8 +284,8 @@ def parse_config(path: str, overrides: dict | None = None) -> ParsedConfig:
         raise ConfigError(str(exc)) from exc
 
     angular_options = {
-        "J": _parse_key(sections, "angular", "j_terms", 10 ** 5),
-        "grid_size": _parse_key(sections, "angular", "grid_size", 64),
+        "J": _parse_key(sections, "angular", "j_terms", 10 ** 5, _positive_int),
+        "grid_size": _parse_key(sections, "angular", "grid_size", 64, _positive_int),
         "thresholds": _parse_key(sections, "angular", "thresholds", (1e2, 1e3),
                                  lambda text: tuple(float(t) for t in text.split(","))),
     }

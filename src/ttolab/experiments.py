@@ -9,7 +9,6 @@ and seed the records are bit-identical between runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,13 +16,14 @@ import numpy as np
 
 from .blaschke import (
     FiniteBlaschke,
+    PhaseFunction,
     ZeroSequence,
     abs_derivative_grid,
     angular_partial_sums,
     circle_grid,
-    nu_density_grid,
+    phase_nodes,
 )
-from .clark import PhaseFunction, clark_beta_norm, clark_measure
+from .clark import clark_measures
 from .operators import (
     OperatorMatrix,
     ScalarFunction,
@@ -34,6 +34,7 @@ from .operators import (
     fejer_values,
     inverse_derivative_symbol,
     trace,
+    trace_formula_rhs,
     trace_norm,
 )
 from .quadrature import QuadratureConfig, integrate_circle, nu_integral
@@ -76,10 +77,6 @@ def _blaschke(cfg: ExperimentConfig, N: int) -> FiniteBlaschke:
     return FiniteBlaschke.from_sequence(cfg.sequence, N)
 
 
-def _alpha_angles(count: int) -> np.ndarray:
-    return circle_grid(count)
-
-
 # ---------------------------------------------------------------------------
 # trace asymptotics
 # ---------------------------------------------------------------------------
@@ -94,13 +91,13 @@ def szego_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
         T = build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature)
         fT = apply_function(T, cfg.function)
         lhs = trace(fT) / N
-        quad = nu_integral(composed.evaluate, B, cfg.quadrature)
+        rhs = trace_formula_rhs(B, composed, cfg.quadrature)
         diag = {
-            "quad_points": float(quad.points_used),
-            "quad_error": float(quad.estimated_error),
+            "quad_points": float(rhs.points_used),
+            "quad_error": float(rhs.estimated_error / N),
             "build_converged": float(T.converged),
         }
-        records.append(ConvergenceRecord(N, lhs, complex(quad.value), diagnostics=diag))
+        records.append(ConvergenceRecord(N, lhs, rhs.value / N, diagnostics=diag))
     return records
 
 
@@ -132,12 +129,9 @@ def stz_trace(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
 def angular_condition_a(cfg: ExperimentConfig) -> list[dict]:
     """Decay profile of the largest Clark weight over an alpha grid, per N."""
     out = []
-    alphas = _alpha_angles(cfg.alpha_count)
     for N in cfg.n_values:
         B = _blaschke(cfg, N)
-        phase = PhaseFunction(B)
-        vals = np.array([clark_beta_norm(B, complex(math.cos(a), math.sin(a)), phase)
-                         for a in alphas])
+        vals = np.array([mu.weights.max() for mu in clark_measures(B, cfg.alpha_count)])
         out.append({
             "N": N,
             "max": float(vals.max()),
@@ -183,17 +177,14 @@ def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     """
     records = []
     sym = cfg.symbol
-    alphas = _alpha_angles(cfg.alpha_count)
     for N in cfg.n_values:
         B = _blaschke(cfg, N)
         T = build_truncated_toeplitz(B, sym, cfg.quadrature)
-        phase = PhaseFunction(B)
         acc = 0.0
-        for a in alphas:
-            mu = clark_measure(B, complex(math.cos(a), math.sin(a)), phase)
+        for mu in clark_measures(B, cfg.alpha_count):
             M = build_clark_spectral(B, mu, sym)
             acc += float(np.linalg.norm(T.matrix - M.matrix) ** 2)
-        lhs = acc / (len(alphas) * N)
+        lhs = acc / (cfg.alpha_count * N)
 
         def integrand(angles):
             pv = np.asarray(sym.evaluate(angles))
@@ -202,7 +193,7 @@ def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
 
         quad = nu_integral(integrand, B, cfg.quadrature)
         rec = ConvergenceRecord(N, lhs, complex(quad.value),
-                                diagnostics={"alpha_count": float(len(alphas)),
+                                diagnostics={"alpha_count": float(cfg.alpha_count),
                                              "rhs_points": float(quad.points_used)})
         records.append(rec)
     return records
@@ -250,16 +241,11 @@ def _random_trig_poly(rng: np.random.Generator, degree: int = 6) -> SymbolRep:
     return SymbolRep.trig({k: complex(rng.normal(), rng.normal()) for k in ks})
 
 
-def _nu_norm_on_grid(B, values, density):
-    return math.sqrt(float(np.mean(np.abs(values) ** 2 * density)))
-
-
 def fejer_suite(cfg: ExperimentConfig, trials: int = 20, grid_points: int = 4096) -> dict:
     """Contraction, pointwise convergence and L^2 convergence checks for the
     kernel-averaging operator, per degree.
 
-    Norms are evaluated on a fixed equispaced grid sized to resolve every
-    kernel peak of the largest product in the sweep (grid_points is a floor).
+    nu-norms are plain means over at least grid_points phase nodes.
     """
     rng = np.random.default_rng(cfg.seed)
     trial_symbols = [_random_trig_poly(rng) for _ in range(trials)]
@@ -269,26 +255,19 @@ def fejer_suite(cfg: ExperimentConfig, trials: int = 20, grid_points: int = 4096
     probe_angles = circle_grid(16, offset=0.37)
     for N in cfg.n_values:
         B = _blaschke(cfg, N)
-        M = grid_points
-        r = np.abs(B.zeros)
-        need = 8.0 * float(((1.0 + r) / (1.0 - r)).max())
-        while M < need and M < cfg.quadrature.max_points:
-            M *= 2
-        angles = circle_grid(M)
-        density = nu_density_grid(B, angles)
+        angles = phase_nodes(PhaseFunction(B), -(-grid_points // N))
 
         ratios = []
         for sym in trial_symbols:
             T = build_truncated_toeplitz(B, sym)
             fvals = sym.evaluate(angles)
             evals = fejer_values(B, T, angles)
-            ratios.append(_nu_norm_on_grid(B, evals, density)
-                          / _nu_norm_on_grid(B, fvals, density))
+            ratios.append(np.sqrt(np.mean(np.abs(evals) ** 2) / np.mean(np.abs(fvals) ** 2)))
 
         T_lip = build_truncated_toeplitz(B, lipschitz, cfg.quadrature)
         lip_vals = lipschitz.evaluate(angles)
         lip_avg = fejer_values(B, T_lip, angles)
-        l2_gap_sq = float(np.mean(np.abs(lip_avg - lip_vals) ** 2 * density))
+        l2_gap_sq = float(np.mean(np.abs(lip_avg - lip_vals) ** 2))
 
         probe_vals = np.abs(fejer_values(B, T_lip, probe_angles)
                             - lipschitz.evaluate(probe_angles))
@@ -300,7 +279,7 @@ def fejer_suite(cfg: ExperimentConfig, trials: int = 20, grid_points: int = 4096
             "l2_gap_sq": l2_gap_sq,
             "pointwise_gap": probe_vals.tolist(),
             "pointwise_derivative": probe_growth.tolist(),
-            "grid_points": float(M),
+            "grid_points": float(len(angles)),
         })
 
     gaps = [row["l2_gap_sq"] for row in report["per_n"]]

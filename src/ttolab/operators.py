@@ -24,7 +24,14 @@ from .blaschke import (
     tmw_matrix,
 )
 from .clark import ClarkMeasure
-from .quadrature import QuadratureConfig, blaschke_initial_points, integrate_circle
+from .quadrature import (
+    IntegralResult,
+    QuadratureConfig,
+    blaschke_initial_points,
+    doubling,
+    integrate_circle,
+    nu_integral,
+)
 
 _HERMITIAN_RTOL = 1e-8
 
@@ -113,11 +120,6 @@ class SymbolRep:
         for k, c in other.coeffs:
             s[k] = s.get(k, 0j) + c
         return SymbolRep.trig(s, name=f"({self.name})+({other.name})")
-
-    def scaled(self, c: complex) -> "SymbolRep":
-        if not self.is_trig:
-            raise ValueError("can only scale trig-poly symbols")
-        return SymbolRep.trig({k: c * v for k, v in self.coeffs}, name=self.name)
 
 
 def inverse_derivative_symbol(B: FiniteBlaschke) -> SymbolRep:
@@ -274,25 +276,13 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
             if sym.is_real and np.iscomplexobj(vals) and np.abs(vals.imag).max() > 1e-12:
                 raise ValueError("symbol flagged real but samples are complex")
             acc += (E.conj().T * vals) @ E
-        return acc / M
+        return acc
 
-    M = max(blaschke_initial_points(B, cfg), cfg.initial_points)
-    T = level(M, 0.0)
-    converged, err = False, float("inf")
-    while True:
-        if 2 * M > cfg.max_points:
-            break
-        T2 = 0.5 * (T + level(M, 0.5))
-        M *= 2
-        err = float(np.abs(T2 - T).max())
-        T = T2
-        scale = float(np.abs(T).max())
-        if err <= max(cfg.abs_tol, cfg.rel_tol * scale):
-            converged = True
-            break
+    res = doubling(level, max(blaschke_initial_points(B, cfg), cfg.initial_points), cfg)
+    T = res.value
     if sym.is_real:
         T = 0.5 * (T + T.conj().T)
-    return T, converged, err
+    return T, res.converged, res.estimated_error
 
 
 def build_truncated_toeplitz(B: FiniteBlaschke, sym: SymbolRep,
@@ -310,17 +300,17 @@ def build_truncated_toeplitz(B: FiniteBlaschke, sym: SymbolRep,
 
 
 def trace_formula_rhs(B: FiniteBlaschke, sym: SymbolRep,
-                      cfg: QuadratureConfig = QuadratureConfig()):
-    """Quadrature of symbol * |B'| over the circle (equals the operator trace)."""
-    def sampler(angles):
-        cos_t, sin_t = np.cos(angles), np.sin(angles)
-        deriv = abs_derivative_grid(B, angles, cos_sin=(cos_t, sin_t))
-        if sym.is_trig:
-            vals = sym.evaluate_at(cos_t + 1j * sin_t)
-        else:
-            vals = np.asarray(sym.evaluate(angles))
-        return vals * deriv
-    return integrate_circle(sampler, cfg, initial_points=blaschke_initial_points(B, cfg))
+                      cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
+    """Integral of symbol * |B'| over the circle (equals the operator trace):
+    for a trig polynomial exactly sum_k c_k sum_j lambda_j^k (conj(lambda_j)^|k|
+    for k < 0), the harmonic extension summed over the zeros; else N nu-integrals."""
+    if sym.is_trig:
+        lam = B.zeros
+        value = sum(c * np.sum(lam ** k if k >= 0 else np.conj(lam) ** -k) for k, c in sym.coeffs)
+        return IntegralResult(complex(value), 0.0, 0, True)
+    res = nu_integral(sym.evaluate, B, cfg)
+    return IntegralResult(B.degree * res.value, B.degree * res.estimated_error,
+                          res.points_used, res.converged)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Adaptive equal-weight quadrature on the unit circle.
 
-The rule is the periodic trapezoid rule at M equispaced angles, normalized so
-that the integral of 1 is 1.  M doubles (reusing previous samples) until two
-successive levels agree to tolerance or the point cap is reached; failure to
-converge is reported in the result, not raised.
+Every integral is a mean over equal-weight nodes whose count doubles (reusing
+previous samples) until two successive levels agree to tolerance or the point
+cap is reached; failure to converge is reported in the result, not raised.
+Lebesgue integrals use equispaced angles (the periodic trapezoid rule).  The
+boundary phase of B carries nu = |B'|/N dm onto uniform measure, so nu-integrals
+average over phase nodes, the inverse phase of equispaced levels.
 
 Samplers are callables taking a numpy array of angles and returning an array
 of values (complex or real; an extra trailing axis is allowed for batched
@@ -14,14 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .blaschke import FiniteBlaschke, TWO_PI, nu_density_grid
+from .blaschke import FiniteBlaschke, TWO_PI, PhaseFunction, phase_nodes
 
 #: number of grid points evaluated per chunk (keeps peak memory flat)
 CHUNK = 1 << 20
+
+#: least phase levels per winding of a nu-integral: with every zero but the
+#: origin on the circle, the Lebesgue part of nu gets one node per level
+MIN_LEVELS = 8
 
 
 def _next_pow2(n: int) -> int:
@@ -68,6 +75,28 @@ def blaschke_initial_points(B: FiniteBlaschke, cfg: QuadratureConfig) -> int:
     return max(cfg.initial_points, min(n, cfg.max_points // 2))
 
 
+def doubling(level: Callable, count: int, cfg: QuadratureConfig,
+             limit: int | None = None) -> IntegralResult:
+    """Running sum of ``level(count, offset)`` over all nodes so far, divided by
+    their count.  Offset 0.5 gives the ``count`` nodes halfway between those of
+    offset 0; the count doubles until two estimates agree or doubling would
+    pass ``limit`` nodes (``cfg.max_points`` by default)."""
+    limit = cfg.max_points if limit is None else limit
+    running = level(count, 0.0)
+    value, prev, err = running / count, None, float("inf")
+    while True:
+        if prev is not None:
+            err = float(np.max(np.abs(value - prev)))
+            tol = max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(value))))
+            if err <= tol:
+                return IntegralResult(_scalarize(value), err, count, True)
+        if 2 * count > limit:
+            return IntegralResult(_scalarize(value), err, count, False)
+        running = running + level(count, 0.5)
+        count *= 2
+        prev, value = value, running / count
+
+
 def _sample(sampler, angles):
     vals = np.asarray(sampler(angles))
     if vals.shape[: 1] != angles.shape:
@@ -95,24 +124,7 @@ def integrate_circle(sampler: Callable, cfg: QuadratureConfig = QuadratureConfig
     """Integrate a sampler against normalized Lebesgue measure on the circle."""
     M = initial_points or cfg.initial_points
     M = max(2, min(_next_pow2(M), cfg.max_points))
-    running = _chunked_sum(sampler, M, 0.0)
-    value = running / M
-    prev = None
-    while True:
-        if prev is not None:
-            err = np.max(np.abs(value - prev))
-            tol = max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(value))))
-            if err <= tol:
-                return IntegralResult(_scalarize(value), float(err), M, True)
-            if M >= cfg.max_points:
-                return IntegralResult(_scalarize(value), float(err), M, False)
-        elif M >= cfg.max_points:
-            return IntegralResult(_scalarize(value), float("inf"), M, False)
-        # refine: the M new samples sit halfway between the old ones
-        odd = _chunked_sum(sampler, M, 0.5)
-        running = running + odd
-        M *= 2
-        prev, value = value, running / M
+    return doubling(partial(_chunked_sum, sampler), M, cfg)
 
 
 def _scalarize(v):
@@ -121,23 +133,18 @@ def _scalarize(v):
 
 
 def poisson_integral(f: Callable, lam: complex, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
-    """Harmonic extension of f at lam: integral of f against the Poisson kernel."""
-    lam = complex(lam)
-    r = abs(lam)
-    if r >= 1.0:
-        raise ValueError("Poisson integral needs |lam| < 1")
-
-    def sampler(angles):
-        z = np.exp(1j * angles)
-        kernel = (1.0 - r * r) / np.abs(z - lam) ** 2
-        return np.asarray(f(angles)) * kernel
-
-    start = _next_pow2(int(min(8.0 * (1.0 + r) / (1.0 - r), cfg.max_points // 2)))
-    return integrate_circle(sampler, cfg, initial_points=max(cfg.initial_points, start))
+    """Harmonic extension of f at lam: the nu-integral of the one-zero product,
+    whose nu is the Poisson measure of lam."""
+    return nu_integral(f, FiniteBlaschke(np.array([complex(lam)])), cfg)
 
 
 def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
-    """Integral of f against the mean-of-harmonic-measures density |B'|/N."""
-    def sampler(angles):
-        return np.asarray(f(angles)) * nu_density_grid(B, angles)
-    return integrate_circle(sampler, cfg, initial_points=blaschke_initial_points(B, cfg))
+    """Integral of f against the mean-of-harmonic-measures density |B'|/N:
+    the mean of f over phase nodes, at least ``cfg.initial_points`` of them."""
+    phase = PhaseFunction(B)
+    N = B.degree
+
+    def level(count, offset):
+        return _sample(f, phase_nodes(phase, count // N, offset)).sum(axis=0)
+
+    return doubling(level, N * max(MIN_LEVELS, -(-cfg.initial_points // N)), cfg)

@@ -14,7 +14,6 @@ from ttolab.blaschke import (
     generate_zeros,
     model_kernel,
     model_kernel_sq_grid,
-    nu_density_grid,
     tmw_matrix,
 )
 from ttolab.clark import PhaseFunction, clark_measure
@@ -114,6 +113,14 @@ class TestEvaluation:
             vals = eval_blaschke_grid(B, circle_grid(257, offset=0.13))
             assert np.abs(np.abs(vals) - 1).max() < 1e-10
 
+    def test_near_circle_zero_keeps_accuracy(self):
+        # 1e-9 to 1e-5 from a zero at 1 - 1e-10, where the closed-form phase
+        # is accurate and the product (z - lam)/(1 - conj(lam) z) is not
+        B = FiniteBlaschke(np.array([0, 1 - 1e-10, 1 - 1e-10]))
+        th = np.concatenate((np.logspace(-9, -5, 41), -np.logspace(-9, -5, 41)))
+        exact = np.exp(1j * PhaseFunction(B)(th))
+        assert np.abs(eval_blaschke_grid(B, th) - exact).max() < 1e-12
+
     def test_boundary_value_modulus(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
         assert abs(abs(eval_blaschke(B, 1.0)) - 1) < 1e-12
@@ -157,7 +164,7 @@ class TestAngularDerivative:
 class TestDensities:
     def test_nu_constant_for_power(self):
         B = FiniteBlaschke(np.zeros(5, dtype=complex))
-        assert nu_density_grid(B, np.array([1.2]))[0] == pytest.approx(1.0)
+        assert abs_derivative_grid(B, np.array([1.2]))[0] / B.degree == pytest.approx(1.0)
 
     def test_nu_total_mass(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
@@ -195,13 +202,17 @@ class TestDensities:
             assert res.value.real == pytest.approx(1.0, abs=1e-8), seq.kind
 
     def test_nu_mass_degree_128(self):
-        # the near-boundary family needs ~3e7 grid points at this degree
+        # phase nodes give mass 1 by construction, so check the moments
+        # against the closed form: the integral of zeta^k against |B'|/N
+        # is the mean of lambda^k over the zeros (conjugated for k < 0)
         cfg = QuadratureConfig(abs_tol=5e-6, rel_tol=1e-12, max_points=1 << 26)
         for seq in ALL_GENERATORS:
             B = FiniteBlaschke(generate_zeros(seq, 128))
-            res = nu_integral(lambda t: np.ones_like(t), B, cfg)
-            assert res.converged, seq.kind
-            assert res.value.real == pytest.approx(1.0, abs=1e-7), seq.kind
+            for k in (1, -2, 5):
+                res = nu_integral(lambda t: np.exp(1j * k * t), B, cfg)
+                want = np.mean(B.zeros ** k if k > 0 else np.conj(B.zeros) ** -k)
+                assert res.converged, (seq.kind, k)
+                assert abs(res.value - want) < 1e-7, (seq.kind, k)
 
 
 class TestKernels:
@@ -278,7 +289,32 @@ class TestTMWBasis:
         assert np.abs(G - np.eye(3)).max() < 1e-8
 
 
+def crossing_reference(seq, grid, J, thresholds):
+    """First term count at which each running sum exceeds each threshold,
+    found point by point in a loop over the full running sums."""
+    lam = generate_zeros(seq, J)
+    z = np.exp(1j * grid)
+    running = np.cumsum((1 - np.abs(lam) ** 2)[None, :] / np.abs(z[:, None] - lam[None, :]) ** 2,
+                        axis=1)
+    out = np.full((len(thresholds), len(grid)), -1)
+    for t, bound in enumerate(thresholds):
+        for p in range(len(grid)):
+            hits = np.nonzero(running[p] > bound)[0]
+            if len(hits):
+                out[t, p] = hits[0] + 1
+    return out
+
+
 class TestAngularPartialSums:
+    @pytest.mark.parametrize("seq", [ZeroSequence.frostman_fast(4), ZeroSequence.dense_nonblaschke(),
+                                     ZeroSequence.constant_modulus(0.9)])
+    def test_first_crossing_matches_loop_reference(self, seq):
+        # 10^4 terms span three blocks of 4096; the thresholds are crossed in
+        # each of them on some families and never on others
+        grid, J, thresholds = circle_grid(24, offset=0.5), 10 ** 4, (1.08, 5.0, 800.0, 6000.0, 1e6)
+        diag = angular_partial_sums(seq, grid, J, thresholds=thresholds)
+        assert np.array_equal(diag.first_crossing, crossing_reference(seq, grid, J, thresholds))
+
     def test_uniform_equals_term_count(self):
         diag = angular_partial_sums(ZeroSequence.uniform_zero(), circle_grid(8), 50)
         assert np.allclose(diag.partial_sums[:, -1], 50.0)

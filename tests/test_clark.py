@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ttolab.blaschke import (
+    PHASE_BLOCK,
     FiniteBlaschke,
     ZeroSequence,
     abs_derivative_grid,
@@ -13,12 +14,21 @@ from ttolab.blaschke import (
 from ttolab.clark import (
     ClarkMeasure,
     PhaseFunction,
-    clark_beta_norm,
     clark_measure,
+    clark_measures,
     clark_support,
     disintegration_check,
 )
-from ttolab.operators import SymbolRep, build_clark_spectral, build_clark_unitary, op_norm
+from ttolab.operators import (
+    SymbolRep,
+    build_clark_spectral,
+    build_clark_unitary,
+    build_truncated_toeplitz,
+    op_norm,
+    trace,
+    trace_formula_rhs,
+)
+from ttolab.quadrature import nu_integral
 
 
 def random_blaschke(n, seed=0, rmax=0.9):
@@ -46,6 +56,15 @@ class TestPhaseFunction:
         tol = 1e-13 * 2 * np.pi * B.degree
         assert np.abs(phase(th) - phase_reference(phase, th)).max() <= tol
 
+    def test_blocks_match_loop_reference(self):
+        # at N = 256 one block holds PHASE_BLOCK/256 angles; cross two
+        # boundaries and end on a one-angle block
+        B = FiniteBlaschke(generate_zeros(ZeroSequence.frostman_fast(4), 256))
+        phase = PhaseFunction(B)
+        th = circle_grid(2 * (PHASE_BLOCK // 256) + 1, offset=0.25)
+        tol = 1e-13 * 2 * np.pi * B.degree
+        assert np.abs(phase(th) - phase_reference(phase, th)).max() <= tol
+
     def test_winding(self):
         for B in (FiniteBlaschke(np.zeros(3, dtype=complex)), random_blaschke(7, seed=1)):
             phase = PhaseFunction(B)
@@ -67,12 +86,6 @@ class TestPhaseFunction:
         phase = PhaseFunction(B)
         th = np.linspace(0.1, 6.1, 17)
         assert np.abs(np.exp(1j * phase(th)) - eval_blaschke_grid(B, th)).max() < 1e-12
-
-    def test_derivative_is_poisson_sum(self):
-        B = random_blaschke(5, seed=5)
-        phase = PhaseFunction(B)
-        th = np.array([0.3, 2.2, 5.0])
-        assert np.allclose(phase.derivative(th), abs_derivative_grid(B, th))
 
 
 class TestClarkSupport:
@@ -173,9 +186,11 @@ class TestClarkMeasure:
 
 
 class TestBetaNorm:
+    # the largest Clark weight is the operator norm of 1/|B'| applied to the
+    # Clark unitary (the function is supported on the level set)
     def test_power_case(self):
         B = FiniteBlaschke(np.zeros(10, dtype=complex))
-        assert clark_beta_norm(B, 1.0) == pytest.approx(0.1)
+        assert clark_measure(B, 1.0).weights.max() == pytest.approx(0.1)
 
     def test_matches_operator_norm(self):
         from ttolab.operators import inverse_derivative_symbol
@@ -183,7 +198,40 @@ class TestBetaNorm:
         alpha = np.exp(0.9j)
         mu = clark_measure(B, alpha)
         M = build_clark_spectral(B, mu, inverse_derivative_symbol(B))
-        assert clark_beta_norm(B, alpha) == pytest.approx(op_norm(M), abs=1e-8)
+        assert mu.weights.max() == pytest.approx(op_norm(M), abs=1e-8)
+
+
+def circular_gap(a, b):
+    """Largest distance from an angle of a to the nearest angle of b, on the circle."""
+    d = np.abs(np.angle(np.exp(1j * (a[:, None] - b[None, :]))))
+    return d.min(axis=1).max()
+
+
+class TestPhaseNodes:
+    """The one phase inversion behind Clark atoms and nu-integrals, on products
+    with N from 1 to 256, repeated zeros and zeros within 1e-10 of the circle."""
+
+    def test_clark_measures_match_clark_support(self, edge_blaschke):
+        B = edge_blaschke
+        measures = clark_measures(B, 4)  # each one validated on construction
+        assert [mu.alpha for mu in measures] == pytest.approx([1, 1j, -1, -1j])
+        for mu in measures:
+            assert np.all(np.diff(mu.atom_angles) >= 0)
+            assert circular_gap(mu.atom_angles, clark_support(B, mu.alpha)) < 1e-12
+
+    def test_nu_integral_matches_closed_form(self, edge_blaschke):
+        B = edge_blaschke
+        first = nu_integral(lambda t: np.exp(1j * t), B)
+        second = nu_integral(lambda t: np.exp(-2j * t), B)
+        assert first.converged and second.converged
+        assert abs(first.value - np.mean(B.zeros)) < 1e-9
+        assert abs(second.value - np.mean(np.conj(B.zeros) ** 2)) < 1e-9
+
+    def test_trace_formula_matches_matrix_trace(self, edge_blaschke):
+        B = edge_blaschke
+        sym = SymbolRep.trig({0: 0.5, 1: 1, 2: 1 + 0.5j, -1: 0.3, -3: 0.2j})
+        rhs = trace_formula_rhs(B, sym).value
+        assert abs(rhs - trace(build_truncated_toeplitz(B, sym))) < 1e-12 * B.degree
 
 
 class TestDisintegration:

@@ -105,6 +105,8 @@ class TestParseConfig:
         ("angular", "j_terms", "lots"),
         ("angular", "thresholds", "1e2,abc"),
         ("angular", "grid_size", "6.5"),
+        ("angular", "j_terms", "0"),
+        ("angular", "grid_size", "0"),
         ("sweep", "alpha_count", "x"),
         ("quadrature", "max_points", "big"),
         ("sequence", "seed", "seven"),
@@ -119,6 +121,21 @@ class TestParseConfig:
             parse_config(str(path))
         assert main(["szego", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("constant_modulus", "r", "abc"),
+        ("alternating_3k", "lam", "abc"),
+        ("dense_nonblaschke", "gamma", "abc"),
+        ("frostman_fast", "directions", "four"),
+        ("frostman_fast", "directions", "0"),
+    ])
+    def test_malformed_sequence_parameter_names_key(self, tmp_path, capsys, kind, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[symbol]\npreset = cos\n[sequence]\nkind = {kind}\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"sequence.{key}"):
+            parse_config(str(path))
+        assert main(["szego", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"sequence.{key}" in capsys.readouterr().err
 
     def test_duplicate_key_names_both_lines(self, tmp_path):
         path = tmp_path / "dup.cfg"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttolab.blaschke import FiniteBlaschke, ZeroSequence, generate_zeros, nu_density_grid
+from ttolab.blaschke import FiniteBlaschke, ZeroSequence, generate_zeros
 from ttolab.quadrature import (
     QuadratureConfig,
     blaschke_initial_points,
