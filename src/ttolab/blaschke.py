@@ -32,6 +32,9 @@ GENERATOR_TAGS = (
     "explicit",
 )
 
+#: angle rules of the constant_modulus generator
+PHASE_RULES = ("equispaced", "golden", "random")
+
 
 @dataclass(frozen=True)
 class CirclePoint:
@@ -230,8 +233,11 @@ class FiniteBlaschke:
         object.__setattr__(self, "zeros", z)
         r = np.abs(z)
         sigma = np.ones(len(z), dtype=complex)
-        nz = r > 0
+        nz = r >= np.finfo(float).tiny
         sigma[nz] = np.conj(z[nz]) / r[nz]
+        # dividing by a subnormal modulus overflows: use the angle instead
+        sub = (r > 0) & ~nz
+        sigma[sub] = np.exp(-1j * np.angle(z[sub]))
         object.__setattr__(self, "_radii", r)
         object.__setattr__(self, "_phases", np.angle(z))
         object.__setattr__(self, "_sigma", sigma)
@@ -328,13 +334,16 @@ class PhaseFunction:
 
     Theta(0) lies in [0, 2*pi); Theta is strictly increasing with derivative
     |B'| >= 1 (the product has a zero at the origin contributing 1) and
-    Theta(2*pi) - Theta(0) = 2*pi*degree exactly.
+    Theta(2*pi) - Theta(0) = 2*pi*degree exactly.  Repeated zeros are folded
+    into one term with a multiplicity weight, as in ``abs_derivative_grid``.
     """
 
     def __init__(self, B: FiniteBlaschke):
         self.blaschke = B
-        self._r = B._radii
-        self._psi = B._phases
+        uniq, counts = B._distinct
+        self._r = np.abs(uniq)
+        self._psi = np.angle(uniq)
+        self._mult = counts.astype(float)
         b1 = complex(np.prod(B._sigma * (1.0 - B.zeros) / (1.0 - np.conj(B.zeros))))
         self._anchor = math.atan2(b1.imag, b1.real) % TWO_PI
         # per-factor phase increment accumulated from angle 0
@@ -356,7 +365,7 @@ class PhaseFunction:
             block = th[start:start + step, None]
             # one row per angle: numpy sums the zeros pairwise along the
             # contiguous axis (a sequential sum drifts by ~sqrt(N) ulps)
-            terms = self._w(block - self._psi, self._r) - self._offsets
+            terms = (self._w(block - self._psi, self._r) - self._offsets) * self._mult
             out[start:start + step] = np.sum(terms, axis=1) + self._anchor
         return out
 
@@ -372,10 +381,17 @@ def invert_phase(phase: PhaseFunction, targets) -> np.ndarray:
     base = phase._anchor  # Theta(0): every factor term vanishes at angle 0
 
     G = max(256, 4 * N)
-    grid = np.linspace(0.0, TWO_PI, G + 1)
+    # the coarse grid plus geometric steps out of the direction of each zero
+    # whose peak it cannot resolve, so no bracket spans a phase spike and its
+    # flank at once (4^27 (1 - r) exceeds the grid step for every r < 1)
+    near = 1.0 - phase._r < TWO_PI / G
+    steps = (1.0 - phase._r[near])[:, None] * 4.0 ** np.arange(28)
+    steps = np.where(steps < TWO_PI / G, steps, 0.0)
+    spikes = np.mod(phase._psi[near, None] + np.concatenate((-steps, steps), axis=1), TWO_PI)
+    grid = np.union1d(np.linspace(0.0, TWO_PI, G + 1), spikes)
     vals = phase(grid)
     vals[0], vals[-1] = base, base + TWO_PI * N  # exact endpoints
-    idx = np.clip(np.searchsorted(vals, targets), 1, G)
+    idx = np.clip(np.searchsorted(vals, targets), 1, len(grid) - 1)
     lo, hi = grid[idx - 1].copy(), grid[idx].copy()
 
     theta = 0.5 * (lo + hi)
@@ -392,7 +408,13 @@ def invert_phase(phase: PhaseFunction, targets) -> np.ndarray:
         active[sub[done]] = False
         if not len(still):
             break
-        newton = theta[still] - (err[~done]) / abs_derivative_grid(B, theta[still])
+        step = err[~done] / abs_derivative_grid(B, theta[still])
+        # inside a phase spike |B'| * ulp exceeds tol: stop there once the
+        # Newton step is below the 1e-15 bracket width that ends bisection
+        tiny = np.abs(step) <= 1e-15
+        active[still[tiny]] = False
+        still, step = still[~tiny], step[~tiny]
+        newton = theta[still] - step
         mid = 0.5 * (lo[still] + hi[still])
         inside = (newton > lo[still]) & (newton < hi[still])
         theta[still] = np.where(inside, newton, mid)

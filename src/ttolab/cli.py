@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .blaschke import FiniteBlaschke, ZeroSequence
+from .blaschke import PHASE_RULES, FiniteBlaschke, ZeroSequence
 from .clark import clark_measure, disintegration_check
 from .experiments import (
     ConvergenceRecord,
@@ -177,6 +177,12 @@ def _unit_interval(text: str) -> float:
     return value
 
 
+def _phase_rule(text: str) -> str:
+    if text not in PHASE_RULES:
+        raise ValueError(f"must be one of {', '.join(PHASE_RULES)}, got {text!r}")
+    return text
+
+
 def _sequence_from_section(sections: dict, seed: int) -> ZeroSequence:
     sec = sections.get("sequence", {})
     kind = sec.get("kind")
@@ -190,7 +196,8 @@ def _sequence_from_section(sections: dict, seed: int) -> ZeroSequence:
         return ZeroSequence.uniform_zero()
     if kind == "constant_modulus":
         return ZeroSequence.constant_modulus(value("r", 0.5, _unit_interval),
-                                             sec.get("phase_rule", "equispaced"), seed=seed)
+                                             value("phase_rule", "equispaced", _phase_rule),
+                                             seed=seed)
     if kind == "alternating_3k":
         return ZeroSequence.alternating_3k(value("lam", 0.5, _unit_interval))
     if kind == "frostman_fast":
@@ -484,6 +491,10 @@ def _run_sweep(args, runner, stem: str) -> int:
     manifest.write(f"{stem}.csv", records_to_csv(records))
     manifest.write(f"{stem}.json", records_to_json(records))
     manifest.finalize()
+    for rec in records:
+        for key, value in sorted(rec.diagnostics.items()):
+            if "converged" in key and value == 0:
+                print(f"WARN: {args.command} N={rec.N} {key} = 0", file=sys.stderr)
     return 0
 
 

@@ -4,8 +4,10 @@ All matrices are written in the Takenaka-Malmquist-Walsh basis of the model
 space of a finite Blaschke product.  The compressed shift has a closed-form
 lower-triangular-plus-spike matrix in this basis; trigonometric-polynomial
 symbols are therefore built exactly from its powers, while general sampled
-symbols fall back to shared-grid circle quadrature.  Functions of Hermitian
-matrices and Schatten norms use numpy.linalg (eigh, svd).
+symbols fall back to shared-node circle quadrature: a uniform grid, or, next
+to zeros whose kernel peaks such a grid would have to resolve, the phase
+nodes of z^N B with their Lebesgue weights.  Functions of Hermitian matrices
+and Schatten norms use numpy.linalg (eigh, svd).
 """
 
 from __future__ import annotations
@@ -16,15 +18,19 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .blaschke import (
+    TWO_PI,
     FiniteBlaschke,
+    PhaseFunction,
     _as_angle,
     abs_derivative_grid,
     model_kernel_sq_grid,
+    phase_nodes,
     tmw_kernel_coeffs,
     tmw_matrix,
 )
 from .clark import ClarkMeasure
 from .quadrature import (
+    MIN_LEVELS,
     IntegralResult,
     QuadratureConfig,
     blaschke_initial_points,
@@ -258,27 +264,53 @@ def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
     return T
 
 
+#: cost of one phase node of z^N B (its share of the phase inversion) in
+#: uniform grid points: 2 to 8 on frostman_fast and dense_nonblaschke at
+#: N = 8...128, the most at small N, where the Gram product is cheap
+PHASE_NODE_COST = 8
+
+
 def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfig):
-    """Shared-grid quadrature: one basis-sample matrix per refinement level,
-    all N^2 inner products formed as a single Gram product."""
+    """Shared-node quadrature: one basis-sample matrix per refinement level,
+    all N^2 inner products formed as a single Gram product.
+
+    The nodes are a uniform grid sized to the narrowest kernel peak, unless
+    that grid costs more than the phase nodes of Z = z^N B.  The phase of Z
+    carries (N + |B'|) dm onto uniform measure, so its nodes resolve the peaks
+    and the flat part of the circle at once, each with the Lebesgue weight
+    2N/|Z'| <= 2; their count stops at max_points/PHASE_NODE_COST."""
     N = B.degree
     chunk = max(1024, (1 << 22) // max(N, 4))
 
-    def level(M: int, offset: float) -> np.ndarray:
+    def gram(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
         acc = np.zeros((N, N), dtype=complex)
-        for start in range(0, M, chunk):
-            stop = min(start + chunk, M)
-            angles = 2.0 * np.pi * (np.arange(start, stop) + offset) / M
-            E = tmw_matrix(B, angles)
-            vals = np.asarray(sym.evaluate(angles))
+        for start in range(0, len(angles), chunk):
+            th = angles[start:start + chunk]
+            E = tmw_matrix(B, th)
+            vals = np.asarray(sym.evaluate(th))
             if not np.all(np.isfinite(vals)):
                 raise ValueError("non-finite symbol sample")
             if sym.is_real and np.iscomplexobj(vals) and np.abs(vals.imag).max() > 1e-12:
                 raise ValueError("symbol flagged real but samples are complex")
-            acc += (E.conj().T * vals) @ E
+            acc += (E.conj().T * (vals * weights[start:start + chunk])) @ E
         return acc
 
-    res = doubling(level, max(blaschke_initial_points(B, cfg), cfg.initial_points), cfg)
+    levels = max(MIN_LEVELS, -(-cfg.initial_points // (2 * N)))
+    uniform = blaschke_initial_points(B, cfg)
+    if uniform <= PHASE_NODE_COST * 2 * N * levels:
+        def level(M: int, offset: float) -> np.ndarray:
+            return gram(TWO_PI * (np.arange(M) + offset) / M, np.ones(M))
+
+        res = doubling(level, uniform, cfg)
+    else:
+        Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(N, dtype=complex))))
+        phase = PhaseFunction(Z)
+
+        def level(count: int, offset: float) -> np.ndarray:
+            nodes = phase_nodes(phase, count // (2 * N), offset)
+            return gram(nodes, 2 * N / abs_derivative_grid(Z, nodes))
+
+        res = doubling(level, 2 * N * levels, cfg, limit=cfg.max_points // PHASE_NODE_COST)
     T = res.value
     if sym.is_real:
         T = 0.5 * (T + T.conj().T)
@@ -291,7 +323,7 @@ def build_truncated_toeplitz(B: FiniteBlaschke, sym: SymbolRep,
 
     Trig-poly symbols are assembled exactly from shift powers (the analytic
     and anti-analytic parts compress to S^k and its adjoint); sampled symbols
-    use adaptively refined shared-grid quadrature.
+    use adaptively refined shared-node quadrature.
     """
     if sym.is_trig:
         return OperatorMatrix(_toeplitz_trig(B, sym), B)

@@ -5,7 +5,9 @@ previous samples) until two successive levels agree to tolerance or the point
 cap is reached; failure to converge is reported in the result, not raised.
 Lebesgue integrals use equispaced angles (the periodic trapezoid rule).  The
 boundary phase of B carries nu = |B'|/N dm onto uniform measure, so nu-integrals
-average over phase nodes, the inverse phase of equispaced levels.
+average over phase nodes, the inverse phase of equispaced levels.  Weighted by
+N/|B'| the same nodes give Lebesgue integrals; the sampled-symbol build in
+``operators`` uses those of z^N B, whose weights 2N/(N + |B'|) stay below 2.
 
 Samplers are callables taking a numpy array of angles and returning an array
 of values (complex or real; an extra trailing axis is allowed for batched

@@ -121,6 +121,12 @@ class TestEvaluation:
         exact = np.exp(1j * PhaseFunction(B)(th))
         assert np.abs(eval_blaschke_grid(B, th) - exact).max() < 1e-12
 
+    def test_subnormal_zero_keeps_basis_finite(self):
+        # 1/|lambda| overflows for a subnormal modulus
+        B = FiniteBlaschke(np.array([0, 1e-310j, 0.5]))
+        E = tmw_matrix(B, circle_grid(64))
+        assert np.abs(E.conj().T @ E / 64 - np.eye(3)).max() < 1e-14
+
     def test_boundary_value_modulus(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
         assert abs(abs(eval_blaschke(B, 1.0)) - 1) < 1e-12

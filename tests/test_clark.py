@@ -38,10 +38,12 @@ def random_blaschke(n, seed=0, rmax=0.9):
 
 
 def phase_reference(phase, angles):
-    """Theta as the anchor plus one lifted factor phase per zero, summed in a loop."""
+    """Theta as the anchor plus one lifted factor phase per zero (repeated
+    zeros once per repetition), each counted from angle 0, summed in a loop."""
+    zeros = phase.blaschke.zeros
     total = np.full(angles.shape, phase._anchor)
-    for j in range(len(phase._r)):
-        total += phase._w(angles - phase._psi[j], phase._r[j]) - phase._offsets[j]
+    for r, psi in zip(np.abs(zeros), np.angle(zeros)):
+        total += phase._w(angles - psi, r) - phase._w(-psi, r)
     return total
 
 
@@ -60,6 +62,15 @@ class TestPhaseFunction:
         # at N = 256 one block holds PHASE_BLOCK/256 angles; cross two
         # boundaries and end on a one-angle block
         B = FiniteBlaschke(generate_zeros(ZeroSequence.frostman_fast(4), 256))
+        phase = PhaseFunction(B)
+        th = circle_grid(2 * (PHASE_BLOCK // 256) + 1, offset=0.25)
+        tol = 1e-13 * 2 * np.pi * B.degree
+        assert np.abs(phase(th) - phase_reference(phase, th)).max() <= tol
+
+    def test_distinct_zero_blocks_match_loop_reference(self):
+        # repeated zeros fold into one term, so frostman N = 256 (35 distinct
+        # zeros) fits one block; 256 distinct zeros cross two boundaries
+        B = FiniteBlaschke(generate_zeros(ZeroSequence.dense_nonblaschke(), 256))
         phase = PhaseFunction(B)
         th = circle_grid(2 * (PHASE_BLOCK // 256) + 1, offset=0.25)
         tol = 1e-13 * 2 * np.pi * B.degree

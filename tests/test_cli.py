@@ -128,6 +128,7 @@ class TestParseConfig:
         ("dense_nonblaschke", "gamma", "abc"),
         ("frostman_fast", "directions", "four"),
         ("frostman_fast", "directions", "0"),
+        ("constant_modulus", "phase_rule", "spiral"),
     ])
     def test_malformed_sequence_parameter_names_key(self, tmp_path, capsys, kind, key, value):
         path = tmp_path / "bad.cfg"
@@ -231,6 +232,22 @@ alpha_count = 8
         assert main(["lemmas", "--config", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "fejer.json").read_text())
         assert all(row["contraction_max"] <= 1 + 1e-6 for row in report["per_n"])
+
+    def test_unconverged_build_warns(self, minimal_cfg, tmp_path, capsys):
+        # max_points = 512 starves the sampled 1/|B'| build next to zeros at
+        # the 1 - 1e-6 cap; the run still completes and exits 0
+        path = tmp_path / "starved.cfg"
+        path.write_text("[sequence]\nkind = frostman_fast\n[symbol]\npreset = cos\n"
+                        "[sweep]\nn_values = 8,32\n[quadrature]\nmax_points = 512\n")
+        out = tmp_path / "starved"
+        assert main(["stz", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "WARN: stz N=8 beta_build_converged = 0",
+            "WARN: stz N=32 beta_build_converged = 0",
+        ]
+        assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+        assert main(["stz", "--config", minimal_cfg, "--out", str(tmp_path / "ok")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_exit_code_on_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

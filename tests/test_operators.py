@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from ttolab.blaschke import FiniteBlaschke, ZeroSequence, circle_grid, generate_zeros, tmw_matrix
 from ttolab.clark import clark_measure
 from ttolab.operators import (
+    PHASE_NODE_COST,
     OperatorMatrix,
     ScalarFunction,
     SymbolRep,
@@ -23,7 +26,7 @@ from ttolab.operators import (
     trace_formula_rhs,
     trace_norm,
 )
-from ttolab.quadrature import QuadratureConfig
+from ttolab.quadrature import MIN_LEVELS, QuadratureConfig, blaschke_initial_points
 
 
 def random_blaschke(n, seed=0, rmax=0.85):
@@ -235,6 +238,75 @@ class TestBuildToeplitz:
         lying = SymbolRep.from_sampler(lambda t: np.exp(1j * t), real=True)
         with pytest.raises(ValueError, match="flagged real"):
             build_truncated_toeplitz(B, lying)
+
+
+def uniform_gram_reference(B, sym, points=1 << 19, chunk=1 << 15):
+    """T(sym) by the periodic trapezoid rule on one fixed uniform grid."""
+    grid = circle_grid(points)
+    acc = np.zeros((B.degree, B.degree), dtype=complex)
+    for start in range(0, points, chunk):
+        E = tmw_matrix(B, grid[start:start + chunk])
+        acc += (E.conj().T * sym.evaluate(grid[start:start + chunk])) @ E
+    return acc / points
+
+
+def takes_phase_route(B, cfg=QuadratureConfig()):
+    return blaschke_initial_points(B, cfg) > PHASE_NODE_COST * 2 * B.degree * MIN_LEVELS
+
+
+class TestSampledBuild:
+    """Sampled symbols on products whose zeros sit near the circle, where the
+    build averages over phase nodes of z^N B instead of a peak-sized grid."""
+
+    @pytest.mark.parametrize("N", [32, 128])
+    def test_inverse_derivative_has_trace_one(self, N):
+        # sum_i |e_i|^2 = |B'| on the circle, so Tr T(1/|B'|) = 1
+        B = FiniteBlaschke(generate_zeros(ZeroSequence.frostman_fast(4), N))
+        assert takes_phase_route(B)
+        T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
+        assert T.converged
+        assert abs(trace(T) - 1.0) <= 1e-12
+
+    def test_phase_route_matches_uniform_grid(self):
+        rng = np.random.default_rng(7)
+        pts = (1.0 - 1e-4) * np.exp(2j * np.pi * rng.random(15))
+        B = FiniteBlaschke(np.concatenate(([0j], pts)))
+        assert takes_phase_route(B)
+        sym = inverse_derivative_symbol(B)
+        T = build_truncated_toeplitz(B, sym)
+        assert T.converged
+        assert np.abs(T.matrix - uniform_gram_reference(B, sym)).max() <= 1e-10
+
+    def test_phase_route_matches_exact_trig_build(self):
+        B = FiniteBlaschke(generate_zeros(ZeroSequence.frostman_fast(4), 64))
+        trig = SymbolRep.trig({1: 1, -2: 0.7j, 0: 0.2})
+        T = build_truncated_toeplitz(B, SymbolRep.from_sampler(trig.evaluate))
+        assert T.converged
+        assert np.abs(T.matrix - build_truncated_toeplitz(B, trig).matrix).max() <= 1e-8
+
+    def test_unresolvable_product_stops_at_node_budget(self):
+        # zero pairs at 1 - 1e-10: no grid within max_points resolves them,
+        # and the phase nodes stop at max_points/PHASE_NODE_COST
+        k = np.arange(63) // 2
+        pts = (1.0 - 1e-10) * np.exp(2j * np.pi * ((k * 0.6180339887498949) % 1.0))
+        B = FiniteBlaschke(np.concatenate(([0j], pts)))
+        cfg = QuadratureConfig()
+        assert takes_phase_route(B, cfg)
+        inv = inverse_derivative_symbol(B)
+        sampled = []
+
+        def counted(t):
+            sampled.append(len(t))
+            return inv.evaluate(t)
+
+        t0 = time.perf_counter()
+        T = build_truncated_toeplitz(B, SymbolRep.from_sampler(counted, real=True), cfg)
+        elapsed = time.perf_counter() - t0
+        assert not T.converged
+        assert sum(sampled) <= cfg.max_points // PHASE_NODE_COST
+        # the uniform grid of max_points points takes about 5 s on a 2-vCPU
+        # host, the budgeted phase nodes about 2 s
+        assert elapsed < 6.0
 
 
 class TestTraceFormula:
