@@ -270,18 +270,34 @@ def eval_blaschke(B: FiniteBlaschke, w: complex) -> complex:
     return complex(np.prod(vals))
 
 
-def eval_blaschke_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
-    """Values of B at e^{i angles}.  The factor of r e^{i psi} is formed as
-    e^{ix} conj(d)/d, x = angle - psi, d = (1-r) + 2r sin^2(x/2) - i r sin x:
-    (z - lam)/(1 - conj(lam) z) loses eps/|z - lam| next to a near-circle zero."""
+#: zero x angle cells per block of a product or phase evaluation (bounds
+#: its temporaries)
+PHASE_BLOCK = 1 << 20
+
+
+def eval_blaschke_grid(B: FiniteBlaschke, angles) -> np.ndarray:
+    """Values of B at e^{i angles}, for an angle array of any shape.  The
+    factor of r e^{i psi} is formed as e^{ix} conj(d)/d, x = angle - psi,
+    d = (1-r) + 2r sin^2(x/2) - i r sin x: (z - lam)/(1 - conj(lam) z) loses
+    eps/|z - lam| next to a near-circle zero.  The factors of a block of at
+    most PHASE_BLOCK zero x angle cells are formed at once and multiplied
+    along the zero axis in zero order, so the values are those of a loop
+    over the zeros, bit for bit.  The blocks are of equal size, so none holds
+    a single angle unless the call does: numpy multiplies one-element arrays
+    with another kernel, which can move the last bit."""
     th = np.asarray(angles, dtype=float)
-    out = np.ones(th.shape, dtype=complex)
-    for r, psi in zip(B._radii, B._phases):
-        x = th - psi
+    flat = th.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    r = B._radii[:, None]
+    psi = B._phases[:, None]
+    count = -(-flat.size // max(1, PHASE_BLOCK // B.degree))
+    edges = np.arange(count + 1) * flat.size // max(count, 1)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        x = flat[None, start:stop] - psi
         half = np.sin(0.5 * x)
         d = (1.0 - r) + 2.0 * r * half * half - 1j * r * np.sin(x)
-        out *= np.exp(1j * x) * np.conj(d) / d
-    return out
+        out[start:stop] = np.prod(np.exp(1j * x) * np.conj(d) / d, axis=0)
+    return out.reshape(th.shape)
 
 
 def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray,
@@ -324,10 +340,6 @@ def abs_derivative_boundary(B: FiniteBlaschke, zeta) -> float:
 # ---------------------------------------------------------------------------
 # boundary phase and its inverse
 # ---------------------------------------------------------------------------
-
-#: zero x angle cells per block of a phase evaluation (bounds its temporaries)
-PHASE_BLOCK = 1 << 20
-
 
 class PhaseFunction:
     """Continuous unwrapped argument of B along the circle.

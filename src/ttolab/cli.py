@@ -436,6 +436,13 @@ def _out_dir(args, parsed: ParsedConfig | None = None) -> str:
     return "results"
 
 
+def _warn_unconverged(command: str, N: int, diagnostics: dict):
+    """Print a WARN line to stderr for each *converged* diagnostic that reads 0."""
+    for key, value in sorted(diagnostics.items()):
+        if "converged" in key and value == 0:
+            print(f"WARN: {command} N={N} {key} = 0", file=sys.stderr)
+
+
 def cmd_operator(args) -> int:
     if not args.zeros:
         raise ConfigError("--zeros is required for the operator subcommand")
@@ -444,6 +451,7 @@ def cmd_operator(args) -> int:
     cfg = QuadratureConfig(abs_tol=args.tol or 1e-10,
                            max_points=args.max_grid or (1 << 20))
     T = build_truncated_toeplitz(B, sym, cfg)
+    _warn_unconverged("operator", B.degree, {"converged": float(T.converged)})
     if args.out:
         manifest = Manifest(args.out, hashlib.sha256(
             f"operator|{args.zeros}|{args.symbol}".encode()).hexdigest(), args.seed or 0)
@@ -492,9 +500,7 @@ def _run_sweep(args, runner, stem: str) -> int:
     manifest.write(f"{stem}.json", records_to_json(records))
     manifest.finalize()
     for rec in records:
-        for key, value in sorted(rec.diagnostics.items()):
-            if "converged" in key and value == 0:
-                print(f"WARN: {args.command} N={rec.N} {key} = 0", file=sys.stderr)
+        _warn_unconverged(args.command, rec.N, rec.diagnostics)
     return 0
 
 
@@ -546,6 +552,8 @@ def cmd_lemmas(args) -> int:
     if cfg.function.is_poly and cfg.symbol.is_trig:
         sdef = stz_defect_s1(cfg)
         manifest.write("stz_defect.csv", records_to_csv(sdef))
+        for rec in sdef:
+            _warn_unconverged("lemmas", rec.N, rec.diagnostics)
 
     report = fejer_suite(cfg)
     manifest.write("fejer.json", json.dumps(report, sort_keys=True, indent=2) + "\n")

@@ -31,3 +31,13 @@ def edge_blaschke(request) -> FiniteBlaschke:
     """Products at the extremes: N = 1, large N, repeated and near-circle zeros."""
     name, N = request.param
     return FiniteBlaschke.from_sequence(EDGE_SEQUENCES[name], N)
+
+
+_SMALL_EDGE_CASES = [(name, N) for name, N in _EDGE_CASES if N <= 64]
+
+
+@pytest.fixture(params=_SMALL_EDGE_CASES, ids=[f"{name}-{N}" for name, N in _SMALL_EDGE_CASES])
+def small_edge_blaschke(request) -> FiniteBlaschke:
+    """``edge_blaschke`` at N = 1, 2 and 64, for oracles that build a matrix per call."""
+    name, N = request.param
+    return FiniteBlaschke.from_sequence(EDGE_SEQUENCES[name], N)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ttolab.blaschke import (
+    PHASE_BLOCK,
     CirclePoint,
     FiniteBlaschke,
     ZeroSequence,
@@ -14,6 +15,7 @@ from ttolab.blaschke import (
     generate_zeros,
     model_kernel,
     model_kernel_sq_grid,
+    phase_nodes,
     tmw_matrix,
 )
 from ttolab.clark import PhaseFunction, clark_measure
@@ -140,6 +142,48 @@ class TestEvaluation:
         B = FiniteBlaschke(np.array([0, 0.5]))
         assert B.degree == 2
         assert eval_blaschke(B, 0) == 0
+
+
+def blaschke_reference(B, angles):
+    """The per-zero loop that eval_blaschke_grid replaced, kept as its oracle."""
+    th = np.asarray(angles, dtype=float)
+    out = np.ones(th.shape, dtype=complex)
+    for r, psi in zip(B._radii, B._phases):
+        x = th - psi
+        half = np.sin(0.5 * x)
+        d = (1.0 - r) + 2.0 * r * half * half - 1j * r * np.sin(x)
+        out *= np.exp(1j * x) * np.conj(d) / d
+    return out
+
+
+class TestEvalBlaschkeGrid:
+    """The broadcast product multiplies the factors in the loop's order, so
+    it must equal the loop bit for bit."""
+
+    def test_matches_loop_reference(self, edge_blaschke):
+        B = edge_blaschke
+        psi = np.mod(B._phases, 2 * np.pi)
+        th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9))
+        assert np.array_equal(eval_blaschke_grid(B, th), blaschke_reference(B, th))
+
+    def test_atom_array_matches_loop_reference(self, edge_blaschke):
+        B = edge_blaschke
+        count = 4
+        atoms = np.mod(phase_nodes(PhaseFunction(B), count), 2 * np.pi).reshape(B.degree, count).T
+        vals = eval_blaschke_grid(B, atoms)  # row j: the level set B = e^{2 pi i j/count}
+        assert vals.shape == (count, B.degree)
+        assert np.array_equal(vals, blaschke_reference(B, atoms))
+
+    def test_blocks_match_loop_reference(self):
+        # at N = 256 a block holds at most PHASE_BLOCK/256 angles: one angle
+        # more than two full blocks makes three equal blocks (a trailing
+        # one-angle block would go through numpy's one-element kernel and
+        # differ from the loop in the last bit)
+        B = FiniteBlaschke.from_sequence(ZeroSequence.dense_nonblaschke(), 256)
+        th = circle_grid(2 * (PHASE_BLOCK // 256) + 1, offset=0.25)
+        assert np.array_equal(eval_blaschke_grid(B, th), blaschke_reference(B, th))
+        for t in th[-1:], th[:1]:  # a one-angle call against a one-angle loop
+            assert np.array_equal(eval_blaschke_grid(B, t), blaschke_reference(B, t))
 
 
 class TestAngularDerivative:

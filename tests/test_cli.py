@@ -249,6 +249,35 @@ alpha_count = 8
         assert main(["stz", "--config", minimal_cfg, "--out", str(tmp_path / "ok")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_unconverged_lemma_build_warns(self, minimal_cfg, tmp_path, capsys):
+        # the same starved 1/|B'| build inside the lemma suite's stz_defect rows
+        path = tmp_path / "starved.cfg"
+        path.write_text("[sequence]\nkind = frostman_fast\n[symbol]\npreset = cos\n"
+                        "[sweep]\nn_values = 8,32\n[quadrature]\nmax_points = 512\n")
+        out = tmp_path / "starved"
+        assert main(["lemmas", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "WARN: lemmas N=8 beta_build_converged = 0",
+            "WARN: lemmas N=32 beta_build_converged = 0",
+        ]
+        assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+        assert "stz_defect.csv" in os.listdir(out)
+        ok = tmp_path / "ok"
+        assert main(["lemmas", "--config", minimal_cfg, "--n", "4,8", "--out", str(ok)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_unconverged_operator_build_warns(self, capsys):
+        # a zero at 1 - 1e-6 with 512 points at most: the sampled build stops short
+        args = ["operator", "--zeros", "0,0.999999", "--symbol", "abs_sin", "--max-grid", "512"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "WARN: operator N=2 converged = 0\n"
+        assert json.loads(captured.out)["dim"] == 2
+        assert main(["operator", "--zeros", "0,0.5", "--symbol", "abs_sin"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["dim"] == 2
+
     def test_exit_code_on_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[sequence]\nkind = constant_modulus\nr = 1.5\n")

@@ -3,9 +3,18 @@ import time
 import numpy as np
 import pytest
 
-from ttolab.blaschke import FiniteBlaschke, ZeroSequence, circle_grid, generate_zeros, tmw_matrix
+from ttolab.blaschke import (
+    FiniteBlaschke,
+    PhaseFunction,
+    ZeroSequence,
+    circle_grid,
+    generate_zeros,
+    phase_nodes,
+    tmw_matrix,
+)
 from ttolab.clark import clark_measure
 from ttolab.operators import (
+    FEJER_BLOCK,
     PHASE_NODE_COST,
     OperatorMatrix,
     ScalarFunction,
@@ -16,6 +25,7 @@ from ttolab.operators import (
     build_truncated_toeplitz,
     compressed_shift,
     fejer_apply,
+    fejer_trig_values,
     fejer_values,
     hs_norm,
     inverse_derivative_symbol,
@@ -519,3 +529,37 @@ class TestFejerApply:
             direct = fejer_apply(B, sym.evaluate, th).value
             fast = fejer_values(B, T, np.array([th]))[0]
             assert direct == pytest.approx(fast, abs=1e-8)
+
+
+def fejer_trig_reference(B, symbols, angles):
+    """Samples and averages with one Toeplitz build and one fejer_values call
+    per symbol: the route the shift moments replaced."""
+    values = np.array([sym.evaluate(angles) for sym in symbols])
+    averages = np.array([fejer_values(B, build_truncated_toeplitz(B, sym), angles)
+                         for sym in symbols])
+    return values, averages
+
+
+class TestFejerTrigValues:
+    def test_matches_per_symbol_oracle(self, small_edge_blaschke):
+        B = small_edge_blaschke
+        rng = np.random.default_rng(11)
+        symbols = [SymbolRep.trig({k: complex(rng.normal(), rng.normal()) for k in range(-6, 7)})
+                   for _ in range(3)]
+        symbols.append(SymbolRep.trig({1: 0.5, -1: 0.5, 3: 0.25j, -3: -0.25j}))  # real, Lipschitz
+        # a row block holds FEJER_BLOCK // N nodes: cross two block boundaries
+        # at N = 64, and add phase nodes, which crowd next to near-circle zeros
+        rows = FEJER_BLOCK // 64
+        angles = np.concatenate((circle_grid(2 * rows + 1, offset=0.37),
+                                 phase_nodes(PhaseFunction(B), 4)))
+        values, averages = fejer_trig_values(B, symbols, angles)
+        ref_values, ref_averages = fejer_trig_reference(B, symbols, angles)
+        for got, ref in ((values, ref_values), (averages, ref_averages)):
+            assert got.shape == (len(symbols), len(angles))
+            scale = np.abs(ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    def test_rejects_sampled_symbol(self):
+        B = FiniteBlaschke(np.array([0, 0.5]))
+        with pytest.raises(ValueError):
+            fejer_trig_values(B, [SymbolRep.preset("abs_sin")], circle_grid(8))
