@@ -270,34 +270,54 @@ def eval_blaschke(B: FiniteBlaschke, w: complex) -> complex:
     return complex(np.prod(vals))
 
 
-#: zero x angle cells per block of a product or phase evaluation (bounds
-#: its temporaries)
-PHASE_BLOCK = 1 << 20
+#: zero x angle cells per block of a product or phase evaluation: 2^15
+#: cells keep a block's temporaries (512 KB per complex array) in cache.
+#: On 8192 angles (best of 7, 2-vCPU host) a dense_nonblaschke phase
+#: evaluation took 34 ms at N = 64 and 73 ms at N = 128 in blocks of 2^20
+#: cells, and 15 and 45 ms in blocks of 2^15, with bit-identical values
+PHASE_BLOCK = 1 << 15
 
 
-def eval_blaschke_grid(B: FiniteBlaschke, angles) -> np.ndarray:
-    """Values of B at e^{i angles}, for an angle array of any shape.  The
-    factor of r e^{i psi} is formed as e^{ix} conj(d)/d, x = angle - psi,
-    d = (1-r) + 2r sin^2(x/2) - i r sin x: (z - lam)/(1 - conj(lam) z) loses
-    eps/|z - lam| next to a near-circle zero.  The factors of a block of at
-    most PHASE_BLOCK zero x angle cells are formed at once and multiplied
-    along the zero axis in zero order, so the values are those of a loop
-    over the zeros, bit for bit.  The blocks are of equal size, so none holds
-    a single angle unless the call does: numpy multiplies one-element arrays
-    with another kernel, which can move the last bit."""
+def _blaschke_blocks(r: np.ndarray, psi: np.ndarray, angles, mult=None) -> np.ndarray:
+    """Product over the zeros r e^{i psi} of their boundary factors at
+    e^{i angles}, each raised to its entry of ``mult`` if given, for an angle
+    array of any shape.  The factor of r e^{i psi} is formed as e^{ix} conj(d)/d,
+    x = angle - psi, d = (1-r) + 2r sin^2(x/2) - i r sin x: (z - lam)/(1 - conj(lam) z)
+    loses eps/|z - lam| next to a near-circle zero.  The factors of a block of at
+    most PHASE_BLOCK zero x angle cells are formed at once and multiplied along
+    the zero axis in zero order, so the values are those of a loop over the
+    zeros, bit for bit.  The blocks are of equal size, so none holds a single
+    angle unless the call does: numpy multiplies one-element arrays with
+    another kernel, which can move the last bit."""
     th = np.asarray(angles, dtype=float)
     flat = th.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
-    r = B._radii[:, None]
-    psi = B._phases[:, None]
-    count = -(-flat.size // max(1, PHASE_BLOCK // B.degree))
+    r, psi = r[:, None], psi[:, None]
+    count = -(-flat.size // max(1, PHASE_BLOCK // len(r)))
     edges = np.arange(count + 1) * flat.size // max(count, 1)
     for start, stop in zip(edges[:-1], edges[1:]):
         x = flat[None, start:stop] - psi
         half = np.sin(0.5 * x)
         d = (1.0 - r) + 2.0 * r * half * half - 1j * r * np.sin(x)
-        out[start:stop] = np.prod(np.exp(1j * x) * np.conj(d) / d, axis=0)
+        factors = np.exp(1j * x) * np.conj(d) / d
+        out[start:stop] = np.prod(factors if mult is None else factors ** mult, axis=0)
     return out.reshape(th.shape)
+
+
+def eval_blaschke_grid(B: FiniteBlaschke, angles) -> np.ndarray:
+    """Values of B at e^{i angles}, for an angle array of any shape: the
+    product of all N factors in zero order, equal to a loop over the zeros
+    bit for bit (see ``_blaschke_blocks``)."""
+    return _blaschke_blocks(B._radii, B._phases, angles)
+
+
+def eval_blaschke_folded(B: FiniteBlaschke, angles) -> np.ndarray:
+    """Values of B at e^{i angles} from one factor per distinct zero, raised
+    to its multiplicity: frostman_fast at N = 128 has 35 distinct zeros.  The
+    powers and the new order move the values from ``eval_blaschke_grid``'s by
+    rounding, about multiplicity x eps (tests hold them to 1e-12)."""
+    uniq, counts = B._distinct
+    return _blaschke_blocks(np.abs(uniq), np.angle(uniq), angles, counts[:, None])
 
 
 def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray,
@@ -348,6 +368,9 @@ class PhaseFunction:
     |B'| >= 1 (the product has a zero at the origin contributing 1) and
     Theta(2*pi) - Theta(0) = 2*pi*degree exactly.  Repeated zeros are folded
     into one term with a multiplicity weight, as in ``abs_derivative_grid``.
+    A call evaluates blocks of at most PHASE_BLOCK distinct-zero x angle cells
+    and can return Theta' = |B'| and Theta'' from the same half-angle sines
+    and cosines as Theta.
     """
 
     def __init__(self, B: FiniteBlaschke):
@@ -356,39 +379,66 @@ class PhaseFunction:
         self._r = np.abs(uniq)
         self._psi = np.angle(uniq)
         self._mult = counts.astype(float)
+        # numerators of the Poisson kernels, with |lambda|^2 formed as in
+        # abs_derivative_grid, and the curvature factor -4r (sin x = 2 s c)
+        self._poisson = self._mult * (1.0 - (uniq.real * uniq.real + uniq.imag * uniq.imag))
+        self._curve = -4.0 * self._r
         b1 = complex(np.prod(B._sigma * (1.0 - B.zeros) / (1.0 - np.conj(B.zeros))))
         self._anchor = math.atan2(b1.imag, b1.real) % TWO_PI
         # per-factor phase increment accumulated from angle 0
         self._offsets = self._w(-self._psi, self._r)
 
     @staticmethod
+    def _half(x):
+        """Branch count n of x and the sine and cosine of (x - 2 pi n)/2."""
+        n = np.floor((x + np.pi) / TWO_PI)
+        h = 0.5 * (x - TWO_PI * n)
+        return n, np.sin(h), np.cos(h)
+
+    @staticmethod
     def _w(x, r):
         """Continuous increasing lift of the factor phase: W' = Poisson kernel."""
-        n = np.floor((x + np.pi) / TWO_PI)
-        x0 = x - TWO_PI * n
-        return 2.0 * np.arctan2((1.0 + r) * np.sin(0.5 * x0),
-                                (1.0 - r) * np.cos(0.5 * x0)) + TWO_PI * n
+        n, s, c = PhaseFunction._half(x)
+        return 2.0 * np.arctan2((1.0 + r) * s, (1.0 - r) * c) + TWO_PI * n
 
-    def __call__(self, angles) -> np.ndarray:
+    def __call__(self, angles, derivs: np.ndarray | None = None) -> np.ndarray:
+        """Theta at the angles.  ``derivs``, a (2, len(angles)) array, receives
+        Theta' = |B'| and Theta'' if given: with a = (1+r) sin h and
+        b = (1-r) cos h, the factor's Poisson kernel is (1-r^2)/(a^2 + b^2)."""
         th = np.atleast_1d(np.asarray(angles, dtype=float))
         out = np.empty(th.shape)
-        step = max(1, PHASE_BLOCK // len(self._r))
+        r = self._r
+        step = max(1, PHASE_BLOCK // len(r))
         for start in range(0, len(th), step):
-            block = th[start:start + step, None]
+            rows = slice(start, start + step)
+            n, s, c = self._half(th[rows, None] - self._psi)
+            a, b = (1.0 + r) * s, (1.0 - r) * c
             # one row per angle: numpy sums the zeros pairwise along the
             # contiguous axis (a sequential sum drifts by ~sqrt(N) ulps)
-            terms = (self._w(block - self._psi, self._r) - self._offsets) * self._mult
-            out[start:start + step] = np.sum(terms, axis=1) + self._anchor
+            terms = (2.0 * np.arctan2(a, b) + TWO_PI * n - self._offsets) * self._mult
+            out[rows] = np.sum(terms, axis=1) + self._anchor
+            if derivs is not None:
+                a *= a
+                b *= b
+                a += b  # |e^{i theta} - lambda|^2
+                kernel = self._poisson / a
+                derivs[0, rows] = np.sum(kernel, axis=1)
+                kernel *= s
+                kernel *= c
+                kernel /= a
+                derivs[1, rows] = kernel @ self._curve
         return out
 
 
 def invert_phase(phase: PhaseFunction, targets) -> np.ndarray:
     """Angles in [0, 2*pi] where Theta takes the targets, each in [Theta(0),
-    Theta(0) + 2*pi*N].  Brackets come from one coarse grid of the monotone
-    phase; Newton steps (Theta' = |B'| is exact and >= 1) safeguarded by
-    bisection then polish all targets at once."""
-    B = phase.blaschke
-    N = B.degree
+    Theta(0) + 2*pi*N].  One coarse scan of the monotone phase, with its
+    slopes, brackets every target and starts it from the inverse cubic Hermite
+    interpolant of the scan on its bracket (the bracket midpoint if that
+    falls outside).  Halley steps (Theta' = |B'| >= 1 and Theta'' come with
+    each phase evaluation), safeguarded by bisection, then polish all
+    targets at once."""
+    N = phase.blaschke.degree
     targets = np.asarray(targets, dtype=float)
     base = phase._anchor  # Theta(0): every factor term vanishes at angle 0
 
@@ -401,17 +451,28 @@ def invert_phase(phase: PhaseFunction, targets) -> np.ndarray:
     steps = np.where(steps < TWO_PI / G, steps, 0.0)
     spikes = np.mod(phase._psi[near, None] + np.concatenate((-steps, steps), axis=1), TWO_PI)
     grid = np.union1d(np.linspace(0.0, TWO_PI, G + 1), spikes)
-    vals = phase(grid)
+    derivs = np.empty((2, len(grid)))
+    vals = phase(grid, derivs)
     vals[0], vals[-1] = base, base + TWO_PI * N  # exact endpoints
     idx = np.clip(np.searchsorted(vals, targets), 1, len(grid) - 1)
     lo, hi = grid[idx - 1].copy(), grid[idx].copy()
 
-    theta = 0.5 * (lo + hi)
+    # theta(Theta) on [lo, hi] as the cubic with the scan's values and the
+    # inverse slopes 1/|B'|, in the bracket's unit variable u; scan points
+    # closer than the phase's ulp give equal values, a NaN start and the midpoint
+    rise = vals[idx] - vals[idx - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (targets - vals[idx - 1]) / rise
+        m0, m1 = rise / derivs[0, idx - 1], rise / derivs[0, idx]
+        start = lo + (hi - lo) * u * u * (3.0 - 2.0 * u) + u * (1.0 - u) * ((1.0 - u) * m0 - u * m1)
+    theta = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
+
     tol = max(1e-13, 2e-15 * N)
     active = np.ones(len(targets), dtype=bool)
     for _ in range(200):
-        err = phase(theta[active]) - targets[active]
         sub = np.nonzero(active)[0]
+        derivs = np.empty((2, len(sub)))
+        err = phase(theta[sub], derivs) - targets[sub]
         neg = err < 0.0
         lo[sub[neg]] = theta[sub[neg]]
         hi[sub[~neg]] = theta[sub[~neg]]
@@ -420,16 +481,21 @@ def invert_phase(phase: PhaseFunction, targets) -> np.ndarray:
         active[sub[done]] = False
         if not len(still):
             break
-        step = err[~done] / abs_derivative_grid(B, theta[still])
+        err, slope, curve = err[~done], derivs[0, ~done], derivs[1, ~done]
+        # Halley: the Newton step over 1 - err Theta''/(2 Theta'^2); where that
+        # factor falls to 1/2 or below, the plain Newton step
+        newton = err / slope
+        factor = 1.0 - 0.5 * newton * curve / slope
+        step = np.where(factor > 0.5, newton / factor, newton)
         # inside a phase spike |B'| * ulp exceeds tol: stop there once the
-        # Newton step is below the 1e-15 bracket width that ends bisection
+        # step is below the 1e-15 bracket width that ends bisection
         tiny = np.abs(step) <= 1e-15
         active[still[tiny]] = False
         still, step = still[~tiny], step[~tiny]
-        newton = theta[still] - step
+        halley = theta[still] - step
         mid = 0.5 * (lo[still] + hi[still])
-        inside = (newton > lo[still]) & (newton < hi[still])
-        theta[still] = np.where(inside, newton, mid)
+        inside = (halley > lo[still]) & (halley < hi[still])
+        theta[still] = np.where(inside, halley, mid)
         width_done = (hi[still] - lo[still]) <= 1e-15
         if np.any(width_done):
             active[still[width_done]] = False
@@ -495,25 +561,28 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     """Orthonormal-basis sample matrix E with E[m, i] = e_i(e^{i angles[m]}).
 
     Basis functions are partial products times normalized Cauchy kernels:
-    e_i = (b_0 ... b_{i-1}) * sqrt(1-|lam_i|^2)/(1 - conj(lam_i) z).
+    e_i = (b_0 ... b_{i-1}) * sqrt(1-|lam_i|^2)/(1 - conj(lam_i) z).  The
+    samples are written basis-major, one contiguous row per e_i, and E is the
+    transposed view of that (N x angles) array: ``E.T`` is C-contiguous.
     """
     z = np.exp(1j * np.asarray(angles, dtype=float))
     N = B.degree
-    E = np.empty((len(z), N), dtype=complex)
+    rows = np.empty((N, len(z)), dtype=complex)
     pref = np.ones_like(z)
     for i in range(N):
         lam = B.zeros[i]
         denom = 1.0 - np.conj(lam) * z
-        E[:, i] = pref * (B._cnorm[i] / denom)
+        rows[i] = pref * (B._cnorm[i] / denom)
         pref = pref * (B._sigma[i] * (z - lam) / denom)
-    return E
+    return rows.T
 
 
 def tmw_kernel_coeffs(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     """Coefficient vectors of the boundary kernels k_zeta in the basis.
 
     Row m holds conj(e_i(zeta_m)): the reproducing property makes these the
-    expansion coefficients, no integration required.
+    expansion coefficients, no integration required.  Like ``tmw_matrix``
+    it is the transposed view of a basis-major array.
     """
     return np.conj(tmw_matrix(B, angles))
 

@@ -20,7 +20,7 @@ from .blaschke import (
     FiniteBlaschke,
     PhaseFunction,
     abs_derivative_grid,
-    eval_blaschke_grid,
+    eval_blaschke_folded,
     phase_nodes,
 )
 from .quadrature import IntegralResult, QuadratureConfig, doubling, integrate_circle
@@ -53,7 +53,7 @@ class ClarkMeasure:
         B = self.blaschke
         if len(self.atom_angles) != B.degree or len(self.weights) != B.degree:
             raise ValueError("atom count must equal the degree")
-        res = np.abs(eval_blaschke_grid(B, self.atom_angles) - self.alpha)
+        res = np.abs(eval_blaschke_folded(B, self.atom_angles) - self.alpha)
         # an atom angle is representable only to ~ulp, so the achievable
         # residual at a phase spike is |B'| times the angle resolution
         floor = 16.0 * np.finfo(float).eps / self.weights

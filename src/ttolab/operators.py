@@ -265,8 +265,10 @@ def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
 
 
 #: cost of one phase node of z^N B (its share of the phase inversion) in
-#: uniform grid points: 2 to 8 on frostman_fast and dense_nonblaschke at
-#: N = 8...128, the most at small N, where the Gram product is cheap
+#: uniform grid points: 0.5 to 9 on frostman_fast and dense_nonblaschke at
+#: N = 8...128 with the Hermite-started Halley inversion (1 to 15 with
+#: midpoint-started Newton), the most at small N, where the Gram product is
+#: cheap.  Any value from 2 to 8 routes the benchmark configs alike
 PHASE_NODE_COST = 8
 
 
@@ -286,13 +288,13 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
         acc = np.zeros((N, N), dtype=complex)
         for start in range(0, len(angles), chunk):
             th = angles[start:start + chunk]
-            E = tmw_matrix(B, th)
+            E = tmw_matrix(B, th).T  # one contiguous row per basis function
             vals = np.asarray(sym.evaluate(th))
             if not np.all(np.isfinite(vals)):
                 raise ValueError("non-finite symbol sample")
             if sym.is_real and np.iscomplexobj(vals) and np.abs(vals.imag).max() > 1e-12:
                 raise ValueError("symbol flagged real but samples are complex")
-            acc += (E.conj().T * (vals * weights[start:start + chunk])) @ E
+            acc += (E.conj() * (vals * weights[start:start + chunk])) @ E.T
         return acc
 
     levels = max(MIN_LEVELS, -(-cfg.initial_points // (2 * N)))
@@ -384,10 +386,10 @@ def build_clark_spectral(B: FiniteBlaschke, clark: ClarkMeasure,
     """
     if not np.array_equal(clark.blaschke.zeros, B.zeros):
         raise ValueError("Clark measure was built for a different product")
-    Q = tmw_kernel_coeffs(B, clark.atom_angles)  # row k = coefficients of k_{zeta_k}
+    Q = tmw_kernel_coeffs(B, clark.atom_angles).T  # column k = coefficients of k_{zeta_k}
     vals = clark.atoms if symbol is None else np.asarray(symbol.evaluate(clark.atom_angles))
     scale = vals * clark.weights
-    M = (Q.T * scale) @ Q.conj()
+    M = (Q * scale) @ Q.conj().T
     return OperatorMatrix(M, B)
 
 
@@ -475,12 +477,12 @@ def fejer_values(B: FiniteBlaschke, toeplitz: OperatorMatrix, angles: np.ndarray
     operator build gives the averaged function everywhere.  Trig-poly symbols
     take ``fejer_trig_values``, which needs no operator build.
     """
-    E = tmw_matrix(B, angles)
-    num = np.einsum("mi,ij,mj->m", E, toeplitz.matrix, np.conj(E), optimize=True)
+    E = tmw_matrix(B, angles).T  # row i: e_i at the angles
+    num = np.sum(E * (toeplitz.matrix @ np.conj(E)), axis=0)
     return num / abs_derivative_grid(B, angles)
 
 
-#: basis cells (nodes x N) per row block of ``fejer_trig_values``: 1 MB per
+#: basis cells (nodes x N) per node block of ``fejer_trig_values``: 1 MB per
 #: complex temporary.  Blocks of 2^18 cells and more raised the peak RSS of the
 #: shipped dense sweep from 52.5 to 58 MB, at no gain in speed
 FEJER_BLOCK = 1 << 16
@@ -494,9 +496,10 @@ def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep],
     T(phi) = sum_k c_k S^k, with adjoint powers for k < 0, so
     E_N phi = sum_k c_k m_k with the shift moments
     m_k(zeta) = (E S^k E*)_{zeta zeta}/|B'(zeta)|, k = 0...D, and
-    m_{-k} = conj(m_k).  The moments take one basis sample per node and one
-    product with S per power, in row blocks of at most FEJER_BLOCK cells; every
-    symbol then costs one row of a (symbols x 2D+1) product.
+    m_{-k} = conj(m_k).  The moments take one basis-major sample per node and
+    one product with S^T per power (the rows of F S are the columns of
+    S^T F^T), in blocks of at most FEJER_BLOCK cells; every symbol then costs
+    one row of a (symbols x 2D+1) product.
     """
     D = max((abs(k) for sym in symbols for k, _ in sym.coeffs), default=0)
     coeffs = np.zeros((len(symbols), 2 * D + 1), dtype=complex)
@@ -506,19 +509,19 @@ def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep],
         for k, c in sym.coeffs:
             row[D + k] = c
     th = np.asarray(angles, dtype=float)
-    S = compressed_shift(B)
+    St = compressed_shift(B).T
     moments = np.empty((D + 1, len(th)), dtype=complex)
-    rows = max(1, FEJER_BLOCK // B.degree)
-    for start in range(0, len(th), rows):
-        block = th[start:start + rows]
-        E = tmw_matrix(B, block)
+    cols = max(1, FEJER_BLOCK // B.degree)
+    for start in range(0, len(th), cols):
+        block = th[start:start + cols]
+        E = tmw_matrix(B, block).T  # row i: e_i at the block's nodes
         Ec = np.conj(E)
         d = abs_derivative_grid(B, block)
         F = E
         for k in range(D + 1):
             if k:
-                F = F @ S
-            moments[k, start:start + rows] = np.einsum("mi,mi->m", F, Ec) / d
+                F = St @ F
+            moments[k, start:start + cols] = np.sum(F * Ec, axis=0) / d
     powers = np.exp(1j * th) ** np.arange(D + 1)[:, None]
     values = coeffs @ np.concatenate((np.conj(powers[:0:-1]), powers))
     averages = coeffs @ np.concatenate((np.conj(moments[:0:-1]), moments))

@@ -3,6 +3,7 @@ import pytest
 
 from ttolab.blaschke import (
     PHASE_BLOCK,
+    RADIUS_CAP,
     CirclePoint,
     FiniteBlaschke,
     ZeroSequence,
@@ -11,6 +12,7 @@ from ttolab.blaschke import (
     angular_partial_sums,
     circle_grid,
     eval_blaschke,
+    eval_blaschke_folded,
     eval_blaschke_grid,
     generate_zeros,
     model_kernel,
@@ -186,6 +188,161 @@ class TestEvalBlaschkeGrid:
             assert np.array_equal(eval_blaschke_grid(B, t), blaschke_reference(B, t))
 
 
+class TestEvalBlaschkeFolded:
+    def test_matches_loop_reference(self, edge_blaschke):
+        # one factor per distinct zero raised to its multiplicity: the powers
+        # (up to 256 here, for uniform_zero) move the values by rounding only
+        B = edge_blaschke
+        psi = np.mod(B._phases, 2 * np.pi)
+        atoms = np.mod(phase_nodes(PhaseFunction(B), 4), 2 * np.pi)
+        th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9, atoms))
+        assert np.abs(eval_blaschke_folded(B, th) - blaschke_reference(B, th)).max() <= 1e-12
+
+
+class CountingPhase(PhaseFunction):
+    """PhaseFunction that counts the phase rows (angles) it evaluates."""
+
+    rows = 0
+
+    def __call__(self, angles, derivs=None):
+        self.rows += np.size(angles)
+        return super().__call__(angles, derivs)
+
+
+def phase_levels(phase, count):
+    """The targets that ``phase_nodes(phase, count)`` inverts, in node order."""
+    levels = 2 * np.pi * np.arange(count * phase.blaschke.degree) / count
+    return np.where(levels < phase._anchor, levels + 2 * np.pi * phase.blaschke.degree, levels)
+
+
+def nearest_zero_distance(B, angles):
+    return np.abs(np.exp(1j * angles)[:, None] - B.zeros[None, :]).min(axis=1)
+
+
+class TestInvertPhase:
+    def test_edge_nodes_meet_tolerance_or_exit_at_ulp(self, edge_blaschke):
+        # every node meets the phase tolerance, or it stopped on a step or a
+        # bracket below 1e-15, where the residual is at most about |B'| * 1e-15
+        B = edge_blaschke
+        phase = PhaseFunction(B)
+        count = 8
+        nodes = phase_nodes(phase, count)
+        targets = phase_levels(phase, count)
+        derivs = np.empty((2, len(nodes)))
+        err = np.abs(phase(nodes, derivs) - targets)
+        tol = max(1e-13, 2e-15 * B.degree)
+        assert np.all(err <= np.maximum(tol, 2e-15 * derivs[0]))
+        order = np.argsort(targets)
+        assert np.all(np.diff(nodes[order]) > 0)
+
+    def test_slope_matches_abs_derivative_grid(self, edge_blaschke):
+        # both sums carry each zero's position to an ulp, which the Poisson
+        # kernel amplifies by 1/|zeta - lambda| next to a near-circle zero:
+        # 1e-12 relative wherever the nearest zero is 0.004 away or more
+        B = edge_blaschke
+        phase = PhaseFunction(B)
+        th = np.concatenate((circle_grid(1024, offset=0.37), phase_nodes(phase, 4)))
+        derivs = np.empty((2, len(th)))
+        phase(th, derivs)
+        ref = abs_derivative_grid(B, th)
+        bound = 1e-12 + 16 * np.finfo(float).eps / nearest_zero_distance(B, th)
+        assert np.all(np.abs(derivs[0] - ref) <= bound * ref)
+
+    def test_curvature_matches_slope_differences(self):
+        B = FiniteBlaschke(generate_zeros(ZeroSequence.constant_modulus(0.6, "random", seed=1), 9))
+        phase = PhaseFunction(B)
+        th, h = circle_grid(64, offset=0.1), 1e-5
+        derivs, plus, minus = (np.empty((2, len(th))) for _ in range(3))
+        phase(th, derivs)
+        phase(th + h, plus)
+        phase(th - h, minus)
+        fd = (plus[0] - minus[0]) / (2 * h)
+        assert np.abs(derivs[1] - fd).max() <= 1e-6 * np.abs(derivs[1]).max()
+
+    def test_values_do_not_depend_on_derivs(self, edge_blaschke):
+        phase = PhaseFunction(edge_blaschke)
+        th = circle_grid(300, offset=0.4)
+        assert np.array_equal(phase(th, np.empty((2, len(th)))), phase(th))
+
+    @pytest.mark.parametrize("seq", [ZeroSequence.dense_nonblaschke(), ZeroSequence.frostman_fast(4)],
+                             ids=["dense_nonblaschke", "frostman_fast"])
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_phase_rows_per_target(self, seq, N):
+        # the bracket scan plus the Hermite start and Halley passes evaluate
+        # at most 3 phase rows per target (2.3 to 2.8 measured; bracket-midpoint
+        # Newton took 4.2 to 5.1); z^N B as the sampled-symbol build uses it
+        B = FiniteBlaschke.from_sequence(seq, N)
+        Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(N, dtype=complex))))
+        for product, count in ((B, 32), (Z, 16)):
+            phase = CountingPhase(product)
+            phase_nodes(phase, count)
+            assert phase.rows <= 3 * count * product.degree
+
+
+def mp_phase(B, mp):
+    """Theta and |B'| of the stored zeros at the working precision of mp: the
+    closed form of ``PhaseFunction`` with one term per zero."""
+    zs = [mp.mpc(z.real, z.imag) for z in B.zeros]
+    polar = [(abs(z), mp.atan2(z.imag, z.real)) for z in zs]
+    two_pi = 2 * mp.pi
+
+    def w(x, r):
+        n = mp.floor((x + mp.pi) / two_pi)
+        h = (x - two_pi * n) / 2
+        return 2 * mp.atan2((1 + r) * mp.sin(h), (1 - r) * mp.cos(h)) + two_pi * n
+
+    b1 = mp.fprod([(1 - z) / (1 - mp.conj(z)) * (mp.conj(z) / abs(z) if z else 1) for z in zs])
+    anchor = mp.atan2(b1.imag, b1.real) % two_pi
+    offsets = [w(-psi, r) for r, psi in polar]
+
+    def theta(t):
+        return anchor + mp.fsum(w(t - psi, r) - o for (r, psi), o in zip(polar, offsets))
+
+    def slope(t):
+        e = mp.expj(t)
+        return mp.fsum((1 - abs(z) ** 2) / abs(e - z) ** 2 for z in zs)
+
+    return theta, slope
+
+
+def near_circle_pairs(N):
+    """The origin, then zeros at radius 1 - 1e-10 on golden-angle directions,
+    each one repeated once (as ``explicit_near_circle_pairs`` in conftest)."""
+    k = np.arange(N - 1) // 2
+    return FiniteBlaschke(np.concatenate(([0j], (1 - 1e-10) * np.exp(2j * np.pi * ((k * 0.6180339887498949) % 1)))))
+
+
+MP_NEAR_CIRCLE = {
+    "frostman_fast-16": lambda: FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 16),
+    "near_circle_pairs-2": lambda: near_circle_pairs(2),
+    "near_circle_pairs-16": lambda: near_circle_pairs(16),
+    "radius_cap_repeated-8": lambda: FiniteBlaschke(np.array(
+        [0j] + [RADIUS_CAP * np.exp(2j * np.pi * k / 3) for k in (0, 0, 1, 1, 1, 2, 2)])),
+}
+
+
+class TestPhaseNodesHighPrecision:
+    @pytest.mark.parametrize("name", list(MP_NEAR_CIRCLE))
+    def test_nodes_against_50_digit_reference(self, name):
+        # Newton at 50 digits from each double node gives the exact inverse of
+        # the stored product's phase; a node is off by at most the phase
+        # tolerance over |B'| plus the 1e-15 step and bracket exits
+        mp = pytest.importorskip("mpmath").mp
+        B = MP_NEAR_CIRCLE[name]()
+        phase = PhaseFunction(B)
+        count = 4
+        nodes = phase_nodes(phase, count)
+        tol = max(1e-13, 2e-15 * B.degree)
+        with mp.workdps(50):
+            theta, slope = mp_phase(B, mp)
+            for node, target in zip(nodes, phase_levels(phase, count)):
+                exact = mp.mpf(node)
+                for _ in range(4):
+                    exact -= (theta(exact) - target) / slope(exact)
+                assert abs(theta(exact) - target) < 1e-30  # the reference converged
+                assert float(abs(exact - node)) <= tol / float(slope(exact)) + 4e-15
+
+
 class TestAngularDerivative:
     def test_power_case(self):
         B = FiniteBlaschke(np.zeros(7, dtype=complex))
@@ -319,7 +476,29 @@ class TestKernels:
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
+def tmw_reference(B, angles):
+    """The row-major loop that tmw_matrix's basis-major rows replaced, kept
+    as its oracle: column i of E is written in pass i."""
+    z = np.exp(1j * np.asarray(angles, dtype=float))
+    E = np.empty((len(z), B.degree), dtype=complex)
+    pref = np.ones_like(z)
+    for i, lam in enumerate(B.zeros):
+        denom = 1.0 - np.conj(lam) * z
+        E[:, i] = pref * (B._cnorm[i] / denom)
+        pref = pref * (B._sigma[i] * (z - lam) / denom)
+    return E
+
+
 class TestTMWBasis:
+    def test_matches_row_major_reference(self, edge_blaschke):
+        B = edge_blaschke
+        psi = np.mod(B._phases, 2 * np.pi)
+        th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9))
+        E = tmw_matrix(B, th)
+        assert E.shape == (len(th), B.degree)
+        assert E.T.flags.c_contiguous  # one contiguous row per basis function
+        assert np.array_equal(E, tmw_reference(B, th))
+
     def test_monomials_for_power(self):
         B = FiniteBlaschke(np.zeros(4, dtype=complex))
         th = 0.9
