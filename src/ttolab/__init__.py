@@ -9,9 +9,7 @@ from .blaschke import (
     ZeroSequence,
     abs_derivative_boundary,
     angular_partial_sums,
-    eval_blaschke,
     generate_zeros,
-    model_kernel,
 )
 from .clark import (
     ClarkMeasure,
@@ -30,11 +28,11 @@ from .operators import (
     build_clark_unitary,
     build_truncated_toeplitz,
     compressed_shift,
-    fejer_apply,
     hs_norm,
     inverse_derivative_symbol,
     op_norm,
     rank_one_defect,
+    semicommutator_trace,
     trace,
     trace_formula_rhs,
     trace_norm,

@@ -1,6 +1,7 @@
 """Finite Blaschke products: zero-sequence generators, boundary evaluation,
-angular derivatives, the boundary phase and its inverse, reproducing kernels
-and the Takenaka-Malmquist-Walsh basis.
+angular derivatives, the boundary phase and its inverse, the
+Takenaka-Malmquist-Walsh basis and its kernel coefficients, and partial
+Poisson sums along a zero sequence.
 
 Everything here is a pure function of immutable inputs.  Points on the unit
 circle are passed either as :class:`CirclePoint`, as a plain angle (float) or
@@ -261,15 +262,6 @@ class FiniteBlaschke:
         return f"FiniteBlaschke(degree={self.degree})"
 
 
-def eval_blaschke(B: FiniteBlaschke, w: complex) -> complex:
-    """Evaluate the product at a point of the closed disk."""
-    w = complex(w)
-    if abs(w) > 1.0 + 1e-12:
-        raise ValueError(f"point outside the closed disk: |w| = {abs(w)}")
-    vals = B._sigma * (w - B.zeros) / (1.0 - np.conj(B.zeros) * w)
-    return complex(np.prod(vals))
-
-
 #: zero x angle cells per block of a product or phase evaluation: 2^15
 #: cells keep a block's temporaries (512 KB per complex array) in cache.
 #: On 8192 angles (best of 7, 2-vCPU host) a dense_nonblaschke phase
@@ -516,46 +508,8 @@ def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# kernels and the orthonormal basis
+# the orthonormal basis
 # ---------------------------------------------------------------------------
-
-def model_kernel(B: FiniteBlaschke, lam, w) -> complex:
-    """Reproducing kernel of the model space at lam, evaluated at w.
-
-    lam may lie inside the disk or on the circle; the diagonal boundary
-    value (lam = w on the circle) is the angular derivative |B'(lam)|.
-    """
-    lam, w = complex(lam), complex(w)
-    if abs(lam) > 1.0 + 1e-12:
-        raise ValueError("kernel parameter outside the closed disk")
-    if abs(lam - w) < 1e-14 and abs(abs(lam) - 1.0) < 1e-12:
-        return complex(abs_derivative_boundary(B, lam))
-    Bl = eval_blaschke(B, lam)
-    Bw = eval_blaschke(B, w)
-    return (1.0 - Bl.conjugate() * Bw) / (1.0 - lam.conjugate() * w)
-
-
-def model_kernel_sq_grid(B: FiniteBlaschke, zeta, angles: np.ndarray,
-                         b_values: np.ndarray | None = None) -> np.ndarray:
-    """|normalized model kernel at zeta|^2 on a circle grid.
-
-    ``b_values`` may carry precomputed B(e^{i angles}).  Grid points that
-    collide with zeta get the removable-singularity value |B'(zeta)|.
-    """
-    th0 = _as_angle(zeta)
-    z0 = cmath.exp(1j * th0)
-    z = np.exp(1j * np.asarray(angles, dtype=float))
-    Bz = eval_blaschke_grid(B, np.asarray(angles, dtype=float)) if b_values is None else b_values
-    B0 = eval_blaschke_grid(B, np.array([th0]))[0]
-    dprime = abs_derivative_boundary(B, th0)
-    dist2 = np.abs(z - z0) ** 2
-    num = np.abs(B0 - Bz) ** 2
-    out = np.empty_like(dist2)
-    tiny = dist2 < 1e-24
-    np.divide(num, dist2 * dprime, out=out, where=~tiny)
-    out[tiny] = dprime
-    return out
-
 
 def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     """Orthonormal-basis sample matrix E with E[m, i] = e_i(e^{i angles[m]}).
@@ -608,17 +562,31 @@ class AngularDiagnostics:
     first_crossing: np.ndarray  # (len(thresholds), len(grid)), -1 = not crossed
 
 
+#: zeros per block of ``angular_partial_sums``: 2 MB per float temporary on
+#: the 64-point grid of the shipped configs
+ANGULAR_BLOCK = 4096
+
+
 def angular_partial_sums(seq: ZeroSequence, grid, J: int,
                          thresholds: Sequence[float] = (1e2, 1e3)) -> AngularDiagnostics:
-    """Accumulate sum_j (1-|lam_j|^2)/|zeta - lam_j|^2 over j < J per grid point."""
+    """Accumulate sum_j (1-|lam_j|^2)/|zeta - lam_j|^2 over j < J per grid point.
+
+    The terms come from Cartesian parts, as in ``abs_derivative_grid``.  Each
+    block of ANGULAR_BLOCK zeros adds its row sums (pairwise) to the running
+    sums, and a checkpoint inside the block is the running sum plus a prefix
+    sum of the block's terms.  Only a row whose sum passes a threshold inside
+    the block gets a cumulative sum, and the first crossing is a
+    ``searchsorted`` on it: the terms are positive, so it is monotone."""
     if J < 1:
         raise ValueError("J must be >= 1")
     angles = np.asarray([_as_angle(g) for g in grid], dtype=float) if not isinstance(grid, np.ndarray) \
         else np.asarray(grid, dtype=float)
     if len(angles) == 0:
         raise ValueError("empty grid")
-    z = np.exp(1j * angles)
+    x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
     lam = generate_zeros(seq, J)
+    lr, li = lam.real, lam.imag
+    weights = 1.0 - (lr * lr + li * li)
 
     checkpoints = [1]
     while checkpoints[-1] * 2 <= J:
@@ -633,20 +601,28 @@ def angular_partial_sums(seq: ZeroSequence, grid, J: int,
     thresholds = tuple(float(t) for t in thresholds)
     crossing = np.full((len(thresholds), P), -1, dtype=int)
 
-    bounds = np.asarray(thresholds)[:, None, None]
-    block = 4096
+    buf = np.empty((2, P, min(ANGULAR_BLOCK, J)))
     next_cp = 0
-    for start in range(0, J, block):
-        lam_b = lam[start:start + block]
-        terms = (1.0 - np.abs(lam_b) ** 2)[None, :] / np.abs(z[:, None] - lam_b[None, :]) ** 2
-        running = sums[:, None] + np.cumsum(terms, axis=1)
-        above = running[None, :, :] > bounds  # (threshold, point, term)
-        first = np.argmax(above, axis=2)
-        new = (crossing < 0) & above.any(axis=2)
-        crossing[new] = start + first[new] + 1
-        while next_cp < len(checkpoints) and checkpoints[next_cp] <= start + len(lam_b):
-            partial[:, next_cp] = running[:, checkpoints[next_cp] - start - 1]
+    for start in range(0, J, ANGULAR_BLOCK):
+        stop = min(start + ANGULAR_BLOCK, J)
+        terms, dy = buf[0, :, :stop - start], buf[1, :, :stop - start]
+        np.subtract(x, lr[start:stop], out=terms)
+        np.multiply(terms, terms, out=terms)
+        np.subtract(y, li[start:stop], out=dy)
+        np.multiply(dy, dy, out=dy)
+        terms += dy
+        np.divide(weights[start:stop], terms, out=terms)
+        while next_cp < len(checkpoints) and checkpoints[next_cp] <= stop:
+            partial[:, next_cp] = sums + terms[:, :checkpoints[next_cp] - start].sum(axis=1)
             next_cp += 1
-        sums = running[:, -1]
+        total = sums + terms.sum(axis=1)
+        for t, bound in enumerate(thresholds):
+            for p in np.nonzero((crossing[t] < 0) & (total > bound))[0]:
+                running = sums[p] + np.cumsum(terms[p])
+                # the row sum and the cumulative sum round apart: a crossing
+                # that only the row sum sees falls on the block's last term
+                first = min(int(np.searchsorted(running, bound, side="right")), stop - start - 1)
+                crossing[t, p] = start + first + 1
+        sums = total
 
     return AngularDiagnostics(angles, checkpoints, partial, thresholds, crossing)

@@ -540,6 +540,8 @@ def cmd_lemmas(args) -> int:
     hs = hs_approx_gap(cfg)
     manifest.write("hs_approx.csv", records_to_csv(hs))
     manifest.write("hs_approx.json", records_to_json(hs))
+    for rec in hs:
+        _warn_unconverged("lemmas", rec.N, rec.diagnostics)
 
     defect = product_defect_s1(cfg, SymbolRep.trig({2: 1}), SymbolRep.trig({-1: 1}))
     manifest.write("product_defect.csv", records_to_csv(defect))

@@ -21,9 +21,7 @@ from .blaschke import (
     TWO_PI,
     FiniteBlaschke,
     PhaseFunction,
-    _as_angle,
     abs_derivative_grid,
-    model_kernel_sq_grid,
     phase_nodes,
     tmw_kernel_coeffs,
     tmw_matrix,
@@ -35,7 +33,6 @@ from .quadrature import (
     QuadratureConfig,
     blaschke_initial_points,
     doubling,
-    integrate_circle,
     nu_integral,
 )
 
@@ -347,6 +344,24 @@ def trace_formula_rhs(B: FiniteBlaschke, sym: SymbolRep,
                           res.points_used, res.converged)
 
 
+def semicommutator_trace(B: FiniteBlaschke, sym: SymbolRep, toeplitz: OperatorMatrix,
+                         cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
+    """Tr T(|phi|^2) - ||T(phi)||_HS^2, the trace of Sarason's semicommutator
+    T(|phi|^2) - T(phi)* T(phi), given the built T(phi).
+
+    Since <T(phi) k_zeta, k_zeta> = (E T(phi) E*)_{zeta zeta}, it equals N times
+    the integral of conj(phi)(phi - E_N phi) against nu.  Tr T(|phi|^2) comes
+    from ``trace_formula_rhs``: in closed form for a trig polynomial, from one
+    nu-integral of |phi|^2 otherwise."""
+    if sym.is_trig:
+        abs_sq = SymbolRep.trig({-k: c.conjugate() for k, c in sym.coeffs}) * sym
+    else:
+        abs_sq = SymbolRep.from_sampler(lambda t: np.abs(sym.evaluate(t)) ** 2, real=True)
+    tr = trace_formula_rhs(B, abs_sq, cfg)
+    hs_sq = float(np.linalg.norm(toeplitz.matrix)) ** 2
+    return IntegralResult(complex(tr.value - hs_sq), tr.estimated_error, tr.points_used, tr.converged)
+
+
 # ---------------------------------------------------------------------------
 # Clark unitaries
 # ---------------------------------------------------------------------------
@@ -378,15 +393,20 @@ def build_clark_unitary(B: FiniteBlaschke, alpha: complex,
 
 
 def build_clark_spectral(B: FiniteBlaschke, clark: ClarkMeasure,
-                         symbol: SymbolRep | None = None) -> OperatorMatrix:
+                         symbol: SymbolRep | None = None,
+                         kernel_coeffs: np.ndarray | None = None) -> OperatorMatrix:
     """Spectral-sum form: sum over atoms of value * weight * (kernel projector).
 
     With no symbol this reproduces the Clark unitary itself; with a symbol it
     is the functional calculus of the unitary applied to that symbol.
+    ``kernel_coeffs`` may carry the atoms' kernel coefficients, sampled with
+    other measures' atoms: the N x N array whose column k is
+    ``tmw_kernel_coeffs`` at atom k.
     """
     if not np.array_equal(clark.blaschke.zeros, B.zeros):
         raise ValueError("Clark measure was built for a different product")
-    Q = tmw_kernel_coeffs(B, clark.atom_angles).T  # column k = coefficients of k_{zeta_k}
+    # column k = coefficients of k_{zeta_k}
+    Q = tmw_kernel_coeffs(B, clark.atom_angles).T if kernel_coeffs is None else kernel_coeffs
     vals = clark.atoms if symbol is None else np.asarray(symbol.evaluate(clark.atom_angles))
     scale = vals * clark.weights
     M = (Q * scale) @ Q.conj().T
@@ -458,24 +478,15 @@ def rank_one_defect(B: FiniteBlaschke, cfg: QuadratureConfig | None = None) -> O
 # averaging (Fejer-type) operator
 # ---------------------------------------------------------------------------
 
-def fejer_apply(B: FiniteBlaschke, f, zeta, cfg: QuadratureConfig = QuadratureConfig()):
-    """Average of f against the squared normalized boundary kernel at zeta."""
-    th0 = _as_angle(zeta)
-
-    def sampler(angles):
-        vals = np.asarray(f(angles)) if callable(f) else np.asarray(f.evaluate(angles))
-        return vals * model_kernel_sq_grid(B, th0, angles)
-
-    return integrate_circle(sampler, cfg, initial_points=blaschke_initial_points(B, cfg))
-
-
 def fejer_values(B: FiniteBlaschke, toeplitz: OperatorMatrix, angles: np.ndarray) -> np.ndarray:
     """Averaging operator of any compressed symbol on a grid of angles.
 
     The average of f against |normalized kernel at zeta|^2 equals the
     quadratic form of the compressed symbol at the normalized kernel, so one
-    operator build gives the averaged function everywhere.  Trig-poly symbols
-    take ``fejer_trig_values``, which needs no operator build.
+    operator build gives the averaged function everywhere.  No experiment
+    calls it: trig-poly symbols take ``fejer_trig_values``, and the
+    Hilbert-Schmidt lemma takes ``semicommutator_trace``.  The tests use it as
+    their oracle, and perfbench's traced run wraps it by name.
     """
     E = tmw_matrix(B, angles).T  # row i: e_i at the angles
     num = np.sum(E * (toeplitz.matrix @ np.conj(E)), axis=0)

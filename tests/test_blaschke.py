@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,16 @@ from ttolab.blaschke import (
     abs_derivative_grid,
     angular_partial_sums,
     circle_grid,
-    eval_blaschke,
     eval_blaschke_folded,
     eval_blaschke_grid,
     generate_zeros,
-    model_kernel,
-    model_kernel_sq_grid,
     phase_nodes,
     tmw_matrix,
 )
 from ttolab.clark import PhaseFunction, clark_measure
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
+
+from oracles import eval_blaschke, model_kernel, model_kernel_sq_grid
 
 ALL_GENERATORS = [
     ZeroSequence.uniform_zero(),
@@ -534,6 +535,27 @@ def crossing_reference(seq, grid, J, thresholds):
     return out
 
 
+def poisson_terms_reference(seq, grid, J, dtype):
+    """(1 - |lam|^2)/|zeta - lam|^2 from the double-precision points
+    zeta = (cos, sin)(grid) and zeros, with the arithmetic done in dtype and
+    rounded to double."""
+    lam = generate_zeros(seq, J)
+    x, y = np.cos(grid).astype(dtype)[:, None], np.sin(grid).astype(dtype)[:, None]
+    lr, li = lam.real.astype(dtype), lam.imag.astype(dtype)
+    return ((1 - (lr * lr + li * li)) / ((x - lr) ** 2 + (y - li) ** 2)).astype(float)
+
+
+def fsum_worst(diag, terms):
+    """Largest relative distance of the partial sums from math.fsum of the
+    same prefixes of the terms, over all points and checkpoints."""
+    worst = 0.0
+    for sums, row in zip(diag.partial_sums, terms.tolist()):
+        for got, cp in zip(sums, diag.checkpoints):
+            ref = math.fsum(row[:cp])
+            worst = max(worst, abs(got - ref) / ref)
+    return worst
+
+
 class TestAngularPartialSums:
     @pytest.mark.parametrize("seq", [ZeroSequence.frostman_fast(4), ZeroSequence.dense_nonblaschke(),
                                      ZeroSequence.constant_modulus(0.9)])
@@ -543,6 +565,18 @@ class TestAngularPartialSums:
         grid, J, thresholds = circle_grid(24, offset=0.5), 10 ** 4, (1.08, 5.0, 800.0, 6000.0, 1e6)
         diag = angular_partial_sums(seq, grid, J, thresholds=thresholds)
         assert np.array_equal(diag.first_crossing, crossing_reference(seq, grid, J, thresholds))
+
+    @pytest.mark.parametrize("seq", [ZeroSequence.dense_nonblaschke(), ZeroSequence.frostman_fast(4)])
+    def test_checkpoints_match_fsum(self, seq):
+        # the shipped grid and term count.  Against fsum of the same double
+        # terms only the summation errs: 5.3e-16 (dense), 2.7e-15 (frostman).
+        # Against terms formed in long double the double form of 1 - |lam|^2,
+        # off by eps/(1 - |lam|^2), adds its share: 2.4e-12 and 9.8e-12, with
+        # most frostman zeros at the 1 - 1e-6 cap
+        grid, J = circle_grid(64, offset=0.5), 10 ** 5
+        diag = angular_partial_sums(seq, grid, J)
+        assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, float)) <= 1e-14
+        assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, np.longdouble)) <= 2e-11
 
     def test_uniform_equals_term_count(self):
         diag = angular_partial_sums(ZeroSequence.uniform_zero(), circle_grid(8), 50)

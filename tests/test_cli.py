@@ -266,6 +266,22 @@ alpha_count = 8
         assert main(["lemmas", "--config", minimal_cfg, "--n", "4,8", "--out", str(ok)]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_unconverged_hs_build_warns(self, tmp_path, capsys):
+        # the starved sampled build of T(abs_sin) next to zeros at the cap:
+        # the hs_approx rows carry build_converged = 0 and lemmas says so
+        path = tmp_path / "starved.cfg"
+        path.write_text("[sequence]\nkind = frostman_fast\n[symbol]\npreset = abs_sin\n"
+                        "[sweep]\nn_values = 8,32\nalpha_count = 8\n"
+                        "[quadrature]\nmax_points = 512\n")
+        out = tmp_path / "starved"
+        assert main(["lemmas", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "WARN: lemmas N=8 build_converged = 0",
+            "WARN: lemmas N=32 build_converged = 0",
+        ]
+        rows = (out / "hs_approx.json").read_text()
+        assert [rec["diagnostics"]["rhs_converged"] for rec in json.loads(rows)] == [1.0, 1.0]
+
     def test_unconverged_operator_build_warns(self, capsys):
         # a zero at 1 - 1e-6 with 512 points at most: the sampled build stops short
         args = ["operator", "--zeros", "0,0.999999", "--symbol", "abs_sin", "--max-grid", "512"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ttolab.blaschke import FiniteBlaschke, ZeroSequence, generate_zeros
+from ttolab.blaschke import RADIUS_CAP, FiniteBlaschke, ZeroSequence, generate_zeros
+from ttolab.clark import clark_measures
 from ttolab.experiments import (
     ConvergenceRecord,
     ExperimentConfig,
@@ -17,11 +18,14 @@ from ttolab.experiments import (
 from ttolab.operators import (
     ScalarFunction,
     SymbolRep,
+    build_clark_spectral,
     build_truncated_toeplitz,
     fejer_values,
     inverse_derivative_symbol,
+    semicommutator_trace,
+    trace_formula_rhs,
 )
-from ttolab.quadrature import integrate_circle
+from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
 SQUARE = ScalarFunction.preset("square")
@@ -158,6 +162,84 @@ class TestHsApproxGap:
                                IDENTITY, (8, 16, 32, 64), alpha_count=8)
         vals = [rec.lhs.real for rec in hs_approx_gap(cfg)]
         assert vals[-1] < vals[0] / 2
+
+
+def hs_lhs_reference(cfg):
+    """The lhs of ``hs_approx_gap`` with one basis sample per Clark measure:
+    the per-alpha loop that the grouped sample replaced."""
+    out = []
+    for N in cfg.n_values:
+        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
+        T = build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature)
+        acc = 0.0
+        for mu in clark_measures(B, cfg.alpha_count):
+            M = build_clark_spectral(B, mu, cfg.symbol)
+            acc += float(np.linalg.norm(T.matrix - M.matrix) ** 2)
+        out.append(acc / (cfg.alpha_count * N))
+    return out
+
+
+def hs_rhs_kernel_average(B, sym, T, cfg=QuadratureConfig()):
+    """The rhs of ``hs_approx_gap`` as a nu-integral of conj(phi)(phi - E_N phi),
+    with E_N phi from the quadratic form of T = T(phi) at the normalized
+    kernels: the route that the closed-form semicommutator trace replaced."""
+
+    def integrand(angles):
+        pv = np.asarray(sym.evaluate(angles))
+        return np.conj(pv) * (pv - fejer_values(B, T, angles))
+
+    return nu_integral(integrand, B, cfg)
+
+
+HS_TRIG = SymbolRep.trig({-1: 1.0, 2: 0.5j, 3: 0.25}, name="complex trig")
+
+
+class TestHsClosedForm:
+    @pytest.mark.parametrize("sym", [HS_TRIG, SymbolRep.preset("abs_sin")], ids=["trig", "abs_sin"])
+    def test_rhs_matches_kernel_average(self, small_edge_blaschke, sym):
+        B = small_edge_blaschke
+        T = build_truncated_toeplitz(B, sym)
+        res = semicommutator_trace(B, sym, T)
+        assert res.converged
+        assert (res.points_used == 0) == sym.is_trig  # closed form for trig symbols
+        rhs = res.value / B.degree
+        if np.abs(B.zeros).max() <= RADIUS_CAP:
+            old = hs_rhs_kernel_average(B, sym, T)
+            assert old.converged
+            assert abs(rhs - old.value) <= 1e-9
+        elif sym.is_trig:
+            # past RADIUS_CAP the kernel-average route does not converge: its
+            # phase nodes are known to an ulp, which |B'| ~ 1e10 turns into a
+            # 5e-8 error.  The Clark lhs holds there, and for a trig symbol
+            # of degree 3 the average over 8 alphas equals the rhs
+            cfg = ExperimentConfig(ZeroSequence.from_points(B.zeros), sym, n_values=(B.degree,),
+                                   alpha_count=8)
+            (rec,) = hs_approx_gap(cfg)
+            assert rec.rhs == rhs
+            assert rec.gap <= 1e-10
+        else:
+            # |abs_sin|^2 = (1 - cos 2t)/2: Tr T(|phi|^2) in closed form
+            sin_sq = SymbolRep.trig({0: 0.5, 2: -0.25, -2: -0.25})
+            closed = (trace_formula_rhs(B, sin_sq).value - np.linalg.norm(T.matrix) ** 2) / B.degree
+            assert abs(rhs - closed) <= 1e-10
+
+    @pytest.mark.parametrize("sym", [SymbolRep.preset("cos"), HS_TRIG], ids=["cos", "complex"])
+    def test_frostman_trig_rhs_equals_lhs(self, sym):
+        # alpha_count = 32 exceeds twice the symbol degree, so the alpha
+        # average is exact and lhs = rhs up to rounding
+        cfg = ExperimentConfig(ZeroSequence.frostman_fast(4), sym, n_values=(32, 64, 128),
+                               alpha_count=32)
+        for rec in hs_approx_gap(cfg):
+            assert rec.gap <= 1e-12
+
+    @pytest.mark.parametrize("sym, ns", [
+        (TWO_COS, (8, 16, 32, 64)),
+        (SymbolRep.preset("re_z"), (200,)),  # 26 + 6 measures per sample group
+        (SymbolRep.preset("abs_sin"), (8, 16)),
+    ], ids=["dense-sweep", "two-groups", "abs_sin"])
+    def test_lhs_equals_per_alpha_loop(self, sym, ns):
+        cfg = ExperimentConfig(ZeroSequence.dense_nonblaschke(), sym, n_values=ns, alpha_count=32)
+        assert [rec.lhs for rec in hs_approx_gap(cfg)] == hs_lhs_reference(cfg)
 
 
 class TestDefects:

@@ -24,7 +24,6 @@ from ttolab.operators import (
     build_clark_unitary,
     build_truncated_toeplitz,
     compressed_shift,
-    fejer_apply,
     fejer_trig_values,
     fejer_values,
     hs_norm,
@@ -37,6 +36,8 @@ from ttolab.operators import (
     trace_norm,
 )
 from ttolab.quadrature import MIN_LEVELS, QuadratureConfig, blaschke_initial_points
+
+from oracles import fejer_apply
 
 
 def random_blaschke(n, seed=0, rmax=0.85):

@@ -1,5 +1,5 @@
 """Property tests on random zero sets: repeated zeros, zeros at RADIUS_CAP,
-degrees from 1 to 24."""
+degrees from 1 to 24, and on random trig symbols."""
 
 import cmath
 import math
@@ -10,8 +10,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from ttolab.blaschke import RADIUS_CAP, FiniteBlaschke  # noqa: E402
-from ttolab.operators import build_truncated_toeplitz, inverse_derivative_symbol  # noqa: E402
+from ttolab.blaschke import RADIUS_CAP, FiniteBlaschke, ZeroSequence, circle_grid  # noqa: E402
+from ttolab.experiments import ExperimentConfig, hs_approx_gap  # noqa: E402
+from ttolab.operators import (  # noqa: E402
+    SymbolRep,
+    build_truncated_toeplitz,
+    inverse_derivative_symbol,
+    trace_formula_rhs,
+)
 
 
 @st.composite
@@ -40,3 +46,31 @@ def test_inverse_derivative_compression(B):
     assert eig.min() > 0.0
     assert eig.max() <= 1.0 + 1e-12
     assert abs(np.trace(M) - 1.0) <= 1e-12
+
+
+@st.composite
+def trig_symbols(draw):
+    """Trig polynomials of degree 0 to 3 with coefficients in the unit square."""
+    degree = draw(st.integers(0, 3))
+    part = st.floats(-1.0, 1.0)
+    return SymbolRep.trig({k: complex(draw(part), draw(part)) for k in range(-degree, degree + 1)})
+
+
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(products(), trig_symbols())
+def test_trace_formula_and_semicommutator(B, sym):
+    # Tr T(phi) = sum_j phi~(lambda_j), and Sarason's semicommutator
+    # T(|phi|^2) - T(phi)* T(phi) = H* H is positive: its trace, taken from
+    # the matrices here, is >= 0 up to rounding and equals N times the rhs
+    # of hs_approx_gap, which takes it in closed form
+    N = B.degree
+    sup = float(np.abs(sym.evaluate(circle_grid(4096))).max())
+    T = build_truncated_toeplitz(B, sym)
+    assert abs(np.trace(T.matrix) - trace_formula_rhs(B, sym).value) <= 1e-12 * N * sup
+    abs_sq = SymbolRep.trig({-k: c.conjugate() for k, c in sym.coeffs}) * sym
+    semi = np.trace(build_truncated_toeplitz(B, abs_sq).matrix) - np.linalg.norm(T.matrix) ** 2
+    tol = 1e-12 * N * sup ** 2
+    assert semi.real >= -tol
+    cfg = ExperimentConfig(ZeroSequence.from_points(B.zeros), sym, n_values=(N,), alpha_count=8)
+    (rec,) = hs_approx_gap(cfg)
+    assert abs(semi - N * rec.rhs) <= tol
