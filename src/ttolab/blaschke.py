@@ -231,6 +231,9 @@ class FiniteBlaschke:
             raise ValueError("zeros must be a non-empty 1-d array")
         if np.abs(z).max() >= 1.0:
             raise ValueError("all zeros must satisfy |lambda| < 1")
+        # + 0.0 turns -0 parts into +0: a zero at -0 + 0j has angle pi, and the
+        # kernels would give it the factor -z
+        z = z + 0.0
         object.__setattr__(self, "zeros", z)
         r = np.abs(z)
         sigma = np.ones(len(z), dtype=complex)
@@ -263,53 +266,93 @@ class FiniteBlaschke:
 
 
 #: zero x angle cells per block of a product or phase evaluation: 2^15
-#: cells keep a block's temporaries (512 KB per complex array) in cache.
-#: On 8192 angles (best of 7, 2-vCPU host) a dense_nonblaschke phase
-#: evaluation took 34 ms at N = 64 and 73 ms at N = 128 in blocks of 2^20
-#: cells, and 15 and 45 ms in blocks of 2^15, with bit-identical values
+#: cells keep a block's temporaries (256 KB per float array) in cache.
+#: On 8192 angles (best of 7, 2-vCPU host, one thread) a dense_nonblaschke
+#: phase evaluation with derivatives took 24 ms at N = 64 and 46 ms at
+#: N = 128 in blocks of 2^20 cells, and 12 and 22 ms in blocks of 2^15, with
+#: bit-identical values; the product took 26 and 47 ms against 10 and 20 ms
 PHASE_BLOCK = 1 << 15
 
 
-def _blaschke_blocks(r: np.ndarray, psi: np.ndarray, angles, mult=None) -> np.ndarray:
-    """Product over the zeros r e^{i psi} of their boundary factors at
-    e^{i angles}, each raised to its entry of ``mult`` if given, for an angle
-    array of any shape.  The factor of r e^{i psi} is formed as e^{ix} conj(d)/d,
-    x = angle - psi, d = (1-r) + 2r sin^2(x/2) - i r sin x: (z - lam)/(1 - conj(lam) z)
-    loses eps/|z - lam| next to a near-circle zero.  The factors of a block of at
-    most PHASE_BLOCK zero x angle cells are formed at once and multiplied along
-    the zero axis in zero order, so the values are those of a loop over the
-    zeros, bit for bit.  The blocks are of equal size, so none holds a single
-    angle unless the call does: numpy multiplies one-element arrays with
-    another kernel, which can move the last bit."""
+def exact_defects(zeros: np.ndarray) -> np.ndarray:
+    """1 - |lambda|^2 of each zero, correctly rounded from its stored parts.
+    The double form 1 - (x^2 + y^2) is off by up to eps/(1 - |lambda|^2)
+    relative: 1e-6 at 1e-10 from the circle.  Here each part is split into
+    two halves of at most 26 bits (Veltkamp), so that the products of halves
+    are exact, and ``math.fsum`` rounds their sum once."""
+    out = np.empty(len(zeros))
+    for i, z in enumerate(zeros):
+        terms = [1.0]
+        for x in (float(z.real), float(z.imag)):
+            c = 134217729.0 * x  # 2^27 + 1
+            hi = c - (c - x)
+            lo = x - hi
+            terms += [-hi * hi, -2.0 * hi * lo, -lo * lo]
+        out[i] = math.fsum(terms)
+    return out
+
+
+def _tangent_product(B: FiniteBlaschke, angles, p: np.ndarray, slope: bool = False):
+    """B at e^{i angles}, for an angle array of any shape, from one factor per
+    distinct zero raised to its multiplicity, with p[j] standing for
+    1 - |lambda_j|; with ``slope``, also sum_j m_j p_j (1 + r_j)(1 + t^2)/(p^2 + q^2),
+    which is |B'| when p_j (1 + r_j) is 1 - |lambda_j|^2.
+
+    With t = tan((angle - psi)/2) and q = (1 + r) t, the factor of r e^{i psi}
+    is (p + iq)^2/(p^2 + q^2): one tangent per zero x angle cell and rational
+    arithmetic.  Next to a near-circle zero p and q are both small and keep
+    their relative accuracy, where (z - lam)/(1 - conj(lam) z) loses
+    eps/|z - lam|.  The tangent takes the angle difference unreduced: reducing
+    it by a rounded 2*pi moves the factor by |B'| times that rounding.  Blocks
+    of at most PHASE_BLOCK cells are multiplied along the zero axis."""
+    uniq, counts = B._distinct
+    r = np.abs(uniq)
+    p, q, psi = p[:, None], (1.0 + r)[:, None], np.angle(uniq)[:, None]
+    weight = counts * p[:, 0] * q[:, 0]
+    repeated = np.nonzero(counts > 1)[0]
     th = np.asarray(angles, dtype=float)
     flat = th.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
-    r, psi = r[:, None], psi[:, None]
-    count = -(-flat.size // max(1, PHASE_BLOCK // len(r)))
-    edges = np.arange(count + 1) * flat.size // max(count, 1)
-    for start, stop in zip(edges[:-1], edges[1:]):
-        x = flat[None, start:stop] - psi
-        half = np.sin(0.5 * x)
-        d = (1.0 - r) + 2.0 * r * half * half - 1j * r * np.sin(x)
-        factors = np.exp(1j * x) * np.conj(d) / d
-        out[start:stop] = np.prod(factors if mult is None else factors ** mult, axis=0)
-    return out.reshape(th.shape)
-
-
-def eval_blaschke_grid(B: FiniteBlaschke, angles) -> np.ndarray:
-    """Values of B at e^{i angles}, for an angle array of any shape: the
-    product of all N factors in zero order, equal to a loop over the zeros
-    bit for bit (see ``_blaschke_blocks``)."""
-    return _blaschke_blocks(B._radii, B._phases, angles)
+    deriv = np.empty(flat.shape) if slope else None
+    step = max(1, PHASE_BLOCK // len(uniq))
+    for start in range(0, flat.size, step):
+        t = np.tan(0.5 * (flat[None, start:start + step] - psi))
+        qt = q * t
+        inv = p * p + qt * qt
+        np.divide(1.0, inv, out=inv)
+        factors = np.empty(qt.shape, dtype=complex)
+        np.multiply(p * p - qt * qt, inv, out=factors.real)
+        np.multiply(2.0 * p * qt, inv, out=factors.imag)
+        if len(repeated):
+            factors[repeated] **= counts[repeated, None]
+        out[start:start + step] = np.prod(factors, axis=0)
+        if slope:
+            t *= t
+            t += 1.0
+            t *= inv
+            deriv[start:start + step] = weight @ t
+    out = out.reshape(th.shape)
+    return (out, deriv.reshape(th.shape)) if slope else out
 
 
 def eval_blaschke_folded(B: FiniteBlaschke, angles) -> np.ndarray:
-    """Values of B at e^{i angles} from one factor per distinct zero, raised
-    to its multiplicity: frostman_fast at N = 128 has 35 distinct zeros.  The
-    powers and the new order move the values from ``eval_blaschke_grid``'s by
-    rounding, about multiplicity x eps (tests hold them to 1e-12)."""
-    uniq, counts = B._distinct
-    return _blaschke_blocks(np.abs(uniq), np.angle(uniq), angles, counts[:, None])
+    """Values of B at e^{i angles}, for an angle array of any shape, from one
+    factor per distinct zero raised to its multiplicity (frostman_fast at
+    N = 128 has 35 distinct zeros), each formed from one tangent with
+    p = 1 - |lambda| of the rounded modulus, the radius the phase uses (see
+    ``_tangent_product``)."""
+    return _tangent_product(B, angles, 1.0 - np.abs(B._distinct[0]))
+
+
+def boundary_values(B: FiniteBlaschke, angles) -> tuple[np.ndarray, np.ndarray]:
+    """B and |B'| at e^{i angles} from the same tangents, with
+    p = (1 - |lambda|^2)/(1 + |lambda|) and 1 - |lambda|^2 correctly rounded
+    (``exact_defects``).  p = 1 - |lambda| from the rounded modulus moves B by
+    up to eps/|zeta - lambda|, and the double form of 1 - |lambda|^2 moves the
+    term of lambda in |B'| by up to eps/|zeta - lambda|^2: both matter next to
+    zeros 1e-10 from the circle."""
+    uniq = B._distinct[0]
+    return _tangent_product(B, angles, exact_defects(uniq) / (1.0 + np.abs(uniq)), slope=True)
 
 
 def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray,
@@ -361,63 +404,74 @@ class PhaseFunction:
     Theta(2*pi) - Theta(0) = 2*pi*degree exactly.  Repeated zeros are folded
     into one term with a multiplicity weight, as in ``abs_derivative_grid``.
     A call evaluates blocks of at most PHASE_BLOCK distinct-zero x angle cells
-    and can return Theta' = |B'| and Theta'' from the same half-angle sines
-    and cosines as Theta.
+    and can return Theta' = |B'| and Theta'' from the same tangents as Theta.
     """
 
     def __init__(self, B: FiniteBlaschke):
         self.blaschke = B
         uniq, counts = B._distinct
-        self._r = np.abs(uniq)
+        r = np.abs(uniq)
+        self._r = r
         self._psi = np.angle(uniq)
-        self._mult = counts.astype(float)
+        mult = counts.astype(float)
+        self._lift = 2.0 * mult
+        self._p, self._q, self._two_r = 1.0 - r, 1.0 + r, 2.0 * r
         # numerators of the Poisson kernels, with |lambda|^2 formed as in
-        # abs_derivative_grid, and the curvature factor -4r (sin x = 2 s c)
-        self._poisson = self._mult * (1.0 - (uniq.real * uniq.real + uniq.imag * uniq.imag))
-        self._curve = -4.0 * self._r
+        # abs_derivative_grid, and of the curvature terms
+        self._poisson = mult * (1.0 - (uniq.real * uniq.real + uniq.imag * uniq.imag))
+        self._curve = -4.0 * r * self._poisson
         b1 = complex(np.prod(B._sigma * (1.0 - B.zeros) / (1.0 - np.conj(B.zeros))))
         self._anchor = math.atan2(b1.imag, b1.real) % TWO_PI
-        # per-factor phase increment accumulated from angle 0
-        self._offsets = self._w(-self._psi, self._r)
+        # each factor's lift term at angle 0, from the code path of a call,
+        # so that Theta(0) is the anchor exactly
+        self._offsets = 0.0
+        self._offsets = self._terms(np.zeros(1), *(np.empty((1, len(r))) for _ in range(3)))
 
-    @staticmethod
-    def _half(x):
-        """Branch count n of x and the sine and cosine of (x - 2 pi n)/2."""
-        n = np.floor((x + np.pi) / TWO_PI)
-        h = 0.5 * (x - TWO_PI * n)
-        return n, np.sin(h), np.cos(h)
-
-    @staticmethod
-    def _w(x, r):
-        """Continuous increasing lift of the factor phase: W' = Poisson kernel."""
-        n, s, c = PhaseFunction._half(x)
-        return 2.0 * np.arctan2((1.0 + r) * s, (1.0 - r) * c) + TWO_PI * n
+    def _terms(self, th, t, t2, lift):
+        """Fill t with tan h, h = (x - 2 pi n)/2 for x = th - psi and n the
+        branch count of x, t2 with t^2 and lift with each factor's lift term
+        arctan(2rt/((1-r) + (1+r)t^2)) less its value at angle 0, for the
+        angles th x the distinct zeros; returns lift."""
+        x = np.subtract(th[:, None], self._psi, out=t)
+        n = np.add(x, np.pi, out=t2)
+        n /= TWO_PI
+        np.floor(n, out=n)
+        n *= TWO_PI
+        x -= n
+        x *= 0.5
+        np.tan(x, out=t)
+        np.multiply(t, t, out=t2)
+        np.multiply(t2, self._q, out=lift)
+        lift += self._p
+        np.divide(t * self._two_r, lift, out=lift)
+        np.arctan(lift, out=lift)
+        lift -= self._offsets
+        return lift
 
     def __call__(self, angles, derivs: np.ndarray | None = None) -> np.ndarray:
-        """Theta at the angles.  ``derivs``, a (2, len(angles)) array, receives
-        Theta' = |B'| and Theta'' if given: with a = (1+r) sin h and
-        b = (1-r) cos h, the factor's Poisson kernel is (1-r^2)/(a^2 + b^2)."""
+        """Theta at the angles: anchor + N angle + 2 sum_j m_j (lift term).
+        ``derivs``, a (2, len(angles)) array, receives Theta' = |B'| and
+        Theta'' if given: with D = (1-r)^2 + (1+r)^2 t^2, a factor's Poisson
+        kernel is (1-|lambda|^2)(1+t^2)/D, and its derivative
+        -4r(1-|lambda|^2) t(1+t^2)/D^2."""
         th = np.atleast_1d(np.asarray(angles, dtype=float))
         out = np.empty(th.shape)
-        r = self._r
-        step = max(1, PHASE_BLOCK // len(r))
+        N = float(self.blaschke.degree)
+        step = max(1, PHASE_BLOCK // len(self._r))
+        buffers = [np.empty((min(step, len(th)), len(self._r))) for _ in range(3)]
         for start in range(0, len(th), step):
             rows = slice(start, start + step)
-            n, s, c = self._half(th[rows, None] - self._psi)
-            a, b = (1.0 + r) * s, (1.0 - r) * c
-            # one row per angle: numpy sums the zeros pairwise along the
-            # contiguous axis (a sequential sum drifts by ~sqrt(N) ulps)
-            terms = (2.0 * np.arctan2(a, b) + TWO_PI * n - self._offsets) * self._mult
-            out[rows] = np.sum(terms, axis=1) + self._anchor
+            t, t2, lift = (b[:len(th[rows])] for b in buffers)
+            self._terms(th[rows], t, t2, lift)
+            out[rows] = (self._anchor + N * th[rows]) + lift @ self._lift
             if derivs is not None:
-                a *= a
-                b *= b
-                a += b  # |e^{i theta} - lambda|^2
-                kernel = self._poisson / a
-                derivs[0, rows] = np.sum(kernel, axis=1)
-                kernel *= s
-                kernel *= c
-                kernel /= a
+                den = np.multiply(t2, self._q * self._q, out=lift)
+                den += self._p * self._p
+                t2 += 1.0
+                kernel = np.divide(t2, den, out=t2)
+                derivs[0, rows] = kernel @ self._poisson
+                kernel *= t
+                kernel /= den
                 derivs[1, rows] = kernel @ self._curve
         return out
 
@@ -525,9 +579,11 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     pref = np.ones_like(z)
     for i in range(N):
         lam = B.zeros[i]
-        denom = 1.0 - np.conj(lam) * z
-        rows[i] = pref * (B._cnorm[i] / denom)
-        pref = pref * (B._sigma[i] * (z - lam) / denom)
+        inv = 1.0 / (1.0 - np.conj(lam) * z)  # one division, two products
+        np.multiply(pref, B._cnorm[i] * inv, out=rows[i])
+        inv *= z - lam
+        inv *= B._sigma[i]
+        pref *= inv
     return rows.T
 
 

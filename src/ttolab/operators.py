@@ -22,6 +22,8 @@ from .blaschke import (
     FiniteBlaschke,
     PhaseFunction,
     abs_derivative_grid,
+    boundary_values,
+    exact_defects,
     phase_nodes,
     tmw_kernel_coeffs,
     tmw_matrix,
@@ -493,10 +495,46 @@ def fejer_values(B: FiniteBlaschke, toeplitz: OperatorMatrix, angles: np.ndarray
     return num / abs_derivative_grid(B, angles)
 
 
-#: basis cells (nodes x N) per node block of ``fejer_trig_values``: 1 MB per
-#: complex temporary.  Blocks of 2^18 cells and more raised the peak RSS of the
-#: shipped dense sweep from 52.5 to 58 MB, at no gain in speed
-FEJER_BLOCK = 1 << 16
+def _shift_moments(B: FiniteBlaschke, angles: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The shift moments m_k = <S^k k_zeta, k_zeta>/|B'(zeta)| at zeta = e^{i angles},
+    k = 0...D, given powers[k] = zeta^k, in closed form.
+
+    S^k = P_B z^k on the model space (Sarason) and P_B z^l = z^l - B P_+(conj(B) z^l)
+    give m_k = zeta^k [1 - (k - B(zeta) sum_{n<k} (k-n) conj(b_n zeta^n))/|B'(zeta)|]
+    with b_n the Taylor coefficients of B.  The m0 zeros at the origin are
+    taken out as the exact power z^m0: B = z^m0 B1, so the n < m0 terms vanish,
+    zeta^m0 conj(zeta)^m0 is 1, and only the Taylor coefficients c_l of B1 and
+    B1(zeta) enter.  The inner sum sum_{l<j} (j-l) a_l is a double running sum
+    of a_l = conj(c_l zeta^l).  B1 and |B'| = m0 + |B1'| come from
+    ``boundary_values``, whose correctly rounded 1 - |lambda|^2 keeps m_k
+    within 1e-14 of a 50-digit reference next to zeros 1e-10 from the circle
+    (the double form moves m_k by up to 1e-10 there)."""
+    D = len(powers) - 1
+    inner = B.zeros[B.zeros != 0]
+    m0 = B.degree - len(inner)
+    X = np.zeros(powers.shape, dtype=complex)
+    X += np.arange(D + 1)[:, None]
+    b1, slope = 1.0, 0.0
+    if len(inner):
+        B1 = FiniteBlaschke(inner)
+        b1, slope = boundary_values(B1, angles)
+    if D > m0:
+        L = D - m0
+        c = np.zeros(L, dtype=complex)
+        c[0] = 1.0
+        if len(inner):
+            uniq, counts = B1._distinct
+            for lam, mult, defect in zip(uniq, counts, exact_defects(uniq)):
+                # sigma (z - lam)/(1 - conj(lam) z)
+                #   = -|lam| + sum_{n>=1} sigma conj(lam)^{n-1} (1 - |lam|^2) z^n
+                factor = np.empty(L, dtype=complex)
+                factor[0] = -abs(lam)
+                factor[1:] = np.exp(-1j * np.angle(lam)) * defect * np.conj(lam) ** np.arange(L - 1)
+                for _ in range(mult):
+                    c = np.convolve(c, factor)[:L]
+        a = np.conj(c)[:, None] * np.conj(powers[:L])
+        X[m0 + 1:] -= b1 * np.cumsum(np.cumsum(a, axis=0), axis=0)
+    return powers * (1.0 - X / (m0 + slope))
 
 
 def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep],
@@ -506,11 +544,10 @@ def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep],
 
     T(phi) = sum_k c_k S^k, with adjoint powers for k < 0, so
     E_N phi = sum_k c_k m_k with the shift moments
-    m_k(zeta) = (E S^k E*)_{zeta zeta}/|B'(zeta)|, k = 0...D, and
-    m_{-k} = conj(m_k).  The moments take one basis-major sample per node and
-    one product with S^T per power (the rows of F S are the columns of
-    S^T F^T), in blocks of at most FEJER_BLOCK cells; every symbol then costs
-    one row of a (symbols x 2D+1) product.
+    m_k(zeta) = <S^k k_zeta, k_zeta>/|B'(zeta)|, k = 0...D, and
+    m_{-k} = conj(m_k).  The moments are taken in closed form from B and |B'|
+    at the nodes (``_shift_moments``), in O(nodes x (N + D)) work; every
+    symbol then costs one row of a (symbols x 2D+1) product.
     """
     D = max((abs(k) for sym in symbols for k, _ in sym.coeffs), default=0)
     coeffs = np.zeros((len(symbols), 2 * D + 1), dtype=complex)
@@ -520,20 +557,8 @@ def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep],
         for k, c in sym.coeffs:
             row[D + k] = c
     th = np.asarray(angles, dtype=float)
-    St = compressed_shift(B).T
-    moments = np.empty((D + 1, len(th)), dtype=complex)
-    cols = max(1, FEJER_BLOCK // B.degree)
-    for start in range(0, len(th), cols):
-        block = th[start:start + cols]
-        E = tmw_matrix(B, block).T  # row i: e_i at the block's nodes
-        Ec = np.conj(E)
-        d = abs_derivative_grid(B, block)
-        F = E
-        for k in range(D + 1):
-            if k:
-                F = St @ F
-            moments[k, start:start + cols] = np.sum(F * Ec, axis=0) / d
     powers = np.exp(1j * th) ** np.arange(D + 1)[:, None]
+    moments = _shift_moments(B, th, powers)
     values = coeffs @ np.concatenate((np.conj(powers[:0:-1]), powers))
     averages = coeffs @ np.concatenate((np.conj(moments[:0:-1]), moments))
     return values, averages

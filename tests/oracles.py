@@ -1,19 +1,61 @@
 """Independent routes that only the tests use: pointwise evaluation of the
-product and of its reproducing kernel, and the kernel average of a function
-by circle quadrature.  The library takes these quantities in closed form or
-from the phase nodes; these slower routes check them."""
+product and of its reproducing kernel, the product on the circle from
+sines of the angle differences, the arctan2 lift of the boundary phase, and
+the kernel average of a function by circle quadrature.  The library takes
+these quantities in closed form, from tangents of half angles, or from the
+phase nodes; these slower routes check them."""
 
 import cmath
 
 import numpy as np
 
 from ttolab.blaschke import (
+    PHASE_BLOCK,
+    TWO_PI,
     FiniteBlaschke,
     _as_angle,
     abs_derivative_boundary,
-    eval_blaschke_grid,
 )
 from ttolab.quadrature import QuadratureConfig, blaschke_initial_points, integrate_circle
+
+
+def eval_blaschke_grid(B: FiniteBlaschke, angles) -> np.ndarray:
+    """Values of B at e^{i angles}, for an angle array of any shape: the
+    product of all N factors in zero order, equal to a loop over the zeros
+    bit for bit.  The factor of r e^{i psi} is formed as e^{ix} conj(d)/d,
+    x = angle - psi, d = (1-r) + 2r sin^2(x/2) - i r sin x.  The factors of a
+    block of at most PHASE_BLOCK zero x angle cells are formed at once and
+    multiplied along the zero axis in zero order.  The blocks are of equal
+    size, so none holds a single angle unless the call does: numpy
+    multiplies one-element arrays with another kernel, which can move the
+    last bit."""
+    r, psi = B._radii[:, None], B._phases[:, None]
+    th = np.asarray(angles, dtype=float)
+    flat = th.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    count = -(-flat.size // max(1, PHASE_BLOCK // len(r)))
+    edges = np.arange(count + 1) * flat.size // max(count, 1)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        x = flat[None, start:stop] - psi
+        half = np.sin(0.5 * x)
+        d = (1.0 - r) + 2.0 * r * half * half - 1j * r * np.sin(x)
+        out[start:stop] = np.prod(np.exp(1j * x) * np.conj(d) / d, axis=0)
+    return out.reshape(th.shape)
+
+
+def half_angle(x):
+    """Branch count n of x and the sine and cosine of (x - 2 pi n)/2."""
+    n = np.floor((x + np.pi) / TWO_PI)
+    h = 0.5 * (x - TWO_PI * n)
+    return n, np.sin(h), np.cos(h)
+
+
+def phase_lift(x, r):
+    """Continuous increasing lift of the phase of the factor of a zero of
+    modulus r at angle difference x, from arctan2 and the branch count:
+    its derivative is the Poisson kernel."""
+    n, s, c = half_angle(x)
+    return 2.0 * np.arctan2((1.0 + r) * s, (1.0 - r) * c) + TWO_PI * n
 
 
 def eval_blaschke(B: FiniteBlaschke, w: complex) -> complex:

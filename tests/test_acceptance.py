@@ -17,7 +17,6 @@ from ttolab.blaschke import (
     ZeroSequence,
     abs_derivative_grid,
     circle_grid,
-    eval_blaschke_grid,
     generate_zeros,
     tmw_kernel_coeffs,
 )
@@ -46,6 +45,8 @@ from ttolab.operators import (
     trace_formula_rhs,
 )
 from ttolab.quadrature import QuadratureConfig, blaschke_initial_points, integrate_circle, nu_integral
+
+from oracles import eval_blaschke_grid
 
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
 SQUARE = ScalarFunction.preset("square")

@@ -14,15 +14,14 @@ from ttolab.blaschke import (
     angular_partial_sums,
     circle_grid,
     eval_blaschke_folded,
-    eval_blaschke_grid,
     generate_zeros,
     phase_nodes,
     tmw_matrix,
 )
-from ttolab.clark import PhaseFunction, clark_measure
+from ttolab.clark import PhaseFunction, clark_measure, clark_measures
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
-from oracles import eval_blaschke, model_kernel, model_kernel_sq_grid
+from oracles import eval_blaschke, eval_blaschke_grid, model_kernel, model_kernel_sq_grid
 
 ALL_GENERATORS = [
     ZeroSequence.uniform_zero(),
@@ -344,6 +343,58 @@ class TestPhaseNodesHighPrecision:
                 assert float(abs(exact - node)) <= tol / float(slope(exact)) + 4e-15
 
 
+def mp_boundary_values(B, angles, mp):
+    """B and |B'| of the stored zeros at e^{i angles}, at the working precision
+    of mp, rounded to double."""
+    zs = [mp.mpc(z.real, z.imag) for z in B.zeros]
+    sigmas = [mp.conj(z) / abs(z) if z else mp.mpf(1) for z in zs]
+    values, slopes = np.empty(len(angles), dtype=complex), np.empty(len(angles))
+    for i, t in enumerate(angles):
+        zeta = mp.expj(mp.mpf(t))
+        values[i] = complex(mp.fprod(s * (zeta - z) / (1 - mp.conj(z) * zeta) for z, s in zip(zs, sigmas)))
+        slopes[i] = float(mp.fsum((1 - abs(z) ** 2) / abs(zeta - z) ** 2 for z in zs))
+    return values, slopes
+
+
+class TestBoundaryValuesHighPrecision:
+    """The product and the Clark weights against the 50-digit values of the
+    stored zeros.  Both kernels see a zero through rounded data: the product
+    through |lambda| and its angle, |B'| through 1 - |lambda|^2 formed in
+    double.  A rounded angle moves the product by eps |B'|, a rounded radius
+    by eps/|zeta - lambda|, and a rounded 1 - |lambda|^2 moves the term of
+    lambda in |B'| by eps/|zeta - lambda|^2: next to zeros 1e-10 from the
+    circle the last two exceed any multiple of eps |B'| that holds elsewhere."""
+
+    @pytest.mark.parametrize("name", list(MP_NEAR_CIRCLE))
+    def test_folded_product_against_50_digit_reference(self, name):
+        # measured: at most 1.7 eps (|B'| + sum_j 1/|zeta - lambda_j|)
+        mp = pytest.importorskip("mpmath").mp
+        B = MP_NEAR_CIRCLE[name]()
+        psi = np.mod(B._phases, 2 * np.pi)
+        atoms = np.mod(phase_nodes(PhaseFunction(B), 4), 2 * np.pi)
+        th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9, atoms))
+        with mp.workdps(50):
+            ref, slope = mp_boundary_values(B, th, mp)
+        reach = (1 / np.abs(np.exp(1j * th)[:, None] - B.zeros)).sum(axis=1)
+        bound = 1e-15 + 4 * np.finfo(float).eps * (slope + reach)
+        assert np.all(np.abs(eval_blaschke_folded(B, th) - ref) <= bound)
+
+    @pytest.mark.parametrize("name", list(MP_NEAR_CIRCLE))
+    def test_clark_weights_against_50_digit_reference(self, name):
+        # relative error of 1/|B'| at the atoms of four Clark measures;
+        # measured: at most 1.5 eps sum_j |zeta - lambda_j|^-2 / |B'|
+        mp = pytest.importorskip("mpmath").mp
+        B = MP_NEAR_CIRCLE[name]()
+        measures = clark_measures(B, 4)
+        atoms = np.concatenate([mu.atom_angles for mu in measures])
+        weights = np.concatenate([mu.weights for mu in measures])
+        with mp.workdps(50):
+            _, slope = mp_boundary_values(B, atoms, mp)
+        spread = (np.abs(np.exp(1j * atoms)[:, None] - B.zeros) ** -2.0).sum(axis=1)
+        bound = 1e-14 + 4 * np.finfo(float).eps * spread / slope
+        assert np.all(np.abs(weights * slope - 1) <= bound)
+
+
 class TestAngularDerivative:
     def test_power_case(self):
         B = FiniteBlaschke(np.zeros(7, dtype=complex))
@@ -479,14 +530,17 @@ class TestKernels:
 
 def tmw_reference(B, angles):
     """The row-major loop that tmw_matrix's basis-major rows replaced, kept
-    as its oracle: column i of E is written in pass i."""
+    as its layout guard: column i of E is written in pass i, with the same
+    arithmetic (one reciprocal of 1 - conj(lam) z per pass, multiplied in
+    twice), so the two must agree bit for bit.  ``test_gram_identity`` checks
+    the accuracy."""
     z = np.exp(1j * np.asarray(angles, dtype=float))
     E = np.empty((len(z), B.degree), dtype=complex)
     pref = np.ones_like(z)
     for i, lam in enumerate(B.zeros):
-        denom = 1.0 - np.conj(lam) * z
-        E[:, i] = pref * (B._cnorm[i] / denom)
-        pref = pref * (B._sigma[i] * (z - lam) / denom)
+        inv = 1.0 / (1.0 - np.conj(lam) * z)
+        E[:, i] = pref * (B._cnorm[i] * inv)
+        pref = pref * (inv * (z - lam) * B._sigma[i])
     return E
 
 

@@ -7,7 +7,6 @@ from ttolab.blaschke import (
     ZeroSequence,
     abs_derivative_grid,
     circle_grid,
-    eval_blaschke_grid,
     generate_zeros,
     tmw_kernel_coeffs,
 )
@@ -30,6 +29,8 @@ from ttolab.operators import (
 )
 from ttolab.quadrature import nu_integral
 
+from oracles import eval_blaschke_grid, phase_lift
+
 
 def random_blaschke(n, seed=0, rmax=0.9):
     rng = np.random.default_rng(seed)
@@ -43,7 +44,7 @@ def phase_reference(phase, angles):
     zeros = phase.blaschke.zeros
     total = np.full(angles.shape, phase._anchor)
     for r, psi in zip(np.abs(zeros), np.angle(zeros)):
-        total += phase._w(angles - psi, r) - phase._w(-psi, r)
+        total += phase_lift(angles - psi, r) - phase_lift(-psi, r)
     return total
 
 

@@ -14,7 +14,6 @@ from ttolab.blaschke import (
 )
 from ttolab.clark import clark_measure
 from ttolab.operators import (
-    FEJER_BLOCK,
     PHASE_NODE_COST,
     OperatorMatrix,
     ScalarFunction,
@@ -533,12 +532,36 @@ class TestFejerApply:
 
 
 def fejer_trig_reference(B, symbols, angles):
-    """Samples and averages with one Toeplitz build and one fejer_values call
-    per symbol: the route the shift moments replaced."""
-    values = np.array([sym.evaluate(angles) for sym in symbols])
-    averages = np.array([fejer_values(B, build_truncated_toeplitz(B, sym), angles)
-                         for sym in symbols])
-    return values, averages
+    """Averages with one Toeplitz build and one fejer_values call per
+    symbol: the route the closed-form shift moments replaced."""
+    return np.array([fejer_values(B, build_truncated_toeplitz(B, sym), angles) for sym in symbols])
+
+
+def mp_shift_moments(B, angles, D, mp):
+    """m_0...m_D at the working precision of mp, for the stored zeros, from
+    the closed form m_k = zeta^k [1 - (k - B sum_{n<k} (k-n) conj(b_n zeta^n))/|B'|]
+    with the Taylor coefficients b_n of B itself (the origin factors not
+    taken out).  The Toeplitz route checks the closed form on the products
+    it resolves; this checks the double-precision evaluation."""
+    uniq, counts = np.unique(B.zeros, return_counts=True)
+    zs = [mp.mpc(z.real, z.imag) for z in uniq]
+    sigmas = [mp.conj(z) / abs(z) if z else mp.mpf(1) for z in zs]
+    b = [mp.mpc(1)] + [mp.mpc(0)] * (D - 1)
+    for z, sigma, mult in zip(zs, sigmas, counts):
+        factor = [-sigma * z] + [sigma * mp.conj(z) ** (n - 1) * (1 - abs(z) ** 2) for n in range(1, D)]
+        for _ in range(mult):
+            b = [mp.fsum(b[l] * factor[n - l] for l in range(n + 1)) for n in range(D)]
+    out = np.empty((D + 1, len(angles)), dtype=complex)
+    for col, t in enumerate(angles):
+        zeta = mp.expj(mp.mpf(t))
+        powers = [zeta ** k for k in range(D + 1)]
+        Bz = mp.fprod((sigma * (zeta - z) / (1 - mp.conj(z) * zeta)) ** m
+                      for z, sigma, m in zip(zs, sigmas, counts))
+        d = mp.fsum(m * (1 - abs(z) ** 2) / abs(zeta - z) ** 2 for z, m in zip(zs, counts))
+        for k in range(D + 1):
+            inner = mp.fsum((k - n) * mp.conj(b[n] * powers[n]) for n in range(k))
+            out[k, col] = complex(powers[k] * (1 - (k - Bz * inner) / d))
+    return out
 
 
 class TestFejerTrigValues:
@@ -548,15 +571,26 @@ class TestFejerTrigValues:
         symbols = [SymbolRep.trig({k: complex(rng.normal(), rng.normal()) for k in range(-6, 7)})
                    for _ in range(3)]
         symbols.append(SymbolRep.trig({1: 0.5, -1: 0.5, 3: 0.25j, -3: -0.25j}))  # real, Lipschitz
-        # a row block holds FEJER_BLOCK // N nodes: cross two block boundaries
-        # at N = 64, and add phase nodes, which crowd next to near-circle zeros
-        rows = FEJER_BLOCK // 64
-        angles = np.concatenate((circle_grid(2 * rows + 1, offset=0.37),
+        # a uniform grid plus phase nodes, which crowd next to near-circle zeros
+        angles = np.concatenate((circle_grid(2049, offset=0.37),
                                  phase_nodes(PhaseFunction(B), 4)))
         values, averages = fejer_trig_values(B, symbols, angles)
-        ref_values, ref_averages = fejer_trig_reference(B, symbols, angles)
+        assert values.shape == averages.shape == (len(symbols), len(angles))
+        ref_values = np.array([sym.evaluate(angles) for sym in symbols])
+        if 1 - B._radii.max() < 1e-5:
+            # next to zeros this close to the circle the Toeplitz route is
+            # 1e-10 to 6e-6 off per moment: check against a 50-digit
+            # reference at the phase nodes and at every 8th grid point
+            mp = pytest.importorskip("mpmath").mp
+            keep = np.concatenate((np.arange(0, 2049, 8), np.arange(2049, len(angles))))
+            with mp.workdps(50):
+                moments = mp_shift_moments(B, angles[keep], 6, mp)
+            coeffs = np.array([[sym.coeff_dict.get(k, 0) for k in range(-6, 7)] for sym in symbols])
+            ref_averages = coeffs @ np.concatenate((np.conj(moments[:0:-1]), moments))
+            averages = averages[:, keep]
+        else:
+            ref_averages = fejer_trig_reference(B, symbols, angles)
         for got, ref in ((values, ref_values), (averages, ref_averages)):
-            assert got.shape == (len(symbols), len(angles))
             scale = np.abs(ref).max(axis=1, keepdims=True)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 

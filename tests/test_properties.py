@@ -1,5 +1,5 @@
-"""Property tests on random zero sets: repeated zeros, zeros at RADIUS_CAP,
-degrees from 1 to 24, and on random trig symbols."""
+"""Property tests on random zero sets: repeated zeros, zeros at RADIUS_CAP and
+pairs 1e-10 from the circle, degrees from 1 to 24, and on random trig symbols."""
 
 import cmath
 import math
@@ -11,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from ttolab.blaschke import RADIUS_CAP, FiniteBlaschke, ZeroSequence, circle_grid  # noqa: E402
+from ttolab.clark import clark_measures  # noqa: E402
 from ttolab.experiments import ExperimentConfig, hs_approx_gap  # noqa: E402
 from ttolab.operators import (  # noqa: E402
     SymbolRep,
@@ -74,3 +75,35 @@ def test_trace_formula_and_semicommutator(B, sym):
     cfg = ExperimentConfig(ZeroSequence.from_points(B.zeros), sym, n_values=(N,), alpha_count=8)
     (rec,) = hs_approx_gap(cfg)
     assert abs(semi - N * rec.rhs) <= tol
+
+
+@st.composite
+def near_circle_products(draw):
+    """The origin, then N - 1 zeros drawn with repetition from a small pool
+    whose radii are RADIUS_CAP, 1 - 1e-10 or anywhere in [0, RADIUS_CAP]:
+    repeated picks put pairs of zeros next to the circle."""
+    N = draw(st.integers(1, 24))
+    radius = st.one_of(st.sampled_from((RADIUS_CAP, 1 - 1e-10)), st.floats(0.0, RADIUS_CAP))
+    angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
+    pool = draw(st.lists(st.tuples(radius, angle), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=N - 1, max_size=N - 1))
+    return FiniteBlaschke(np.array([0j] + [r * cmath.exp(1j * a) for r, a in (pool[i] for i in picks)]))
+
+
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(near_circle_products())
+@hypothesis.example(FiniteBlaschke(np.array([0j])))
+@hypothesis.example(FiniteBlaschke(np.array([0j] + [(1 - 1e-10) * cmath.exp(0.7j)] * 2)))
+def test_clark_measures_near_circle(B):
+    # each measure checks on construction that every atom solves B = alpha
+    # within 1e-9 plus its ulp floor.  The weights 1/|B'| of each measure sum
+    # to 1 (a Clark measure of a product vanishing at the origin is a
+    # probability measure) up to their rounding: 4 eps w sum_j |zeta - lambda_j|^-2
+    # per weight, the bound test_blaschke holds them to against 50 digits
+    measures = clark_measures(B, 8)
+    assert len(measures) == 8
+    for mu in measures:
+        assert len(mu.atom_angles) == B.degree
+        spread = (np.abs(np.exp(1j * mu.atom_angles)[:, None] - B.zeros) ** -2.0).sum(axis=1)
+        bound = 1e-14 + 4 * np.finfo(float).eps * np.sum(mu.weights ** 2 * spread)
+        assert abs(mu.total_mass() - 1.0) <= bound
