@@ -4,10 +4,8 @@ experiments."""
 
 from .blaschke import (
     AngularDiagnostics,
-    CirclePoint,
     FiniteBlaschke,
     ZeroSequence,
-    abs_derivative_boundary,
     angular_partial_sums,
     generate_zeros,
 )
@@ -25,13 +23,9 @@ from .operators import (
     SymbolRep,
     apply_function,
     build_clark_spectral,
-    build_clark_unitary,
     build_truncated_toeplitz,
     compressed_shift,
-    hs_norm,
     inverse_derivative_symbol,
-    op_norm,
-    rank_one_defect,
     semicommutator_trace,
     trace,
     trace_formula_rhs,
@@ -42,7 +36,6 @@ from .quadrature import (
     QuadratureConfig,
     integrate_circle,
     nu_integral,
-    poisson_integral,
 )
 
 __version__ = "0.1.0"

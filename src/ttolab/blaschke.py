@@ -3,15 +3,11 @@ angular derivatives, the boundary phase and its inverse, the
 Takenaka-Malmquist-Walsh basis and its kernel coefficients, and partial
 Poisson sums along a zero sequence.
 
-Everything here is a pure function of immutable inputs.  Points on the unit
-circle are passed either as :class:`CirclePoint`, as a plain angle (float) or
-as a unimodular complex number; heavy grid computations use the private
-``*_grid`` helpers that take numpy angle arrays.
+Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -35,32 +31,6 @@ GENERATOR_TAGS = (
 
 #: angle rules of the constant_modulus generator
 PHASE_RULES = ("equispaced", "golden", "random")
-
-
-@dataclass(frozen=True)
-class CirclePoint:
-    """A point on the unit circle, stored by its angle in [0, 2*pi)."""
-
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", float(self.angle) % TWO_PI)
-
-    @property
-    def value(self) -> complex:
-        return cmath.exp(1j * self.angle)
-
-
-def _as_angle(zeta) -> float:
-    """Accept a CirclePoint, an angle in radians, or a unimodular complex."""
-    if isinstance(zeta, CirclePoint):
-        return zeta.angle
-    if isinstance(zeta, complex) or isinstance(zeta, np.complexfloating):
-        z = complex(zeta)
-        if abs(abs(z) - 1.0) > 1e-9:
-            raise ValueError(f"not a circle point: |z| = {abs(z)!r}")
-        return math.atan2(z.imag, z.real) % TWO_PI
-    return float(zeta) % TWO_PI
 
 
 def circle_grid(count: int, offset: float = 0.0) -> np.ndarray:
@@ -229,8 +199,8 @@ class FiniteBlaschke:
         z = np.asarray(self.zeros, dtype=complex)
         if z.ndim != 1 or len(z) == 0:
             raise ValueError("zeros must be a non-empty 1-d array")
-        if np.abs(z).max() >= 1.0:
-            raise ValueError("all zeros must satisfy |lambda| < 1")
+        if not np.all(np.abs(z) < 1.0):  # NaN fails this too
+            raise ValueError("all zeros must be finite with |lambda| < 1")
         # + 0.0 turns -0 parts into +0: a zero at -0 + 0j has angle pi, and the
         # kernels would give it the factor -z
         z = z + 0.0
@@ -384,12 +354,6 @@ def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray,
         np.divide(mult * (1.0 - r2), dx, out=dx)
         np.add(out, dx, out=out)
     return out
-
-
-def abs_derivative_boundary(B: FiniteBlaschke, zeta) -> float:
-    """|B'(zeta)| for zeta on the circle (always finite for finite products)."""
-    th = _as_angle(zeta)
-    return float(abs_derivative_grid(B, np.array([th]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +587,7 @@ class AngularDiagnostics:
 ANGULAR_BLOCK = 4096
 
 
-def angular_partial_sums(seq: ZeroSequence, grid, J: int,
+def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
                          thresholds: Sequence[float] = (1e2, 1e3)) -> AngularDiagnostics:
     """Accumulate sum_j (1-|lam_j|^2)/|zeta - lam_j|^2 over j < J per grid point.
 
@@ -635,8 +599,7 @@ def angular_partial_sums(seq: ZeroSequence, grid, J: int,
     ``searchsorted`` on it: the terms are positive, so it is monotone."""
     if J < 1:
         raise ValueError("J must be >= 1")
-    angles = np.asarray([_as_angle(g) for g in grid], dtype=float) if not isinstance(grid, np.ndarray) \
-        else np.asarray(grid, dtype=float)
+    angles = np.asarray(grid, dtype=float)
     if len(angles) == 0:
         raise ValueError("empty grid")
     x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]

@@ -76,15 +76,18 @@ def clark_measure(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None
     return ClarkMeasure(B, complex(alpha), angles, weights)
 
 
-def clark_measures(B: FiniteBlaschke, count: int,
-                   phase: PhaseFunction | None = None) -> list[ClarkMeasure]:
+def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:
     """The Clark measures at the count-th roots of unity, alpha_j = e^{2 pi i j/count},
     from one phase inversion of all their atoms."""
-    nodes = np.mod(phase_nodes(phase or PhaseFunction(B), count), TWO_PI)
+    nodes = np.mod(phase_nodes(PhaseFunction(B), count), TWO_PI)
     atoms = np.sort(nodes.reshape(B.degree, count), axis=0).T.copy()  # row j: alpha_j
     weights = 1.0 / abs_derivative_grid(B, atoms)
     return [ClarkMeasure(B, complex(math.cos(a), math.sin(a)), atoms[j], weights[j])
             for j, a in enumerate(TWO_PI * np.arange(count) / count)]
+
+
+#: the largest alpha grid of ``disintegration_check``
+MAX_ALPHA = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -98,15 +101,15 @@ class DisintegrationResult:
 
 
 def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = 16,
-                         cfg: QuadratureConfig = QuadratureConfig(),
-                         max_alpha: int = 1 << 12) -> DisintegrationResult:
+                         cfg: QuadratureConfig = QuadratureConfig()) -> DisintegrationResult:
     """Average the Clark integrals of f over alpha and compare with the
     plain circle integral of f.
 
     The alpha grid is the alpha_count-th roots of unity, doubled until the
-    average stabilizes to the configured tolerance.  Its Clark atoms are the
-    phase nodes of alpha_count levels per winding, each weighted 1/|B'|, so
-    the average is the mean of f * N/|B'| over those nodes.
+    average stabilizes to the configured tolerance or would pass MAX_ALPHA.
+    Its Clark atoms are the phase nodes of alpha_count levels per winding,
+    each weighted 1/|B'|, so the average is the mean of f * N/|B'| over
+    those nodes.
     """
     if alpha_count < 1 or (alpha_count & (alpha_count - 1)) != 0:
         raise ValueError("alpha_count must be a power of two")
@@ -118,7 +121,7 @@ def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = 16,
         nodes = phase_nodes(phase, count // N, offset)
         return np.sum(np.asarray(sample(nodes)) * (N / abs_derivative_grid(B, nodes)))
 
-    avg = doubling(level, alpha_count * N, cfg, limit=max_alpha * N)
+    avg = doubling(level, alpha_count * N, cfg, limit=MAX_ALPHA * N)
     lhs = complex(avg.value)
     quad = integrate_circle(lambda t: np.asarray(sample(t)), cfg)
     rhs = complex(quad.value)

@@ -3,12 +3,14 @@
 Subcommands map onto the experiment modules; every run writes a manifest
 naming its outputs, and result CSV/JSON files are byte-identical across runs
 with the same config and seed.  The config format is a flat sectioned
-key-value document; see the README for the schema.
+key-value document; see the README for the schema.  Each subcommand takes
+only the flags it reads, each read by the parser of the config key it sets.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -16,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,30 +52,43 @@ class ConfigError(ValueError):
 def parse_complex(text: str) -> complex:
     t = text.strip().replace("i", "j")
     try:
-        return complex(t)
+        value = complex(t)
     except ValueError as exc:
         raise ConfigError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{text!r} is not finite")
+    return value
 
 
 def parse_zeros(text: str) -> list[complex]:
     pts = [parse_complex(tok) for tok in text.split(",") if tok.strip()]
-    if not pts:
-        raise ConfigError("empty zero list")
+    if not pts or max(map(abs, pts)) >= 1.0:
+        raise ConfigError(f"need zeros in the open unit disk, got {text!r}")
     return pts
 
 
-def parse_symbol(text: str) -> SymbolRep:
+def _text_kind(section: str, text: str) -> str:
+    """Kind of --symbol or --function text: c<k>=<value> pairs are a trig
+    symbol, poly:<coefficients> a polynomial, other text a preset name."""
+    coeffs = "=" in text if section == "symbol" else text.startswith("poly:")
+    return _COEFF_KINDS[section] if coeffs else "preset"
+
+
+def _preset(factory, name: str):
+    try:
+        return factory(name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def parse_symbol(text: str, kind: str | None = None) -> SymbolRep:
+    """A preset name, or the c<k>=<value> pairs of a trig polynomial with no
+    frequency twice; ``kind`` ('preset' or 'trig') insists on one form."""
     text = text.strip()
-    if "=" not in text:
-        try:
-            return SymbolRep.preset(text)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    if (kind or _text_kind("symbol", text)) == "preset":
+        return _preset(SymbolRep.preset, text)
     coeffs = {}
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in filter(None, map(str.strip, text.split(","))):
         key, _, val = tok.partition("=")
         if not key.startswith("c"):
             raise ConfigError(f"symbol coefficient {tok!r} must look like c<k>=<value>")
@@ -80,41 +96,71 @@ def parse_symbol(text: str) -> SymbolRep:
             k = int(key[1:])
         except ValueError as exc:
             raise ConfigError(f"bad frequency in {tok!r}") from exc
+        if k in coeffs:
+            raise ConfigError(f"frequency {k} given twice in {text!r}")
         coeffs[k] = parse_complex(val)
     return SymbolRep.trig(coeffs, name=text)
 
 
-def parse_function(text: str) -> ScalarFunction:
+def parse_function(text: str, kind: str | None = None) -> ScalarFunction:
+    """A preset name, or poly:<c0>,<c1>,... with the constant term first;
+    ``kind`` ('preset' or 'poly', whose text may omit the poly: mark) insists
+    on one form."""
     text = text.strip()
-    if text.startswith("poly:"):
-        coeffs = [parse_complex(tok) for tok in text[len("poly:"):].split(",") if tok.strip()]
-        return ScalarFunction.poly(coeffs, name=text)
-    try:
-        return ScalarFunction.preset(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if (kind or _text_kind("function", text)) == "preset":
+        return _preset(ScalarFunction.preset, text)
+    coeffs = [parse_complex(tok) for tok in text.removeprefix("poly:").split(",") if tok.strip()]
+    if not coeffs:
+        raise ConfigError(f"no polynomial coefficients in {text!r}")
+    return ScalarFunction.poly(coeffs, name=text)
 
 
-def parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+def _checked(convert, holds, what: str):
+    """A parser that converts the text, then insists that ``holds(value)``."""
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_power_of_two = _checked(int, lambda v: v >= 1 and not v & (v - 1), "a power of two")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_finite_float = _checked(float, math.isfinite, "finite")
+_unit_interval = _checked(float, lambda v: 0.0 < v < 1.0, "in (0,1)")
+_phase_rule = _checked(str, PHASE_RULES.__contains__, f"one of {', '.join(PHASE_RULES)}")
+_n_values = _checked(lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
+                     lambda ns: ns and ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:])),
+                     "a strictly increasing list of positive integers")
 
 
 # ---------------------------------------------------------------------------
 # config documents
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "sequence": {"kind", "r", "phase_rule", "seed", "lam", "gamma", "directions", "zeros"},
-    "symbol": {"kind", "coeffs", "preset"},
-    "function": {"kind", "coeffs", "preset"},
-    "sweep": {"n_values", "alpha_count"},
-    "quadrature": {"initial_points", "max_points", "abs_tol", "rel_tol"},
-    "angular": {"j_terms", "grid_size", "thresholds"},
-    "output": {"dir"},
+#: the parser of every config key; a flag's value goes through the parser of
+#: the key it overrides (``FLAG_KEYS``)
+_PARSERS = {
+    "sequence": {"kind": str, "seed": int, "r": _unit_interval, "phase_rule": _phase_rule,
+                 "lam": _unit_interval, "gamma": _finite_float, "directions": _positive_int,
+                 "zeros": parse_zeros},
+    "symbol": {"kind": str, "coeffs": partial(parse_symbol, kind="trig"),
+               "preset": partial(parse_symbol, kind="preset")},
+    "function": {"kind": str, "coeffs": partial(parse_function, kind="poly"),
+                 "preset": partial(parse_function, kind="preset")},
+    "sweep": {"n_values": _n_values, "alpha_count": _power_of_two},
+    "quadrature": {"initial_points": _power_of_two, "max_points": _power_of_two,
+                   "abs_tol": _positive_float, "rel_tol": _positive_float},
+    "angular": {"j_terms": _positive_int, "grid_size": _positive_int,
+                "thresholds": lambda text: tuple(float(t) for t in text.split(","))},
+    "output": {"dir": str},
 }
+
+#: the kind of a [symbol] or [function] section whose text is its coeffs key
+#: (the other kind, preset, holds its text in the preset key)
+_COEFF_KINDS = {"symbol": "trig", "function": "poly"}
 
 
 def _read_sections(path: str) -> dict:
@@ -132,7 +178,7 @@ def _read_sections(path: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _SCHEMA:
+            if current not in _PARSERS:
                 raise ConfigError(f"unknown section [{current}] at line {ln}")
             if current in seen:
                 raise ConfigError(f"duplicate section [{current}] at lines {seen[current]} and {ln}")
@@ -143,7 +189,7 @@ def _read_sections(path: str) -> dict:
             raise ConfigError(f"expected 'key = value' inside a section at line {ln}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _SCHEMA[current]:
+        if key not in _PARSERS[current]:
             raise ConfigError(f"unknown key {current}.{key}")
         if (current, key) in seen:
             raise ConfigError(f"duplicate key {current}.{key} at lines {seen[current, key]} and {ln}")
@@ -152,95 +198,60 @@ def _read_sections(path: str) -> dict:
     return sections
 
 
-def _parse_key(sections: dict, section: str, key: str, default, parse=int):
-    """Parse one value, naming its key path if it is malformed."""
+def _parse_key(sections: dict, section: str, key: str, default=None):
+    """Parse one value with its key's parser, naming its key path if it is malformed."""
     text = sections.get(section, {}).get(key)
     if text is None:
         return default
     try:
-        return parse(text)
+        return _PARSERS[section][key](text)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"must lie in (0,1), got {value}")
-    return value
-
-
-def _phase_rule(text: str) -> str:
-    if text not in PHASE_RULES:
-        raise ValueError(f"must be one of {', '.join(PHASE_RULES)}, got {text!r}")
-    return text
+#: the parameters of each generator tag but explicit, with their defaults
+_GENERATOR_PARAMS = {
+    "uniform_zero": {}, "constant_modulus": {"r": 0.5, "phase_rule": "equispaced"},
+    "alternating_3k": {"lam": 0.5}, "frostman_fast": {"directions": 4},
+    "dense_nonblaschke": {"gamma": 0.6180339887},
+}
 
 
 def _sequence_from_section(sections: dict, seed: int) -> ZeroSequence:
-    sec = sections.get("sequence", {})
-    kind = sec.get("kind")
+    kind = _parse_key(sections, "sequence", "kind")
     if kind is None:
         raise ConfigError("sequence.kind is required")
-
-    def value(key, default, parse):
-        return _parse_key(sections, "sequence", key, default, parse)
-
-    if kind == "uniform_zero":
-        return ZeroSequence.uniform_zero()
-    if kind == "constant_modulus":
-        return ZeroSequence.constant_modulus(value("r", 0.5, _unit_interval),
-                                             value("phase_rule", "equispaced", _phase_rule),
-                                             seed=seed)
-    if kind == "alternating_3k":
-        return ZeroSequence.alternating_3k(value("lam", 0.5, _unit_interval))
-    if kind == "frostman_fast":
-        return ZeroSequence.frostman_fast(value("directions", 4, _positive_int))
-    if kind == "dense_nonblaschke":
-        return ZeroSequence.dense_nonblaschke(value("gamma", 0.6180339887, float))
     if kind == "explicit":
-        if "zeros" not in sec:
+        zeros = _parse_key(sections, "sequence", "zeros")
+        if zeros is None:
             raise ConfigError("sequence.zeros is required for explicit sequences")
-        return ZeroSequence.from_points(value("zeros", None, parse_zeros))
-    raise ConfigError(
-        f"unknown generator tag {kind!r}; valid tags: uniform_zero, constant_modulus, "
-        "alternating_3k, frostman_fast, dense_nonblaschke, explicit")
+        return ZeroSequence.from_points(zeros)
+    params = {key: _parse_key(sections, "sequence", key, default)
+              for key, default in _GENERATOR_PARAMS.get(kind, {}).items()}
+    return ZeroSequence(kind, params, seed=seed)  # an unknown tag fails here, listing the tags
 
 
-def _symbol_from_section(sec: dict) -> SymbolRep:
-    kind = sec.get("kind", "preset" if "preset" in sec else "trig")
-    if kind == "trig":
-        if "coeffs" not in sec:
-            raise ConfigError("symbol.coeffs is required for trig symbols")
-        return parse_symbol(sec["coeffs"])
-    if kind == "preset":
-        try:
-            return SymbolRep.preset(sec.get("preset", "cos"))
-        except ValueError as exc:
-            raise ConfigError(f"symbol.preset: {exc}") from exc
-    raise ConfigError(f"unknown symbol.kind {kind!r}")
+def _text_from_section(sections: dict, section: str, default_kind: str, preset: str):
+    """The symbol or function of a [symbol] or [function] section.  Its kind
+    (``default_kind`` if unset, 'preset' if only a preset is given) names the
+    key that holds its text, and that key's parser reads it."""
+    sec = sections.get(section, {})
+    kind = sec.get("kind", "preset" if "preset" in sec else default_kind)
+    if kind not in ("preset", _COEFF_KINDS[section]):
+        raise ConfigError(f"unknown {section}.kind {kind!r}")
+    key = "preset" if kind == "preset" else "coeffs"
+    if key == "coeffs" and key not in sec:
+        raise ConfigError(f"{section}.coeffs is required for {kind} {section}s")
+    return _parse_key(sections, section, key, _PARSERS[section]["preset"](preset))
 
 
-def _function_from_section(sec: dict) -> ScalarFunction:
-    if not sec:
-        return ScalarFunction.preset("identity")
-    kind = sec.get("kind", "preset" if "preset" in sec else "poly")
-    if kind == "poly":
-        if "coeffs" not in sec:
-            raise ConfigError("function.coeffs is required for poly functions")
-        return ScalarFunction.poly([parse_complex(t) for t in sec["coeffs"].split(",") if t.strip()])
-    if kind == "preset":
-        try:
-            return ScalarFunction.preset(sec.get("preset", "identity"))
-        except ValueError as exc:
-            raise ConfigError(f"function.preset: {exc}") from exc
-    raise ConfigError(f"unknown function.kind {kind!r}")
+def _quadrature_from_section(sections: dict) -> QuadratureConfig:
+    """The [quadrature] keys given, over the QuadratureConfig defaults."""
+    values = {key: _parse_key(sections, "quadrature", key) for key in sections.get("quadrature", {})}
+    try:
+        return QuadratureConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(f"quadrature: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -267,39 +278,30 @@ def parse_config(path: str, overrides: dict | None = None) -> ParsedConfig:
     for section, values in (overrides or {}).items():
         sections.setdefault(section, {}).update(values)
 
-    quad = dict(initial_points=_parse_key(sections, "quadrature", "initial_points", 256),
-                max_points=_parse_key(sections, "quadrature", "max_points", 1 << 20),
-                abs_tol=_parse_key(sections, "quadrature", "abs_tol", 1e-10, float),
-                rel_tol=_parse_key(sections, "quadrature", "rel_tol", 1e-9, float))
-    try:
-        qcfg = QuadratureConfig(**quad)
-    except ValueError as exc:
-        raise ConfigError(f"quadrature: {exc}") from exc
-
     seed = _parse_key(sections, "sequence", "seed", 0)
     try:
         experiment = ExperimentConfig(
             sequence=_sequence_from_section(sections, seed),
-            symbol=_symbol_from_section(sections.get("symbol", {})),
-            function=_function_from_section(sections.get("function", {})),
-            n_values=parse_int_list(sections.get("sweep", {}).get("n_values", "8,16,32,64")),
+            symbol=_text_from_section(sections, "symbol", "trig", "cos"),
+            function=_text_from_section(sections, "function",
+                                        "poly" if sections.get("function") else "preset", "identity"),
+            n_values=_parse_key(sections, "sweep", "n_values", (8, 16, 32, 64)),
             alpha_count=_parse_key(sections, "sweep", "alpha_count", 32),
-            quadrature=qcfg,
+            quadrature=_quadrature_from_section(sections),
             seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     angular_options = {
-        "J": _parse_key(sections, "angular", "j_terms", 10 ** 5, _positive_int),
-        "grid_size": _parse_key(sections, "angular", "grid_size", 64, _positive_int),
-        "thresholds": _parse_key(sections, "angular", "thresholds", (1e2, 1e3),
-                                 lambda text: tuple(float(t) for t in text.split(","))),
+        "J": _parse_key(sections, "angular", "j_terms", 10 ** 5),
+        "grid_size": _parse_key(sections, "angular", "grid_size", 64),
+        "thresholds": _parse_key(sections, "angular", "thresholds", (1e2, 1e3)),
     }
     text = canonical_text(sections)
     return ParsedConfig(
         experiment=experiment,
-        out_dir=sections.get("output", {}).get("dir"),
+        out_dir=_parse_key(sections, "output", "dir"),
         angular_options=angular_options,
         canonical=text,
         digest=hashlib.sha256(text.encode()).hexdigest(),
@@ -402,38 +404,53 @@ class Manifest:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _experiment_from_args(args) -> ParsedConfig:
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides.setdefault("sequence", {})["seed"] = str(args.seed)
-    if args.tol is not None:
-        overrides.setdefault("quadrature", {})["abs_tol"] = str(args.tol)
-    if args.max_grid is not None:
-        overrides.setdefault("quadrature", {})["max_points"] = str(args.max_grid)
-    if args.alpha_count is not None:
-        overrides.setdefault("sweep", {})["alpha_count"] = str(args.alpha_count)
-    if args.n is not None:
-        overrides.setdefault("sweep", {})["n_values"] = args.n
-    if args.symbol is not None:
-        overrides.setdefault("symbol", {}).update({"kind": "trig", "coeffs": args.symbol}
-                                                  if "=" in args.symbol
-                                                  else {"kind": "preset", "preset": args.symbol})
-    if args.function is not None:
-        fn = args.function
-        overrides.setdefault("function", {}).update({"kind": "poly", "coeffs": fn[len("poly:"):]}
-                                                    if fn.startswith("poly:")
-                                                    else {"kind": "preset", "preset": fn})
+#: the config key whose parser reads each flag's value: --symbol and
+#: --function set the keys of their section that their text's kind names,
+#: --config, --out and --alpha-angle have no key
+FLAG_KEYS = {
+    "seed": ("sequence", "seed"), "zeros": ("sequence", "zeros"),
+    "tol": ("quadrature", "abs_tol"), "max_grid": ("quadrature", "max_points"),
+    "alpha_count": ("sweep", "alpha_count"), "n": ("sweep", "n_values"),
+    "symbol": ("symbol", None), "function": ("function", None),
+}
+
+
+def _flag_value(dest: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"--{dest.replace('_', '-')}: {exc}") from exc
+
+
+def _flag_sections(args, defaults: dict | None = None) -> dict:
+    """Config entries of the flags given, over ``defaults`` (flag text by
+    flag).  Each value is read here by its key's parser too, so that a
+    malformed one names its flag."""
+    sections: dict = {}
+    for dest, (section, key) in FLAG_KEYS.items():
+        text = getattr(args, dest, None)
+        if text is None:
+            text = (defaults or {}).get(dest)
+        if text is None:
+            continue
+        entries = {key: text}
+        if key is None:  # the kind names the key; [function] coeffs drop the poly: mark
+            kind = _text_kind(section, text)
+            entries = {"kind": kind, "preset" if kind == "preset" else "coeffs": text.removeprefix("poly:")}
+        for name, value in entries.items():
+            _flag_value(dest, _PARSERS[section][name], value)
+        sections.setdefault(section, {}).update(entries)
+    return sections
+
+
+def _sweep(args) -> tuple[ParsedConfig, Manifest]:
+    """A sweep's config under its flags' overrides, and its run manifest."""
+    overrides = _flag_sections(args)
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
-    return parse_config(args.config, overrides)
-
-
-def _out_dir(args, parsed: ParsedConfig | None = None) -> str:
-    if args.out:
-        return args.out
-    if parsed and parsed.out_dir:
-        return parsed.out_dir
-    return "results"
+    parsed = parse_config(args.config, overrides)
+    out = args.out or parsed.out_dir or "results"
+    return parsed, Manifest(out, parsed.digest, parsed.experiment.seed)
 
 
 def _warn_unconverged(command: str, N: int, diagnostics: dict):
@@ -443,36 +460,39 @@ def _warn_unconverged(command: str, N: int, diagnostics: dict):
             print(f"WARN: {command} N={N} {key} = 0", file=sys.stderr)
 
 
-def cmd_operator(args) -> int:
-    if not args.zeros:
-        raise ConfigError("--zeros is required for the operator subcommand")
-    B = FiniteBlaschke(np.asarray(parse_zeros(args.zeros), dtype=complex))
-    sym = parse_symbol(args.symbol or "c1=1,c-1=1")
-    cfg = QuadratureConfig(abs_tol=args.tol or 1e-10,
-                           max_points=args.max_grid or (1 << 20))
-    T = build_truncated_toeplitz(B, sym, cfg)
-    _warn_unconverged("operator", B.degree, {"converged": float(T.converged)})
-    if args.out:
-        manifest = Manifest(args.out, hashlib.sha256(
-            f"operator|{args.zeros}|{args.symbol}".encode()).hexdigest(), args.seed or 0)
-        manifest.write("operator.json", matrix_to_json(T.matrix))
-        manifest.write("operator.csv", matrix_to_csv(T.matrix))
-        manifest.finalize()
-    else:
-        sys.stdout.write(matrix_to_json(T.matrix))
+def _write_or_print(args, sections: dict, identity: str, files: dict, shown: str) -> int:
+    """Write the files under --out with a manifest hashed from ``identity``,
+    or print ``shown`` without one."""
+    if not args.out:
+        sys.stdout.write(shown)
+        return 0
+    manifest = Manifest(args.out, hashlib.sha256(identity.encode()).hexdigest(),
+                        _parse_key(sections, "sequence", "seed", 0))
+    for name, data in files.items():
+        manifest.write(name, data)
+    manifest.finalize()
     return 0
 
 
+def cmd_operator(args) -> int:
+    sections = _flag_sections(args, {"symbol": "c1=1,c-1=1"})
+    B = FiniteBlaschke(np.asarray(_parse_key(sections, "sequence", "zeros"), dtype=complex))
+    sym = _text_from_section(sections, "symbol", "trig", "cos")
+    T = build_truncated_toeplitz(B, sym, _quadrature_from_section(sections))
+    _warn_unconverged("operator", B.degree, {"converged": float(T.converged)})
+    json_text = matrix_to_json(T.matrix)
+    return _write_or_print(args, sections, f"operator|{args.zeros}|{args.symbol}",
+                           {"operator.json": json_text, "operator.csv": matrix_to_csv(T.matrix)},
+                           json_text)
+
+
 def cmd_clark(args) -> int:
-    if not args.zeros:
-        raise ConfigError("--zeros is required for the clark subcommand")
-    B = FiniteBlaschke(np.asarray(parse_zeros(args.zeros), dtype=complex))
-    a = float(args.alpha_angle or 0.0)
+    sections = _flag_sections(args)
+    B = FiniteBlaschke(np.asarray(_parse_key(sections, "sequence", "zeros"), dtype=complex))
+    a = 0.0 if args.alpha_angle is None else _flag_value("alpha_angle", _finite_float, args.alpha_angle)
     mu = clark_measure(B, complex(math.cos(a), math.sin(a)))
-    lines = ["alpha_angle,zeta_angle,weight"]
-    for th, w in zip(mu.atom_angles, mu.weights):
-        lines.append(f"{_fmt(a)},{_fmt(float(th))},{_fmt(float(w))}")
-    csv_text = "\r\n".join(lines) + "\r\n"
+    rows = [f"{_fmt(a)},{_fmt(float(th))},{_fmt(float(w))}" for th, w in zip(mu.atom_angles, mu.weights)]
+    csv_text = "\r\n".join(["alpha_angle,zeta_angle,weight"] + rows) + "\r\n"
     payload = {
         "alpha_angle": a,
         "atoms": [{"angle": float(th), "weight": float(w)}
@@ -480,21 +500,12 @@ def cmd_clark(args) -> int:
         "total_mass": mu.total_mass(),
     }
     json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        manifest = Manifest(args.out, hashlib.sha256(
-            f"clark|{args.zeros}|{a}".encode()).hexdigest(), args.seed or 0)
-        manifest.write("clark.csv", csv_text)
-        manifest.write("clark.json", json_text)
-        manifest.finalize()
-    else:
-        sys.stdout.write(csv_text)
-    return 0
+    return _write_or_print(args, sections, f"clark|{args.zeros}|{a}",
+                           {"clark.csv": csv_text, "clark.json": json_text}, csv_text)
 
 
 def _run_sweep(args, runner, stem: str) -> int:
-    parsed = _experiment_from_args(args)
-    out = _out_dir(args, parsed)
-    manifest = Manifest(out, parsed.digest, parsed.experiment.seed)
+    parsed, manifest = _sweep(args)
     records = runner(parsed.experiment)
     manifest.write(f"{stem}.csv", records_to_csv(records))
     manifest.write(f"{stem}.json", records_to_json(records))
@@ -513,14 +524,10 @@ def cmd_stz(args) -> int:
 
 
 def cmd_angular(args) -> int:
-    parsed = _experiment_from_args(args)
-    out = _out_dir(args, parsed)
-    manifest = Manifest(out, parsed.digest, parsed.experiment.seed)
+    parsed, manifest = _sweep(args)
     rows = angular_condition_a(parsed.experiment)
-    lines = ["N,max,median,min"]
-    for row in rows:
-        lines.append(f"{row['N']},{_fmt(row['max'])},{_fmt(row['median'])},{_fmt(row['min'])}")
-    manifest.write("angular_a.csv", "\r\n".join(lines) + "\r\n")
+    lines = [f"{row['N']},{_fmt(row['max'])},{_fmt(row['median'])},{_fmt(row['min'])}" for row in rows]
+    manifest.write("angular_a.csv", "\r\n".join(["N,max,median,min"] + lines) + "\r\n")
     opts = parsed.angular_options
     _, summary = angular_condition_b(parsed.experiment, J=opts["J"],
                                      grid_size=opts["grid_size"], thresholds=opts["thresholds"])
@@ -531,10 +538,8 @@ def cmd_angular(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    parsed = _experiment_from_args(args)
+    parsed, manifest = _sweep(args)
     cfg = parsed.experiment
-    out = _out_dir(args, parsed)
-    manifest = Manifest(out, parsed.digest, cfg.seed)
     failures = []
 
     hs = hs_approx_gap(cfg)
@@ -574,18 +579,13 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_disintegrate(args) -> int:
-    if not args.zeros:
-        raise ConfigError("--zeros is required for the disintegrate subcommand")
-    B = FiniteBlaschke(np.asarray(parse_zeros(args.zeros), dtype=complex))
-    sym = parse_symbol(args.symbol or "re_z")
-    res = disintegration_check(sym, B, alpha_count=args.alpha_count or 16)
-    payload = {
-        "lhs": {"re": res.lhs.real, "im": res.lhs.imag},
-        "rhs": {"re": res.rhs.real, "im": res.rhs.imag},
-        "gap": res.gap,
-        "alpha_count": res.alpha_count,
-        "converged": res.converged,
-    }
+    sections = _flag_sections(args, {"symbol": "re_z", "alpha_count": "16"})
+    B = FiniteBlaschke(np.asarray(_parse_key(sections, "sequence", "zeros"), dtype=complex))
+    sym = _text_from_section(sections, "symbol", "trig", "cos")
+    res = disintegration_check(sym, B, alpha_count=_parse_key(sections, "sweep", "alpha_count"))
+    payload = {"lhs": {"re": res.lhs.real, "im": res.lhs.imag},
+               "rhs": {"re": res.rhs.real, "im": res.rhs.imag},
+               "gap": res.gap, "alpha_count": res.alpha_count, "converged": res.converged}
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -598,29 +598,24 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ttolab",
                                  description="truncated Toeplitz operator laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-    handlers = {
-        "operator": cmd_operator,
-        "clark": cmd_clark,
-        "szego": cmd_szego,
-        "stz": cmd_stz,
-        "angular": cmd_angular,
-        "lemmas": cmd_lemmas,
-        "disintegrate": cmd_disintegrate,
+    # each subcommand, its handler and the flags that handler reads; every
+    # flag takes its value as text, for the parsers above, and --zeros is required
+    sweep = ("config", "out", "seed", "tol", "max_grid", "alpha_count", "symbol", "function", "n")
+    commands = {
+        "operator": (cmd_operator, ("zeros", "symbol", "tol", "max_grid", "out", "seed")),
+        "clark": (cmd_clark, ("zeros", "alpha_angle", "out", "seed")),
+        "szego": (cmd_szego, sweep),
+        "stz": (cmd_stz, sweep),
+        "angular": (cmd_angular, sweep),
+        "lemmas": (cmd_lemmas, sweep),
+        "disintegrate": (cmd_disintegrate, ("zeros", "symbol", "alpha_count")),
     }
-    for name, fn in handlers.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config")
-        p.add_argument("--out")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-grid", dest="max_grid", type=int)
-        p.add_argument("--alpha-count", dest="alpha_count", type=int)
-        p.add_argument("--zeros")
-        p.add_argument("--symbol")
-        p.add_argument("--function")
-        p.add_argument("--n")
-        p.add_argument("--alpha-angle", dest="alpha_angle", type=float)
-        p.set_defaults(handler=fn)
+    for name, (handler, flags) in commands.items():
+        # no abbreviations: with fewer flags, more prefixes would be unique
+        p = sub.add_parser(name, allow_abbrev=False)
+        for dest in flags:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, required=dest == "zeros")
+        p.set_defaults(handler=handler)
     return ap
 
 

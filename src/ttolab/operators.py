@@ -368,32 +368,6 @@ def semicommutator_trace(B: FiniteBlaschke, sym: SymbolRep, toeplitz: OperatorMa
 # Clark unitaries
 # ---------------------------------------------------------------------------
 
-def _clark_rank_one_vectors(B: FiniteBlaschke):
-    """Coefficient vectors of the constant 1 and of conj(z)B in the basis."""
-    N = B.degree
-    u = np.zeros(N, dtype=complex)
-    u[0] = 1.0
-    v = np.empty(N, dtype=complex)
-    p = 1.0
-    for j in range(N - 1, -1, -1):
-        v[j] = B._cnorm[j] * B._sigma[j] * p
-        p *= -B._radii[j]
-    return u, v
-
-
-def build_clark_unitary(B: FiniteBlaschke, alpha: complex,
-                        cfg: QuadratureConfig | None = None) -> OperatorMatrix:
-    """Rank-one unitary perturbation of the compressed shift at parameter alpha."""
-    alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-12:
-        raise ValueError("alpha must be unimodular")
-    if not B.vanishes_at_origin:
-        raise ValueError("Clark construction here requires a zero at the origin")
-    u, v = _clark_rank_one_vectors(B)
-    U = compressed_shift(B) + alpha * np.outer(u, v.conj())
-    return OperatorMatrix(U, B)
-
-
 def build_clark_spectral(B: FiniteBlaschke, clark: ClarkMeasure,
                          symbol: SymbolRep | None = None,
                          kernel_coeffs: np.ndarray | None = None) -> OperatorMatrix:
@@ -449,10 +423,6 @@ def trace(A: OperatorMatrix) -> complex:
     return complex(np.trace(A.matrix))
 
 
-def hs_norm(A: OperatorMatrix) -> float:
-    return float(np.linalg.norm(A.matrix))
-
-
 def singular_values(A: OperatorMatrix) -> np.ndarray:
     """Singular values, descending (taken from A itself, not from A*A, so
     small ones keep their absolute accuracy)."""
@@ -461,19 +431,6 @@ def singular_values(A: OperatorMatrix) -> np.ndarray:
 
 def trace_norm(A: OperatorMatrix) -> float:
     return float(singular_values(A).sum())
-
-
-def op_norm(A: OperatorMatrix) -> float:
-    return float(singular_values(A)[0])
-
-
-def rank_one_defect(B: FiniteBlaschke, cfg: QuadratureConfig | None = None) -> OperatorMatrix:
-    """I minus (compressed shift times its adjoint): the projector onto
-    constants whenever the product vanishes at the origin."""
-    if not B.vanishes_at_origin:
-        raise ValueError("defect identity requires a zero at the origin")
-    S = compressed_shift(B)
-    return OperatorMatrix(np.eye(B.degree, dtype=complex) - S @ S.conj().T, B)
 
 
 # ---------------------------------------------------------------------------

@@ -134,12 +134,6 @@ def _scalarize(v):
     return complex(arr) if arr.ndim == 0 else arr
 
 
-def poisson_integral(f: Callable, lam: complex, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
-    """Harmonic extension of f at lam: the nu-integral of the one-zero product,
-    whose nu is the Poisson measure of lam."""
-    return nu_integral(f, FiniteBlaschke(np.array([complex(lam)])), cfg)
-
-
 def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
     """Integral of f against the mean-of-harmonic-measures density |B'|/N:
     the mean of f over phase nodes, at least ``cfg.initial_points`` of them."""

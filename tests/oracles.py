@@ -1,11 +1,14 @@
 """Independent routes that only the tests use: pointwise evaluation of the
-product and of its reproducing kernel, the product on the circle from
-sines of the angle differences, the arctan2 lift of the boundary phase, and
-the kernel average of a function by circle quadrature.  The library takes
-these quantities in closed form, from tangents of half angles, or from the
-phase nodes; these slower routes check them."""
+product, of |B'| and of the reproducing kernel, the product on the circle
+from sines of the angle differences, the arctan2 lift of the boundary phase,
+the kernel average of a function by circle quadrature, the Poisson integral,
+the Clark unitary as a rank-one perturbation of the compressed shift, the
+defect I - SS*, and the Hilbert-Schmidt and operator norms.  The library
+takes these quantities in closed form, from tangents of half angles, from
+the phase nodes or from spectral sums; these routes check them."""
 
 import cmath
+import math
 
 import numpy as np
 
@@ -13,10 +16,80 @@ from ttolab.blaschke import (
     PHASE_BLOCK,
     TWO_PI,
     FiniteBlaschke,
-    _as_angle,
-    abs_derivative_boundary,
+    abs_derivative_grid,
 )
-from ttolab.quadrature import QuadratureConfig, blaschke_initial_points, integrate_circle
+from ttolab.operators import OperatorMatrix, compressed_shift, singular_values
+from ttolab.quadrature import (
+    IntegralResult,
+    QuadratureConfig,
+    blaschke_initial_points,
+    integrate_circle,
+    nu_integral,
+)
+
+
+def _as_angle(zeta) -> float:
+    """Accept an angle in radians or a unimodular complex."""
+    if isinstance(zeta, complex) or isinstance(zeta, np.complexfloating):
+        z = complex(zeta)
+        if abs(abs(z) - 1.0) > 1e-9:
+            raise ValueError(f"not a circle point: |z| = {abs(z)!r}")
+        return math.atan2(z.imag, z.real) % TWO_PI
+    return float(zeta) % TWO_PI
+
+
+def abs_derivative_boundary(B: FiniteBlaschke, zeta) -> float:
+    """|B'(zeta)| for zeta on the circle (always finite for finite products)."""
+    th = _as_angle(zeta)
+    return float(abs_derivative_grid(B, np.array([th]))[0])
+
+
+def poisson_integral(f, lam: complex, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
+    """Harmonic extension of f at lam: the nu-integral of the one-zero product,
+    whose nu is the Poisson measure of lam."""
+    return nu_integral(f, FiniteBlaschke(np.array([complex(lam)])), cfg)
+
+
+def _clark_rank_one_vectors(B: FiniteBlaschke):
+    """Coefficient vectors of the constant 1 and of conj(z)B in the basis."""
+    N = B.degree
+    u = np.zeros(N, dtype=complex)
+    u[0] = 1.0
+    v = np.empty(N, dtype=complex)
+    p = 1.0
+    for j in range(N - 1, -1, -1):
+        v[j] = B._cnorm[j] * B._sigma[j] * p
+        p *= -B._radii[j]
+    return u, v
+
+
+def build_clark_unitary(B: FiniteBlaschke, alpha: complex) -> OperatorMatrix:
+    """Rank-one unitary perturbation of the compressed shift at parameter alpha."""
+    alpha = complex(alpha)
+    if abs(abs(alpha) - 1.0) > 1e-12:
+        raise ValueError("alpha must be unimodular")
+    if not B.vanishes_at_origin:
+        raise ValueError("Clark construction here requires a zero at the origin")
+    u, v = _clark_rank_one_vectors(B)
+    U = compressed_shift(B) + alpha * np.outer(u, v.conj())
+    return OperatorMatrix(U, B)
+
+
+def rank_one_defect(B: FiniteBlaschke) -> OperatorMatrix:
+    """I minus (compressed shift times its adjoint): the projector onto
+    constants whenever the product vanishes at the origin."""
+    if not B.vanishes_at_origin:
+        raise ValueError("defect identity requires a zero at the origin")
+    S = compressed_shift(B)
+    return OperatorMatrix(np.eye(B.degree, dtype=complex) - S @ S.conj().T, B)
+
+
+def hs_norm(A: OperatorMatrix) -> float:
+    return float(np.linalg.norm(A.matrix))
+
+
+def op_norm(A: OperatorMatrix) -> float:
+    return float(singular_values(A)[0])
 
 
 def eval_blaschke_grid(B: FiniteBlaschke, angles) -> np.ndarray:

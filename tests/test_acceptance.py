@@ -37,16 +37,14 @@ from ttolab.operators import (
     ScalarFunction,
     SymbolRep,
     build_clark_spectral,
-    build_clark_unitary,
     build_truncated_toeplitz,
-    rank_one_defect,
     singular_values,
     trace,
     trace_formula_rhs,
 )
 from ttolab.quadrature import QuadratureConfig, blaschke_initial_points, integrate_circle, nu_integral
 
-from oracles import eval_blaschke_grid
+from oracles import build_clark_unitary, eval_blaschke_grid, rank_one_defect
 
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
 SQUARE = ScalarFunction.preset("square")

@@ -21,15 +21,13 @@ from ttolab.clark import (
 from ttolab.operators import (
     SymbolRep,
     build_clark_spectral,
-    build_clark_unitary,
     build_truncated_toeplitz,
-    op_norm,
     trace,
     trace_formula_rhs,
 )
 from ttolab.quadrature import nu_integral
 
-from oracles import eval_blaschke_grid, phase_lift
+from oracles import build_clark_unitary, eval_blaschke_grid, op_norm, phase_lift
 
 
 def random_blaschke(n, seed=0, rmax=0.9):

@@ -6,6 +6,7 @@ import pytest
 
 from ttolab.cli import (
     ConfigError,
+    build_parser,
     main,
     parse_complex,
     parse_config,
@@ -126,6 +127,7 @@ class TestParseConfig:
         ("constant_modulus", "r", "abc"),
         ("alternating_3k", "lam", "abc"),
         ("dense_nonblaschke", "gamma", "abc"),
+        ("dense_nonblaschke", "gamma", "nan"),
         ("frostman_fast", "directions", "four"),
         ("frostman_fast", "directions", "0"),
         ("constant_modulus", "phase_rule", "spiral"),
@@ -302,6 +304,113 @@ alpha_count = 8
 
     def test_missing_config_flag(self, capsys):
         assert main(["szego"]) == 2
+
+
+#: the flags each subcommand reads: 9 per sweep, 6 + 4 + 3 for the zero-list
+#: commands, 49 in all
+SWEEP_FLAGS = {"--config", "--out", "--seed", "--tol", "--max-grid", "--alpha-count",
+               "--symbol", "--function", "--n"}
+COMMAND_FLAGS = {
+    "szego": SWEEP_FLAGS,
+    "stz": SWEEP_FLAGS,
+    "angular": SWEEP_FLAGS,
+    "lemmas": SWEEP_FLAGS,
+    "operator": {"--zeros", "--symbol", "--tol", "--max-grid", "--out", "--seed"},
+    "clark": {"--zeros", "--alpha-angle", "--out", "--seed"},
+    "disintegrate": {"--zeros", "--symbol", "--alpha-count"},
+}
+ALL_FLAGS = sorted(SWEEP_FLAGS | {"--zeros", "--alpha-angle"})
+UNREAD = [(cmd, flag) for cmd, flags in COMMAND_FLAGS.items()
+          for flag in ALL_FLAGS if flag not in flags]
+
+
+class TestFlags:
+    def test_each_subcommand_takes_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        taken = {cmd: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                 for cmd, p in sub.choices.items()}
+        assert taken == COMMAND_FLAGS
+        assert sum(map(len, taken.values())) == 49
+        assert len(UNREAD) == 28
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_exits_2_and_writes_nothing(self, minimal_cfg, tmp_path, capsys,
+                                                    command, flag):
+        out = tmp_path / "out"
+        values = {"--config": minimal_cfg, "--out": str(out), "--zeros": "0,0.5",
+                  "--alpha-angle": "0", "--n": "4,8", "--function": "square", "--symbol": "cos",
+                  "--tol": "1e-9", "--max-grid": "1024", "--alpha-count": "8", "--seed": "1"}
+        argv = [command] + [arg for f in sorted(COMMAND_FLAGS[command] & {"--config", "--zeros", "--out"})
+                            for arg in (f, values[f])]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, values[flag]])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["operator", "clark", "disintegrate"])
+    def test_missing_zeros_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "--zeros" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["clark", "--zeros", "0,0.5", "--alpha", "0.3"],
+        ["szego", "--conf", "c.cfg"],
+        ["operator", "--zero", "0,0.5"],
+    ], ids=["clark-alpha", "szego-conf", "operator-zero"])
+    def test_abbreviated_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["operator", "--zeros", "0,0.5", "--tol", "0"], "--tol"),
+        (["operator", "--zeros", "0,0.5", "--max-grid", "0"], "--max-grid"),
+        (["disintegrate", "--zeros", "0,0.5", "--alpha-count", "0"], "--alpha-count"),
+        (["operator", "--zeros", "0,0.5", "--symbol", "c1=1,c1=5"], "--symbol"),
+        (["operator", "--zeros", "0,nan"], "--zeros"),
+        (["operator", "--zeros", "0,1.5"], "--zeros"),
+        (["clark", "--zeros", "0,1.5"], "--zeros"),
+        (["clark", "--zeros", "0,0.5", "--alpha-angle", "inf"], "--alpha-angle"),
+        (["clark", "--zeros", "0,0.5", "--alpha-angle", "nan"], "--alpha-angle"),
+        (["disintegrate", "--zeros", "0,0.5", "--symbol", "poly:1"], "--symbol"),
+    ], ids=["operator-tol-0", "operator-max-grid-0", "disintegrate-alpha-count-0",
+            "operator-repeated-frequency", "operator-nan-zero", "operator-zero-outside",
+            "clark-zero-outside", "clark-alpha-angle-inf", "clark-alpha-angle-nan",
+            "disintegrate-unknown-symbol"])
+    def test_malformed_flag_exits_2_and_names_it(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {flag}: ")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "8,4"), ("--seed", "x"), ("--function", "poly:"), ("--symbol", "c1=1,c+1=5"),
+        ("--alpha-count", "3"), ("--tol", "nan"),
+    ])
+    def test_malformed_sweep_flag_names_it(self, minimal_cfg, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["szego", "--config", minimal_cfg, "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+        assert not out.exists()
+
+    def test_repeated_frequency_in_config_names_key(self, tmp_path, capsys):
+        path = tmp_path / "dup.cfg"
+        path.write_text("[sequence]\nkind = uniform_zero\n[symbol]\nkind = trig\ncoeffs = c1=1,c1=5\n")
+        assert main(["szego", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "symbol.coeffs: frequency 1 given twice" in capsys.readouterr().err
+
+    def test_preset_and_coefficient_symbols_agree(self, minimal_cfg, tmp_path):
+        # both forms go through parse_symbol and give the same operator
+        outs = [tmp_path / "preset", tmp_path / "coeffs"]
+        for symbol, out in zip(("cos", "c1=1,c-1=1"), outs):
+            assert main(["szego", "--config", minimal_cfg, "--symbol", symbol, "--n", "4,8",
+                         "--out", str(out)]) == 0
+        for name in ("szego.csv", "szego.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestDeterminismAndManifest:

@@ -11,11 +11,12 @@ from ttolab.operators import (
     SymbolRep,
     apply_function,
     build_clark_spectral,
-    build_clark_unitary,
     build_truncated_toeplitz,
     trace,
 )
 from ttolab.quadrature import QuadratureConfig
+
+from oracles import build_clark_unitary
 
 
 def random_blaschke(n, seed, rmax=0.8):

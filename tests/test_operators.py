@@ -20,15 +20,11 @@ from ttolab.operators import (
     SymbolRep,
     apply_function,
     build_clark_spectral,
-    build_clark_unitary,
     build_truncated_toeplitz,
     compressed_shift,
     fejer_trig_values,
     fejer_values,
-    hs_norm,
     inverse_derivative_symbol,
-    op_norm,
-    rank_one_defect,
     singular_values,
     trace,
     trace_formula_rhs,
@@ -36,7 +32,7 @@ from ttolab.operators import (
 )
 from ttolab.quadrature import MIN_LEVELS, QuadratureConfig, blaschke_initial_points
 
-from oracles import fejer_apply
+from oracles import build_clark_unitary, fejer_apply, hs_norm, op_norm, rank_one_defect
 
 
 def random_blaschke(n, seed=0, rmax=0.85):

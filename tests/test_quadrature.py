@@ -7,8 +7,9 @@ from ttolab.quadrature import (
     blaschke_initial_points,
     integrate_circle,
     nu_integral,
-    poisson_integral,
 )
+
+from oracles import poisson_integral
 
 
 def nu_l2_norm(f, B):
