@@ -1,7 +1,6 @@
 """Finite Blaschke products: zero-sequence generators, boundary evaluation,
 angular derivatives, the boundary phase and its inverse, the
-Takenaka-Malmquist-Walsh basis and its kernel coefficients, and partial
-Poisson sums along a zero sequence.
+Takenaka-Malmquist-Walsh basis, and partial Poisson sums along a zero sequence.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -549,16 +548,6 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
         inv *= B._sigma[i]
         pref *= inv
     return rows.T
-
-
-def tmw_kernel_coeffs(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
-    """Coefficient vectors of the boundary kernels k_zeta in the basis.
-
-    Row m holds conj(e_i(zeta_m)): the reproducing property makes these the
-    expansion coefficients, no integration required.  Like ``tmw_matrix``
-    it is the transposed view of a basis-major array.
-    """
-    return np.conj(tmw_matrix(B, angles))
 
 
 # ---------------------------------------------------------------------------

@@ -481,7 +481,7 @@ def cmd_operator(args) -> int:
     T = build_truncated_toeplitz(B, sym, _quadrature_from_section(sections))
     _warn_unconverged("operator", B.degree, {"converged": float(T.converged)})
     json_text = matrix_to_json(T.matrix)
-    return _write_or_print(args, sections, f"operator|{args.zeros}|{args.symbol}",
+    return _write_or_print(args, sections, "operator|" + json.dumps(sections, sort_keys=True),
                            {"operator.json": json_text, "operator.csv": matrix_to_csv(T.matrix)},
                            json_text)
 

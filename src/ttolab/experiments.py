@@ -22,17 +22,16 @@ from .blaschke import (
     angular_partial_sums,
     circle_grid,
     phase_nodes,
-    tmw_kernel_coeffs,
 )
-from .clark import ClarkMeasure, clark_measures
+from .clark import clark_measures
 from .operators import (
     OperatorMatrix,
     ScalarFunction,
     SymbolRep,
     apply_function,
-    build_clark_spectral,
     build_truncated_toeplitz,
     fejer_trig_values,
+    fejer_values,
     inverse_derivative_symbol,
     semicommutator_trace,
     trace,
@@ -170,33 +169,20 @@ def angular_condition_b(cfg: ExperimentConfig, J: int = 10 ** 5, grid_size: int 
 # approximation lemmas
 # ---------------------------------------------------------------------------
 
-#: basis cells (atoms x N) per group of Clark measures whose kernel
-#: coefficients ``hs_approx_gap`` samples at once: 16 MB per complex array
-HS_GROUP_CELLS = 1 << 20
-
-
-def _clark_hs_sum(B: FiniteBlaschke, T: OperatorMatrix, sym: SymbolRep,
-                  measures: list[ClarkMeasure]) -> float:
-    """Sum over the measures of ||T - (Clark functional calculus of sym)||_HS^2.
-    The kernel coefficients of a group of measures holding at most
-    HS_GROUP_CELLS basis cells are sampled at once, and each measure takes
-    its N columns of that sample: the values, and so the spectral sums, are
-    those of one sample per measure, bit for bit."""
-    N = B.degree
-    per = max(1, HS_GROUP_CELLS // (N * N))
-    acc = 0.0
-    for start in range(0, len(measures), per):
-        group = measures[start:start + per]
-        coeffs = tmw_kernel_coeffs(B, np.concatenate([mu.atom_angles for mu in group])).T
-        for j, mu in enumerate(group):
-            M = build_clark_spectral(B, mu, sym, kernel_coeffs=coeffs[:, j * N:(j + 1) * N])
-            acc += float(np.linalg.norm(T.matrix - M.matrix) ** 2)
-    return acc
-
-
 def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     """Normalized alpha-average of the squared Hilbert-Schmidt distance from
     T(phi) to the Clark functional calculus of phi.
+
+    The lhs comes from the averaging operator at the Clark atoms.  For each
+    alpha, {sqrt(w_k) k_{zeta_k}} is an orthonormal basis (Clark) that
+    diagonalizes the functional calculus M_alpha with entries phi(zeta_k),
+    and the diagonal of T(phi) in it is E_N phi(zeta_k).  So the sum over the
+    alphas of ||T - M_alpha||_HS^2 is, over all atoms,
+    sum |phi - E_N phi|^2 + (alpha_count ||T||_HS^2 - sum |E_N phi|^2); this
+    split keeps a constant symbol's lhs exactly 0.  E_N phi at the atoms comes
+    from the shift moments for a trig symbol (``fejer_trig_values``) and, one
+    measure at a time so that temporaries stay N x N, from the built T(phi)
+    for a sampled one (``fejer_values``).
 
     The rhs is the same quantity through the averaging operator, the integral
     of conj(phi)(phi - E_N phi) against the mean harmonic measure, taken in
@@ -209,7 +195,17 @@ def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     for N in cfg.n_values:
         B = _blaschke(cfg, N)
         T = build_truncated_toeplitz(B, sym, cfg.quadrature)
-        lhs = _clark_hs_sum(B, T, sym, clark_measures(B, cfg.alpha_count)) / (cfg.alpha_count * N)
+        measures = clark_measures(B, cfg.alpha_count)
+        atoms = np.concatenate([mu.atom_angles for mu in measures])
+        if sym.is_trig:
+            (values,), (averages,) = fejer_trig_values(B, [sym], atoms)
+        else:
+            values = np.asarray(sym.evaluate(atoms))
+            averages = np.concatenate([fejer_values(B, T, mu.atom_angles) for mu in measures])
+        hs_sq = np.vdot(T.matrix, T.matrix).real
+        total = (np.sum(np.abs(values - averages) ** 2)
+                 + (cfg.alpha_count * hs_sq - np.sum(np.abs(averages) ** 2)))
+        lhs = float(total) / (cfg.alpha_count * N)
         rhs = semicommutator_trace(B, sym, T, cfg.quadrature)
         diag = {
             "alpha_count": float(cfg.alpha_count),

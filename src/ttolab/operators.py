@@ -25,7 +25,6 @@ from .blaschke import (
     boundary_values,
     exact_defects,
     phase_nodes,
-    tmw_kernel_coeffs,
     tmw_matrix,
 )
 from .clark import ClarkMeasure
@@ -252,8 +251,8 @@ def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
     N = B.degree
     S = compressed_shift(B)
     dmax = max((abs(k) for k, _ in sym.coeffs), default=0)
-    powers = [np.eye(N, dtype=complex)]
-    for _ in range(dmax):
+    powers = [np.eye(N, dtype=complex), S]
+    while len(powers) <= dmax:
         powers.append(powers[-1] @ S)
     T = np.zeros((N, N), dtype=complex)
     for k, ck in sym.coeffs:
@@ -369,20 +368,17 @@ def semicommutator_trace(B: FiniteBlaschke, sym: SymbolRep, toeplitz: OperatorMa
 # ---------------------------------------------------------------------------
 
 def build_clark_spectral(B: FiniteBlaschke, clark: ClarkMeasure,
-                         symbol: SymbolRep | None = None,
-                         kernel_coeffs: np.ndarray | None = None) -> OperatorMatrix:
+                         symbol: SymbolRep | None = None) -> OperatorMatrix:
     """Spectral-sum form: sum over atoms of value * weight * (kernel projector).
 
     With no symbol this reproduces the Clark unitary itself; with a symbol it
     is the functional calculus of the unitary applied to that symbol.
-    ``kernel_coeffs`` may carry the atoms' kernel coefficients, sampled with
-    other measures' atoms: the N x N array whose column k is
-    ``tmw_kernel_coeffs`` at atom k.
     """
     if not np.array_equal(clark.blaschke.zeros, B.zeros):
         raise ValueError("Clark measure was built for a different product")
-    # column k = coefficients of k_{zeta_k}
-    Q = tmw_kernel_coeffs(B, clark.atom_angles).T if kernel_coeffs is None else kernel_coeffs
+    # column k = coefficients of k_{zeta_k}: conj(e_i(zeta_k)), by the
+    # reproducing property
+    Q = np.conj(tmw_matrix(B, clark.atom_angles)).T
     vals = clark.atoms if symbol is None else np.asarray(symbol.evaluate(clark.atom_angles))
     scale = vals * clark.weights
     M = (Q * scale) @ Q.conj().T
@@ -403,11 +399,12 @@ def apply_function(A: OperatorMatrix, f: ScalarFunction) -> OperatorMatrix:
     """f(A): Horner for polynomial f, eigenvalue map for pointwise f."""
     M = A.matrix
     if f.is_poly:
-        n = M.shape[0]
-        out = np.zeros_like(M)
-        ident = np.eye(n, dtype=complex)
-        for c in reversed(f.poly_coeffs):
-            out = out @ M + c * ident
+        ident = np.eye(M.shape[0], dtype=complex)
+        lead, *lower = reversed(f.poly_coeffs or (0j,))
+        out = lead * ident
+        for i, c in enumerate(lower):
+            # Horner; its first product (lead I) M is lead M
+            out = (lead * M if i == 0 else out @ M) + c * ident
         return OperatorMatrix(out, A.basis)
     _require_hermitian(M)
     w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
@@ -442,10 +439,9 @@ def fejer_values(B: FiniteBlaschke, toeplitz: OperatorMatrix, angles: np.ndarray
 
     The average of f against |normalized kernel at zeta|^2 equals the
     quadratic form of the compressed symbol at the normalized kernel, so one
-    operator build gives the averaged function everywhere.  No experiment
-    calls it: trig-poly symbols take ``fejer_trig_values``, and the
-    Hilbert-Schmidt lemma takes ``semicommutator_trace``.  The tests use it as
-    their oracle, and perfbench's traced run wraps it by name.
+    operator build gives the averaged function everywhere.  ``hs_approx_gap``
+    takes E_N phi at the Clark atoms of a sampled symbol from it; trig-poly
+    symbols take ``fejer_trig_values`` instead.
     """
     E = tmw_matrix(B, angles).T  # row i: e_i at the angles
     num = np.sum(E * (toeplitz.matrix @ np.conj(E)), axis=0)

@@ -3,7 +3,9 @@ product, of |B'| and of the reproducing kernel, the product on the circle
 from sines of the angle differences, the arctan2 lift of the boundary phase,
 the kernel average of a function by circle quadrature, the Poisson integral,
 the Clark unitary as a rank-one perturbation of the compressed shift, the
-defect I - SS*, and the Hilbert-Schmidt and operator norms.  The library
+defect I - SS*, the kernel coefficients of the basis, the Hilbert-Schmidt
+lemma's lhs from Clark spectral sums, and the Hilbert-Schmidt and operator
+norms.  The library
 takes these quantities in closed form, from tangents of half angles, from
 the phase nodes or from spectral sums; these routes check them."""
 
@@ -17,8 +19,16 @@ from ttolab.blaschke import (
     TWO_PI,
     FiniteBlaschke,
     abs_derivative_grid,
+    tmw_matrix,
 )
-from ttolab.operators import OperatorMatrix, compressed_shift, singular_values
+from ttolab.clark import clark_measures
+from ttolab.operators import (
+    OperatorMatrix,
+    build_clark_spectral,
+    build_truncated_toeplitz,
+    compressed_shift,
+    singular_values,
+)
 from ttolab.quadrature import (
     IntegralResult,
     QuadratureConfig,
@@ -82,6 +92,32 @@ def rank_one_defect(B: FiniteBlaschke) -> OperatorMatrix:
         raise ValueError("defect identity requires a zero at the origin")
     S = compressed_shift(B)
     return OperatorMatrix(np.eye(B.degree, dtype=complex) - S @ S.conj().T, B)
+
+
+def tmw_kernel_coeffs(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
+    """Coefficient vectors of the boundary kernels k_zeta in the basis.
+
+    Row m holds conj(e_i(zeta_m)): the reproducing property makes these the
+    expansion coefficients, no integration required.
+    """
+    return np.conj(tmw_matrix(B, angles))
+
+
+def hs_lhs_reference(cfg) -> list[float]:
+    """The lhs of ``hs_approx_gap`` from Clark spectral sums: per degree, the
+    sum over the alpha grid of ||T(phi) - (Clark functional calculus of
+    phi)||_HS^2, each calculus built as a dense matrix from its atoms, over
+    alpha_count N."""
+    out = []
+    for N in cfg.n_values:
+        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
+        T = build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature)
+        acc = 0.0
+        for mu in clark_measures(B, cfg.alpha_count):
+            M = build_clark_spectral(B, mu, cfg.symbol)
+            acc += float(np.linalg.norm(T.matrix - M.matrix) ** 2)
+        out.append(acc / (cfg.alpha_count * N))
+    return out
 
 
 def hs_norm(A: OperatorMatrix) -> float:

@@ -18,7 +18,6 @@ from ttolab.blaschke import (
     abs_derivative_grid,
     circle_grid,
     generate_zeros,
-    tmw_kernel_coeffs,
 )
 from ttolab.clark import PhaseFunction, clark_measure, clark_support, disintegration_check
 from ttolab.cli import main as cli_main
@@ -44,7 +43,7 @@ from ttolab.operators import (
 )
 from ttolab.quadrature import QuadratureConfig, blaschke_initial_points, integrate_circle, nu_integral
 
-from oracles import build_clark_unitary, eval_blaschke_grid, rank_one_defect
+from oracles import build_clark_unitary, eval_blaschke_grid, rank_one_defect, tmw_kernel_coeffs
 
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
 SQUARE = ScalarFunction.preset("square")

@@ -8,7 +8,6 @@ from ttolab.blaschke import (
     abs_derivative_grid,
     circle_grid,
     generate_zeros,
-    tmw_kernel_coeffs,
 )
 from ttolab.clark import (
     ClarkMeasure,
@@ -27,7 +26,7 @@ from ttolab.operators import (
 )
 from ttolab.quadrature import nu_integral
 
-from oracles import build_clark_unitary, eval_blaschke_grid, op_norm, phase_lift
+from oracles import build_clark_unitary, eval_blaschke_grid, op_norm, phase_lift, tmw_kernel_coeffs
 
 
 def random_blaschke(n, seed=0, rmax=0.9):

@@ -450,6 +450,18 @@ n_values = 4,8,16
         assert manifest["config_hash"]
         assert manifest["seed"] == 0
 
+    def test_operator_hash_covers_every_flag(self, tmp_path):
+        # runs that differ only in --max-grid can write different operator.json
+        def digest(name, *extra):
+            out = tmp_path / name
+            assert main(["operator", "--zeros", "0,0.5", "--symbol", "abs_sin",
+                         "--out", str(out), *extra]) == 0
+            return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+        assert digest("a") == digest("b")
+        assert digest("c", "--max-grid", "4096") != digest("a")
+        assert digest("d", "--tol", "1e-8") != digest("a")
+
     def test_seed_override_changes_hash(self, minimal_cfg):
         a = parse_config(minimal_cfg)
         b = parse_config(minimal_cfg, {"sequence": {"seed": "3"}})

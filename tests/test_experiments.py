@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ttolab.blaschke import RADIUS_CAP, FiniteBlaschke, ZeroSequence, generate_zeros
-from ttolab.clark import clark_measures
 from ttolab.experiments import (
     ConvergenceRecord,
     ExperimentConfig,
@@ -18,7 +17,6 @@ from ttolab.experiments import (
 from ttolab.operators import (
     ScalarFunction,
     SymbolRep,
-    build_clark_spectral,
     build_truncated_toeplitz,
     fejer_values,
     inverse_derivative_symbol,
@@ -26,6 +24,8 @@ from ttolab.operators import (
     trace_formula_rhs,
 )
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
+
+from oracles import hs_lhs_reference
 
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
 SQUARE = ScalarFunction.preset("square")
@@ -164,21 +164,6 @@ class TestHsApproxGap:
         assert vals[-1] < vals[0] / 2
 
 
-def hs_lhs_reference(cfg):
-    """The lhs of ``hs_approx_gap`` with one basis sample per Clark measure:
-    the per-alpha loop that the grouped sample replaced."""
-    out = []
-    for N in cfg.n_values:
-        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
-        T = build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature)
-        acc = 0.0
-        for mu in clark_measures(B, cfg.alpha_count):
-            M = build_clark_spectral(B, mu, cfg.symbol)
-            acc += float(np.linalg.norm(T.matrix - M.matrix) ** 2)
-        out.append(acc / (cfg.alpha_count * N))
-    return out
-
-
 def hs_rhs_kernel_average(B, sym, T, cfg=QuadratureConfig()):
     """The rhs of ``hs_approx_gap`` as a nu-integral of conj(phi)(phi - E_N phi),
     with E_N phi from the quadratic form of T = T(phi) at the normalized
@@ -232,14 +217,18 @@ class TestHsClosedForm:
         for rec in hs_approx_gap(cfg):
             assert rec.gap <= 1e-12
 
-    @pytest.mark.parametrize("sym, ns", [
-        (TWO_COS, (8, 16, 32, 64)),
-        (SymbolRep.preset("re_z"), (200,)),  # 26 + 6 measures per sample group
-        (SymbolRep.preset("abs_sin"), (8, 16)),
-    ], ids=["dense-sweep", "two-groups", "abs_sin"])
-    def test_lhs_equals_per_alpha_loop(self, sym, ns):
-        cfg = ExperimentConfig(ZeroSequence.dense_nonblaschke(), sym, n_values=ns, alpha_count=32)
-        assert [rec.lhs for rec in hs_approx_gap(cfg)] == hs_lhs_reference(cfg)
+    @pytest.mark.parametrize("seq, sym, ns", [
+        (ZeroSequence.dense_nonblaschke(), TWO_COS, (8, 16, 32, 64)),
+        (ZeroSequence.dense_nonblaschke(), SymbolRep.preset("re_z"), (200,)),
+        (ZeroSequence.dense_nonblaschke(), SymbolRep.preset("abs_sin"), (8, 16)),
+        (ZeroSequence.frostman_fast(4), SymbolRep.preset("cos"), (32, 64, 128)),
+    ], ids=["dense-sweep", "dense-200", "abs_sin", "frostman"])
+    def test_lhs_matches_spectral_sums(self, seq, sym, ns):
+        # the lhs from the averaging operator at the Clark atoms against the
+        # dense Clark spectral sums of the oracle
+        cfg = ExperimentConfig(seq, sym, n_values=ns, alpha_count=32)
+        lhs = [rec.lhs for rec in hs_approx_gap(cfg)]
+        assert np.allclose(lhs, hs_lhs_reference(cfg), rtol=0, atol=1e-13)
 
 
 class TestDefects:

@@ -20,6 +20,8 @@ from ttolab.operators import (  # noqa: E402
     trace_formula_rhs,
 )
 
+from oracles import hs_lhs_reference  # noqa: E402
+
 
 @st.composite
 def products(draw):
@@ -63,7 +65,10 @@ def test_trace_formula_and_semicommutator(B, sym):
     # Tr T(phi) = sum_j phi~(lambda_j), and Sarason's semicommutator
     # T(|phi|^2) - T(phi)* T(phi) = H* H is positive: its trace, taken from
     # the matrices here, is >= 0 up to rounding and equals N times the rhs
-    # of hs_approx_gap, which takes it in closed form
+    # of hs_approx_gap, which takes it in closed form.  The lhs, a sum of
+    # squared Hilbert-Schmidt distances taken from the averaging operator at
+    # the Clark atoms, is >= 0 up to rounding and meets the dense Clark
+    # spectral sums of the oracle
     N = B.degree
     sup = float(np.abs(sym.evaluate(circle_grid(4096))).max())
     T = build_truncated_toeplitz(B, sym)
@@ -75,6 +80,9 @@ def test_trace_formula_and_semicommutator(B, sym):
     cfg = ExperimentConfig(ZeroSequence.from_points(B.zeros), sym, n_values=(N,), alpha_count=8)
     (rec,) = hs_approx_gap(cfg)
     assert abs(semi - N * rec.rhs) <= tol
+    assert N * rec.lhs.real >= -tol
+    (reference,) = hs_lhs_reference(cfg)
+    assert abs(N * (rec.lhs - reference)) <= tol
 
 
 @st.composite
