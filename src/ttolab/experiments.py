@@ -113,7 +113,7 @@ def stz_trace(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
         B = _blaschke(cfg, N)
         T_beta = build_truncated_toeplitz(B, inverse_derivative_symbol(B), cfg.quadrature)
         fT = apply_function(build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature), cfg.function)
-        lhs = complex(np.trace(T_beta.matrix @ fT.matrix))
+        lhs = complex(np.einsum("ij,ji->", T_beta.matrix, fT.matrix))  # Tr(T_beta f(T)) in O(N^2)
         diag = {
             "beta_build_error": float(T_beta.estimated_error),
             "beta_build_converged": float(T_beta.converged),

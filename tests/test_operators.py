@@ -1,8 +1,10 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ttolab import operators
 from ttolab.blaschke import (
     FiniteBlaschke,
     PhaseFunction,
@@ -313,6 +315,39 @@ class TestSampledBuild:
         # the uniform grid of max_points points takes about 5 s on a 2-vCPU
         # host, the budgeted phase nodes about 2 s
         assert elapsed < 6.0
+
+    def test_build_memory_does_not_grow_with_node_count(self):
+        # blocks of GRAM_NODES nodes keep the build's traced peak near
+        # 16 MiB at N = 256; blocks of 2^22/N nodes peaked at 101 MiB
+        B = FiniteBlaschke(generate_zeros(ZeroSequence.frostman_fast(4), 256))
+        sym = inverse_derivative_symbol(B)
+        tracemalloc.start()
+        try:
+            T = build_truncated_toeplitz(B, sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.converged
+        assert peak <= 24 * 2 ** 20
+
+    @pytest.mark.parametrize("seq, N", [
+        (ZeroSequence.frostman_fast(4), 64),
+        (ZeroSequence.frostman_fast(4), 128),
+        (ZeroSequence.dense_nonblaschke(), 64),
+        (ZeroSequence.dense_nonblaschke(), 200),
+    ], ids=["frostman-64", "frostman-128", "dense-64", "dense-200"])
+    def test_block_size_changes_only_summation_order(self, monkeypatch, seq, N):
+        # 1000 leaves a partial last block, 2^20 puts each level in one block
+        B = FiniteBlaschke(generate_zeros(seq, N))
+        trig = SymbolRep.trig({1: 1, -2: 0.7j, 0: 0.2})
+        syms = (inverse_derivative_symbol(B), SymbolRep.from_sampler(trig.evaluate))
+        refs = [build_truncated_toeplitz(B, sym) for sym in syms]
+        for nodes in (1000, 1 << 20):
+            monkeypatch.setattr(operators, "GRAM_NODES", nodes)
+            for sym, ref in zip(syms, refs):
+                T = build_truncated_toeplitz(B, sym)
+                assert T.converged == ref.converged
+                assert np.abs(T.matrix - ref.matrix).max() <= 1e-14 * np.abs(ref.matrix).max()
 
 
 class TestTraceFormula:
