@@ -389,6 +389,7 @@ class PhaseFunction:
         # so that Theta(0) is the anchor exactly
         self._offsets = 0.0
         self._offsets = self._terms(np.zeros(1), *(np.empty((1, len(r))) for _ in range(3)))
+        self._scan = None
 
     def _terms(self, th, t, t2, lift):
         """Fill t with tan h, h = (x - 2 pi n)/2 for x = th - psi and n the
@@ -438,33 +439,51 @@ class PhaseFunction:
                 derivs[1, rows] = kernel @ self._curve
         return out
 
+    def bracket_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coarse scan that ``invert_phase`` brackets its targets with:
+        angles, Theta with exact endpoints Theta(0) and Theta(0) + 2 pi N,
+        and Theta'.  Formed on first use and kept, so that every inversion
+        of this phase (one per refinement level of a quadrature) shares it.
 
-def invert_phase(phase: PhaseFunction, targets) -> np.ndarray:
+        The angles are max(256, 4N) equispaced ones plus geometric steps out
+        of the direction of each zero whose peak they cannot resolve, so no
+        bracket spans a phase spike and its flank at once (4^27 (1 - r)
+        exceeds the grid step for every r < 1).  They are merged by a sort
+        and dropping repeats, the set ``np.union1d`` gives, without the
+        ``numpy.ma`` import that its ``np.unique`` makes."""
+        if self._scan is None:
+            N = self.blaschke.degree
+            G = max(256, 4 * N)
+            near = 1.0 - self._r < TWO_PI / G
+            steps = (1.0 - self._r[near])[:, None] * 4.0 ** np.arange(28)
+            steps = np.where(steps < TWO_PI / G, steps, 0.0)
+            spikes = np.mod(self._psi[near, None] + np.concatenate((-steps, steps), axis=1), TWO_PI)
+            grid = np.sort(np.concatenate((np.linspace(0.0, TWO_PI, G + 1), spikes.ravel())))
+            grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+            derivs = np.empty((2, len(grid)))
+            vals = self(grid, derivs)
+            vals[0], vals[-1] = self._anchor, self._anchor + TWO_PI * N  # exact endpoints
+            self._scan = (grid, vals, derivs[0])
+        return self._scan
+
+
+def invert_phase(phase: PhaseFunction, targets) -> tuple[np.ndarray, np.ndarray]:
     """Angles in [0, 2*pi] where Theta takes the targets, each in [Theta(0),
-    Theta(0) + 2*pi*N].  One coarse scan of the monotone phase, with its
-    slopes, brackets every target and starts it from the inverse cubic Hermite
-    interpolant of the scan on its bracket (the bracket midpoint if that
-    falls outside).  Halley steps (Theta' = |B'| >= 1 and Theta'' come with
-    each phase evaluation), safeguarded by bisection, then polish all
-    targets at once."""
+    Theta(0) + 2*pi*N], and Theta' = |B'| there.  The phase's bracket scan
+    (``PhaseFunction.bracket_scan``, formed once per phase) brackets every
+    target and starts it from the inverse cubic Hermite interpolant of the
+    scan on its bracket (the bracket midpoint if that falls outside).
+    Halley steps (Theta' = |B'| >= 1 and Theta'' come with each phase
+    evaluation), safeguarded by bisection, then polish all targets at once.
+
+    Theta' comes from the evaluation that accepted each angle; only angles
+    moved after their last evaluation, at the 1e-15 bracket exit, are
+    evaluated again."""
     N = phase.blaschke.degree
     targets = np.asarray(targets, dtype=float)
-    base = phase._anchor  # Theta(0): every factor term vanishes at angle 0
-
-    G = max(256, 4 * N)
-    # the coarse grid plus geometric steps out of the direction of each zero
-    # whose peak it cannot resolve, so no bracket spans a phase spike and its
-    # flank at once (4^27 (1 - r) exceeds the grid step for every r < 1)
-    near = 1.0 - phase._r < TWO_PI / G
-    steps = (1.0 - phase._r[near])[:, None] * 4.0 ** np.arange(28)
-    steps = np.where(steps < TWO_PI / G, steps, 0.0)
-    spikes = np.mod(phase._psi[near, None] + np.concatenate((-steps, steps), axis=1), TWO_PI)
-    grid = np.union1d(np.linspace(0.0, TWO_PI, G + 1), spikes)
-    derivs = np.empty((2, len(grid)))
-    vals = phase(grid, derivs)
-    vals[0], vals[-1] = base, base + TWO_PI * N  # exact endpoints
+    grid, vals, slopes = phase.bracket_scan()
     idx = np.clip(np.searchsorted(vals, targets), 1, len(grid) - 1)
-    lo, hi = grid[idx - 1].copy(), grid[idx].copy()
+    lo, hi = grid[idx - 1], grid[idx]
 
     # theta(Theta) on [lo, hi] as the cubic with the scan's values and the
     # inverse slopes 1/|B'|, in the bracket's unit variable u; scan points
@@ -472,16 +491,19 @@ def invert_phase(phase: PhaseFunction, targets) -> np.ndarray:
     rise = vals[idx] - vals[idx - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = (targets - vals[idx - 1]) / rise
-        m0, m1 = rise / derivs[0, idx - 1], rise / derivs[0, idx]
+        m0, m1 = rise / slopes[idx - 1], rise / slopes[idx]
         start = lo + (hi - lo) * u * u * (3.0 - 2.0 * u) + u * (1.0 - u) * ((1.0 - u) * m0 - u * m1)
     theta = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
 
     tol = max(1e-13, 2e-15 * N)
     active = np.ones(len(targets), dtype=bool)
+    moved = np.zeros(len(targets), dtype=bool)  # left at the bracket after a move
+    theta_prime = np.empty(len(targets))
     for _ in range(200):
         sub = np.nonzero(active)[0]
         derivs = np.empty((2, len(sub)))
         err = phase(theta[sub], derivs) - targets[sub]
+        theta_prime[sub] = derivs[0]
         neg = err < 0.0
         lo[sub[neg]] = theta[sub[neg]]
         hi[sub[~neg]] = theta[sub[~neg]]
@@ -508,15 +530,25 @@ def invert_phase(phase: PhaseFunction, targets) -> np.ndarray:
         width_done = (hi[still] - lo[still]) <= 1e-15
         if np.any(width_done):
             active[still[width_done]] = False
-    return theta
+            moved[still[width_done]] = True
+    # angles never evaluated since their last move: the bracket exits, and
+    # any target still active when the iteration cap ends the loop
+    stale = np.nonzero(moved | active)[0]
+    if len(stale):
+        derivs = np.empty((2, len(stale)))
+        phase(theta[stale], derivs)
+        theta_prime[stale] = derivs[0]
+    return theta, theta_prime
 
 
-def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0) -> np.ndarray:
-    """Theta^{-1} of the count*N levels 2*pi*(k + offset)/count, in [0, 2*pi].
+def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Theta^{-1} of the count*N levels 2*pi*(k + offset)/count, in [0, 2*pi],
+    and Theta' = |B'| at them (see ``invert_phase``).
 
     Theta carries |B'| dm onto uniform measure, so these are equal-weight nodes
-    of nu = |B'|/N dm.  They are also the atoms of the Clark measures at
-    alpha_j = e^{2 pi i (j + offset)/count}: ``reshape(N, count)`` puts alpha_j in column j.
+    of nu = |B'|/N dm, and weighted by N/|B'| nodes of dm.  They are also the
+    atoms of the Clark measures at alpha_j = e^{2 pi i (j + offset)/count}:
+    ``reshape(N, count)`` puts alpha_j in column j.
     """
     N = phase.blaschke.degree
     levels = TWO_PI * (np.arange(count * N) + offset) / count
@@ -535,18 +567,36 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     e_i = (b_0 ... b_{i-1}) * sqrt(1-|lam_i|^2)/(1 - conj(lam_i) z).  The
     samples are written basis-major, one contiguous row per e_i, and E is the
     transposed view of that (N x angles) array: ``E.T`` is C-contiguous.
+
+    The kernel c/(1 - conj(lam) z) and the factor sigma (z - lam)/(1 - conj(lam) z)
+    of a repeated zero are formed once, at its first position, and reused at
+    its repeats (frostman_fast at N = 128 has 35 distinct zeros): the same
+    operations on the same inputs, so every row is as if formed anew.
     """
     z = np.exp(1j * np.asarray(angles, dtype=float))
     N = B.degree
     rows = np.empty((N, len(z)), dtype=complex)
     pref = np.ones_like(z)
+    uniq, counts = B._distinct
+    which = np.searchsorted(uniq, B.zeros)  # B.zeros[i] == uniq[which[i]]
+    repeated = (counts > 1)[which].tolist()
+    which = which.tolist()
+    samples = [None] * len(uniq)  # (kernel, factor) of each repeated distinct zero
     for i in range(N):
+        if samples[which[i]] is not None:
+            kernel, factor = samples[which[i]]
+            np.multiply(pref, kernel, out=rows[i])
+            pref *= factor
+            continue
         lam = B.zeros[i]
         inv = 1.0 / (1.0 - np.conj(lam) * z)  # one division, two products
-        np.multiply(pref, B._cnorm[i] * inv, out=rows[i])
+        kernel = B._cnorm[i] * inv
+        np.multiply(pref, kernel, out=rows[i])
         inv *= z - lam
         inv *= B._sigma[i]
         pref *= inv
+        if repeated[i]:
+            samples[which[i]] = (kernel, inv)
     return rows.T
 
 

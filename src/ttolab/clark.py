@@ -33,7 +33,8 @@ def clark_support(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None
     if abs(abs(alpha) - 1.0) > 1e-9:
         raise ValueError("alpha must be unimodular")
     a = math.atan2(alpha.imag, alpha.real) % TWO_PI
-    return np.sort(np.mod(phase_nodes(phase or PhaseFunction(B), 1, a / TWO_PI), TWO_PI))
+    nodes, _ = phase_nodes(phase or PhaseFunction(B), 1, a / TWO_PI)
+    return np.sort(np.mod(nodes, TWO_PI))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +80,7 @@ def clark_measure(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None
 def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:
     """The Clark measures at the count-th roots of unity, alpha_j = e^{2 pi i j/count},
     from one phase inversion of all their atoms."""
-    nodes = np.mod(phase_nodes(PhaseFunction(B), count), TWO_PI)
+    nodes = np.mod(phase_nodes(PhaseFunction(B), count)[0], TWO_PI)
     atoms = np.sort(nodes.reshape(B.degree, count), axis=0).T.copy()  # row j: alpha_j
     weights = 1.0 / abs_derivative_grid(B, atoms)
     return [ClarkMeasure(B, complex(math.cos(a), math.sin(a)), atoms[j], weights[j])
@@ -109,7 +110,7 @@ def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = 16,
     average stabilizes to the configured tolerance or would pass MAX_ALPHA.
     Its Clark atoms are the phase nodes of alpha_count levels per winding,
     each weighted 1/|B'|, so the average is the mean of f * N/|B'| over
-    those nodes.
+    those nodes, |B'| = Theta' from the phase solve.
     """
     if alpha_count < 1 or (alpha_count & (alpha_count - 1)) != 0:
         raise ValueError("alpha_count must be a power of two")
@@ -118,8 +119,8 @@ def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = 16,
     N = B.degree
 
     def level(count, offset):
-        nodes = phase_nodes(phase, count // N, offset)
-        return np.sum(np.asarray(sample(nodes)) * (N / abs_derivative_grid(B, nodes)))
+        nodes, slopes = phase_nodes(phase, count // N, offset)
+        return np.sum(np.asarray(sample(nodes)) * (N / slopes))
 
     avg = doubling(level, alpha_count * N, cfg, limit=MAX_ALPHA * N)
     lhs = complex(avg.value)

@@ -281,7 +281,8 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     that grid costs more than the phase nodes of Z = z^N B.  The phase of Z
     carries (N + |B'|) dm onto uniform measure, so its nodes resolve the peaks
     and the flat part of the circle at once, each with the Lebesgue weight
-    2N/|Z'| <= 2; their count stops at max_points/PHASE_NODE_COST.
+    2N/|Z'| <= 2, |Z'| from the phase solve; their count stops at
+    max_points/PHASE_NODE_COST.
 
     Each level streams its nodes in blocks of GRAM_NODES: a block holds the
     N x GRAM_NODES basis samples and their weighted conjugate, formed in
@@ -317,8 +318,8 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
         phase = PhaseFunction(Z)
 
         def level(count: int, offset: float) -> np.ndarray:
-            nodes = phase_nodes(phase, count // (2 * N), offset)
-            return gram(nodes, 2 * N / abs_derivative_grid(Z, nodes))
+            nodes, slopes = phase_nodes(phase, count // (2 * N), offset)
+            return gram(nodes, 2 * N / slopes)
 
         res = doubling(level, 2 * N * levels, cfg, limit=cfg.max_points // PHASE_NODE_COST)
     T = res.value

@@ -141,6 +141,7 @@ def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = Quadratu
     N = B.degree
 
     def level(count, offset):
-        return _sample(f, phase_nodes(phase, count // N, offset)).sum(axis=0)
+        nodes, _ = phase_nodes(phase, count // N, offset)
+        return _sample(f, nodes).sum(axis=0)
 
     return doubling(level, N * max(MIN_LEVELS, -(-cfg.initial_points // N)), cfg)

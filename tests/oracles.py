@@ -3,11 +3,12 @@ product, of |B'| and of the reproducing kernel, the product on the circle
 from sines of the angle differences, the arctan2 lift of the boundary phase,
 the kernel average of a function by circle quadrature, the Poisson integral,
 the Clark unitary as a rank-one perturbation of the compressed shift, the
-defect I - SS*, the kernel coefficients of the basis, the Hilbert-Schmidt
-lemma's lhs from Clark spectral sums, and the Hilbert-Schmidt and operator
-norms.  The library
-takes these quantities in closed form, from tangents of half angles, from
-the phase nodes or from spectral sums; these routes check them."""
+defect I - SS*, the basis samples from one pass per zero, the kernel
+coefficients of the basis, the Hilbert-Schmidt lemma's lhs from Clark
+spectral sums, T(1/|B'|) from the Clark atoms, and the Hilbert-Schmidt and
+operator norms.  The library takes these quantities in closed form, from
+tangents of half angles, from the phase nodes of z^N B or from spectral
+sums; these routes check them."""
 
 import cmath
 import math
@@ -94,6 +95,24 @@ def rank_one_defect(B: FiniteBlaschke) -> OperatorMatrix:
     return OperatorMatrix(np.eye(B.degree, dtype=complex) - S @ S.conj().T, B)
 
 
+def tmw_per_zero(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
+    """The basis samples of ``tmw_matrix`` from one pass per zero, repeats
+    included: each pass forms the kernel c/(1 - conj(lam) z) and the factor
+    sigma (z - lam)/(1 - conj(lam) z) anew, with the operations that
+    ``tmw_matrix`` applies once per distinct zero, so the two agree bit for
+    bit."""
+    z = np.exp(1j * np.asarray(angles, dtype=float))
+    rows = np.empty((B.degree, len(z)), dtype=complex)
+    pref = np.ones_like(z)
+    for i, lam in enumerate(B.zeros):
+        inv = 1.0 / (1.0 - np.conj(lam) * z)
+        np.multiply(pref, B._cnorm[i] * inv, out=rows[i])
+        inv *= z - lam
+        inv *= B._sigma[i]
+        pref *= inv
+    return rows.T
+
+
 def tmw_kernel_coeffs(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     """Coefficient vectors of the boundary kernels k_zeta in the basis.
 
@@ -118,6 +137,27 @@ def hs_lhs_reference(cfg) -> list[float]:
             acc += float(np.linalg.norm(T.matrix - M.matrix) ** 2)
         out.append(acc / (cfg.alpha_count * N))
     return out
+
+
+def inverse_derivative_from_clark(B: FiniteBlaschke, rtol: float = 1e-13) -> np.ndarray:
+    """T(1/|B'|) from the Clark measures, by Aleksandrov's disintegration: dm
+    is the average over alpha of sigma_alpha, whose atoms zeta_k weigh
+    w_k = 1/|B'(zeta_k)|, so <T(g) e_j, e_i> is the alpha-average of
+    sum_k w_k g(zeta_k) e_j(zeta_k) conj(e_i(zeta_k)), and g = 1/|B'| turns the
+    weights into w_k^2.  The alpha grid is the L-th roots of unity, doubled
+    from L = 8 until two grids agree to rtol max|T|."""
+    prev, L = None, 8
+    while True:
+        measures = clark_measures(B, L)
+        atoms = np.concatenate([mu.atom_angles for mu in measures])
+        w = np.concatenate([mu.weights for mu in measures])
+        E = tmw_matrix(B, atoms)
+        T = (E.conj().T * (w * w)) @ E / L
+        if prev is not None and np.abs(T - prev).max() <= rtol * np.abs(T).max():
+            return T
+        if L > 1 << 12:
+            raise RuntimeError(f"Clark-atom T(1/|B'|) did not settle by {L} levels")
+        prev, L = T, 2 * L
 
 
 def hs_norm(A: OperatorMatrix) -> float:

@@ -16,7 +16,7 @@ from ttolab.blaschke import (
     phase_nodes,
     tmw_matrix,
 )
-from ttolab.clark import PhaseFunction, clark_measure, clark_measures
+from ttolab.clark import PhaseFunction, clark_measure, clark_measures, clark_support
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
 from oracles import (
@@ -25,6 +25,7 @@ from oracles import (
     eval_blaschke_grid,
     model_kernel,
     model_kernel_sq_grid,
+    tmw_per_zero,
 )
 
 ALL_GENERATORS = [
@@ -170,7 +171,7 @@ class TestEvalBlaschkeGrid:
     def test_atom_array_matches_loop_reference(self, edge_blaschke):
         B = edge_blaschke
         count = 4
-        atoms = np.mod(phase_nodes(PhaseFunction(B), count), 2 * np.pi).reshape(B.degree, count).T
+        atoms = np.mod(phase_nodes(PhaseFunction(B), count)[0], 2 * np.pi).reshape(B.degree, count).T
         vals = eval_blaschke_grid(B, atoms)  # row j: the level set B = e^{2 pi i j/count}
         assert vals.shape == (count, B.degree)
         assert np.array_equal(vals, blaschke_reference(B, atoms))
@@ -193,7 +194,7 @@ class TestEvalBlaschkeFolded:
         # (up to 256 here, for uniform_zero) move the values by rounding only
         B = edge_blaschke
         psi = np.mod(B._phases, 2 * np.pi)
-        atoms = np.mod(phase_nodes(PhaseFunction(B), 4), 2 * np.pi)
+        atoms = np.mod(phase_nodes(PhaseFunction(B), 4)[0], 2 * np.pi)
         th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9, atoms))
         assert np.abs(eval_blaschke_folded(B, th) - blaschke_reference(B, th)).max() <= 1e-12
 
@@ -206,6 +207,21 @@ class CountingPhase(PhaseFunction):
     def __call__(self, angles, derivs=None):
         self.rows += np.size(angles)
         return super().__call__(angles, derivs)
+
+
+class RecordingPhase(PhaseFunction):
+    """PhaseFunction that keeps the angles and Theta' of every call that asks
+    for derivatives."""
+
+    def __init__(self, B):
+        super().__init__(B)
+        self.calls = []
+
+    def __call__(self, angles, derivs=None):
+        out = super().__call__(angles, derivs)
+        if derivs is not None:
+            self.calls.append((np.array(angles, dtype=float), derivs[0].copy()))
+        return out
 
 
 def phase_levels(phase, count):
@@ -225,7 +241,7 @@ class TestInvertPhase:
         B = edge_blaschke
         phase = PhaseFunction(B)
         count = 8
-        nodes = phase_nodes(phase, count)
+        nodes, _ = phase_nodes(phase, count)
         targets = phase_levels(phase, count)
         derivs = np.empty((2, len(nodes)))
         err = np.abs(phase(nodes, derivs) - targets)
@@ -240,7 +256,7 @@ class TestInvertPhase:
         # 1e-12 relative wherever the nearest zero is 0.004 away or more
         B = edge_blaschke
         phase = PhaseFunction(B)
-        th = np.concatenate((circle_grid(1024, offset=0.37), phase_nodes(phase, 4)))
+        th = np.concatenate((circle_grid(1024, offset=0.37), phase_nodes(phase, 4)[0]))
         derivs = np.empty((2, len(th)))
         phase(th, derivs)
         ref = abs_derivative_grid(B, th)
@@ -257,6 +273,57 @@ class TestInvertPhase:
         phase(th - h, minus)
         fd = (plus[0] - minus[0]) / (2 * h)
         assert np.abs(derivs[1] - fd).max() <= 1e-6 * np.abs(derivs[1]).max()
+
+    def test_reused_phase_matches_fresh(self, edge_blaschke):
+        # the bracket scan is formed once per phase and kept: later inversions,
+        # of any count and offset and after Clark supports, give what a fresh
+        # phase gives, bit for bit
+        B = edge_blaschke
+        phase = PhaseFunction(B)
+        clark_support(B, np.exp(0.3j), phase)
+        scan = phase.bracket_scan()
+        for count in (1, 2, 8):
+            for offset in (0.0, 0.5):
+                reused = phase_nodes(phase, count, offset)
+                fresh = phase_nodes(PhaseFunction(B), count, offset)
+                assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+            clark_support(B, np.exp(1j * count), phase)
+        assert phase.bracket_scan() is scan
+
+    def test_bracket_scan_grid(self, edge_blaschke):
+        # sorted with no repeats, and holding the equispaced grid: the set
+        # np.union1d of the grid and the spike steps gives
+        phase = PhaseFunction(edge_blaschke)
+        grid, vals, slopes = phase.bracket_scan()
+        G = max(256, 4 * edge_blaschke.degree)
+        assert np.all(np.diff(grid) > 0)
+        assert np.all(np.isin(np.linspace(0.0, 2 * np.pi, G + 1), grid))
+        assert vals[0] == phase._anchor and vals[-1] == phase._anchor + 2 * np.pi * edge_blaschke.degree
+        derivs = np.empty((2, len(grid)))
+        assert np.array_equal(phase(grid, derivs)[1:-1], vals[1:-1])
+        assert np.array_equal(derivs[0], slopes)
+
+    @pytest.mark.parametrize("make", [
+        lambda: FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 128),
+        lambda: near_circle_pairs(64),
+        lambda: near_circle_pairs(64, 1e-14),
+    ], ids=["frostman_fast-128", "near_circle_pairs-64", "pairs_1e-14-64"])
+    def test_slope_is_that_of_the_accepting_evaluation(self, make):
+        # Theta' at each node is the one the solve evaluated at exactly that
+        # angle.  At 1 - 1e-14 (pairs, N = 64) one node of 512 leaves at the
+        # 1e-15 bracket after a move, and only its re-evaluation is at its
+        # angle.  A fresh evaluation of all nodes agrees to the rounding of
+        # the D-term row sum, which BLAS orders by the row's place in the call
+        B = make()
+        phase = RecordingPhase(B)
+        nodes, slopes = phase_nodes(phase, 8)
+        last = {}
+        for angles, slope in phase.calls:
+            last.update(zip(angles.tolist(), slope.tolist()))
+        assert np.array_equal(slopes, [last[x] for x in nodes.tolist()])
+        fresh = np.empty((2, len(nodes)))
+        phase(nodes, fresh)
+        assert np.all(np.abs(slopes - fresh[0]) <= len(phase._r) * np.finfo(float).eps * fresh[0])
 
     def test_values_do_not_depend_on_derivs(self, edge_blaschke):
         phase = PhaseFunction(edge_blaschke)
@@ -304,11 +371,11 @@ def mp_phase(B, mp):
     return theta, slope
 
 
-def near_circle_pairs(N):
-    """The origin, then zeros at radius 1 - 1e-10 on golden-angle directions,
+def near_circle_pairs(N, defect=1e-10):
+    """The origin, then zeros at radius 1 - defect on golden-angle directions,
     each one repeated once (as ``explicit_near_circle_pairs`` in conftest)."""
     k = np.arange(N - 1) // 2
-    return FiniteBlaschke(np.concatenate(([0j], (1 - 1e-10) * np.exp(2j * np.pi * ((k * 0.6180339887498949) % 1)))))
+    return FiniteBlaschke(np.concatenate(([0j], (1 - defect) * np.exp(2j * np.pi * ((k * 0.6180339887498949) % 1)))))
 
 
 MP_NEAR_CIRCLE = {
@@ -330,7 +397,7 @@ class TestPhaseNodesHighPrecision:
         B = MP_NEAR_CIRCLE[name]()
         phase = PhaseFunction(B)
         count = 4
-        nodes = phase_nodes(phase, count)
+        nodes, _ = phase_nodes(phase, count)
         tol = max(1e-13, 2e-15 * B.degree)
         with mp.workdps(50):
             theta, slope = mp_phase(B, mp)
@@ -370,7 +437,7 @@ class TestBoundaryValuesHighPrecision:
         mp = pytest.importorskip("mpmath").mp
         B = MP_NEAR_CIRCLE[name]()
         psi = np.mod(B._phases, 2 * np.pi)
-        atoms = np.mod(phase_nodes(PhaseFunction(B), 4), 2 * np.pi)
+        atoms = np.mod(phase_nodes(PhaseFunction(B), 4)[0], 2 * np.pi)
         th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9, atoms))
         with mp.workdps(50):
             ref, slope = mp_boundary_values(B, th, mp)
@@ -526,31 +593,33 @@ class TestKernels:
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
-def tmw_reference(B, angles):
-    """The row-major loop that tmw_matrix's basis-major rows replaced, kept
-    as its layout guard: column i of E is written in pass i, with the same
-    arithmetic (one reciprocal of 1 - conj(lam) z per pass, multiplied in
-    twice), so the two must agree bit for bit.  ``test_gram_identity`` checks
-    the accuracy."""
-    z = np.exp(1j * np.asarray(angles, dtype=float))
-    E = np.empty((len(z), B.degree), dtype=complex)
-    pref = np.ones_like(z)
-    for i, lam in enumerate(B.zeros):
-        inv = 1.0 / (1.0 - np.conj(lam) * z)
-        E[:, i] = pref * (B._cnorm[i] * inv)
-        pref = pref * (inv * (z - lam) * B._sigma[i])
-    return E
+def tmw_angles(B):
+    """A grid, every zero's direction and 1e-9 beside it, and a block of
+    phase nodes of z^N B as the sampled build uses them."""
+    psi = np.mod(B._phases, 2 * np.pi)
+    Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(B.degree, dtype=complex))))
+    nodes, _ = phase_nodes(PhaseFunction(Z), max(1, 512 // B.degree))
+    return np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, nodes[:1024]))
 
 
 class TestTMWBasis:
-    def test_matches_row_major_reference(self, edge_blaschke):
+    """``tmw_matrix`` forms each distinct zero's kernel and factor once; the
+    one-pass-per-zero oracle forms them at every repeat with the same
+    operations, so the two must agree bit for bit."""
+
+    def test_matches_per_zero_loop(self, edge_blaschke):
         B = edge_blaschke
-        psi = np.mod(B._phases, 2 * np.pi)
-        th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9))
+        th = tmw_angles(B)
         E = tmw_matrix(B, th)
         assert E.shape == (len(th), B.degree)
         assert E.T.flags.c_contiguous  # one contiguous row per basis function
-        assert np.array_equal(E, tmw_reference(B, th))
+        assert np.array_equal(E, tmw_per_zero(B, th))
+
+    def test_frostman_128_matches_per_zero_loop(self):
+        # 35 distinct zeros among 128, the benchmark's largest product
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 128)
+        th = tmw_angles(B)
+        assert np.array_equal(tmw_matrix(B, th), tmw_per_zero(B, th))
 
     def test_monomials_for_power(self):
         B = FiniteBlaschke(np.zeros(4, dtype=complex))

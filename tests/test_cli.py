@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,3 +469,30 @@ n_values = 4,8,16
         a = parse_config(minimal_cfg)
         b = parse_config(minimal_cfg, {"sequence": {"seed": "3"}})
         assert a.digest != b.digest
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: runs the sweeps of each config given, then prints whether numpy.ma was imported
+_NO_MA_SCRIPT = """
+import sys
+from ttolab.cli import main
+out, configs = sys.argv[1], sys.argv[2:]
+for i, cfg in enumerate(configs):
+    for command in ("szego", "stz", "angular", "lemmas"):
+        assert main([command, "--config", cfg, "--out", f"{out}/{i}-{command}"]) == 0, (cfg, command)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sweeps_do_not_import_numpy_ma(tmp_path):
+    # np.union1d, np.unique of a real array and np.median import numpy.ma
+    # (13 ms and 1.3 MB) on first use; no sweep path may call them
+    configs = [str(REPO / "perfbench" / "configs" / name)
+               for name in ("shipped-dense.cfg", "frostman-boundary.cfg")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _NO_MA_SCRIPT, str(tmp_path), *configs],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

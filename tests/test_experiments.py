@@ -25,7 +25,7 @@ from ttolab.operators import (
 )
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
-from oracles import hs_lhs_reference
+from oracles import hs_lhs_reference, inverse_derivative_from_clark
 
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
 SQUARE = ScalarFunction.preset("square")
@@ -121,6 +121,35 @@ class TestStzTrace:
         cfg = ExperimentConfig(ZeroSequence.dense_nonblaschke(), TWO_COS, SQUARE, (8, 16, 32, 64))
         recs = stz_trace(cfg)
         assert recs[-1].gap < recs[0].gap / 2
+
+    @pytest.mark.parametrize("seq, ns", [
+        (ZeroSequence.frostman_fast(4), (32, 64)),
+        (ZeroSequence.dense_nonblaschke(), (64,)),
+    ], ids=["frostman", "dense"])
+    def test_lhs_matches_clark_atom_build(self, seq, ns):
+        # Tr(T(1/|B'|) f(T(phi))) with T(1/|B'|) from the Clark atoms
+        recs = stz_trace(ExperimentConfig(seq, TWO_COS, SQUARE, ns))
+        for rec in recs:
+            B = FiniteBlaschke(generate_zeros(seq, rec.N))
+            T = build_truncated_toeplitz(B, TWO_COS)
+            want = np.trace(inverse_derivative_from_clark(B) @ (T.matrix @ T.matrix))
+            assert abs(rec.lhs - want) <= 1e-10 * abs(want)
+
+    def test_rhs_is_the_constant_coefficient(self):
+        # (z + 1/z)^2 has constant coefficient 2: no quadrature
+        recs = stz_trace(ExperimentConfig(ZeroSequence.dense_nonblaschke(), TWO_COS, SQUARE, (8, 16)))
+        for rec in recs:
+            assert rec.rhs == 2.0
+            assert rec.diagnostics["rhs_points"] == 0.0
+
+    def test_pointwise_rhs_takes_quadrature(self):
+        # |2 cos t| has mean 4/pi; the composition is sampled, so its rhs
+        # comes from circle quadrature
+        cfg = ExperimentConfig(ZeroSequence.dense_nonblaschke(), TWO_COS,
+                               ScalarFunction.preset("abs"), (8,))
+        rec, = stz_trace(cfg)
+        assert rec.diagnostics["rhs_points"] > 0
+        assert rec.rhs == pytest.approx(4 / np.pi, abs=1e-6)
 
 
 class TestAngularConditions:

@@ -34,7 +34,14 @@ from ttolab.operators import (
 )
 from ttolab.quadrature import MIN_LEVELS, QuadratureConfig, blaschke_initial_points
 
-from oracles import build_clark_unitary, fejer_apply, hs_norm, op_norm, rank_one_defect
+from oracles import (
+    build_clark_unitary,
+    fejer_apply,
+    hs_norm,
+    inverse_derivative_from_clark,
+    op_norm,
+    rank_one_defect,
+)
 
 
 def random_blaschke(n, seed=0, rmax=0.85):
@@ -274,6 +281,20 @@ class TestSampledBuild:
         T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
         assert T.converged
         assert abs(trace(T) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("seq, N", [
+        (ZeroSequence.frostman_fast(4), 32),
+        (ZeroSequence.frostman_fast(4), 64),
+        (ZeroSequence.dense_nonblaschke(), 64),
+    ], ids=["frostman-32", "frostman-64", "dense-64"])
+    def test_inverse_derivative_matches_clark_atoms(self, seq, N):
+        # the build's nodes are phase nodes of z^N B weighted 2N/|Z'|; the
+        # oracle averages the Clark atoms of B itself weighted 1/|B'|^2
+        B = FiniteBlaschke(generate_zeros(seq, N))
+        T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
+        assert T.converged
+        ref = inverse_derivative_from_clark(B)
+        assert np.abs(T.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_phase_route_matches_uniform_grid(self):
         rng = np.random.default_rng(7)
@@ -604,7 +625,7 @@ class TestFejerTrigValues:
         symbols.append(SymbolRep.trig({1: 0.5, -1: 0.5, 3: 0.25j, -3: -0.25j}))  # real, Lipschitz
         # a uniform grid plus phase nodes, which crowd next to near-circle zeros
         angles = np.concatenate((circle_grid(2049, offset=0.37),
-                                 phase_nodes(PhaseFunction(B), 4)))
+                                 phase_nodes(PhaseFunction(B), 4)[0]))
         values, averages = fejer_trig_values(B, symbols, angles)
         assert values.shape == averages.shape == (len(symbols), len(angles))
         ref_values = np.array([sym.evaluate(angles) for sym in symbols])
