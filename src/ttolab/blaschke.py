@@ -188,6 +188,20 @@ def generate_zeros(spec: ZeroSequence, count: int) -> np.ndarray:
 # finite Blaschke products
 # ---------------------------------------------------------------------------
 
+def exact_defects(zeros: np.ndarray) -> np.ndarray:
+    """1 - |lambda|^2 of each zero, correctly rounded from its stored parts.
+    The double form 1 - (x^2 + y^2) is off by up to eps/(1 - |lambda|^2)
+    relative: 1e-6 at 1e-10 from the circle.  Here each part is split into
+    two halves of at most 26 bits (Veltkamp), so that the products of halves
+    are exact, and ``math.fsum`` rounds their sum once."""
+    x = np.stack((zeros.real, zeros.imag), axis=1)
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    lo = x - hi
+    terms = np.concatenate((np.ones((len(x), 1)), -hi * hi, -2.0 * hi * lo, -lo * lo), axis=1)
+    return np.array([math.fsum(row) for row in terms.tolist()])
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteBlaschke:
     """Degree-N Blaschke product given by its zero list (first zero at 0)."""
@@ -214,9 +228,16 @@ class FiniteBlaschke:
         object.__setattr__(self, "_radii", r)
         object.__setattr__(self, "_phases", np.angle(z))
         object.__setattr__(self, "_sigma", sigma)
-        object.__setattr__(self, "_cnorm", np.sqrt(1.0 - r * r))
-        uniq, counts = np.unique(z, return_counts=True)
+        # the one place that forms a zero's defect d = 1 - |lambda|^2: once per
+        # distinct zero, correctly rounded, with p = d/(1 + |lambda|) (1 - |lambda|
+        # to rounding) and the kernel norm c = sqrt(d) of each zero
+        uniq, which, counts = np.unique(z, return_inverse=True, return_counts=True)
+        defects = exact_defects(uniq)
         object.__setattr__(self, "_distinct", (uniq, counts))
+        object.__setattr__(self, "_which", which)  # zeros[i] == uniq[which[i]]
+        object.__setattr__(self, "_defects", defects)
+        object.__setattr__(self, "_p", defects / (1.0 + np.abs(uniq)))
+        object.__setattr__(self, "_cnorm", np.sqrt(defects)[which])
 
     @property
     def degree(self) -> int:
@@ -243,50 +264,28 @@ class FiniteBlaschke:
 PHASE_BLOCK = 1 << 15
 
 
-def exact_defects(zeros: np.ndarray) -> np.ndarray:
-    """1 - |lambda|^2 of each zero, correctly rounded from its stored parts.
-    The double form 1 - (x^2 + y^2) is off by up to eps/(1 - |lambda|^2)
-    relative: 1e-6 at 1e-10 from the circle.  Here each part is split into
-    two halves of at most 26 bits (Veltkamp), so that the products of halves
-    are exact, and ``math.fsum`` rounds their sum once."""
-    out = np.empty(len(zeros))
-    for i, z in enumerate(zeros):
-        terms = [1.0]
-        for x in (float(z.real), float(z.imag)):
-            c = 134217729.0 * x  # 2^27 + 1
-            hi = c - (c - x)
-            lo = x - hi
-            terms += [-hi * hi, -2.0 * hi * lo, -lo * lo]
-        out[i] = math.fsum(terms)
-    return out
+def eval_blaschke_folded(B: FiniteBlaschke, angles) -> np.ndarray:
+    """Values of B at e^{i angles}, for an angle array of any shape, from one
+    factor per distinct zero raised to its multiplicity (frostman_fast at
+    N = 128 has 35 distinct zeros).
 
-
-def _tangent_product(B: FiniteBlaschke, angles, p: np.ndarray, slope: bool = False):
-    """B at e^{i angles}, for an angle array of any shape, from one factor per
-    distinct zero raised to its multiplicity, with p[j] standing for
-    1 - |lambda_j|; with ``slope``, also sum_j m_j p_j (1 + r_j)(1 + t^2)/(p^2 + q^2),
-    which is |B'| when p_j (1 + r_j) is 1 - |lambda_j|^2.
-
-    With t = tan((angle - psi)/2) and q = (1 + r) t, the factor of r e^{i psi}
-    is (p + iq)^2/(p^2 + q^2): one tangent per zero x angle cell and rational
+    With t = tan((angle - psi)/2), q = (1 + r) t and the product's
+    p = (1 - |lambda|^2)/(1 + r), the factor of r e^{i psi} is
+    (p + iq)^2/(p^2 + q^2): one tangent per zero x angle cell and rational
     arithmetic.  Next to a near-circle zero p and q are both small and keep
     their relative accuracy, where (z - lam)/(1 - conj(lam) z) loses
     eps/|z - lam|.  The tangent takes the angle difference unreduced: reducing
     it by a rounded 2*pi moves the factor by |B'| times that rounding.  Blocks
     of at most PHASE_BLOCK cells are multiplied along the zero axis."""
     uniq, counts = B._distinct
-    r = np.abs(uniq)
-    p, q, psi = p[:, None], (1.0 + r)[:, None], np.angle(uniq)[:, None]
-    weight = counts * p[:, 0] * q[:, 0]
+    p, q, psi = B._p[:, None], (1.0 + np.abs(uniq))[:, None], np.angle(uniq)[:, None]
     repeated = np.nonzero(counts > 1)[0]
     th = np.asarray(angles, dtype=float)
     flat = th.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
-    deriv = np.empty(flat.shape) if slope else None
     step = max(1, PHASE_BLOCK // len(uniq))
     for start in range(0, flat.size, step):
-        t = np.tan(0.5 * (flat[None, start:start + step] - psi))
-        qt = q * t
+        qt = q * np.tan(0.5 * (flat[None, start:start + step] - psi))
         inv = p * p + qt * qt
         np.divide(1.0, inv, out=inv)
         factors = np.empty(qt.shape, dtype=complex)
@@ -295,33 +294,7 @@ def _tangent_product(B: FiniteBlaschke, angles, p: np.ndarray, slope: bool = Fal
         if len(repeated):
             factors[repeated] **= counts[repeated, None]
         out[start:start + step] = np.prod(factors, axis=0)
-        if slope:
-            t *= t
-            t += 1.0
-            t *= inv
-            deriv[start:start + step] = weight @ t
-    out = out.reshape(th.shape)
-    return (out, deriv.reshape(th.shape)) if slope else out
-
-
-def eval_blaschke_folded(B: FiniteBlaschke, angles) -> np.ndarray:
-    """Values of B at e^{i angles}, for an angle array of any shape, from one
-    factor per distinct zero raised to its multiplicity (frostman_fast at
-    N = 128 has 35 distinct zeros), each formed from one tangent with
-    p = 1 - |lambda| of the rounded modulus, the radius the phase uses (see
-    ``_tangent_product``)."""
-    return _tangent_product(B, angles, 1.0 - np.abs(B._distinct[0]))
-
-
-def boundary_values(B: FiniteBlaschke, angles) -> tuple[np.ndarray, np.ndarray]:
-    """B and |B'| at e^{i angles} from the same tangents, with
-    p = (1 - |lambda|^2)/(1 + |lambda|) and 1 - |lambda|^2 correctly rounded
-    (``exact_defects``).  p = 1 - |lambda| from the rounded modulus moves B by
-    up to eps/|zeta - lambda|, and the double form of 1 - |lambda|^2 moves the
-    term of lambda in |B'| by up to eps/|zeta - lambda|^2: both matter next to
-    zeros 1e-10 from the circle."""
-    uniq = B._distinct[0]
-    return _tangent_product(B, angles, exact_defects(uniq) / (1.0 + np.abs(uniq)), slope=True)
+    return out.reshape(th.shape)
 
 
 def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray,
@@ -330,9 +303,10 @@ def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray,
 
     The squared distance to each zero is formed from Cartesian coordinates
     (never from 1 + r^2 - 2r cos, which cancels catastrophically for zeros
-    within ~1e-8 of the circle).  Repeated zeros are folded into one pass
-    with a multiplicity weight; scratch buffers are reused across zeros, so
-    the cost is six in-place vector passes per distinct zero.
+    within ~1e-8 of the circle), and the numerator is the product's
+    1 - |lambda|^2.  Repeated zeros are folded into one pass with a
+    multiplicity weight; scratch buffers are reused across zeros, so the
+    cost is six in-place vector passes per distinct zero.
     """
     th = np.asarray(angles, dtype=float)
     cos_t, sin_t = cos_sin if cos_sin is not None else (np.cos(th), np.sin(th))
@@ -340,17 +314,16 @@ def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray,
     out = np.zeros_like(th)
     dx = np.empty_like(th)
     dy = np.empty_like(th)
-    for lam, mult in zip(uniq, counts):
-        r2 = lam.real * lam.real + lam.imag * lam.imag
-        if r2 == 0.0:
-            out += float(mult)
+    for lam, weight in zip(uniq, counts * B._defects):
+        if lam == 0:
+            out += weight
             continue
         np.subtract(cos_t, lam.real, out=dx)
         np.multiply(dx, dx, out=dx)
         np.subtract(sin_t, lam.imag, out=dy)
         np.multiply(dy, dy, out=dy)
         np.add(dx, dy, out=dx)
-        np.divide(mult * (1.0 - r2), dx, out=dx)
+        np.divide(weight, dx, out=dx)
         np.add(out, dx, out=out)
     return out
 
@@ -368,6 +341,9 @@ class PhaseFunction:
     into one term with a multiplicity weight, as in ``abs_derivative_grid``.
     A call evaluates blocks of at most PHASE_BLOCK distinct-zero x angle cells
     and can return Theta' = |B'| and Theta'' from the same tangents as Theta.
+    Each factor takes the product's p and 1 - |lambda|^2, and the anchor
+    Theta(0) is the argument of B(1) from ``eval_blaschke_folded``, so Theta
+    and B agree next to zeros 1e-10 from the circle.
     """
 
     def __init__(self, B: FiniteBlaschke):
@@ -378,12 +354,11 @@ class PhaseFunction:
         self._psi = np.angle(uniq)
         mult = counts.astype(float)
         self._lift = 2.0 * mult
-        self._p, self._q, self._two_r = 1.0 - r, 1.0 + r, 2.0 * r
-        # numerators of the Poisson kernels, with |lambda|^2 formed as in
-        # abs_derivative_grid, and of the curvature terms
-        self._poisson = mult * (1.0 - (uniq.real * uniq.real + uniq.imag * uniq.imag))
+        self._p, self._q, self._two_r = B._p, 1.0 + r, 2.0 * r
+        # numerators of the Poisson kernels and of the curvature terms
+        self._poisson = mult * B._defects
         self._curve = -4.0 * r * self._poisson
-        b1 = complex(np.prod(B._sigma * (1.0 - B.zeros) / (1.0 - np.conj(B.zeros))))
+        b1 = complex(eval_blaschke_folded(B, 0.0))
         self._anchor = math.atan2(b1.imag, b1.real) % TWO_PI
         # each factor's lift term at angle 0, from the code path of a call,
         # so that Theta(0) is the anchor exactly
@@ -394,8 +369,8 @@ class PhaseFunction:
     def _terms(self, th, t, t2, lift):
         """Fill t with tan h, h = (x - 2 pi n)/2 for x = th - psi and n the
         branch count of x, t2 with t^2 and lift with each factor's lift term
-        arctan(2rt/((1-r) + (1+r)t^2)) less its value at angle 0, for the
-        angles th x the distinct zeros; returns lift."""
+        arctan(2rt/(p + (1+r)t^2)) less its value at angle 0, for the angles
+        th x the distinct zeros; returns lift."""
         x = np.subtract(th[:, None], self._psi, out=t)
         n = np.add(x, np.pi, out=t2)
         n /= TWO_PI
@@ -415,7 +390,7 @@ class PhaseFunction:
     def __call__(self, angles, derivs: np.ndarray | None = None) -> np.ndarray:
         """Theta at the angles: anchor + N angle + 2 sum_j m_j (lift term).
         ``derivs``, a (2, len(angles)) array, receives Theta' = |B'| and
-        Theta'' if given: with D = (1-r)^2 + (1+r)^2 t^2, a factor's Poisson
+        Theta'' if given: with D = p^2 + (1+r)^2 t^2, a factor's Poisson
         kernel is (1-|lambda|^2)(1+t^2)/D, and its derivative
         -4r(1-|lambda|^2) t(1+t^2)/D^2."""
         th = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -447,15 +422,15 @@ class PhaseFunction:
 
         The angles are max(256, 4N) equispaced ones plus geometric steps out
         of the direction of each zero whose peak they cannot resolve, so no
-        bracket spans a phase spike and its flank at once (4^27 (1 - r)
-        exceeds the grid step for every r < 1).  They are merged by a sort
-        and dropping repeats, the set ``np.union1d`` gives, without the
+        bracket spans a phase spike and its flank at once (4^27 p, p about
+        1 - r, exceeds the grid step for every r < 1).  They are merged by a
+        sort and dropping repeats, the set ``np.union1d`` gives, without the
         ``numpy.ma`` import that its ``np.unique`` makes."""
         if self._scan is None:
             N = self.blaschke.degree
             G = max(256, 4 * N)
-            near = 1.0 - self._r < TWO_PI / G
-            steps = (1.0 - self._r[near])[:, None] * 4.0 ** np.arange(28)
+            near = self._p < TWO_PI / G
+            steps = self._p[near, None] * 4.0 ** np.arange(28)
             steps = np.where(steps < TWO_PI / G, steps, 0.0)
             spikes = np.mod(self._psi[near, None] + np.concatenate((-steps, steps), axis=1), TWO_PI)
             grid = np.sort(np.concatenate((np.linspace(0.0, TWO_PI, G + 1), spikes.ravel())))
@@ -577,11 +552,10 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     N = B.degree
     rows = np.empty((N, len(z)), dtype=complex)
     pref = np.ones_like(z)
-    uniq, counts = B._distinct
-    which = np.searchsorted(uniq, B.zeros)  # B.zeros[i] == uniq[which[i]]
-    repeated = (counts > 1)[which].tolist()
-    which = which.tolist()
-    samples = [None] * len(uniq)  # (kernel, factor) of each repeated distinct zero
+    counts = B._distinct[1]
+    repeated = (counts > 1)[B._which].tolist()
+    which = B._which.tolist()
+    samples = [None] * len(counts)  # (kernel, factor) of each repeated distinct zero
     for i in range(N):
         if samples[which[i]] is not None:
             kernel, factor = samples[which[i]]

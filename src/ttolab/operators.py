@@ -22,8 +22,7 @@ from .blaschke import (
     FiniteBlaschke,
     PhaseFunction,
     abs_derivative_grid,
-    boundary_values,
-    exact_defects,
+    eval_blaschke_folded,
     phase_nodes,
     tmw_matrix,
 )
@@ -233,7 +232,8 @@ def compressed_shift(B: FiniteBlaschke) -> np.ndarray:
 
     Lower triangular: diagonal carries the zeros; below the diagonal
     entry (i, j) is c_i c_j conj(sigma_j) prod_{j<l<i} (-|lambda_l|) with
-    c = sqrt(1-|lambda|^2) and sigma the unimodular factor normalizers.
+    c = sqrt(1-|lambda|^2) from the product's defects and sigma the unimodular
+    factor normalizers.
     """
     N = B.degree
     c, sig, r = B._cnorm, B._sigma, B._radii
@@ -469,10 +469,11 @@ def _shift_moments(B: FiniteBlaschke, angles: np.ndarray, powers: np.ndarray) ->
     taken out as the exact power z^m0: B = z^m0 B1, so the n < m0 terms vanish,
     zeta^m0 conj(zeta)^m0 is 1, and only the Taylor coefficients c_l of B1 and
     B1(zeta) enter.  The inner sum sum_{l<j} (j-l) a_l is a double running sum
-    of a_l = conj(c_l zeta^l).  B1 and |B'| = m0 + |B1'| come from
-    ``boundary_values``, whose correctly rounded 1 - |lambda|^2 keeps m_k
-    within 1e-14 of a 50-digit reference next to zeros 1e-10 from the circle
-    (the double form moves m_k by up to 1e-10 there)."""
+    of a_l = conj(c_l zeta^l).  B1 comes from ``eval_blaschke_folded``,
+    |B'| = m0 + |B1'| from ``abs_derivative_grid`` and the Taylor coefficients
+    from B1's 1 - |lambda|^2, correctly rounded: that keeps m_k within 1e-14 of
+    a 50-digit reference next to zeros 1e-10 from the circle (1 - |lambda|^2
+    formed in double moved m_k by up to 1e-10 there)."""
     D = len(powers) - 1
     inner = B.zeros[B.zeros != 0]
     m0 = B.degree - len(inner)
@@ -481,14 +482,14 @@ def _shift_moments(B: FiniteBlaschke, angles: np.ndarray, powers: np.ndarray) ->
     b1, slope = 1.0, 0.0
     if len(inner):
         B1 = FiniteBlaschke(inner)
-        b1, slope = boundary_values(B1, angles)
+        b1, slope = eval_blaschke_folded(B1, angles), abs_derivative_grid(B1, angles)
     if D > m0:
         L = D - m0
         c = np.zeros(L, dtype=complex)
         c[0] = 1.0
         if len(inner):
             uniq, counts = B1._distinct
-            for lam, mult, defect in zip(uniq, counts, exact_defects(uniq)):
+            for lam, mult, defect in zip(uniq, counts, B1._defects):
                 # sigma (z - lam)/(1 - conj(lam) z)
                 #   = -|lam| + sum_{n>=1} sigma conj(lam)^{n-1} (1 - |lam|^2) z^n
                 factor = np.empty(L, dtype=complex)

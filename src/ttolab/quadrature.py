@@ -66,13 +66,13 @@ class IntegralResult:
 def blaschke_initial_points(B: FiniteBlaschke, cfg: QuadratureConfig) -> int:
     """Grid size that resolves the narrowest boundary kernel peak of B.
 
-    A zero at radius r produces a Poisson peak of angular width ~(1-r), so
-    the equispaced grid must step well below the narrowest width present;
-    eight points per narrowest peak resolves them all before the first
-    doubling check.  Capped at max_points/2 so one doubling stays possible.
+    A zero at radius r produces a Poisson peak of angular width ~p, the
+    product's (1 - r^2)/(1 + r), so the equispaced grid must step well below
+    the narrowest width present; eight points per narrowest peak resolves
+    them all before the first doubling check.  Capped at max_points/2 so one
+    doubling stays possible.
     """
-    r = np.abs(B.zeros)
-    scale = 8.0 * float(((1.0 + r) / (1.0 - r)).max())
+    scale = 8.0 * float(((1.0 + np.abs(B._distinct[0])) / B._p).max())
     n = _next_pow2(int(min(scale, cfg.max_points // 2)))
     return max(cfg.initial_points, min(n, cfg.max_points // 2))
 

@@ -199,12 +199,13 @@ def half_angle(x):
     return n, np.sin(h), np.cos(h)
 
 
-def phase_lift(x, r):
+def phase_lift(x, r, p):
     """Continuous increasing lift of the phase of the factor of a zero of
-    modulus r at angle difference x, from arctan2 and the branch count:
-    its derivative is the Poisson kernel."""
+    modulus r at angle difference x, from arctan2 and the branch count, with
+    p = (1 - r^2)/(1 + r) the product's stand-in for 1 - r: its derivative
+    is the Poisson kernel."""
     n, s, c = half_angle(x)
-    return 2.0 * np.arctan2((1.0 + r) * s, (1.0 - r) * c) + TWO_PI * n
+    return 2.0 * np.arctan2((1.0 + r) * s, p * c) + TWO_PI * n
 
 
 def eval_blaschke(B: FiniteBlaschke, w: complex) -> complex:

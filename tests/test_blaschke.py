@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,6 +126,21 @@ class TestEvaluation:
         E = tmw_matrix(B, circle_grid(64))
         assert np.abs(E.conj().T @ E / 64 - np.eye(3)).max() < 1e-14
 
+    def test_defects_are_correctly_rounded(self):
+        # each distinct zero's 1 - |lambda|^2 against the exact rational value
+        # of its stored parts, which float() rounds correctly; 1 - (x^2 + y^2)
+        # in double is off by up to 1e-6 relative next to the 1 - 1e-10 zeros
+        rng = np.random.default_rng(5)
+        pts = np.concatenate(((1 - 1e-10) * np.exp(2j * np.pi * rng.random(200)),
+                              RADIUS_CAP * np.exp(2j * np.pi * rng.random(200)),
+                              rng.random(200) * np.exp(2j * np.pi * rng.random(200)),
+                              [1e-310j, -0.5]))
+        B = FiniteBlaschke(np.concatenate(([0j], pts, pts[::7])))
+        uniq = B._distinct[0]
+        exact = [float(1 - Fraction(z.real) ** 2 - Fraction(z.imag) ** 2) for z in uniq]
+        assert np.array_equal(B._defects, exact)
+        assert np.array_equal(uniq[B._which], B.zeros)
+
     def test_boundary_value_modulus(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
         assert abs(abs(eval_blaschke(B, 1.0)) - 1) < 1e-12
@@ -188,15 +204,28 @@ class TestEvalBlaschkeGrid:
             assert np.array_equal(eval_blaschke_grid(B, t), blaschke_reference(B, t))
 
 
+def tangent_reference(B, angles):
+    """The folded product's tangent factor (p + iq)^2/(p^2 + q^2), formed once
+    per zero, repeats included, and multiplied in a loop."""
+    th = np.asarray(angles, dtype=float)
+    out = np.ones(th.shape, dtype=complex)
+    for r, psi, p in zip(B._radii, B._phases, B._p[B._which]):
+        q = (1.0 + r) * np.tan(0.5 * (th - psi))
+        out *= (p + 1j * q) ** 2 / (p * p + q * q)
+    return out
+
+
 class TestEvalBlaschkeFolded:
     def test_matches_loop_reference(self, edge_blaschke):
         # one factor per distinct zero raised to its multiplicity: the powers
-        # (up to 256 here, for uniform_zero) move the values by rounding only
+        # (up to 256 here, for uniform_zero) move the values by rounding only.
+        # The product's accuracy against the stored zeros is held to 50 digits
+        # in TestBoundaryValuesHighPrecision
         B = edge_blaschke
         psi = np.mod(B._phases, 2 * np.pi)
         atoms = np.mod(phase_nodes(PhaseFunction(B), 4)[0], 2 * np.pi)
         th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9, atoms))
-        assert np.abs(eval_blaschke_folded(B, th) - blaschke_reference(B, th)).max() <= 1e-12
+        assert np.abs(eval_blaschke_folded(B, th) - tangent_reference(B, th)).max() <= 1e-12
 
 
 class CountingPhase(PhaseFunction):
@@ -424,11 +453,12 @@ def mp_boundary_values(B, angles, mp):
 
 class TestBoundaryValuesHighPrecision:
     """The product and the Clark weights against the 50-digit values of the
-    stored zeros.  Both kernels see a zero through rounded data: the product
-    through |lambda| and its angle, |B'| through 1 - |lambda|^2 formed in
-    double.  A rounded angle moves the product by eps |B'|, a rounded radius
-    by eps/|zeta - lambda|, and a rounded 1 - |lambda|^2 moves the term of
-    lambda in |B'| by eps/|zeta - lambda|^2: next to zeros 1e-10 from the
+    stored zeros.  Both kernels take 1 - |lambda|^2 correctly rounded from the
+    product, and see a zero through other rounded data: the product through
+    |lambda| and its angle, |B'| through the rounded cosine and sine of the
+    circle point.  A rounded angle moves the product by eps |B'|, a rounded
+    radius by eps/|zeta - lambda|, and a rounded circle point moves the term
+    of lambda in |B'| by eps/|zeta - lambda|^2: next to zeros 1e-10 from the
     circle the last two exceed any multiple of eps |B'| that holds elsewhere."""
 
     @pytest.mark.parametrize("name", list(MP_NEAR_CIRCLE))

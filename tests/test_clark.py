@@ -37,11 +37,12 @@ def random_blaschke(n, seed=0, rmax=0.9):
 
 def phase_reference(phase, angles):
     """Theta as the anchor plus one lifted factor phase per zero (repeated
-    zeros once per repetition), each counted from angle 0, summed in a loop."""
-    zeros = phase.blaschke.zeros
+    zeros once per repetition), each counted from angle 0 and taking the
+    product's defect of its zero, summed in a loop."""
+    B = phase.blaschke
     total = np.full(angles.shape, phase._anchor)
-    for r, psi in zip(np.abs(zeros), np.angle(zeros)):
-        total += phase_lift(angles - psi, r) - phase_lift(-psi, r)
+    for r, psi, p in zip(B._radii, B._phases, B._p[B._which]):
+        total += phase_lift(angles - psi, r, p) - phase_lift(-psi, r, p)
     return total
 
 
