@@ -191,15 +191,34 @@ def generate_zeros(spec: ZeroSequence, count: int) -> np.ndarray:
 def exact_defects(zeros: np.ndarray) -> np.ndarray:
     """1 - |lambda|^2 of each zero, correctly rounded from its stored parts.
     The double form 1 - (x^2 + y^2) is off by up to eps/(1 - |lambda|^2)
-    relative: 1e-6 at 1e-10 from the circle.  Here each part is split into
-    two halves of at most 26 bits (Veltkamp), so that the products of halves
-    are exact, and ``math.fsum`` rounds their sum once."""
-    x = np.stack((zeros.real, zeros.imag), axis=1)
+    relative: 1e-6 at 1e-10 from the circle.  Each square is split exactly
+    as x^2 = sq + err (Dekker, with Veltkamp halves of at most 26 bits), and
+    a cascade of error-free sums (TwoSum) of 1, -sq, -err leaves d + rest
+    within 2^-102 of 1 - |lambda|^2.  Then d is the correctly rounded value
+    whenever |rest| + 2^-100 stays below half the gap under d; the other
+    zeros (every zero within about 1e-15 of the circle, at random about one
+    in 10^9) take ``math.fsum`` of the same five terms."""
+    x = np.stack((zeros.real, zeros.imag))
+    sq = x * x
     c = 134217729.0 * x  # 2^27 + 1
     hi = c - (c - x)
     lo = x - hi
-    terms = np.concatenate((np.ones((len(x), 1)), -hi * hi, -2.0 * hi * lo, -lo * lo), axis=1)
-    return np.array([math.fsum(row) for row in terms.tolist()])
+    sq_err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+    terms = (-sq[0], -sq_err[0], -sq[1], -sq_err[1])
+    # partial sums stay below 1 + eps: the four sum errors add up to at most
+    # 4.001 eps/2, and their rounded sum is off by under 12.01 (eps/2)^2
+    s, err = np.ones(x.shape[1]), np.zeros(x.shape[1])
+    for t in terms:
+        total = s + t
+        b = total - s
+        err += (s - (total - b)) + (t - b)
+        s = total
+    d = s + err
+    b = d - s
+    rest = (s - (d - b)) + (err - b)  # d + rest == s + err exactly
+    unsure = np.abs(rest) + 2.0 ** -100 >= 0.5 * (d - np.nextafter(d, 0.0))
+    d[unsure] = [math.fsum((1.0,) + row) for row in zip(*(t[unsure].tolist() for t in terms))]
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,9 +623,9 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
                          thresholds: Sequence[float] = (1e2, 1e3)) -> AngularDiagnostics:
     """Accumulate sum_j (1-|lam_j|^2)/|zeta - lam_j|^2 over j < J per grid point.
 
-    The terms come from Cartesian parts, as in ``abs_derivative_grid``.  Each
-    block of ANGULAR_BLOCK zeros adds its row sums (pairwise) to the running
-    sums, and a checkpoint inside the block is the running sum plus a prefix
+    The terms come from Cartesian parts and the correctly rounded
+    ``exact_defects``, as in ``abs_derivative_grid``.  Each block of
+    ANGULAR_BLOCK zeros adds its row sums (pairwise) to the running sums, and a checkpoint inside the block is the running sum plus a prefix
     sum of the block's terms.  Only a row whose sum passes a threshold inside
     the block gets a cumulative sum, and the first crossing is a
     ``searchsorted`` on it: the terms are positive, so it is monotone."""
@@ -618,7 +637,6 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
     x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
     lam = generate_zeros(seq, J)
     lr, li = lam.real, lam.imag
-    weights = 1.0 - (lr * lr + li * li)
 
     checkpoints = [1]
     while checkpoints[-1] * 2 <= J:
@@ -643,7 +661,7 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
         np.subtract(y, li[start:stop], out=dy)
         np.multiply(dy, dy, out=dy)
         terms += dy
-        np.divide(weights[start:stop], terms, out=terms)
+        np.divide(exact_defects(lam[start:stop]), terms, out=terms)
         while next_cp < len(checkpoints) and checkpoints[next_cp] <= stop:
             partial[:, next_cp] = sums + terms[:, :checkpoints[next_cp] - start].sum(axis=1)
             next_cp += 1

@@ -468,38 +468,35 @@ def _shift_moments(B: FiniteBlaschke, angles: np.ndarray, powers: np.ndarray) ->
     with b_n the Taylor coefficients of B.  The m0 zeros at the origin are
     taken out as the exact power z^m0: B = z^m0 B1, so the n < m0 terms vanish,
     zeta^m0 conj(zeta)^m0 is 1, and only the Taylor coefficients c_l of B1 and
-    B1(zeta) enter.  The inner sum sum_{l<j} (j-l) a_l is a double running sum
-    of a_l = conj(c_l zeta^l).  B1 comes from ``eval_blaschke_folded``,
-    |B'| = m0 + |B1'| from ``abs_derivative_grid`` and the Taylor coefficients
-    from B1's 1 - |lambda|^2, correctly rounded: that keeps m_k within 1e-14 of
-    a 50-digit reference next to zeros 1e-10 from the circle (1 - |lambda|^2
-    formed in double moved m_k by up to 1e-10 there)."""
+    B1(zeta) enter; for B = z^N the moments are exactly zeta^k (1 - k/N).  The
+    inner sum sum_{l<j} (j-l) a_l is a double running sum of a_l = conj(c_l zeta^l).
+    B1(zeta) is B(zeta) conj(zeta)^m0 from ``eval_blaschke_folded`` of B, |B'|
+    comes from ``abs_derivative_grid`` of B, and the c_l from the product's
+    1 - |lambda|^2, correctly rounded: that keeps m_k within 1e-14 of a 50-digit
+    reference next to zeros 1e-10 from the circle (1 - |lambda|^2 formed in
+    double moved m_k by up to 1e-10 there)."""
     D = len(powers) - 1
-    inner = B.zeros[B.zeros != 0]
-    m0 = B.degree - len(inner)
+    uniq, counts = B._distinct
+    inner = uniq != 0
+    m0 = B.degree - int(counts[inner].sum())
     X = np.zeros(powers.shape, dtype=complex)
     X += np.arange(D + 1)[:, None]
-    b1, slope = 1.0, 0.0
-    if len(inner):
-        B1 = FiniteBlaschke(inner)
-        b1, slope = eval_blaschke_folded(B1, angles), abs_derivative_grid(B1, angles)
     if D > m0:
         L = D - m0
         c = np.zeros(L, dtype=complex)
         c[0] = 1.0
-        if len(inner):
-            uniq, counts = B1._distinct
-            for lam, mult, defect in zip(uniq, counts, B1._defects):
-                # sigma (z - lam)/(1 - conj(lam) z)
-                #   = -|lam| + sum_{n>=1} sigma conj(lam)^{n-1} (1 - |lam|^2) z^n
-                factor = np.empty(L, dtype=complex)
-                factor[0] = -abs(lam)
-                factor[1:] = np.exp(-1j * np.angle(lam)) * defect * np.conj(lam) ** np.arange(L - 1)
-                for _ in range(mult):
-                    c = np.convolve(c, factor)[:L]
+        for lam, mult, defect in zip(uniq[inner], counts[inner], B._defects[inner]):
+            # sigma (z - lam)/(1 - conj(lam) z)
+            #   = -|lam| + sum_{n>=1} sigma conj(lam)^{n-1} (1 - |lam|^2) z^n
+            factor = np.empty(L, dtype=complex)
+            factor[0] = -abs(lam)
+            factor[1:] = np.exp(-1j * np.angle(lam)) * defect * np.conj(lam) ** np.arange(L - 1)
+            for _ in range(mult):
+                c = np.convolve(c, factor)[:L]
         a = np.conj(c)[:, None] * np.conj(powers[:L])
+        b1 = eval_blaschke_folded(B, angles) * np.conj(powers[m0]) if inner.any() else 1.0
         X[m0 + 1:] -= b1 * np.cumsum(np.cumsum(a, axis=0), axis=0)
-    return powers * (1.0 - X / (m0 + slope))
+    return powers * (1.0 - X / abs_derivative_grid(B, angles))
 
 
 def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep],

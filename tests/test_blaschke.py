@@ -13,6 +13,7 @@ from ttolab.blaschke import (
     angular_partial_sums,
     circle_grid,
     eval_blaschke_folded,
+    exact_defects,
     generate_zeros,
     phase_nodes,
     tmw_matrix,
@@ -129,12 +130,15 @@ class TestEvaluation:
     def test_defects_are_correctly_rounded(self):
         # each distinct zero's 1 - |lambda|^2 against the exact rational value
         # of its stored parts, which float() rounds correctly; 1 - (x^2 + y^2)
-        # in double is off by up to 1e-6 relative next to the 1 - 1e-10 zeros
+        # in double is off by up to 1e-6 relative next to the 1 - 1e-10 zeros.
+        # The zeros 1e-15 from the circle and 1 - 2^-53 take the math.fsum
+        # route of exact_defects, the others its error-free vector sums
         rng = np.random.default_rng(5)
         pts = np.concatenate(((1 - 1e-10) * np.exp(2j * np.pi * rng.random(200)),
+                              (1 - 1e-15) * np.exp(2j * np.pi * rng.random(200)),
                               RADIUS_CAP * np.exp(2j * np.pi * rng.random(200)),
                               rng.random(200) * np.exp(2j * np.pi * rng.random(200)),
-                              [1e-310j, -0.5]))
+                              [1e-310j, -0.5, 1 - 2.0 ** -53, 2.0 ** -27 - 1e-160j]))
         B = FiniteBlaschke(np.concatenate(([0j], pts, pts[::7])))
         uniq = B._distinct[0]
         exact = [float(1 - Fraction(z.real) ** 2 - Fraction(z.imag) ** 2) for z in uniq]
@@ -216,7 +220,7 @@ def tangent_reference(B, angles):
 
 
 class TestEvalBlaschkeFolded:
-    def test_matches_loop_reference(self, edge_blaschke):
+    def test_matches_loop_reference(self, edge_blaschke, request):
         # one factor per distinct zero raised to its multiplicity: the powers
         # (up to 256 here, for uniform_zero) move the values by rounding only.
         # The product's accuracy against the stored zeros is held to 50 digits
@@ -225,7 +229,13 @@ class TestEvalBlaschkeFolded:
         psi = np.mod(B._phases, 2 * np.pi)
         atoms = np.mod(phase_nodes(PhaseFunction(B), 4)[0], 2 * np.pi)
         th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9, atoms))
-        assert np.abs(eval_blaschke_folded(B, th) - tangent_reference(B, th)).max() <= 1e-12
+        got = eval_blaschke_folded(B, th)
+        assert np.abs(got - tangent_reference(B, th)).max() <= 1e-12
+        if request.node.callspec.params["edge_blaschke"][0] != "explicit_near_circle_pairs":
+            # the d-form loop takes nothing from the product's constants; next
+            # to the pairs' zeros 1e-10 from the circle its 1 - r parts from
+            # the correctly rounded product by up to 3.3e-6
+            assert np.abs(got - blaschke_reference(B, th)).max() <= 1e-12
 
 
 class CountingPhase(PhaseFunction):
@@ -689,11 +699,14 @@ def crossing_reference(seq, grid, J, thresholds):
 def poisson_terms_reference(seq, grid, J, dtype):
     """(1 - |lam|^2)/|zeta - lam|^2 from the double-precision points
     zeta = (cos, sin)(grid) and zeros, with the arithmetic done in dtype and
-    rounded to double."""
+    rounded to double.  In double the numerator is the correctly rounded
+    ``exact_defects`` (held to exact rationals in TestEvaluation), so that
+    only the summation differs from angular_partial_sums."""
     lam = generate_zeros(seq, J)
     x, y = np.cos(grid).astype(dtype)[:, None], np.sin(grid).astype(dtype)[:, None]
     lr, li = lam.real.astype(dtype), lam.imag.astype(dtype)
-    return ((1 - (lr * lr + li * li)) / ((x - lr) ** 2 + (y - li) ** 2)).astype(float)
+    defects = exact_defects(lam) if dtype is float else 1 - (lr * lr + li * li)
+    return (defects / ((x - lr) ** 2 + (y - li) ** 2)).astype(float)
 
 
 def fsum_worst(diag, terms):
@@ -720,14 +733,15 @@ class TestAngularPartialSums:
     @pytest.mark.parametrize("seq", [ZeroSequence.dense_nonblaschke(), ZeroSequence.frostman_fast(4)])
     def test_checkpoints_match_fsum(self, seq):
         # the shipped grid and term count.  Against fsum of the same double
-        # terms only the summation errs: 5.3e-16 (dense), 2.7e-15 (frostman).
-        # Against terms formed in long double the double form of 1 - |lam|^2,
-        # off by eps/(1 - |lam|^2), adds its share: 2.4e-12 and 9.8e-12, with
-        # most frostman zeros at the 1 - 1e-6 cap
+        # terms only the summation errs: 5.9e-16 (dense), 3.0e-15 (frostman).
+        # Against terms formed in long double: 1.6e-15 and 3.3e-15 with the
+        # correctly rounded 1 - |lam|^2; the double form 1 - (x^2 + y^2), off
+        # by eps/(1 - |lam|^2), gave 2.4e-12 and 9.8e-12, with most frostman
+        # zeros at the 1 - 1e-6 cap
         grid, J = circle_grid(64, offset=0.5), 10 ** 5
         diag = angular_partial_sums(seq, grid, J)
         assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, float)) <= 1e-14
-        assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, np.longdouble)) <= 2e-11
+        assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, np.longdouble)) <= 1e-14
 
     def test_uniform_equals_term_count(self):
         diag = angular_partial_sums(ZeroSequence.uniform_zero(), circle_grid(8), 50)
@@ -746,7 +760,7 @@ class TestAngularPartialSums:
         diag = angular_partial_sums(seq, grid, J)
         lam = generate_zeros(seq, J)
         z = np.exp(1j * grid)
-        direct = ((1 - np.abs(lam) ** 2)[None, :] / np.abs(z[:, None] - lam[None, :]) ** 2).sum(axis=1)
+        direct = (exact_defects(lam)[None, :] / np.abs(z[:, None] - lam[None, :]) ** 2).sum(axis=1)
         assert np.allclose(diag.partial_sums[:, -1], direct, rtol=1e-12)
 
     def test_first_crossing(self):
