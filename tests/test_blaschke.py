@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ttolab import blaschke
 from ttolab.blaschke import (
     PHASE_BLOCK,
     RADIUS_CAP,
@@ -682,11 +683,12 @@ class TestTMWBasis:
 
 def crossing_reference(seq, grid, J, thresholds):
     """First term count at which each running sum exceeds each threshold,
-    found point by point in a loop over the full running sums."""
-    lam = generate_zeros(seq, J)
-    z = np.exp(1j * grid)
-    running = np.cumsum((1 - np.abs(lam) ** 2)[None, :] / np.abs(z[:, None] - lam[None, :]) ** 2,
-                        axis=1)
+    found point by point in a loop over the cumulative sums of all terms.
+    The terms are those of ``poisson_terms_reference`` in double: terms
+    formed another way differ by an ulp, and that decides a threshold that
+    a running sum meets to within rounding (uniform_zero's terms are 1, and
+    the thresholds include integers)."""
+    running = np.cumsum(poisson_terms_reference(seq, grid, J, float), axis=1)
     out = np.full((len(thresholds), len(grid)), -1)
     for t, bound in enumerate(thresholds):
         for p in range(len(grid)):
@@ -720,28 +722,66 @@ def fsum_worst(diag, terms):
     return worst
 
 
+def cap_pairs_sequence(count=10 ** 5):
+    """0, then zeros drawn at random from conjugate pairs at the 1 - 1e-6 cap
+    and at radius 0.5, and the reflection -conj of one of them: every zero
+    repeats, and zeros share a real or an imaginary part, so that neither
+    part alone tells zeros apart."""
+    upper = np.array([RADIUS_CAP * np.exp(1j * a) for a in (0.4, 1.3, 2.9)] + [0.5 * np.exp(0.7j)])
+    points = np.concatenate((upper, np.conj(upper), [-np.conj(upper[-1])]))
+    draws = np.random.default_rng(7).integers(len(points), size=count - 1)
+    return ZeroSequence.from_points(np.concatenate(([0j], points[draws])))
+
+
+#: sequences besides frostman_fast whose zeros repeat: angular_partial_sums folds them
+REPEATED = [ZeroSequence.uniform_zero(), ZeroSequence.alternating_3k(0.5), cap_pairs_sequence()]
+
+
 class TestAngularPartialSums:
     @pytest.mark.parametrize("seq", [ZeroSequence.frostman_fast(4), ZeroSequence.dense_nonblaschke(),
-                                     ZeroSequence.constant_modulus(0.9)])
+                                     ZeroSequence.constant_modulus(0.9)] + REPEATED)
     def test_first_crossing_matches_loop_reference(self, seq):
-        # 10^4 terms span three blocks of 4096; the thresholds are crossed in
-        # each of them on some families and never on others
+        # 10^4 terms span three blocks of 4096, or 15 checkpoint intervals
+        # where the zeros repeat; the thresholds are crossed in each of them
+        # on some families and never on others
         grid, J, thresholds = circle_grid(24, offset=0.5), 10 ** 4, (1.08, 5.0, 800.0, 6000.0, 1e6)
         diag = angular_partial_sums(seq, grid, J, thresholds=thresholds)
         assert np.array_equal(diag.first_crossing, crossing_reference(seq, grid, J, thresholds))
 
-    @pytest.mark.parametrize("seq", [ZeroSequence.dense_nonblaschke(), ZeroSequence.frostman_fast(4)])
+    @pytest.mark.parametrize("seq", [ZeroSequence.dense_nonblaschke(), ZeroSequence.frostman_fast(4)] + REPEATED)
     def test_checkpoints_match_fsum(self, seq):
         # the shipped grid and term count.  Against fsum of the same double
-        # terms only the summation errs: 5.9e-16 (dense), 3.0e-15 (frostman).
-        # Against terms formed in long double: 1.6e-15 and 3.3e-15 with the
-        # correctly rounded 1 - |lam|^2; the double form 1 - (x^2 + y^2), off
-        # by eps/(1 - |lam|^2), gave 2.4e-12 and 9.8e-12, with most frostman
-        # zeros at the 1 - 1e-6 cap
+        # terms only the summation errs: 5.9e-16 on dense (streamed), and on
+        # the folded sequences 5.9e-16 (frostman; 3.0e-15 streamed), 0
+        # (uniform), 2.2e-16 (alternating) and 4.2e-16 (cap pairs).  Against
+        # terms formed in long double: 1.6e-15 (dense) and 2.0e-15 (frostman)
+        # with the correctly rounded 1 - |lam|^2; the double form
+        # 1 - (x^2 + y^2), off by eps/(1 - |lam|^2), gave 2.4e-12 and 9.8e-12
+        # streamed, with most frostman zeros at the 1 - 1e-6 cap
         grid, J = circle_grid(64, offset=0.5), 10 ** 5
         diag = angular_partial_sums(seq, grid, J)
         assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, float)) <= 1e-14
         assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, np.longdouble)) <= 1e-14
+
+    @pytest.mark.parametrize("seq, distinct", [
+        (ZeroSequence.frostman_fast(4), 35),
+        (ZeroSequence.uniform_zero(), 1),
+        (ZeroSequence.alternating_3k(0.5), 3),
+        (cap_pairs_sequence(), 10),
+        (ZeroSequence.dense_nonblaschke(), None),
+        (ZeroSequence.constant_modulus(0.9), None),  # conjugate pairs, no repeats
+        (ZeroSequence.from_points(np.repeat(generate_zeros(ZeroSequence.dense_nonblaschke(), 5 * 10 ** 4), 2)),
+         None),  # every zero twice: 18 checkpoints make folding cost more
+    ], ids=["frostman", "uniform", "alternating", "cap-pairs", "dense", "constant-modulus", "dense-twice"])
+    def test_folds_only_where_it_forms_fewer_terms(self, seq, distinct):
+        lam = generate_zeros(seq, 10 ** 5)
+        fold = blaschke._fold_repeats(lam, 18)  # the checkpoints of 10^5 terms
+        if distinct is None:
+            assert fold is None
+        else:
+            zeros, which = fold
+            assert len(zeros) == distinct
+            assert np.array_equal(zeros[which], lam)
 
     def test_uniform_equals_term_count(self):
         diag = angular_partial_sums(ZeroSequence.uniform_zero(), circle_grid(8), 50)

@@ -6,6 +6,7 @@ import pytest
 
 from ttolab import operators
 from ttolab.blaschke import (
+    RADIUS_CAP,
     FiniteBlaschke,
     PhaseFunction,
     ZeroSequence,
@@ -39,6 +40,7 @@ from oracles import (
     fejer_apply,
     hs_norm,
     inverse_derivative_from_clark,
+    inverse_derivative_mp,
     op_norm,
     rank_one_defect,
 )
@@ -295,6 +297,19 @@ class TestSampledBuild:
         assert T.converged
         ref = inverse_derivative_from_clark(B)
         assert np.abs(T.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_inverse_derivative_matches_50_digit_reference(self):
+        # a degree-4 product with a zero 1e-6 from the circle; measured gap
+        # 5.7e-17 (largest entry 0.39)
+        mp = pytest.importorskip("mpmath").mp
+        psi = 1.1
+        B = FiniteBlaschke(np.array([0, 0.5j, -0.4 + 0.2j, RADIUS_CAP * np.exp(1j * psi)]))
+        T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
+        assert T.converged
+        with mp.workdps(50):
+            ref, err = inverse_derivative_mp(B, psi, mp)
+        assert err < 1e-40  # the reference converged
+        assert np.abs(T.matrix - ref).max() <= 1e-10
 
     def test_phase_route_matches_uniform_grid(self):
         rng = np.random.default_rng(7)
