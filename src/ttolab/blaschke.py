@@ -8,7 +8,7 @@ Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -52,16 +52,63 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _van_der_corput(n: int) -> np.ndarray:
-    """First n points of the base-2 van der Corput sequence (in [0, 1))."""
+    """First n points of the base-2 van der Corput sequence (in [0, 1)).
+    Point i + 2^k is point i plus 2^-(k+1) for i < 2^k; the sums are dyadic,
+    so exact."""
     out = np.zeros(n)
-    for i in range(n):
-        x, denom, k = 0.0, 2.0, i
-        while k:
-            x += (k & 1) / denom
-            k >>= 1
-            denom *= 2.0
-        out[i] = x
+    size, step = 1, 0.5
+    while size < n:
+        np.add(out[:min(size, n - size)], step, out=out[size:2 * size])
+        size, step = 2 * size, 0.5 * step
     return out
+
+
+class DistinctZeros:
+    """A zero list in distinct form: ``distinct`` holds each distinct zero
+    once, sorted as ``np.unique`` sorts complex values, ``counts`` their
+    multiplicities and ``which`` the index of each zero's distinct zero, so
+    that zeros == distinct[which].  ``zeros`` is the list itself: the one it
+    was folded from (``fold``), else distinct[which]."""
+
+    __slots__ = ("distinct", "counts", "which", "_zeros")
+
+    def __init__(self, distinct: np.ndarray, counts: np.ndarray, which: np.ndarray,
+                 zeros: np.ndarray | None = None):
+        self.distinct, self.counts, self.which, self._zeros = distinct, counts, which, zeros
+
+    @staticmethod
+    def fold(zeros: np.ndarray) -> "DistinctZeros":
+        """The distinct form of a bare zero array, by ``np.unique``."""
+        distinct, which, counts = np.unique(zeros, return_inverse=True, return_counts=True)
+        return DistinctZeros(distinct, counts, which, zeros)
+
+    @staticmethod
+    def runs(values: np.ndarray, lengths: np.ndarray) -> "DistinctZeros":
+        """The distinct form of the zeros values[0] repeated lengths[0] times,
+        then values[1] repeated lengths[1] times, and so on (every length
+        positive): only the run values are folded."""
+        folded = DistinctZeros.fold(values)
+        counts = np.zeros(len(folded.distinct), dtype=np.intp)
+        np.add.at(counts, folded.which, lengths)
+        return DistinctZeros(folded.distinct, counts, np.repeat(folded.which, lengths))
+
+    @staticmethod
+    def cycle(head: np.ndarray, start: int, count: int) -> "DistinctZeros":
+        """The distinct form of the first count zeros of head, then
+        head[start:], head[start:], ...: only the head is folded."""
+        folded = DistinctZeros.fold(head)
+        period = len(head) - start
+        reps = -(-(count - len(head)) // period) if count > len(head) else 0
+        which = np.empty(len(head) + reps * period, dtype=np.intp)
+        which[:len(head)] = folded.which
+        if reps:
+            which[len(head):].reshape(reps, period)[:] = folded.which[start:]
+        which = which[:count]
+        return DistinctZeros(folded.distinct, np.bincount(which, minlength=len(folded.distinct)), which)
+
+    @property
+    def zeros(self) -> np.ndarray:
+        return self.distinct[self.which] if self._zeros is None else self._zeros
 
 
 @dataclass(frozen=True)
@@ -115,18 +162,23 @@ class ZeroSequence:
         return generate_zeros(self, count)
 
 
-def generate_zeros(spec: ZeroSequence, count: int) -> np.ndarray:
-    """Produce the first ``count`` zeros of the sequence rule.
+def _frostman_zeros(j: np.ndarray, ndir: int) -> np.ndarray:
+    rad = np.minimum(1.0 - (j + 1.0) ** -4, RADIUS_CAP)
+    return rad * np.exp(1j * (TWO_PI * (j % ndir) / ndir))
 
-    All rules return an array starting with 0 and with every modulus
-    strictly below 1 (capped at ``RADIUS_CAP``).
-    """
+
+def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
+    """The first ``count`` zeros of the rule: in distinct form where they
+    repeat, computed from the rule's few distinct zeros and its index map;
+    as a bare array where the rule makes them distinct (dense_nonblaschke
+    and constant_modulus) or gives no rule (explicit, folded).  Checked to
+    start at the origin and to lie strictly inside the disk."""
     if count < 1:
         raise ValueError("count must be >= 1")
     kind, p = spec.kind, spec.params
 
     if kind == "uniform_zero":
-        lam = np.zeros(count, dtype=complex)
+        lam = DistinctZeros.runs(np.zeros(1, dtype=complex), [count])
 
     elif kind == "constant_modulus":
         r = float(p.get("r", 0.5))
@@ -151,25 +203,25 @@ def generate_zeros(spec: ZeroSequence, count: int) -> np.ndarray:
         lam0 = float(p.get("lam", 0.5))
         if not 0.0 < lam0 < 1.0:
             raise ValueError(f"alternating_3k needs lam in (0,1), got {lam0}")
-        vals = np.zeros(count, dtype=complex)
         # block rule: indices 3^{k-1} < j <= 3^k carry +lam for odd k,
-        # -lam for even k; j = 0 and j = 1 stay at the origin
-        for j in range(2, count):
-            k, hi = 1, 3
-            while j > hi:
-                k += 1
-                hi *= 3
-            vals[j] = lam0 if k % 2 == 1 else -lam0
-        lam = vals
+        # -lam for even k; j = 0 and j = 1 stay at the origin.  Runs: the
+        # origin for j < 2, then block k up to min(3^k, count - 1)
+        values, ends, k = [0.0], [min(2, count)], 1
+        while ends[-1] < count:
+            values.append(lam0 if k % 2 == 1 else -lam0)
+            ends.append(min(3 ** k + 1, count))
+            k += 1
+        lam = DistinctZeros.runs(np.array(values, dtype=complex), np.diff(ends, prepend=0))
 
     elif kind == "frostman_fast":
         ndir = int(p.get("directions", 4))
         if ndir < 1:
             raise ValueError("frostman_fast needs directions >= 1")
-        j = np.arange(count)
-        rad = np.minimum(1.0 - (j + 1.0) ** -4, RADIUS_CAP)
-        ang = TWO_PI * (j % ndir) / ndir
-        lam = rad * np.exp(1j * ang)
+        # radii grow with j, and (cap + 1)^-4 lies well below 1 - RADIUS_CAP:
+        # from j = cap on every radius is the cap, and zero j repeats zero
+        # cap + (j - cap) % ndir
+        cap = int((1.0 - RADIUS_CAP) ** -0.25) + 1
+        lam = DistinctZeros.cycle(_frostman_zeros(np.arange(min(count, cap + ndir)), ndir), cap, count)
 
     elif kind == "dense_nonblaschke":
         gamma = float(p.get("gamma", 0.6180339887))
@@ -181,17 +233,35 @@ def generate_zeros(spec: ZeroSequence, count: int) -> np.ndarray:
         pts = np.asarray(spec.explicit_zeros, dtype=complex)
         if len(pts) < count:
             raise ValueError(f"explicit sequence has {len(pts)} zeros, {count} requested")
-        lam = pts[:count].copy()
+        lam = DistinctZeros.fold(pts[:count].copy())
 
     else:  # pragma: no cover - guarded in __post_init__
         raise ValueError(f"unknown generator tag {kind!r}")
 
-    if abs(lam[0]) != 0.0:
+    first, values = (lam[0], lam) if isinstance(lam, np.ndarray) else (lam.distinct[lam.which[0]], lam.distinct)
+    if abs(first) != 0.0:
         raise ValueError("sequence must start at the origin")
-    mods = np.abs(lam)
-    if mods.max(initial=0.0) >= 1.0:
+    if np.abs(values).max(initial=0.0) >= 1.0:
         raise ValueError("zeros must lie strictly inside the unit disk")
     return lam
+
+
+def generate_zeros(spec: ZeroSequence, count: int) -> np.ndarray:
+    """Produce the first ``count`` zeros of the sequence rule.
+
+    All rules return an array starting with 0 and with every modulus
+    strictly below 1 (capped at ``RADIUS_CAP``).
+    """
+    lam = _rule_zeros(spec, count)
+    return lam if isinstance(lam, np.ndarray) else lam.zeros
+
+
+def distinct_zeros(spec: ZeroSequence, count: int) -> DistinctZeros:
+    """The first ``count`` zeros of the sequence rule in distinct form: in
+    closed form for the repeating rules (uniform_zero, alternating_3k,
+    frostman_fast), folded by ``DistinctZeros.fold`` for the others."""
+    lam = _rule_zeros(spec, count)
+    return DistinctZeros.fold(lam) if isinstance(lam, np.ndarray) else lam
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +303,16 @@ def exact_defects(zeros: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FiniteBlaschke:
-    """Degree-N Blaschke product given by its zero list (first zero at 0)."""
+    """Degree-N Blaschke product given by its zero list (first zero at 0).
+
+    The product keeps its zeros in distinct form: the ``DistinctZeros`` of a
+    sequence rule (``from_sequence``), or the bare zero list folded by
+    ``DistinctZeros.fold``."""
 
     zeros: np.ndarray
+    runs: InitVar[DistinctZeros | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, runs):
         z = np.asarray(self.zeros, dtype=complex)
         if z.ndim != 1 or len(z) == 0:
             raise ValueError("zeros must be a non-empty 1-d array")
@@ -260,7 +335,9 @@ class FiniteBlaschke:
         # the one place that forms a zero's defect d = 1 - |lambda|^2: once per
         # distinct zero, correctly rounded, with p = d/(1 + |lambda|) (1 - |lambda|
         # to rounding) and the kernel norm c = sqrt(d) of each zero
-        uniq, which, counts = np.unique(z, return_inverse=True, return_counts=True)
+        if runs is None:
+            runs = DistinctZeros.fold(z)
+        uniq, counts, which = runs.distinct + 0.0, runs.counts, runs.which
         defects = exact_defects(uniq)
         object.__setattr__(self, "_distinct", (uniq, counts))
         object.__setattr__(self, "_which", which)  # zeros[i] == uniq[which[i]]
@@ -278,7 +355,8 @@ class FiniteBlaschke:
 
     @classmethod
     def from_sequence(cls, spec: ZeroSequence, degree: int) -> "FiniteBlaschke":
-        return cls(generate_zeros(spec, degree))
+        runs = distinct_zeros(spec, degree)
+        return cls(runs.zeros, runs)
 
     def __repr__(self):
         return f"FiniteBlaschke(degree={self.degree})"
@@ -641,44 +719,17 @@ def _poisson_terms(x: np.ndarray, y: np.ndarray, zeros: np.ndarray, buf: np.ndar
     return np.divide(exact_defects(zeros), out, out=out)
 
 
-def _fold_repeats(lam: np.ndarray, checkpoints: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(distinct, which) with lam == distinct[which], when weighting each
-    distinct zero's term at each of the ``checkpoints`` forms fewer terms
-    than the len(lam) of the sequence itself; None otherwise.
-
-    A zero is keyed by the ranks of its real and imaginary parts among their
-    sorted distinct values (conjugate pairs share a real part), and the
-    distinct keys give the distinct zeros.  There are at least as many
-    distinct zeros as distinct values of either part, so the sort of the
-    real parts alone (0.8 ms at 10^5 zeros) settles most sequences without
-    repeats.  No complex copy of the zeros is formed."""
-    ranks = []
-    for part in (lam.real, lam.imag):
-        values = _sorted_distinct(part)
-        if len(values) * checkpoints >= len(lam):
-            return None
-        ranks.append((values, np.searchsorted(values, part)))
-    (real, key), (imag, rank) = ranks
-    key *= len(imag)
-    key += rank
-    del ranks, rank
-    keys = _sorted_distinct(key)
-    if len(keys) * checkpoints >= len(lam):
-        return None
-    distinct = np.empty(len(keys), dtype=complex)
-    distinct.real, distinct.imag = real[keys // len(imag)], imag[keys % len(imag)]
-    return distinct, np.searchsorted(keys, key)
-
-
 def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
                          thresholds: Sequence[float] = (1e2, 1e3)) -> AngularDiagnostics:
     """Accumulate sum_j (1-|lam_j|^2)/|zeta - lam_j|^2 over j < J per grid point.
 
-    A sequence whose zeros repeat enough (``_fold_repeats``: frostman_fast
-    has 35 distinct zeros in 10^5) is folded: each distinct zero's term is
-    formed once per grid point, and a checkpoint is the pairwise sum of those
-    terms times each zero's count in its prefix.  Any other sequence is
-    streamed: each block of ANGULAR_BLOCK zeros adds its row sums (pairwise)
+    The rule gives its zeros in distinct form where they repeat
+    (``DistinctZeros``: frostman_fast has 35 distinct zeros in 10^5, formed
+    with no 10^5-element complex array).  With D distinct zeros and C
+    checkpoints, such a sequence is folded when D C < J: each distinct zero's
+    term is formed once per grid point, and a checkpoint is the pairwise sum
+    of those terms times each zero's count in its prefix.  Any other sequence
+    is streamed: each block of ANGULAR_BLOCK zeros adds its row sums (pairwise)
     to the running sums, and a checkpoint inside the block is the running sum
     plus a prefix sum of the block's terms.  Either way the terms are
     ``_poisson_terms``, and a first crossing is a ``searchsorted`` on a
@@ -691,7 +742,7 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
     if len(angles) == 0:
         raise ValueError("empty grid")
     x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    lam = generate_zeros(seq, J)
+    lam = _rule_zeros(seq, J)
 
     checkpoints = [1]
     while checkpoints[-1] * 2 <= J:
@@ -701,11 +752,11 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
     checkpoints = np.asarray(checkpoints)
     thresholds = tuple(float(t) for t in thresholds)
 
-    fold = _fold_repeats(lam, len(checkpoints))
-    if fold is None:
-        partial, crossing = _streamed_sums(x, y, lam, checkpoints, thresholds)
+    if isinstance(lam, DistinctZeros) and len(lam.distinct) * len(checkpoints) < J:
+        partial, crossing = _folded_sums(x, y, lam.distinct, lam.which, checkpoints, thresholds)
     else:
-        partial, crossing = _folded_sums(x, y, *fold, checkpoints, thresholds)
+        zeros = lam if isinstance(lam, np.ndarray) else lam.zeros
+        partial, crossing = _streamed_sums(x, y, zeros, checkpoints, thresholds)
     return AngularDiagnostics(angles, checkpoints, partial, thresholds, crossing)
 
 

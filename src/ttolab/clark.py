@@ -37,12 +37,34 @@ def clark_support(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None
     return np.sort(np.mod(nodes, TWO_PI))
 
 
+def _check_measures(B: FiniteBlaschke, alphas: np.ndarray, atom_angles: np.ndarray,
+                    weights: np.ndarray) -> None:
+    """Check Clark measures given by rows (alpha, atom angles, weights):
+    every atom must solve B = alpha, and for B(0) = 0 the weights must sum
+    to 1.  One evaluation of B covers all rows; the error is that of the
+    first measure, in row order, that fails a check, residual first."""
+    res = np.abs(eval_blaschke_folded(B, atom_angles) - alphas[:, None])
+    # an atom angle is representable only to ~ulp, so the achievable
+    # residual at a phase spike is |B'| times the angle resolution
+    floor = 16.0 * np.finfo(float).eps / weights
+    off_level = np.any(res > 1e-9 + floor, axis=1)
+    off_mass = B.vanishes_at_origin & (np.abs(weights.sum(axis=1) - 1.0) > 1e-8)
+    failed = np.nonzero(off_level | off_mass)[0]
+    if len(failed):
+        row = failed[0]
+        if off_level[row]:
+            raise ValueError(f"level-set residual too large: {res[row].max():.3e}")
+        raise ValueError(f"total mass {weights[row].sum()!r} differs from 1")
+
+
 @dataclass(frozen=True, eq=False)
 class ClarkMeasure:
     """Atomic spectral measure of the Clark unitary at parameter alpha.
 
     Exactly N atoms (zeta_k, w_k) with w_k = 1/|B'(zeta_k)|, sorted by angle.
-    For B vanishing at 0 the weights sum to 1.
+    For B vanishing at 0 the weights sum to 1.  A measure built on its own
+    checks its atoms and mass on construction; ``clark_measures`` checks a
+    whole alpha grid at once.
     """
 
     blaschke: FiniteBlaschke
@@ -54,14 +76,18 @@ class ClarkMeasure:
         B = self.blaschke
         if len(self.atom_angles) != B.degree or len(self.weights) != B.degree:
             raise ValueError("atom count must equal the degree")
-        res = np.abs(eval_blaschke_folded(B, self.atom_angles) - self.alpha)
-        # an atom angle is representable only to ~ulp, so the achievable
-        # residual at a phase spike is |B'| times the angle resolution
-        floor = 16.0 * np.finfo(float).eps / self.weights
-        if np.any(res > 1e-9 + floor):
-            raise ValueError(f"level-set residual too large: {res.max():.3e}")
-        if B.vanishes_at_origin and abs(self.weights.sum() - 1.0) > 1e-8:
-            raise ValueError(f"total mass {self.weights.sum()!r} differs from 1")
+        _check_measures(B, np.array([self.alpha]), np.asarray(self.atom_angles)[None],
+                        np.asarray(self.weights)[None])
+
+    @classmethod
+    def _checked(cls, B: FiniteBlaschke, alpha: complex, atom_angles: np.ndarray,
+                 weights: np.ndarray) -> "ClarkMeasure":
+        """A measure whose row ``_check_measures`` has passed."""
+        mu = object.__new__(cls)
+        for name, value in (("blaschke", B), ("alpha", alpha), ("atom_angles", atom_angles),
+                            ("weights", weights)):
+            object.__setattr__(mu, name, value)
+        return mu
 
     @property
     def atoms(self) -> np.ndarray:
@@ -79,12 +105,15 @@ def clark_measure(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None
 
 def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:
     """The Clark measures at the count-th roots of unity, alpha_j = e^{2 pi i j/count},
-    from one phase inversion of all their atoms."""
+    from one phase inversion of all their atoms, with one level-set and mass
+    check of the whole (alpha x atoms) array."""
     nodes = np.mod(phase_nodes(PhaseFunction(B), count)[0], TWO_PI)
     atoms = np.sort(nodes.reshape(B.degree, count), axis=0).T.copy()  # row j: alpha_j
     weights = 1.0 / abs_derivative_grid(B, atoms)
-    return [ClarkMeasure(B, complex(math.cos(a), math.sin(a)), atoms[j], weights[j])
-            for j, a in enumerate(TWO_PI * np.arange(count) / count)]
+    angles = TWO_PI * np.arange(count) / count
+    alphas = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
+    _check_measures(B, alphas, atoms, weights)
+    return [ClarkMeasure._checked(B, alpha, atoms[j], weights[j]) for j, alpha in enumerate(alphas.tolist())]
 
 
 #: the largest alpha grid of ``disintegration_check``

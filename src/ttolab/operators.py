@@ -50,12 +50,16 @@ class SymbolRep:
     Either a trigonometric polynomial (coeffs maps frequency k to c_k) or a
     vectorized sampler of angles.  ``is_real`` marks real-valued symbols,
     which unlocks continuous (non-polynomial) functional calculus downstream.
+    ``inverse_derivative_of`` is the product B of the sampled symbol 1/|B'|
+    (``inverse_derivative_symbol``): a build on the phase nodes of z^N B
+    reads it from the phase solve there.
     """
 
     coeffs: tuple = ()
     sampler: Callable | None = None
     is_real: bool = False
     name: str = ""
+    inverse_derivative_of: FiniteBlaschke | None = None
 
     @staticmethod
     def trig(coeffs: Mapping[int, complex], name: str = "") -> "SymbolRep":
@@ -127,8 +131,8 @@ class SymbolRep:
 
 def inverse_derivative_symbol(B: FiniteBlaschke) -> SymbolRep:
     """The weight 1/|B'| as a (real, smooth) sampled symbol."""
-    return SymbolRep.from_sampler(lambda t: 1.0 / abs_derivative_grid(B, t),
-                                  real=True, name=f"1/|B'| (deg {B.degree})")
+    return SymbolRep(sampler=lambda t: 1.0 / abs_derivative_grid(B, t), is_real=True,
+                     name=f"1/|B'| (deg {B.degree})", inverse_derivative_of=B)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +286,9 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     carries (N + |B'|) dm onto uniform measure, so its nodes resolve the peaks
     and the flat part of the circle at once, each with the Lebesgue weight
     2N/|Z'| <= 2, |Z'| from the phase solve; their count stops at
-    max_points/PHASE_NODE_COST.
+    max_points/PHASE_NODE_COST.  The symbol 1/|B'| of B itself
+    (``inverse_derivative_symbol``) is 1/(|Z'| - N) there, from the same
+    solve, and is not sampled.
 
     Each level streams its nodes in blocks of GRAM_NODES: a block holds the
     N x GRAM_NODES basis samples and their weighted conjugate, formed in
@@ -291,12 +297,17 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     2^22/N nodes, three arrays each) to 17 MB."""
     N = B.degree
 
-    def gram(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def gram(angles: np.ndarray, weights: np.ndarray, slopes: np.ndarray | None = None) -> np.ndarray:
+        """The weighted Gram product of the symbol's samples at the angles;
+        given |Z'| at them (``slopes``), the symbol is 1/(|Z'| - N)."""
         acc = np.zeros((N, N), dtype=complex)
         for start in range(0, len(angles), GRAM_NODES):
             th = angles[start:start + GRAM_NODES]
             E = tmw_matrix(B, th).T  # one contiguous row per basis function
-            vals = np.asarray(sym.evaluate(th))
+            if slopes is None:
+                vals = np.asarray(sym.evaluate(th))
+            else:
+                vals = 1.0 / (slopes[start:start + GRAM_NODES] - N)
             if not np.all(np.isfinite(vals)):
                 raise ValueError("non-finite symbol sample")
             if sym.is_real and np.iscomplexobj(vals) and np.abs(vals.imag).max() > 1e-12:
@@ -316,10 +327,11 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     else:
         Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(N, dtype=complex))))
         phase = PhaseFunction(Z)
+        from_slopes = sym.inverse_derivative_of is B
 
         def level(count: int, offset: float) -> np.ndarray:
             nodes, slopes = phase_nodes(phase, count // (2 * N), offset)
-            return gram(nodes, 2 * N / slopes)
+            return gram(nodes, 2 * N / slopes, slopes if from_slopes else None)
 
         res = doubling(level, 2 * N * levels, cfg, limit=cfg.max_points // PHASE_NODE_COST)
     T = res.value

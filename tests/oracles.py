@@ -6,20 +6,25 @@ the Clark unitary as a rank-one perturbation of the compressed shift, the
 defect I - SS*, the basis samples from one pass per zero, the kernel
 coefficients of the basis, the Hilbert-Schmidt lemma's lhs from Clark
 spectral sums, T(1/|B'|) from the Clark atoms and by 50-digit quadrature,
-and the Hilbert-Schmidt and operator norms.  The library takes these
-quantities in closed form, from tangents of half angles, from the phase
-nodes of z^N B or from spectral sums; these routes check them."""
+the Hilbert-Schmidt and operator norms, the per-zero loops of two zero
+rules, and the angular sums from the expanded zero list, folded by sorting.
+The library takes these quantities in closed form, from tangents of half
+angles, from the phase nodes of z^N B, from spectral sums or from the
+distinct form of a zero rule; these routes check them."""
 
 import cmath
 import math
 
 import numpy as np
 
+from ttolab import blaschke
 from ttolab.blaschke import (
     PHASE_BLOCK,
     TWO_PI,
+    AngularDiagnostics,
     FiniteBlaschke,
     abs_derivative_grid,
+    generate_zeros,
     tmw_matrix,
 )
 from ttolab.clark import clark_measures
@@ -304,3 +309,72 @@ def fejer_apply(B: FiniteBlaschke, f, zeta, cfg: QuadratureConfig = QuadratureCo
         return vals * model_kernel_sq_grid(B, th0, angles)
 
     return integrate_circle(sampler, cfg, initial_points=blaschke_initial_points(B, cfg))
+
+
+def van_der_corput_loop(n: int) -> np.ndarray:
+    """First n points of the base-2 van der Corput sequence, one point at a
+    time, bit by bit."""
+    out = np.zeros(n)
+    for i in range(n):
+        x, denom, k = 0.0, 2.0, i
+        while k:
+            x += (k & 1) / denom
+            k >>= 1
+            denom *= 2.0
+        out[i] = x
+    return out
+
+
+def alternating_3k_loop(lam0: float, count: int) -> np.ndarray:
+    """The alternating_3k zeros one index at a time: indices
+    3^{k-1} < j <= 3^k carry +lam0 for odd k, -lam0 for even k, and j = 0, 1
+    stay at the origin."""
+    vals = np.zeros(count, dtype=complex)
+    for j in range(2, count):
+        k, hi = 1, 3
+        while j > hi:
+            k += 1
+            hi *= 3
+        vals[j] = lam0 if k % 2 == 1 else -lam0
+    return vals
+
+
+def fold_repeats_reference(lam: np.ndarray, checkpoints: int):
+    """(distinct, which) with lam == distinct[which], when weighting each
+    distinct zero's term at each of the checkpoints forms fewer terms than
+    len(lam); None otherwise.  A zero is keyed by the ranks of its real and
+    imaginary parts among their sorted distinct values."""
+    ranks = []
+    for part in (lam.real, lam.imag):
+        values = np.unique(part)
+        if len(values) * checkpoints >= len(lam):
+            return None
+        ranks.append((values, np.searchsorted(values, part)))
+    (real, key), (imag, rank) = ranks
+    key = key * len(imag) + rank
+    keys = np.unique(key)
+    if len(keys) * checkpoints >= len(lam):
+        return None
+    distinct = np.empty(len(keys), dtype=complex)
+    distinct.real, distinct.imag = real[keys // len(imag)], imag[keys % len(imag)]
+    return distinct, np.searchsorted(keys, key)
+
+
+def angular_sums_reference(seq, grid, J, thresholds=(1e2, 1e3)) -> AngularDiagnostics:
+    """``angular_partial_sums`` from the expanded zero list: all J zeros
+    generated, then folded by sorting their parts (``fold_repeats_reference``)
+    where that forms fewer terms, and summed by the library's folded or
+    streamed sums."""
+    angles = np.asarray(grid, dtype=float)
+    x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    lam = generate_zeros(seq, J)
+    checkpoints = 2 ** np.arange(J.bit_length())
+    if checkpoints[-1] != J:
+        checkpoints = np.append(checkpoints, J)
+    thresholds = tuple(float(t) for t in thresholds)
+    fold = fold_repeats_reference(lam, len(checkpoints))
+    if fold is None:
+        partial, crossing = blaschke._streamed_sums(x, y, lam, checkpoints, thresholds)
+    else:
+        partial, crossing = blaschke._folded_sums(x, y, *fold, checkpoints, thresholds)
+    return AngularDiagnostics(angles, checkpoints, partial, thresholds, crossing)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from ttolab.blaschke import (
     abs_derivative_grid,
     angular_partial_sums,
     circle_grid,
+    distinct_zeros,
     eval_blaschke_folded,
     exact_defects,
     generate_zeros,
@@ -24,11 +26,14 @@ from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
 from oracles import (
     abs_derivative_boundary,
+    alternating_3k_loop,
+    angular_sums_reference,
     eval_blaschke,
     eval_blaschke_grid,
     model_kernel,
     model_kernel_sq_grid,
     tmw_per_zero,
+    van_der_corput_loop,
 )
 
 ALL_GENERATORS = [
@@ -737,9 +742,14 @@ def cap_pairs_sequence(count=10 ** 5):
 REPEATED = [ZeroSequence.uniform_zero(), ZeroSequence.alternating_3k(0.5), cap_pairs_sequence()]
 
 
+#: every family of TestAngularPartialSums
+ANGULAR_FAMILIES = [ZeroSequence.frostman_fast(4), ZeroSequence.dense_nonblaschke(),
+                    ZeroSequence.constant_modulus(0.9)] + REPEATED
+ANGULAR_IDS = ["frostman", "dense", "constant-modulus", "uniform", "alternating", "cap-pairs"]
+
+
 class TestAngularPartialSums:
-    @pytest.mark.parametrize("seq", [ZeroSequence.frostman_fast(4), ZeroSequence.dense_nonblaschke(),
-                                     ZeroSequence.constant_modulus(0.9)] + REPEATED)
+    @pytest.mark.parametrize("seq", ANGULAR_FAMILIES)
     def test_first_crossing_matches_loop_reference(self, seq):
         # 10^4 terms span three blocks of 4096, or 15 checkpoint intervals
         # where the zeros repeat; the thresholds are crossed in each of them
@@ -763,25 +773,43 @@ class TestAngularPartialSums:
         assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, float)) <= 1e-14
         assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, np.longdouble)) <= 1e-14
 
+    @pytest.mark.parametrize("seq", ANGULAR_FAMILIES, ids=ANGULAR_IDS)
+    @pytest.mark.parametrize("grid, J, thresholds", [
+        (circle_grid(24, offset=0.5), 10 ** 4, (1.08, 5.0, 800.0, 6000.0, 1e6)),
+        (circle_grid(64, offset=0.5), 10 ** 5, (1e2, 1e3)),
+    ], ids=["crossings", "shipped"])
+    def test_matches_expand_and_fold_reference(self, seq, grid, J, thresholds):
+        # the distinct form of the rule against all J zeros generated and
+        # folded by sorting: the same terms in the same order, so the same bytes
+        diag = angular_partial_sums(seq, grid, J, thresholds=thresholds)
+        ref = angular_sums_reference(seq, grid, J, thresholds)
+        assert diag.checkpoints.tobytes() == ref.checkpoints.tobytes()
+        assert diag.partial_sums.tobytes() == ref.partial_sums.tobytes()
+        assert diag.first_crossing.tobytes() == ref.first_crossing.tobytes()
+
     @pytest.mark.parametrize("seq, distinct", [
         (ZeroSequence.frostman_fast(4), 35),
         (ZeroSequence.uniform_zero(), 1),
         (ZeroSequence.alternating_3k(0.5), 3),
         (cap_pairs_sequence(), 10),
-        (ZeroSequence.dense_nonblaschke(), None),
-        (ZeroSequence.constant_modulus(0.9), None),  # conjugate pairs, no repeats
+        (ZeroSequence.dense_nonblaschke(), 10 ** 5),
+        (ZeroSequence.constant_modulus(0.9), 10 ** 5),  # conjugate pairs, no repeats
         (ZeroSequence.from_points(np.repeat(generate_zeros(ZeroSequence.dense_nonblaschke(), 5 * 10 ** 4), 2)),
-         None),  # every zero twice: 18 checkpoints make folding cost more
+         5 * 10 ** 4),  # every zero twice: 18 checkpoints make folding cost more
     ], ids=["frostman", "uniform", "alternating", "cap-pairs", "dense", "constant-modulus", "dense-twice"])
-    def test_folds_only_where_it_forms_fewer_terms(self, seq, distinct):
-        lam = generate_zeros(seq, 10 ** 5)
-        fold = blaschke._fold_repeats(lam, 18)  # the checkpoints of 10^5 terms
-        if distinct is None:
-            assert fold is None
-        else:
-            zeros, which = fold
-            assert len(zeros) == distinct
-            assert np.array_equal(zeros[which], lam)
+    def test_folds_only_where_it_forms_fewer_terms(self, monkeypatch, seq, distinct):
+        J = 10 ** 5  # 18 checkpoints
+        runs = distinct_zeros(seq, J)
+        assert len(runs.distinct) == distinct
+        assert runs.zeros.tobytes() == generate_zeros(seq, J).tobytes()
+        routes = []
+        for route in ("_folded_sums", "_streamed_sums"):
+            def spy(*args, route=route, sums=getattr(blaschke, route)):
+                routes.append(route)
+                return sums(*args)
+            monkeypatch.setattr(blaschke, route, spy)
+        angular_partial_sums(seq, np.array([0.3]), J)
+        assert routes == ["_folded_sums" if distinct * 18 < J else "_streamed_sums"]
 
     def test_uniform_equals_term_count(self):
         diag = angular_partial_sums(ZeroSequence.uniform_zero(), circle_grid(8), 50)
@@ -831,3 +859,79 @@ class TestAngularPartialSums:
         diag = angular_partial_sums(ZeroSequence.dense_nonblaschke(),
                                     circle_grid(64, offset=0.5), 10 ** 5)
         assert diag.partial_sums[:, -1].min() > 1e3
+
+
+#: every zero rule: the three phase rules, frostman_fast on 1, 4 and 7
+#: directions (zeros 0...30 lie below the radius cap, the cycle over the
+#: directions starts at zero 31) and an explicit list with repeats
+DISTINCT_RULES = {
+    "uniform_zero": ZeroSequence.uniform_zero(),
+    "constant_modulus": ZeroSequence.constant_modulus(0.5),
+    "constant_modulus_golden": ZeroSequence.constant_modulus(0.9, "golden"),
+    "constant_modulus_random": ZeroSequence.constant_modulus(0.7, "random", seed=3),
+    "alternating_3k": ZeroSequence.alternating_3k(0.5),
+    "frostman_fast": ZeroSequence.frostman_fast(4),
+    "frostman_fast_1": ZeroSequence.frostman_fast(1),
+    "frostman_fast_7": ZeroSequence.frostman_fast(7),
+    "dense_nonblaschke": ZeroSequence.dense_nonblaschke(),
+    "explicit_cap_pairs": cap_pairs_sequence(),
+}
+DISTINCT_COUNTS = (1, 2, 3, 4, 27, 28, 31, 32, 33, 10 ** 5)
+
+
+class TestDistinctForm:
+    @pytest.mark.parametrize("count", DISTINCT_COUNTS)
+    @pytest.mark.parametrize("name", DISTINCT_RULES)
+    def test_expands_to_generate_zeros(self, name, count):
+        seq = DISTINCT_RULES[name]
+        lam = generate_zeros(seq, count)
+        runs = distinct_zeros(seq, count)
+        assert runs.zeros.tobytes() == lam.tobytes()
+        assert runs.distinct[runs.which].tobytes() == lam.tobytes()
+        # np.unique's sorted distinct zeros, multiplicities and zero index
+        distinct, which, counts = np.unique(lam, return_inverse=True, return_counts=True)
+        for got, want in ((runs.distinct, distinct), (runs.which, which), (runs.counts, counts)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", DISTINCT_COUNTS)
+    @pytest.mark.parametrize("name", DISTINCT_RULES)
+    def test_product_from_sequence_matches_folded_zeros(self, name, count):
+        seq = DISTINCT_RULES[name]
+        B, ref = FiniteBlaschke.from_sequence(seq, count), FiniteBlaschke(generate_zeros(seq, count))
+        assert B.zeros.tobytes() == ref.zeros.tobytes()
+        for got, want in zip(B._distinct + (B._which, B._defects, B._p, B._cnorm),
+                             ref._distinct + (ref._which, ref._defects, ref._p, ref._cnorm)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_explicit_keeps_signed_zeros(self):
+        # generate_zeros hands back the explicit list as given; the product
+        # folds -0 parts with +0 ones
+        pts = [0j, complex(-0.0, 0.5), complex(0.0, 0.5), complex(0.3, -0.0)]
+        seq = ZeroSequence.from_points(pts)
+        assert generate_zeros(seq, 4).tobytes() == np.array(pts).tobytes()
+        assert len(distinct_zeros(seq, 4).distinct) == 3
+        assert len(FiniteBlaschke.from_sequence(seq, 4)._distinct[0]) == 3
+        assert not np.signbit(FiniteBlaschke.from_sequence(seq, 4)._distinct[0].view(float)).any()
+
+    def test_closed_forms_match_loops(self):
+        # alternating_3k and the equispaced constant_modulus angles against
+        # the per-zero loops they replaced, bit for bit
+        n = 10 ** 5
+        lam = generate_zeros(ZeroSequence.alternating_3k(0.5), n)
+        assert lam.tobytes() == alternating_3k_loop(0.5, n).tobytes()
+        assert blaschke._van_der_corput(n).tobytes() == van_der_corput_loop(n).tobytes()
+        j = np.arange(n)
+        ref = np.where(j == 0, 0.0, 0.9 * np.exp(1j * (blaschke.TWO_PI * van_der_corput_loop(n))))
+        assert generate_zeros(ZeroSequence.constant_modulus(0.9), n).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seq", [ZeroSequence.alternating_3k(0.5), ZeroSequence.constant_modulus(0.9)],
+                             ids=["alternating_3k", "constant_modulus"])
+    def test_closed_forms_are_fast(self, seq):
+        # under 5 ms at 10^5 zeros on a 2-vCPU host (best of 5); the loops
+        # took 50 and 172 ms
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            generate_zeros(seq, 10 ** 5)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.025

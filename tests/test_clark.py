@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+from ttolab import clark
 from ttolab.blaschke import (
     PHASE_BLOCK,
     FiniteBlaschke,
     ZeroSequence,
     abs_derivative_grid,
     circle_grid,
+    eval_blaschke_folded,
     generate_zeros,
+    phase_nodes,
 )
 from ttolab.clark import (
     ClarkMeasure,
@@ -193,6 +198,79 @@ class TestClarkMeasure:
             q = Q[k] / np.linalg.norm(Q[k])
             zeta = np.exp(1j * mu.atom_angles[k])
             assert np.linalg.norm(U @ q - zeta * q) < 1e-7
+
+
+def per_measure_error(B, atoms, weights):
+    """The error of the first measure of the grid, in alpha order, that fails
+    the level-set or the mass check, each measure checked on its own as the
+    per-measure construction did; None if all pass."""
+    count = len(atoms)
+    for j, a in enumerate(2 * np.pi * np.arange(count) / count):
+        alpha = complex(math.cos(a), math.sin(a))
+        res = np.abs(eval_blaschke_folded(B, atoms[j]) - alpha)
+        if np.any(res > 1e-9 + 16.0 * np.finfo(float).eps / weights[j]):
+            return f"level-set residual too large: {res.max():.3e}"
+        if B.vanishes_at_origin and abs(weights[j].sum() - 1.0) > 1e-8:
+            return f"total mass {weights[j].sum()!r} differs from 1"
+    return None
+
+
+class TestClarkMeasuresGridCheck:
+    """``clark_measures`` checks all 32 measures of its grid at once; one bad
+    atom or weight of one alpha raises the error that checking each measure
+    on its own raised."""
+
+    COUNT = 32
+
+    def corrupted_grid(self, monkeypatch, B, atom_rows=(), weight_rows=()):
+        """Feed clark_measures nodes with one atom of each of atom_rows moved
+        by 1e-3 and |B'| with one atom of each of weight_rows doubled; return
+        the atoms and weights it then forms."""
+        nodes, slopes = phase_nodes(PhaseFunction(B), self.COUNT)
+        nodes = nodes.copy()
+        for row in atom_rows:
+            nodes[3 * self.COUNT + row] += 1e-3  # column row: alpha_row
+        monkeypatch.setattr(clark, "phase_nodes", lambda phase, count: (nodes, slopes))
+        atoms = np.sort(np.mod(nodes, 2 * np.pi).reshape(B.degree, self.COUNT), axis=0).T.copy()
+        derivs = abs_derivative_grid(B, atoms)
+        for row in weight_rows:
+            derivs[row, 5] *= 2.0
+        monkeypatch.setattr(clark, "abs_derivative_grid", lambda B, angles: derivs.copy())
+        return atoms, 1.0 / derivs
+
+    @pytest.mark.parametrize("atom_rows, weight_rows", [
+        ((17,), ()), ((), (17,)), ((0,), ()), ((), (31,)),
+        ((20,), (5,)), ((5,), (20,)), ((9,), (9,)),
+    ], ids=["atom", "weight", "first-atom", "last-weight", "weight-first", "atom-first", "same-row"])
+    def test_corrupt_measure_raises_per_measure_error(self, monkeypatch, atom_rows, weight_rows):
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 40)
+        atoms, weights = self.corrupted_grid(monkeypatch, B, atom_rows, weight_rows)
+        expected = per_measure_error(B, atoms, weights)
+        assert expected is not None
+        kind = "level-set" if min(atom_rows, default=99) <= min(weight_rows, default=99) else "total mass"
+        assert expected.startswith(kind)
+        with pytest.raises(ValueError) as err:
+            clark_measures(B, self.COUNT)
+        assert str(err.value) == expected
+
+    def test_clean_grid_passes_both_checks(self):
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 40)
+        measures = clark_measures(B, self.COUNT)
+        atoms = np.array([mu.atom_angles for mu in measures])
+        weights = np.array([mu.weights for mu in measures])
+        assert per_measure_error(B, atoms, weights) is None
+
+    def test_measure_on_its_own_is_checked(self):
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 40)
+        mu = clark_measure(B, 1j)
+        atoms = mu.atom_angles.copy()
+        atoms[7] += 1e-3
+        with pytest.raises(ValueError, match="level-set residual too large"):
+            ClarkMeasure(B, 1j, atoms, mu.weights)
+        weights = mu.weights.copy()
+        weights[7] *= 0.5
+        with pytest.raises(ValueError, match="total mass"):
+            ClarkMeasure(B, 1j, mu.atom_angles, weights)
 
 
 class TestBetaNorm:

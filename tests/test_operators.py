@@ -10,6 +10,7 @@ from ttolab.blaschke import (
     FiniteBlaschke,
     PhaseFunction,
     ZeroSequence,
+    abs_derivative_grid,
     circle_grid,
     generate_zeros,
     phase_nodes,
@@ -310,6 +311,28 @@ class TestSampledBuild:
             ref, err = inverse_derivative_mp(B, psi, mp)
         assert err < 1e-40  # the reference converged
         assert np.abs(T.matrix - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("seq, N, phase_route", [
+        (ZeroSequence.frostman_fast(4), 32, True),
+        (ZeroSequence.frostman_fast(4), 128, True),
+        (ZeroSequence.dense_nonblaschke(), 64, False),
+    ], ids=["frostman-32", "frostman-128", "dense-64"])
+    def test_inverse_derivative_from_phase_solve(self, monkeypatch, seq, N, phase_route):
+        # on the phase nodes of z^N B, 1/|B'| = 1/(|Z'| - N) comes from the
+        # solve: no |B'| pass; a uniform grid samples the symbol
+        B = FiniteBlaschke.from_sequence(seq, N)
+        assert takes_phase_route(B) == phase_route
+        calls = []
+
+        def counted(B, angles, *args):
+            calls.append(len(angles))
+            return abs_derivative_grid(B, angles, *args)
+
+        monkeypatch.setattr(operators, "abs_derivative_grid", counted)
+        T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
+        assert T.converged
+        assert (len(calls) == 0) == phase_route
+        assert abs(trace(T) - 1.0) <= 1e-12
 
     def test_phase_route_matches_uniform_grid(self):
         rng = np.random.default_rng(7)
