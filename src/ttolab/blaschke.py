@@ -15,6 +15,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+#: 2 pi - TWO_PI, the part of 2 pi that the double TWO_PI rounds away
+#: (Cody-Waite: 2 pi = TWO_PI + TWO_PI_TAIL to about 1e-32)
+TWO_PI_TAIL = 2.4492935982947064e-16
+
 #: generators keep zeros strictly inside the disk so that boundary kernels
 #: stay resolvable in double precision
 RADIUS_CAP = 1.0 - 1e-6
@@ -456,40 +460,89 @@ class PhaseFunction:
     def __init__(self, B: FiniteBlaschke):
         self.blaschke = B
         uniq, counts = B._distinct
-        r = np.abs(uniq)
+        psi = np.angle(uniq)
+        # the zeros within pi/2 of angle 0 first, then those within pi/2 of
+        # angle pi: each group meets the angles in its own chart
+        # (``_half_differences``)
+        order = np.argsort(np.abs(psi) >= 0.5 * np.pi, kind="stable")
+        r, psi = np.abs(uniq)[order], psi[order]
         self._r = r
-        self._psi = np.angle(uniq)
-        mult = counts.astype(float)
+        self._psi = psi
+        self._near_zero = int(np.sum(np.abs(psi) < 0.5 * np.pi))
+        # psi of the zeros near angle pi in [pi/2, 3 pi/2], in two parts:
+        # psi + TWO_PI rounds, psi - (hi - TWO_PI) is its exact error
+        far = psi[self._near_zero:]
+        hi = np.where(far < 0.0, far + TWO_PI, far)
+        lo = np.where(far < 0.0, (far - (hi - TWO_PI)) + TWO_PI_TAIL, 0.0)
+        # per-zero constants as columns: a block holds one row per distinct
+        # zero, so each chart's zeros are whole rows and every pass runs
+        # along the angles
+        self._half_psi = 0.5 * np.concatenate((psi[:self._near_zero], hi))[:, None]
+        self._half_lo = 0.5 * lo[:, None] if np.any(lo) else None
+        mult = counts[order].astype(float)
         self._lift = 2.0 * mult
-        self._p, self._q, self._two_r = B._p, 1.0 + r, 2.0 * r
+        self._p = B._p[order]
+        self._pc, self._qc, self._two_rc = self._p[:, None], (1.0 + r)[:, None], (2.0 * r)[:, None]
         # numerators of the Poisson kernels and of the curvature terms
-        self._poisson = mult * B._defects
+        self._poisson = mult * B._defects[order]
         self._curve = -4.0 * r * self._poisson
         b1 = complex(eval_blaschke_folded(B, 0.0))
         self._anchor = math.atan2(b1.imag, b1.real) % TWO_PI
         # each factor's lift term at angle 0, from the code path of a call,
         # so that Theta(0) is the anchor exactly
         self._offsets = 0.0
-        self._offsets = self._terms(np.zeros(1), *(np.empty((1, len(r))) for _ in range(3)))
+        self._offsets = self._terms(np.zeros(1), *(np.empty((len(r), 1)) for _ in range(3))).copy()
         self._scan = None
 
+    def _half_differences(self, th, t):
+        """Fill t, one row per distinct zero, with (th - psi)/2 up to a
+        multiple of pi for the angles th in [-pi, 2 pi], with one rounding
+        relative to the distance of th - psi from the nearest multiple of 2 pi.
+
+        A zero and an angle next to it must be written in the same chart:
+        a difference of two close doubles is exact, and a rounded 2 pi
+        between them is off by 2.4e-16, which a zero 1e-10 from the circle
+        turns into 1e-5 of Theta.  The zeros within
+        pi/2 of angle 0 meet the angles written in (-pi, pi]: past pi as
+        (th - TWO_PI) - TWO_PI_TAIL, where th - TWO_PI is exact.  The zeros
+        within pi/2 of angle pi, written in [pi/2, 3 pi/2] as two parts,
+        meet the angles in [0, 2 pi]: below 0 as th + TWO_PI in two parts.
+        Away from its own chart's seam, a difference lies within 3 pi/2 of
+        0, and the tangent of half of it is what the reduced one gives.
+        Halves throughout: the difference of halves is the half of the
+        difference, bit for bit."""
+        half, k = 0.5 * th, self._near_zero
+        near, far = t[:k], t[k:]
+        past = th > np.pi
+        if past.any():
+            np.subtract(half - past * (0.5 * TWO_PI), self._half_psi[:k], out=near)
+            near -= past * (0.5 * TWO_PI_TAIL)
+        else:
+            np.subtract(half, self._half_psi[:k], out=near)
+        below = th < 0.0
+        if below.any():
+            hi = np.where(below, th + TWO_PI, th)
+            lo = np.where(below, (th - (hi - TWO_PI)) + TWO_PI_TAIL, 0.0)
+            np.subtract(0.5 * hi, self._half_psi[k:], out=far)
+            far += 0.5 * lo
+        else:
+            np.subtract(half, self._half_psi[k:], out=far)
+        if self._half_lo is not None:
+            far -= self._half_lo
+        return t
+
     def _terms(self, th, t, t2, lift):
-        """Fill t with tan h, h = (x - 2 pi n)/2 for x = th - psi and n the
-        branch count of x, t2 with t^2 and lift with each factor's lift term
-        arctan(2rt/(p + (1+r)t^2)) less its value at angle 0, for the angles
-        th x the distinct zeros; returns lift."""
-        x = np.subtract(th[:, None], self._psi, out=t)
-        n = np.add(x, np.pi, out=t2)
-        n /= TWO_PI
-        np.floor(n, out=n)
-        n *= TWO_PI
-        x -= n
-        x *= 0.5
-        np.tan(x, out=t)
+        """Fill t with tan h, h = (th - psi)/2 (``_half_differences``), t2
+        with t^2 and lift with each factor's lift term
+        arctan(2rt/(p + (1+r)t^2)) less its value at angle 0, one row per
+        distinct zero and one column per angle th in [-pi, 2 pi]; returns
+        lift."""
+        h = self._half_differences(th, t)
+        np.tan(h, out=t)
         np.multiply(t, t, out=t2)
-        np.multiply(t2, self._q, out=lift)
-        lift += self._p
-        np.divide(t * self._two_r, lift, out=lift)
+        np.multiply(t2, self._qc, out=lift)
+        lift += self._pc
+        np.divide(t * self._two_rc, lift, out=lift)
         np.arctan(lift, out=lift)
         lift -= self._offsets
         return lift
@@ -501,24 +554,32 @@ class PhaseFunction:
         kernel is (1-|lambda|^2)(1+t^2)/D, and its derivative
         -4r(1-|lambda|^2) t(1+t^2)/D^2."""
         th = np.atleast_1d(np.asarray(angles, dtype=float))
+        # the lift terms are 2 pi periodic: an angle outside [-pi, 2 pi]
+        # enters them reduced into [0, 2 pi), on its own, before any zero's
+        # angle is subtracted
+        reduced = th
+        if len(th) and (th.min() < -np.pi or th.max() > TWO_PI):
+            reduced = np.where((th >= -np.pi) & (th <= TWO_PI), th, np.mod(th, TWO_PI))
         out = np.empty(th.shape)
         N = float(self.blaschke.degree)
-        step = max(1, PHASE_BLOCK // len(self._r))
-        buffers = [np.empty((min(step, len(th)), len(self._r))) for _ in range(3)]
+        z = len(self._r)
+        step = max(1, PHASE_BLOCK // z)
+        buffers = [np.empty(z * min(step, len(th))) for _ in range(3)]
         for start in range(0, len(th), step):
             rows = slice(start, start + step)
-            t, t2, lift = (b[:len(th[rows])] for b in buffers)
-            self._terms(th[rows], t, t2, lift)
-            out[rows] = (self._anchor + N * th[rows]) + lift @ self._lift
+            count = len(th[rows])
+            t, t2, lift = (b[:z * count].reshape(z, count) for b in buffers)
+            self._terms(reduced[rows], t, t2, lift)
+            out[rows] = (self._anchor + N * th[rows]) + self._lift @ lift
             if derivs is not None:
-                den = np.multiply(t2, self._q * self._q, out=lift)
-                den += self._p * self._p
+                den = np.multiply(t2, self._qc * self._qc, out=lift)
+                den += self._pc * self._pc
                 t2 += 1.0
                 kernel = np.divide(t2, den, out=t2)
-                derivs[0, rows] = kernel @ self._poisson
+                derivs[0, rows] = self._poisson @ kernel
                 kernel *= t
                 kernel /= den
-                derivs[1, rows] = kernel @ self._curve
+                derivs[1, rows] = self._curve @ kernel
         return out
 
     def bracket_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -547,7 +608,7 @@ class PhaseFunction:
         return self._scan
 
 
-def invert_phase(phase: PhaseFunction, targets) -> tuple[np.ndarray, np.ndarray]:
+def invert_phase(phase: PhaseFunction, targets, known: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Angles in [0, 2*pi] where Theta takes the targets, each in [Theta(0),
     Theta(0) + 2*pi*N], and Theta' = |B'| there.  The phase's bracket scan
     (``PhaseFunction.bracket_scan``, formed once per phase) brackets every
@@ -556,12 +617,23 @@ def invert_phase(phase: PhaseFunction, targets) -> tuple[np.ndarray, np.ndarray]
     Halley steps (Theta' = |B'| >= 1 and Theta'' come with each phase
     evaluation), safeguarded by bisection, then polish all targets at once.
 
+    ``known``, arrays (angles, levels, Theta') of nodes that earlier
+    inversions solved, takes the place of the scan's interior as brackets,
+    for this call only: the levels of a doubling run interleave, so each
+    target starts on the bracket of its two neighbouring levels, whose
+    values stand for Theta there (off by at most the phase tolerance or the
+    ulp exit, far less than a level step).  The phase's kept scan does not
+    change.
+
     Theta' comes from the evaluation that accepted each angle; only angles
     moved after their last evaluation, at the 1e-15 bracket exit, are
     evaluated again."""
     N = phase.blaschke.degree
     targets = np.asarray(targets, dtype=float)
     grid, vals, slopes = phase.bracket_scan()
+    if known is not None:
+        order = np.argsort(known[1])
+        grid, vals, slopes = (np.concatenate((a[:1], b[order], a[-1:])) for a, b in zip((grid, vals, slopes), known))
     idx = np.clip(np.searchsorted(vals, targets), 1, len(grid) - 1)
     lo, hi = grid[idx - 1], grid[idx]
 
@@ -621,7 +693,8 @@ def invert_phase(phase: PhaseFunction, targets) -> tuple[np.ndarray, np.ndarray]
     return theta, theta_prime
 
 
-def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0,
+                solved: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Theta^{-1} of the count*N levels 2*pi*(k + offset)/count, in [0, 2*pi],
     and Theta' = |B'| at them (see ``invert_phase``).
 
@@ -629,11 +702,23 @@ def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0) -> tuple[
     of nu = |B'|/N dm, and weighted by N/|B'| nodes of dm.  They are also the
     atoms of the Clark measures at alpha_j = e^{2 pi i (j + offset)/count}:
     ``reshape(N, count)`` puts alpha_j in column j.
+
+    ``solved``, a list kept by the caller across the levels of one doubling
+    run, holds (angles, levels, Theta') of every earlier call: they bracket
+    this call's targets (``invert_phase``'s ``known``), and this call's nodes
+    are appended.  The sampled build of frostman N = 128 (8 levels per winding
+    of z^N B, then doublings) takes 2.0 phase rows per node so, scan
+    included, against 2.34 from the scan alone.
     """
     N = phase.blaschke.degree
     levels = TWO_PI * (np.arange(count * N) + offset) / count
     # a level below Theta(0) is reached one full winding later
-    return invert_phase(phase, np.where(levels < phase._anchor, levels + TWO_PI * N, levels))
+    targets = np.where(levels < phase._anchor, levels + TWO_PI * N, levels)
+    known = tuple(np.concatenate(part) for part in zip(*solved)) if solved else None
+    nodes, slopes = invert_phase(phase, targets, known)
+    if solved is not None:
+        solved.append((nodes, targets, slopes))
+    return nodes, slopes
 
 
 # ---------------------------------------------------------------------------

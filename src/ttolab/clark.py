@@ -19,22 +19,36 @@ from .blaschke import (
     TWO_PI,
     FiniteBlaschke,
     PhaseFunction,
-    abs_derivative_grid,
     eval_blaschke_folded,
     phase_nodes,
 )
 from .quadrature import IntegralResult, QuadratureConfig, doubling, integrate_circle
 
 
-def clark_support(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None = None) -> np.ndarray:
-    """Angles of the N solutions of B = alpha on the circle, increasing: the
-    phase nodes of one level per winding, offset to the argument of alpha."""
+def _sorted_atoms(nodes: np.ndarray, slopes: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phase nodes of ``phase_nodes(phase, count)`` as count rows of
+    atoms in [0, 2 pi), increasing, row j that of alpha_j, and the Clark
+    weights 1/Theta' = 1/|B'| from the solve, sorted with them."""
+    atoms = np.mod(nodes, TWO_PI).reshape(-1, count).T
+    weights = 1.0 / slopes.reshape(-1, count).T
+    order = np.argsort(atoms, axis=1)
+    return np.take_along_axis(atoms, order, axis=1), np.take_along_axis(weights, order, axis=1)
+
+
+def _support(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and weights of the Clark measure at alpha: the phase nodes of
+    one level per winding, offset to the argument of alpha."""
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-9:
         raise ValueError("alpha must be unimodular")
     a = math.atan2(alpha.imag, alpha.real) % TWO_PI
-    nodes, _ = phase_nodes(phase or PhaseFunction(B), 1, a / TWO_PI)
-    return np.sort(np.mod(nodes, TWO_PI))
+    atoms, weights = _sorted_atoms(*phase_nodes(phase or PhaseFunction(B), 1, a / TWO_PI), 1)
+    return atoms[0], weights[0]
+
+
+def clark_support(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None = None) -> np.ndarray:
+    """Angles of the N solutions of B = alpha on the circle, increasing."""
+    return _support(B, alpha, phase)[0]
 
 
 def _check_measures(B: FiniteBlaschke, alphas: np.ndarray, atom_angles: np.ndarray,
@@ -98,18 +112,18 @@ class ClarkMeasure:
 
 
 def clark_measure(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None = None) -> ClarkMeasure:
-    angles = clark_support(B, alpha, phase)
-    weights = 1.0 / abs_derivative_grid(B, angles)
-    return ClarkMeasure(B, complex(alpha), angles, weights)
+    """The Clark measure at alpha, its weights 1/Theta' from the phase solve
+    of its atoms."""
+    return ClarkMeasure(B, complex(alpha), *_support(B, alpha, phase))
 
 
 def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:
     """The Clark measures at the count-th roots of unity, alpha_j = e^{2 pi i j/count},
     from one phase inversion of all their atoms, with one level-set and mass
-    check of the whole (alpha x atoms) array."""
-    nodes = np.mod(phase_nodes(PhaseFunction(B), count)[0], TWO_PI)
-    atoms = np.sort(nodes.reshape(B.degree, count), axis=0).T.copy()  # row j: alpha_j
-    weights = 1.0 / abs_derivative_grid(B, atoms)
+    check of the whole (alpha x atoms) array.  The weights are 1/Theta' from
+    that solve (``phase_nodes``), sorted with their atoms: no |B'| pass over
+    atoms x distinct zeros."""
+    atoms, weights = _sorted_atoms(*phase_nodes(PhaseFunction(B), count), count)  # row j: alpha_j
     angles = TWO_PI * np.arange(count) / count
     alphas = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
     _check_measures(B, alphas, atoms, weights)
@@ -146,9 +160,10 @@ def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = 16,
     sample = f if callable(f) else f.evaluate  # a sampler or a symbol
     phase = PhaseFunction(B)
     N = B.degree
+    solved = []  # each level's nodes bracket the next
 
     def level(count, offset):
-        nodes, slopes = phase_nodes(phase, count // N, offset)
+        nodes, slopes = phase_nodes(phase, count // N, offset, solved)
         return np.sum(np.asarray(sample(nodes)) * (N / slopes))
 
     avg = doubling(level, alpha_count * N, cfg, limit=MAX_ALPHA * N)

@@ -267,35 +267,66 @@ def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
 
 
 #: cost of one phase node of z^N B (its share of the phase inversion) in
-#: uniform grid points: 0.5 to 9 on frostman_fast and dense_nonblaschke at
-#: N = 8...128 with the Hermite-started Halley inversion (1 to 15 with
-#: midpoint-started Newton), the most at small N, where the Gram product is
-#: cheap.  Any value from 2 to 8 routes the benchmark configs alike
+#: uniform grid points (a basis sample and its share of the half-triangle
+#: Gram product): 0.3 to 12 on frostman_fast and dense_nonblaschke at
+#: N = 8...128, over four doubling levels solved in nested brackets, the most
+#: at N = 8, where the Gram product is cheap (0.5 to 7 with full products
+#: and the scan's brackets alone; 1 to 15 with midpoint-started Newton).  Any
+#: value from 1 to 255 routes the benchmark configs alike: their dense
+#: products take the uniform grid, their frostman products the phase nodes
 PHASE_NODE_COST = 8
 
 #: nodes per block of a sampled build's Gram product
 GRAM_NODES = 1024
 
 
+def _row_bands(N: int) -> list[tuple[int, int]]:
+    """Row bands of a real symbol's Gram product: band (r0, r1) forms its
+    rows' columns up to r1 only, so k bands form (k + 1)/(2k) of the product.
+    Up to 4 bands of at least 32 rows: thinner products run below BLAS
+    speed, and 8 bands built frostman T(1/|B'|) slower than 4 at N = 128
+    and 256 (one thread)."""
+    k = max(1, min(4, N // 32))
+    edges = [N * b // k for b in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _mirror_lower(A: np.ndarray) -> np.ndarray:
+    """Make A exactly Hermitian from its lower triangle: every entry above
+    the diagonal becomes the conjugate of its mirror below, and the diagonal
+    its real part."""
+    np.copyto(A, A.conj().T, where=~np.tri(len(A), dtype=bool))
+    np.fill_diagonal(A, A.diagonal().real)
+    return A
+
+
 def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfig):
     """Shared-node quadrature: one basis-sample matrix per refinement level,
-    all N^2 inner products formed as a single Gram product.
+    all N^2 inner products formed as a Gram product.
 
     The nodes are a uniform grid sized to the narrowest kernel peak, unless
     that grid costs more than the phase nodes of Z = z^N B.  The phase of Z
     carries (N + |B'|) dm onto uniform measure, so its nodes resolve the peaks
     and the flat part of the circle at once, each with the Lebesgue weight
     2N/|Z'| <= 2, |Z'| from the phase solve; their count stops at
-    max_points/PHASE_NODE_COST.  The symbol 1/|B'| of B itself
-    (``inverse_derivative_symbol``) is 1/(|Z'| - N) there, from the same
-    solve, and is not sampled.
+    max_points/PHASE_NODE_COST.  Each doubling level's phase solve is
+    bracketed by the nodes of the levels before it (``phase_nodes``'s
+    ``solved``).  The symbol 1/|B'| of B itself (``inverse_derivative_symbol``)
+    is 1/(|Z'| - N) there, from the same solve, and is not sampled.
 
     Each level streams its nodes in blocks of GRAM_NODES: a block holds the
     N x GRAM_NODES basis samples and their weighted conjugate, formed in
     place, so memory grows with N and not with the node count.  At
     frostman N = 256 the build's traced peak fell from 105 MB (blocks of
-    2^22/N nodes, three arrays each) to 17 MB."""
+    2^22/N nodes, three arrays each) to 17 MB.  T(h) of a real symbol is
+    Hermitian, so each block forms only the block-lower triangle of its
+    Gram product, in the row bands of ``_row_bands``, with the weighted
+    conjugate of one band at a time, and the sum of the levels is mirrored
+    into the upper half once (``_mirror_lower``): T comes out exactly
+    Hermitian, bit for bit as if each level had been mirrored.  A complex symbol takes
+    the full product."""
     N = B.degree
+    bands = _row_bands(N) if sym.is_real else [(0, N)]
 
     def gram(angles: np.ndarray, weights: np.ndarray, slopes: np.ndarray | None = None) -> np.ndarray:
         """The weighted Gram product of the symbol's samples at the angles;
@@ -312,9 +343,11 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
                 raise ValueError("non-finite symbol sample")
             if sym.is_real and np.iscomplexobj(vals) and np.abs(vals.imag).max() > 1e-12:
                 raise ValueError("symbol flagged real but samples are complex")
-            F = np.conj(E)
-            F *= vals * weights[start:start + GRAM_NODES]
-            acc += F @ E.T
+            w = vals * weights[start:start + GRAM_NODES]
+            for r0, r1 in bands:
+                F = np.conj(E[r0:r1])
+                F *= w
+                acc[r0:r1, :r1] += F @ E[:r1].T
         return acc
 
     levels = max(MIN_LEVELS, -(-cfg.initial_points // (2 * N)))
@@ -328,15 +361,14 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
         Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(N, dtype=complex))))
         phase = PhaseFunction(Z)
         from_slopes = sym.inverse_derivative_of is B
+        solved = []  # each level's nodes bracket the next
 
         def level(count: int, offset: float) -> np.ndarray:
-            nodes, slopes = phase_nodes(phase, count // (2 * N), offset)
+            nodes, slopes = phase_nodes(phase, count // (2 * N), offset, solved)
             return gram(nodes, 2 * N / slopes, slopes if from_slopes else None)
 
         res = doubling(level, 2 * N * levels, cfg, limit=cfg.max_points // PHASE_NODE_COST)
-    T = res.value
-    if sym.is_real:
-        T = 0.5 * (T + T.conj().T)
+    T = _mirror_lower(res.value) if sym.is_real else res.value
     return T, res.converged, res.estimated_error
 
 

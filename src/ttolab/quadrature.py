@@ -139,9 +139,10 @@ def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = Quadratu
     the mean of f over phase nodes, at least ``cfg.initial_points`` of them."""
     phase = PhaseFunction(B)
     N = B.degree
+    solved = []  # each level's nodes bracket the next
 
     def level(count, offset):
-        nodes, _ = phase_nodes(phase, count // N, offset)
+        nodes, _ = phase_nodes(phase, count // N, offset, solved)
         return _sample(f, nodes).sum(axis=0)
 
     return doubling(level, N * max(MIN_LEVELS, -(-cfg.initial_points // N)), cfg)

@@ -237,19 +237,28 @@ def eval_blaschke_grid(B: FiniteBlaschke, angles) -> np.ndarray:
     return out.reshape(th.shape)
 
 
-def half_angle(x):
-    """Branch count n of x and the sine and cosine of (x - 2 pi n)/2."""
-    n = np.floor((x + np.pi) / TWO_PI)
-    h = 0.5 * (x - TWO_PI * n)
+#: 2 pi less its double TWO_PI, as sin(pi - d) = d for d = pi - math.pi
+#: gives it: an oracle's own value of ``blaschke.TWO_PI_TAIL``
+TWO_PI_TAIL = 2.0 * math.sin(math.pi)
+
+
+def half_angle(theta, psi):
+    """Branch count n of x = theta - psi and the sine and cosine of
+    (x - 2 pi n)/2, with x - 2 pi n formed as ((theta - n TWO_PI) - psi) -
+    n TWO_PI_TAIL: 2 pi in two doubles, and no rounding of 2 pi n where
+    theta - psi lies next to it (one rounded 2 pi moves x by 2.4e-16, which
+    a zero 1e-10 from the circle turns into 1e-5 of its phase)."""
+    n = np.floor((np.subtract(theta, psi) + np.pi) / TWO_PI)
+    h = 0.5 * (((theta - n * TWO_PI) - psi) - n * TWO_PI_TAIL)
     return n, np.sin(h), np.cos(h)
 
 
-def phase_lift(x, r, p):
+def phase_lift(theta, psi, r, p):
     """Continuous increasing lift of the phase of the factor of a zero of
-    modulus r at angle difference x, from arctan2 and the branch count, with
-    p = (1 - r^2)/(1 + r) the product's stand-in for 1 - r: its derivative
-    is the Poisson kernel."""
-    n, s, c = half_angle(x)
+    modulus r at angle psi, at the angles theta, from arctan2 and the branch
+    count, with p = (1 - r^2)/(1 + r) the product's stand-in for 1 - r: its
+    derivative is the Poisson kernel."""
+    n, s, c = half_angle(theta, psi)
     return 2.0 * np.arctan2((1.0 + r) * s, p * c) + TWO_PI * n
 
 

@@ -390,6 +390,30 @@ class TestInvertPhase:
             assert phase.rows <= 3 * count * product.degree
 
 
+    def test_nested_brackets_match_fresh_nodes(self, edge_blaschke):
+        # levels of a doubling run, each solved inside the brackets of the
+        # nodes before it (phase_nodes' solved), give the nodes a fresh
+        # inversion gives, to the phase tolerance (or the 1e-15 exits) over
+        # Theta'; Theta' is that of the returned node, and the phase's kept
+        # scan stays as it was
+        B = edge_blaschke
+        phase = PhaseFunction(B)
+        scan = phase.bracket_scan()
+        grid = scan[0].copy()
+        tol = max(1e-13, 2e-15 * B.degree)
+        solved = []
+        for count, offset in ((4, 0.0), (4, 0.5), (8, 0.5), (16, 0.5)):
+            nodes, slopes = phase_nodes(phase, count, offset, solved)
+            fresh, fresh_slopes = phase_nodes(PhaseFunction(B), count, offset)
+            assert np.all(np.abs(nodes - fresh) <= 2 * tol / fresh_slopes + 4e-15)
+            derivs = np.empty((2, len(nodes)))
+            phase(nodes, derivs)
+            assert np.all(np.abs(slopes - derivs[0]) <= len(phase._r) * np.finfo(float).eps * derivs[0])
+            assert np.array_equal(solved[-1][0], nodes) and np.array_equal(solved[-1][2], slopes)
+        assert len(solved) == 4
+        assert phase.bracket_scan() is scan and np.array_equal(scan[0], grid)
+
+
 def mp_phase(B, mp):
     """Theta and |B'| of the stored zeros at the working precision of mp: the
     closed form of ``PhaseFunction`` with one term per zero."""
@@ -452,6 +476,88 @@ class TestPhaseNodesHighPrecision:
                     exact -= (theta(exact) - target) / slope(exact)
                 assert abs(theta(exact) - target) < 1e-30  # the reference converged
                 assert float(abs(exact - node)) <= tol / float(slope(exact)) + 4e-15
+
+
+class TestPhaseSeam:
+    """Theta and Theta' where th - psi lies next to a multiple of 2 pi other
+    than 0: a zero 1e-10 from the circle turns a rounding of 2 pi (2.4e-16)
+    into 1e-5 of Theta and 2.4e-6 of Theta' relative."""
+
+    def test_tail_of_two_pi(self):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(50):
+            assert blaschke.TWO_PI_TAIL == float(2 * mp.pi - blaschke.TWO_PI)
+
+    def test_slope_across_seam_against_50_digit_value(self):
+        # 1.4e-5 below 2 pi from a zero at angle 1e-8; the rounded 2 pi gave
+        # 1.99929314317912
+        mp = pytest.importorskip("mpmath").mp
+        B = FiniteBlaschke(np.array([0, (1 - 1e-10) * np.exp(1e-8j)]))
+        node = 6.28317117004603
+        derivs = np.empty((2, 1))
+        value = PhaseFunction(B)(np.array([node]), derivs)[0]
+        assert abs(derivs[0, 0] / 1.99929314313593 - 1) <= 1e-13
+        with mp.workdps(50):
+            theta, slope = mp_phase(B, mp)
+            assert abs(derivs[0, 0] / float(slope(mp.mpf(node))) - 1) <= 1e-13
+            assert abs(value - float(theta(mp.mpf(node)))) <= 1e-13
+
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_nodes_across_angle_zero_against_50_digit_values(self, N):
+        # the pair at angle 0 of the near-circle pairs (1 - 1e-10) puts
+        # phase nodes on both sides of angle 0; at those below 2 pi, Theta
+        # meets the 50-digit phase of the stored zeros to the phase tolerance
+        # and Theta' to 1e-13 relative (measured 6e-14 and 2.2e-16; the
+        # rounded 2 pi gave 9.8e-6 and 2.4e-6)
+        mp = pytest.importorskip("mpmath").mp
+        B = near_circle_pairs(N)
+        phase = PhaseFunction(B)
+        nodes, _ = phase_nodes(phase, 8)
+        near = nodes[(nodes < 1e-3) | (nodes > 2 * np.pi - 1e-3)]
+        assert np.sum(near > np.pi) >= 4 and np.sum(near < np.pi) >= 4
+        derivs = np.empty((2, len(near)))
+        values = phase(near, derivs)
+        with mp.workdps(50):
+            theta, slope = mp_phase(B, mp)
+            exact = np.array([float(theta(mp.mpf(t))) for t in near])
+            exact_slope = np.array([float(slope(mp.mpf(t))) for t in near])
+        assert np.all(np.abs(values - exact) <= max(1e-13, 2e-15 * N))
+        assert np.all(np.abs(derivs[0] / exact_slope - 1) <= 1e-13)
+
+    @pytest.mark.parametrize("psi", [1e-8, np.pi - 1e-9, -0.5 * np.pi], ids=["zero", "pi", "minus_half_pi"])
+    def test_pairs_across_chart_edges_against_50_digit_values(self, psi):
+        # zeros 1e-10 from the circle at psi and -psi: their spikes straddle
+        # angle 0 (and 2 pi), angle pi, or sit at -pi/2, the directions where
+        # the zeros change chart; nodes of 64 levels per winding, and the
+        # small nodes negated (measured at most 1.1e-14 and 4.1e-15; the
+        # rounded 2 pi gave up to 1.3e-5 and 6.9e-6)
+        mp = pytest.importorskip("mpmath").mp
+        B = FiniteBlaschke(np.array([0, (1 - 1e-10) * np.exp(1j * psi), (1 - 1e-10) * np.exp(-1j * psi)]))
+        phase = PhaseFunction(B)
+        nodes, _ = phase_nodes(phase, 64)
+        th = np.concatenate((nodes, -nodes[nodes < 1e-3]))
+        derivs = np.empty((2, len(th)))
+        values = phase(th, derivs)
+        with mp.workdps(40):
+            theta, slope = mp_phase(B, mp)
+            exact = np.array([float(theta(mp.mpf(t))) for t in th])
+            exact_slope = np.array([float(slope(mp.mpf(t))) for t in th])
+        assert np.all(np.abs(values - exact) <= 1e-13)
+        assert np.all(np.abs(derivs[0] / exact_slope - 1) <= 1e-13)
+
+    def test_negative_and_far_angles(self):
+        # a negative angle meets the zeros near angle pi as th + 2 pi in two
+        # parts; one outside [-pi, 2 pi] is reduced on its own first
+        B = FiniteBlaschke(np.array([0, 0.5, (1 - 1e-6) * np.exp(-3.0j), -0.3j]))
+        phase = PhaseFunction(B)
+        th = circle_grid(64, offset=0.3)
+        derivs, shifted = np.empty((2, len(th))), np.empty((2, len(th)))
+        values = phase(th, derivs)
+        N = B.degree
+        for turns in (-1, 1, 2):
+            moved = phase(th + turns * 2 * np.pi, shifted)
+            assert np.allclose(moved - 2 * np.pi * N * turns, values, rtol=0, atol=1e-9)
+            assert np.allclose(shifted[0], derivs[0], rtol=1e-9, atol=0)
 
 
 def mp_boundary_values(B, angles, mp):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ttolab import clark
+from ttolab import blaschke, clark, operators, quadrature
 from ttolab.blaschke import (
     PHASE_BLOCK,
     FiniteBlaschke,
@@ -47,7 +47,7 @@ def phase_reference(phase, angles):
     B = phase.blaschke
     total = np.full(angles.shape, phase._anchor)
     for r, psi, p in zip(B._radii, B._phases, B._p[B._which]):
-        total += phase_lift(angles - psi, r, p) - phase_lift(-psi, r, p)
+        total += phase_lift(angles, psi, r, p) - phase_lift(0.0, psi, r, p)
     return total
 
 
@@ -215,6 +215,61 @@ def per_measure_error(B, atoms, weights):
     return None
 
 
+class TestClarkWeightsFromSolve:
+    """Clark weights are 1/Theta' from the phase solve of their atoms: no
+    |B'| pass over atoms x distinct zeros."""
+
+    @staticmethod
+    def count_abs_derivative_calls(monkeypatch):
+        calls = []
+        original = blaschke.abs_derivative_grid
+
+        def counted(B, angles, *args):
+            calls.append(np.size(angles))
+            return original(B, angles, *args)
+
+        for module in (blaschke, clark, operators, quadrature):
+            if hasattr(module, "abs_derivative_grid"):
+                monkeypatch.setattr(module, "abs_derivative_grid", counted)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        lambda: FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 64),
+        lambda: random_blaschke(9, seed=2),
+        lambda: FiniteBlaschke(np.array([0, (1 - 1e-10) * np.exp(1e-8j)])),
+    ], ids=["frostman-64", "random-9", "seam-pair"])
+    def test_no_abs_derivative_pass(self, monkeypatch, make):
+        B = make()
+        calls = self.count_abs_derivative_calls(monkeypatch)
+        measures = clark_measures(B, 8)
+        mu = clark_measure(B, np.exp(0.7j))
+        assert not calls
+        # the weights sorted with their atoms: those of a fresh |B'| pass, to
+        # the ulp of each zero's position that both sums carry, amplified by
+        # 1/|zeta - lambda| (as in TestInvertPhase)
+        for nu in measures + [mu]:
+            assert np.all(np.diff(nu.atom_angles) > 0)
+            ref = 1.0 / abs_derivative_grid(B, nu.atom_angles)
+            near = np.abs(np.exp(1j * nu.atom_angles)[:, None] - B.zeros).min(axis=1)
+            assert np.all(np.abs(nu.weights - ref) <= (1e-12 + 16 * np.finfo(float).eps / near) * ref)
+
+    def test_single_measure_weights_against_50_digit_values(self):
+        # clark_measure on the near-circle pairs (1 - 1e-10), alpha off the
+        # grid of clark_measures: 1/Theta' meets the 50-digit 1/|B'| of the
+        # stored zeros as the grid's weights do
+        mp = pytest.importorskip("mpmath").mp
+        k = np.arange(15) // 2
+        B = FiniteBlaschke(np.concatenate(([0j], (1 - 1e-10) * np.exp(2j * np.pi * ((k * 0.6180339887498949) % 1)))))
+        mu = clark_measure(B, np.exp(2.1j))
+        with mp.workdps(50):
+            zs = [mp.mpc(z.real, z.imag) for z in B.zeros]
+            slope = np.array([float(mp.fsum((1 - abs(z) ** 2) / abs(mp.expj(mp.mpf(t)) - z) ** 2 for z in zs))
+                              for t in mu.atom_angles])
+        spread = (np.abs(np.exp(1j * mu.atom_angles)[:, None] - B.zeros) ** -2.0).sum(axis=1)
+        bound = 1e-14 + 4 * np.finfo(float).eps * spread / slope
+        assert np.all(np.abs(mu.weights * slope - 1) <= bound)
+
+
 class TestClarkMeasuresGridCheck:
     """``clark_measures`` checks all 32 measures of its grid at once; one bad
     atom or weight of one alpha raises the error that checking each measure
@@ -224,19 +279,20 @@ class TestClarkMeasuresGridCheck:
 
     def corrupted_grid(self, monkeypatch, B, atom_rows=(), weight_rows=()):
         """Feed clark_measures nodes with one atom of each of atom_rows moved
-        by 1e-3 and |B'| with one atom of each of weight_rows doubled; return
-        the atoms and weights it then forms."""
+        by 1e-3, and Theta' = |B'| doubled at the sixth atom (by angle) of
+        each of weight_rows; return the atoms and weights it then forms."""
         nodes, slopes = phase_nodes(PhaseFunction(B), self.COUNT)
-        nodes = nodes.copy()
+        nodes, slopes = nodes.copy(), slopes.copy()
         for row in atom_rows:
             nodes[3 * self.COUNT + row] += 1e-3  # column row: alpha_row
-        monkeypatch.setattr(clark, "phase_nodes", lambda phase, count: (nodes, slopes))
-        atoms = np.sort(np.mod(nodes, 2 * np.pi).reshape(B.degree, self.COUNT), axis=0).T.copy()
-        derivs = abs_derivative_grid(B, atoms)
+        columns = np.mod(nodes, 2 * np.pi).reshape(B.degree, self.COUNT)
+        order = np.argsort(columns, axis=0)
         for row in weight_rows:
-            derivs[row, 5] *= 2.0
-        monkeypatch.setattr(clark, "abs_derivative_grid", lambda B, angles: derivs.copy())
-        return atoms, 1.0 / derivs
+            slopes[order[5, row] * self.COUNT + row] *= 2.0
+        monkeypatch.setattr(clark, "phase_nodes", lambda phase, count: (nodes, slopes))
+        atoms = np.take_along_axis(columns, order, axis=0).T.copy()
+        weights = 1.0 / np.take_along_axis(slopes.reshape(B.degree, self.COUNT), order, axis=0).T
+        return atoms, weights
 
     @pytest.mark.parametrize("atom_rows, weight_rows", [
         ((17,), ()), ((), (17,)), ((0,), ()), ((), (31,)),

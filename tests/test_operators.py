@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -407,6 +408,103 @@ class TestSampledBuild:
                 T = build_truncated_toeplitz(B, sym)
                 assert T.converged == ref.converged
                 assert np.abs(T.matrix - ref.matrix).max() <= 1e-14 * np.abs(ref.matrix).max()
+
+
+def full_product(sym):
+    """The symbol flagged complex: its sampled build forms the full Gram
+    product of every node block and mirrors nothing."""
+    return dataclasses.replace(sym, is_real=False)
+
+
+REAL_SAMPLER = SymbolRep.from_sampler(lambda t: np.cos(t) + 0.3 * np.sin(2 * t) + 1.5, real=True)
+
+
+class TestHalfTriangleGram:
+    """A real symbol's sampled build forms the block-lower triangle of each
+    Gram product and mirrors their sum: T is exactly Hermitian and meets the
+    full product to rounding."""
+
+    @staticmethod
+    def check_against_full_product(B, sym):
+        T = build_truncated_toeplitz(B, sym)
+        ref = build_truncated_toeplitz(B, full_product(sym))
+        assert np.array_equal(T.matrix, T.matrix.conj().T)
+        assert np.abs(T.matrix - ref.matrix).max() <= 1e-14 * np.abs(ref.matrix).max()
+        assert T.converged == ref.converged
+
+    @pytest.mark.parametrize("seq, N", [
+        (ZeroSequence.frostman_fast(4), 32),
+        (ZeroSequence.frostman_fast(4), 64),
+        (ZeroSequence.frostman_fast(4), 128),
+        (ZeroSequence.dense_nonblaschke(), 64),
+        (ZeroSequence.dense_nonblaschke(), 200),
+    ], ids=["frostman-32", "frostman-64", "frostman-128", "dense-64", "dense-200"])
+    @pytest.mark.parametrize("which", ["inverse_derivative", "real_sampler"])
+    def test_sampled_build_cases(self, seq, N, which):
+        B = FiniteBlaschke.from_sequence(seq, N)
+        sym = inverse_derivative_symbol(B) if which == "inverse_derivative" else REAL_SAMPLER
+        self.check_against_full_product(B, sym)
+
+    def test_edge_families(self, small_edge_blaschke):
+        B = small_edge_blaschke
+        self.check_against_full_product(B, inverse_derivative_symbol(B))
+
+    def test_row_bands_cover_each_row_once(self):
+        for N in (1, 2, 31, 32, 63, 64, 100, 128, 1000):
+            bands = operators._row_bands(N)
+            assert bands[0][0] == 0 and bands[-1][1] == N
+            assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+            assert len(bands) == max(1, min(4, N // 32))
+
+    @pytest.mark.parametrize("make", [
+        lambda: FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 64),
+        lambda: random_blaschke(12, seed=3),
+    ], ids=["phase-route", "uniform-route"])
+    def test_complex_sampler_takes_full_product(self, monkeypatch, make):
+        # T(z) is the compressed shift, lower triangular: a mirrored build
+        # would be Hermitian; a real symbol's build mirrors once, after its
+        # last level
+        B = make()
+        mirrored = []
+
+        def counted(A):
+            mirrored.append(A.shape)
+            return mirror(A)
+
+        mirror = operators._mirror_lower
+        monkeypatch.setattr(operators, "_mirror_lower", counted)
+        T = build_truncated_toeplitz(B, SymbolRep.from_sampler(lambda t: np.exp(1j * t)))
+        assert T.converged and not mirrored
+        S = compressed_shift(B)
+        assert np.abs(T.matrix - S).max() <= 1e-8 * np.abs(S).max()
+        build_truncated_toeplitz(B, REAL_SAMPLER)
+        assert mirrored == [(B.degree, B.degree)]
+
+    def test_nested_brackets_cut_phase_rows(self, monkeypatch):
+        # frostman N = 128: every doubling level of the phase route solved
+        # inside the brackets of the levels before it takes at most 2.1 phase
+        # rows per node, bracket scan included (2.04 measured; the scan alone
+        # gave 2.34)
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 128)
+        assert takes_phase_route(B)
+        rows, nodes = [0], [0]
+
+        class CountingPhase(PhaseFunction):
+            def __call__(self, angles, derivs=None):
+                rows[0] += np.size(angles)
+                return super().__call__(angles, derivs)
+
+        def counted_nodes(*args):
+            out = phase_nodes(*args)
+            nodes[0] += len(out[0])
+            return out
+
+        monkeypatch.setattr(operators, "PhaseFunction", CountingPhase)
+        monkeypatch.setattr(operators, "phase_nodes", counted_nodes)
+        T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
+        assert T.converged
+        assert nodes[0] >= 4 * 2 * 128 * MIN_LEVELS
+        assert rows[0] <= 2.1 * nodes[0]
 
 
 class TestTraceFormula:
