@@ -408,8 +408,7 @@ def eval_blaschke_folded(B: FiniteBlaschke, angles) -> np.ndarray:
     return out.reshape(th.shape)
 
 
-def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray,
-                        cos_sin: tuple | None = None) -> np.ndarray:
+def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     """|B'| on the circle: sum of Poisson kernels at the zeros.
 
     The squared distance to each zero is formed from Cartesian coordinates
@@ -420,7 +419,7 @@ def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray,
     cost is six in-place vector passes per distinct zero.
     """
     th = np.asarray(angles, dtype=float)
-    cos_t, sin_t = cos_sin if cos_sin is not None else (np.cos(th), np.sin(th))
+    cos_t, sin_t = np.cos(th), np.sin(th)
     uniq, counts = B._distinct
     out = np.zeros_like(th)
     dx = np.empty_like(th)

@@ -35,20 +35,20 @@ def _sorted_atoms(nodes: np.ndarray, slopes: np.ndarray, count: int) -> tuple[np
     return np.take_along_axis(atoms, order, axis=1), np.take_along_axis(weights, order, axis=1)
 
 
-def _support(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None) -> tuple[np.ndarray, np.ndarray]:
+def _support(B: FiniteBlaschke, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
     """Atoms and weights of the Clark measure at alpha: the phase nodes of
     one level per winding, offset to the argument of alpha."""
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-9:
         raise ValueError("alpha must be unimodular")
     a = math.atan2(alpha.imag, alpha.real) % TWO_PI
-    atoms, weights = _sorted_atoms(*phase_nodes(phase or PhaseFunction(B), 1, a / TWO_PI), 1)
+    atoms, weights = _sorted_atoms(*phase_nodes(PhaseFunction(B), 1, a / TWO_PI), 1)
     return atoms[0], weights[0]
 
 
-def clark_support(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None = None) -> np.ndarray:
+def clark_support(B: FiniteBlaschke, alpha: complex) -> np.ndarray:
     """Angles of the N solutions of B = alpha on the circle, increasing."""
-    return _support(B, alpha, phase)[0]
+    return _support(B, alpha)[0]
 
 
 def _check_measures(B: FiniteBlaschke, alphas: np.ndarray, atom_angles: np.ndarray,
@@ -111,10 +111,10 @@ class ClarkMeasure:
         return float(self.weights.sum())
 
 
-def clark_measure(B: FiniteBlaschke, alpha: complex, phase: PhaseFunction | None = None) -> ClarkMeasure:
+def clark_measure(B: FiniteBlaschke, alpha: complex) -> ClarkMeasure:
     """The Clark measure at alpha, its weights 1/Theta' from the phase solve
     of its atoms."""
-    return ClarkMeasure(B, complex(alpha), *_support(B, alpha, phase))
+    return ClarkMeasure(B, complex(alpha), *_support(B, alpha))
 
 
 def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:

@@ -3,8 +3,8 @@
 Subcommands map onto the experiment modules; every run writes a manifest
 naming its outputs, and result CSV/JSON files are byte-identical across runs
 with the same config and seed.  The config format is a flat sectioned
-key-value document; see the README for the schema.  Each subcommand takes
-only the flags it reads, each read by the parser of the config key it sets.
+key-value document; see the README for the schema.  One parser per run takes
+only the flags its subcommand reads, each read by the parser of its config key.
 """
 
 from __future__ import annotations
@@ -594,35 +594,36 @@ def cmd_disintegrate(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ttolab",
-                                 description="truncated Toeplitz operator laboratory")
-    sub = ap.add_subparsers(dest="command", required=True)
-    # each subcommand, its handler and the flags that handler reads; every
-    # flag takes its value as text, for the parsers above, and --zeros is required
-    sweep = ("config", "out", "seed", "tol", "max_grid", "alpha_count", "symbol", "function", "n")
-    commands = {
-        "operator": (cmd_operator, ("zeros", "symbol", "tol", "max_grid", "out", "seed")),
-        "clark": (cmd_clark, ("zeros", "alpha_angle", "out", "seed")),
-        "szego": (cmd_szego, sweep),
-        "stz": (cmd_stz, sweep),
-        "angular": (cmd_angular, sweep),
-        "lemmas": (cmd_lemmas, sweep),
-        "disintegrate": (cmd_disintegrate, ("zeros", "symbol", "alpha_count")),
-    }
-    for name, (handler, flags) in commands.items():
-        # no abbreviations: with fewer flags, more prefixes would be unique
-        p = sub.add_parser(name, allow_abbrev=False)
-        for dest in flags:
-            p.add_argument("--" + dest.replace("_", "-"), dest=dest, required=dest == "zeros")
-        p.set_defaults(handler=handler)
+# the flags each subcommand reads, as text for the parsers above; --zeros is required
+_SWEEP = ("--config", "--out", "--seed", "--tol", "--max-grid", "--alpha-count", "--symbol", "--function", "--n")
+COMMANDS = {
+    "operator": ("--zeros", "--symbol", "--tol", "--max-grid", "--out", "--seed"),
+    "clark": ("--zeros", "--alpha-angle", "--out", "--seed"),
+    "szego": _SWEEP, "stz": _SWEEP, "angular": _SWEEP, "lemmas": _SWEEP,
+    "disintegrate": ("--zeros", "--symbol", "--alpha-count"),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The subcommand, then the flags ``command`` reads; the epilog lists every subcommand's."""
+    epilog = "".join(f"  {name:<13} {' '.join(flags)}\n" for name, flags in COMMANDS.items())
+    # no abbreviations: with fewer flags, more prefixes would be unique
+    ap = argparse.ArgumentParser(prog="ttolab", usage="%(prog)s <subcommand> [--flag value ...]",
+                                 description="truncated Toeplitz operator laboratory", allow_abbrev=False,
+                                 epilog="the flags each subcommand reads:\n" + epilog,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("command", choices=COMMANDS)
+    for flag in COMMANDS.get(command, ()):
+        ap.add_argument(flag, required=flag == "--zeros")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.handler(args)
+        # cmd_<subcommand>, looked up here so that a wrapper set in its place runs
+        return globals()["cmd_" + args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from ttolab.blaschke import (
     circle_grid,
     generate_zeros,
 )
-from ttolab.clark import PhaseFunction, clark_measure, clark_support, disintegration_check
+from ttolab.clark import clark_measure, clark_support, disintegration_check
 from ttolab.cli import main as cli_main
 from ttolab.experiments import (
     ExperimentConfig,
@@ -98,7 +98,7 @@ def test_c02_trace_formula_regression():
 
             def batched(angles, B=B):
                 cos_t, sin_t = np.cos(angles), np.sin(angles)
-                deriv = abs_derivative_grid(B, angles, cos_sin=(cos_t, sin_t))
+                deriv = abs_derivative_grid(B, angles)
                 w = cos_t + 1j * sin_t
                 return np.stack([s.evaluate_at(w) * deriv for s in symbols], axis=-1)
 
@@ -152,9 +152,8 @@ def test_c04_clark_structure():
     alphas = [1.0 + 0j, np.exp(0.7j), np.exp(2.1j)]
     worst = dict(residual=0.0, mass=0.0, unitary=0.0, agree=0.0, eig=0.0)
     for B in products:
-        phase = PhaseFunction(B)
         for alpha in alphas:
-            mu = clark_measure(B, alpha, phase)
+            mu = clark_measure(B, alpha)
             assert len(mu.atom_angles) == B.degree
             res = np.abs(eval_blaschke_grid(B, mu.atom_angles) - alpha).max()
             worst["residual"] = max(worst["residual"], res)
@@ -188,16 +187,15 @@ def test_c05_disintegration():
         res = disintegration_check(sym, B, alpha_count=8)
         worst_scalar = max(worst_scalar, res.gap)
         T = build_truncated_toeplitz(B, sym).matrix
-        phase = PhaseFunction(B)
         A = 8
         total = np.zeros_like(T)
         for a in circle_grid(A):
-            mu = clark_measure(B, np.exp(1j * a), phase)
+            mu = clark_measure(B, np.exp(1j * a))
             total += build_clark_spectral(B, mu, sym).matrix
         avg = total / A
         while A < 256:
             for a in circle_grid(A, offset=0.5):
-                mu = clark_measure(B, np.exp(1j * a), phase)
+                mu = clark_measure(B, np.exp(1j * a))
                 total += build_clark_spectral(B, mu, sym).matrix
             A *= 2
             new = total / A

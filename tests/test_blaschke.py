@@ -21,7 +21,7 @@ from ttolab.blaschke import (
     phase_nodes,
     tmw_matrix,
 )
-from ttolab.clark import PhaseFunction, clark_measure, clark_measures, clark_support
+from ttolab.clark import PhaseFunction, clark_measure, clark_measures
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
 from oracles import (
@@ -321,18 +321,18 @@ class TestInvertPhase:
 
     def test_reused_phase_matches_fresh(self, edge_blaschke):
         # the bracket scan is formed once per phase and kept: later inversions,
-        # of any count and offset and after Clark supports, give what a fresh
-        # phase gives, bit for bit
+        # of any count and offset and after the one-level inversions of Clark
+        # supports, give what a fresh phase gives, bit for bit
         B = edge_blaschke
         phase = PhaseFunction(B)
-        clark_support(B, np.exp(0.3j), phase)
+        phase_nodes(phase, 1, 0.3 / (2 * np.pi))
         scan = phase.bracket_scan()
         for count in (1, 2, 8):
             for offset in (0.0, 0.5):
                 reused = phase_nodes(phase, count, offset)
                 fresh = phase_nodes(PhaseFunction(B), count, offset)
                 assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
-            clark_support(B, np.exp(1j * count), phase)
+            phase_nodes(phase, 1, count % (2 * np.pi) / (2 * np.pi))
         assert phase.bracket_scan() is scan
 
     def test_bracket_scan_grid(self, edge_blaschke):

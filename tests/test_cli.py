@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ttolab.cli as cli
 from ttolab.cli import (
+    COMMANDS,
     ConfigError,
     build_parser,
     main,
@@ -329,12 +332,42 @@ UNREAD = [(cmd, flag) for cmd, flags in COMMAND_FLAGS.items()
 
 class TestFlags:
     def test_each_subcommand_takes_the_flags_it_reads(self):
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        taken = {cmd: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
-                 for cmd, p in sub.choices.items()}
+        taken = {cmd: set(flags) for cmd, flags in COMMANDS.items()}
         assert taken == COMMAND_FLAGS
         assert sum(map(len, taken.values())) == 49
         assert len(UNREAD) == 28
+        # and the parser built for each subcommand takes exactly those
+        for cmd, flags in taken.items():
+            parser = build_parser(cmd)
+            assert {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"} == flags
+
+    def test_one_parser_per_call(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["clark", "--zeros", "0,0.5"]) == 0
+        assert len(built) == 1
+
+    def test_handler_is_looked_up_when_called(self, monkeypatch):
+        # a wrapper set in place of cmd_<subcommand>, as perfbench's span
+        # recorder sets one, is what runs
+        calls = []
+        monkeypatch.setattr(cli, "cmd_clark", lambda args: calls.append(args.zeros) or 0)
+        assert main(["clark", "--zeros", "0,0.5"]) == 0
+        assert calls == ["0,0.5"]
+
+    def test_help_lists_the_flags_of_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        epilog = capsys.readouterr().out.split("the flags each subcommand reads:\n")[1]
+        listed = {line.split()[0]: set(line.split()[1:]) for line in epilog.splitlines()}
+        assert listed == COMMAND_FLAGS
 
     @pytest.mark.parametrize("command, flag", UNREAD)
     def test_unread_flag_exits_2_and_writes_nothing(self, minimal_cfg, tmp_path, capsys,
