@@ -371,41 +371,8 @@ class FiniteBlaschke:
 #: On 8192 angles (best of 7, 2-vCPU host, one thread) a dense_nonblaschke
 #: phase evaluation with derivatives took 24 ms at N = 64 and 46 ms at
 #: N = 128 in blocks of 2^20 cells, and 12 and 22 ms in blocks of 2^15, with
-#: bit-identical values; the product took 26 and 47 ms against 10 and 20 ms
+#: bit-identical values; ``PhaseFunction.product`` took 7-8 and 13-17 ms, 5-7 and 14 ms
 PHASE_BLOCK = 1 << 15
-
-
-def eval_blaschke_folded(B: FiniteBlaschke, angles) -> np.ndarray:
-    """Values of B at e^{i angles}, for an angle array of any shape, from one
-    factor per distinct zero raised to its multiplicity (frostman_fast at
-    N = 128 has 35 distinct zeros).
-
-    With t = tan((angle - psi)/2), q = (1 + r) t and the product's
-    p = (1 - |lambda|^2)/(1 + r), the factor of r e^{i psi} is
-    (p + iq)^2/(p^2 + q^2): one tangent per zero x angle cell and rational
-    arithmetic.  Next to a near-circle zero p and q are both small and keep
-    their relative accuracy, where (z - lam)/(1 - conj(lam) z) loses
-    eps/|z - lam|.  The tangent takes the angle difference unreduced: reducing
-    it by a rounded 2*pi moves the factor by |B'| times that rounding.  Blocks
-    of at most PHASE_BLOCK cells are multiplied along the zero axis."""
-    uniq, counts = B._distinct
-    p, q, psi = B._p[:, None], (1.0 + np.abs(uniq))[:, None], np.angle(uniq)[:, None]
-    repeated = np.nonzero(counts > 1)[0]
-    th = np.asarray(angles, dtype=float)
-    flat = th.reshape(-1)
-    out = np.empty(flat.shape, dtype=complex)
-    step = max(1, PHASE_BLOCK // len(uniq))
-    for start in range(0, flat.size, step):
-        qt = q * np.tan(0.5 * (flat[None, start:start + step] - psi))
-        inv = p * p + qt * qt
-        np.divide(1.0, inv, out=inv)
-        factors = np.empty(qt.shape, dtype=complex)
-        np.multiply(p * p - qt * qt, inv, out=factors.real)
-        np.multiply(2.0 * p * qt, inv, out=factors.imag)
-        if len(repeated):
-            factors[repeated] **= counts[repeated, None]
-        out[start:start + step] = np.prod(factors, axis=0)
-    return out.reshape(th.shape)
 
 
 def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
@@ -450,10 +417,10 @@ class PhaseFunction:
     Theta(2*pi) - Theta(0) = 2*pi*degree exactly.  Repeated zeros are folded
     into one term with a multiplicity weight, as in ``abs_derivative_grid``.
     A call evaluates blocks of at most PHASE_BLOCK distinct-zero x angle cells
-    and can return Theta' = |B'| and Theta'' from the same tangents as Theta.
-    Each factor takes the product's p and 1 - |lambda|^2, and the anchor
-    Theta(0) is the argument of B(1) from ``eval_blaschke_folded``, so Theta
-    and B agree next to zeros 1e-10 from the circle.
+    and can return Theta' = |B'| and Theta'' from the same tangents as Theta;
+    ``product`` gives B itself from the same tangents.  Each factor takes the
+    product's p and 1 - |lambda|^2, and the anchor Theta(0) is the argument
+    of B(1), so Theta and B agree next to zeros 1e-10 from the circle.
     """
 
     def __init__(self, B: FiniteBlaschke):
@@ -478,15 +445,19 @@ class PhaseFunction:
         # along the angles
         self._half_psi = 0.5 * np.concatenate((psi[:self._near_zero], hi))[:, None]
         self._half_lo = 0.5 * lo[:, None] if np.any(lo) else None
-        mult = counts[order].astype(float)
-        self._lift = 2.0 * mult
+        self._powers = counts[order]
+        self._lift = 2.0 * self._powers
         self._p = B._p[order]
         self._pc, self._qc, self._two_rc = self._p[:, None], (1.0 + r)[:, None], (2.0 * r)[:, None]
         # numerators of the Poisson kernels and of the curvature terms
-        self._poisson = mult * B._defects[order]
+        self._poisson = self._powers * B._defects[order]
         self._curve = -4.0 * r * self._poisson
-        b1 = complex(eval_blaschke_folded(B, 0.0))
-        self._anchor = math.atan2(b1.imag, b1.real) % TWO_PI
+        # the anchor: the argument of B(1) from tan(-psi/2) in no chart, so that
+        # conjugate zeros give conjugate factors and a real B(1) argument 0
+        qt = (1.0 + np.abs(uniq))[:, None] * np.tan(-0.5 * np.angle(uniq))[:, None]
+        b1 = np.empty(1, dtype=complex)
+        self._factor_product(qt, B._p[:, None], counts, b1, np.empty_like(qt), np.empty(qt.shape, dtype=complex))
+        self._anchor = math.atan2(b1[0].imag, b1[0].real) % TWO_PI
         # each factor's lift term at angle 0, from the code path of a call,
         # so that Theta(0) is the anchor exactly
         self._offsets = 0.0
@@ -495,8 +466,10 @@ class PhaseFunction:
 
     def _half_differences(self, th, t):
         """Fill t, one row per distinct zero, with (th - psi)/2 up to a
-        multiple of pi for the angles th in [-pi, 2 pi], with one rounding
-        relative to the distance of th - psi from the nearest multiple of 2 pi.
+        multiple of pi for the angles th, with one rounding relative to the
+        distance of th - psi from the nearest multiple of 2 pi.  The tangents
+        of these are 2 pi periodic in th: an angle outside [-pi, 2 pi] is
+        reduced into [0, 2 pi) on its own first.
 
         A zero and an angle next to it must be written in the same chart:
         a difference of two close doubles is exact, and a rounded 2 pi
@@ -510,6 +483,8 @@ class PhaseFunction:
         0, and the tangent of half of it is what the reduced one gives.
         Halves throughout: the difference of halves is the half of the
         difference, bit for bit."""
+        if th.min() < -np.pi or th.max() > TWO_PI:
+            th = np.where((th >= -np.pi) & (th <= TWO_PI), th, np.mod(th, TWO_PI))
         half, k = 0.5 * th, self._near_zero
         near, far = t[:k], t[k:]
         past = th > np.pi
@@ -530,12 +505,47 @@ class PhaseFunction:
             far -= self._half_lo
         return t
 
+    @staticmethod
+    def _factor_product(qt, pc, powers, out, inv, factors):
+        """Fill out with the product over the rows of (p + i qt)^2/(p^2 + qt^2),
+        row k to the power powers[k]; qt, inv and factors are scratch."""
+        np.multiply(qt, qt, out=inv)
+        np.subtract(pc * pc, inv, out=factors.real)
+        inv += pc * pc
+        np.divide(1.0, inv, out=inv)
+        factors.real *= inv
+        qt *= 2.0 * pc
+        np.multiply(qt, inv, out=factors.imag)
+        repeated = np.nonzero(powers > 1)[0]
+        if len(repeated):
+            factors[repeated] **= powers[repeated, None]
+        np.prod(factors, axis=0, out=out)
+
+    def product(self, angles) -> np.ndarray:
+        """B at e^{i angles}, any shape, from the tangents t of a call and no
+        lift: with q = (1 + r) t, a distinct zero's factor (p + iq)^2/(p^2 + q^2)
+        to its multiplicity.  Next to a near-circle zero p and q keep their
+        relative accuracy, where (z - lam)/(1 - conj(lam) z) loses eps/|z - lam|."""
+        th = np.asarray(angles, dtype=float)
+        flat = th.reshape(-1)
+        out = np.empty(flat.shape, dtype=complex)
+        z = len(self._r)
+        step = max(1, PHASE_BLOCK // z)
+        buffers = [np.empty(z * min(step, len(flat)), dtype=d) for d in (float, float, complex)]
+        for start in range(0, len(flat), step):
+            rows = slice(start, start + step)
+            count = len(flat[rows])
+            t, inv, factors = (b[:z * count].reshape(z, count) for b in buffers)
+            np.tan(self._half_differences(flat[rows], t), out=t)
+            t *= self._qc
+            self._factor_product(t, self._pc, self._powers, out[rows], inv, factors)
+        return out.reshape(th.shape)
+
     def _terms(self, th, t, t2, lift):
         """Fill t with tan h, h = (th - psi)/2 (``_half_differences``), t2
         with t^2 and lift with each factor's lift term
         arctan(2rt/(p + (1+r)t^2)) less its value at angle 0, one row per
-        distinct zero and one column per angle th in [-pi, 2 pi]; returns
-        lift."""
+        distinct zero and one column per angle th; returns lift."""
         h = self._half_differences(th, t)
         np.tan(h, out=t)
         np.multiply(t, t, out=t2)
@@ -553,12 +563,6 @@ class PhaseFunction:
         kernel is (1-|lambda|^2)(1+t^2)/D, and its derivative
         -4r(1-|lambda|^2) t(1+t^2)/D^2."""
         th = np.atleast_1d(np.asarray(angles, dtype=float))
-        # the lift terms are 2 pi periodic: an angle outside [-pi, 2 pi]
-        # enters them reduced into [0, 2 pi), on its own, before any zero's
-        # angle is subtracted
-        reduced = th
-        if len(th) and (th.min() < -np.pi or th.max() > TWO_PI):
-            reduced = np.where((th >= -np.pi) & (th <= TWO_PI), th, np.mod(th, TWO_PI))
         out = np.empty(th.shape)
         N = float(self.blaschke.degree)
         z = len(self._r)
@@ -568,7 +572,7 @@ class PhaseFunction:
             rows = slice(start, start + step)
             count = len(th[rows])
             t, t2, lift = (b[:z * count].reshape(z, count) for b in buffers)
-            self._terms(reduced[rows], t, t2, lift)
+            self._terms(th[rows], t, t2, lift)
             out[rows] = (self._anchor + N * th[rows]) + self._lift @ lift
             if derivs is not None:
                 den = np.multiply(t2, self._qc * self._qc, out=lift)

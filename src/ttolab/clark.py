@@ -15,54 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import (
-    TWO_PI,
-    FiniteBlaschke,
-    PhaseFunction,
-    eval_blaschke_folded,
-    phase_nodes,
-)
-from .quadrature import IntegralResult, QuadratureConfig, doubling, integrate_circle
+from .blaschke import TWO_PI, FiniteBlaschke, PhaseFunction, phase_nodes
+from .quadrature import IntegralResult, QuadratureConfig, integrate_circle, phase_doubling
 
 
-def _sorted_atoms(nodes: np.ndarray, slopes: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The phase nodes of ``phase_nodes(phase, count)`` as count rows of
-    atoms in [0, 2 pi), increasing, row j that of alpha_j, and the Clark
-    weights 1/Theta' = 1/|B'| from the solve, sorted with them."""
-    atoms = np.mod(nodes, TWO_PI).reshape(-1, count).T
-    weights = 1.0 / slopes.reshape(-1, count).T
-    order = np.argsort(atoms, axis=1)
-    return np.take_along_axis(atoms, order, axis=1), np.take_along_axis(weights, order, axis=1)
-
-
-def _support(B: FiniteBlaschke, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and weights of the Clark measure at alpha: the phase nodes of
-    one level per winding, offset to the argument of alpha."""
-    alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-9:
-        raise ValueError("alpha must be unimodular")
-    a = math.atan2(alpha.imag, alpha.real) % TWO_PI
-    atoms, weights = _sorted_atoms(*phase_nodes(PhaseFunction(B), 1, a / TWO_PI), 1)
-    return atoms[0], weights[0]
-
-
-def clark_support(B: FiniteBlaschke, alpha: complex) -> np.ndarray:
-    """Angles of the N solutions of B = alpha on the circle, increasing."""
-    return _support(B, alpha)[0]
-
-
-def _check_measures(B: FiniteBlaschke, alphas: np.ndarray, atom_angles: np.ndarray,
+def _check_measures(phase: PhaseFunction, alphas: np.ndarray, atom_angles: np.ndarray,
                     weights: np.ndarray) -> None:
-    """Check Clark measures given by rows (alpha, atom angles, weights):
-    every atom must solve B = alpha, and for B(0) = 0 the weights must sum
-    to 1.  One evaluation of B covers all rows; the error is that of the
-    first measure, in row order, that fails a check, residual first."""
-    res = np.abs(eval_blaschke_folded(B, atom_angles) - alphas[:, None])
+    """Check Clark measures of the phase's product given by rows (alpha,
+    atom angles, weights): every atom must solve B = alpha, and for B(0) = 0
+    the weights must sum to 1.  One evaluation of B covers all rows; the
+    error is that of the first measure, in row order, that fails a check,
+    residual first."""
+    res = np.abs(phase.product(atom_angles) - alphas[:, None])
     # an atom angle is representable only to ~ulp, so the achievable
     # residual at a phase spike is |B'| times the angle resolution
     floor = 16.0 * np.finfo(float).eps / weights
     off_level = np.any(res > 1e-9 + floor, axis=1)
-    off_mass = B.vanishes_at_origin & (np.abs(weights.sum(axis=1) - 1.0) > 1e-8)
+    off_mass = phase.blaschke.vanishes_at_origin & (np.abs(weights.sum(axis=1) - 1.0) > 1e-8)
     failed = np.nonzero(off_level | off_mass)[0]
     if len(failed):
         row = failed[0]
@@ -90,7 +59,7 @@ class ClarkMeasure:
         B = self.blaschke
         if len(self.atom_angles) != B.degree or len(self.weights) != B.degree:
             raise ValueError("atom count must equal the degree")
-        _check_measures(B, np.array([self.alpha]), np.asarray(self.atom_angles)[None],
+        _check_measures(PhaseFunction(B), np.array([self.alpha]), np.asarray(self.atom_angles)[None],
                         np.asarray(self.weights)[None])
 
     @classmethod
@@ -98,9 +67,7 @@ class ClarkMeasure:
                  weights: np.ndarray) -> "ClarkMeasure":
         """A measure whose row ``_check_measures`` has passed."""
         mu = object.__new__(cls)
-        for name, value in (("blaschke", B), ("alpha", alpha), ("atom_angles", atom_angles),
-                            ("weights", weights)):
-            object.__setattr__(mu, name, value)
+        mu.__dict__.update(blaschke=B, alpha=alpha, atom_angles=atom_angles, weights=weights)
         return mu
 
     @property
@@ -111,23 +78,42 @@ class ClarkMeasure:
         return float(self.weights.sum())
 
 
+def _measures(B: FiniteBlaschke, alphas: list, offset: float = 0.0) -> list[ClarkMeasure]:
+    """The Clark measures at alphas, alpha_j = e^{2 pi i (j + offset)/count}
+    for count = len(alphas): rows of atoms in [0, 2 pi), increasing, and
+    weights 1/Theta' = 1/|B'| from one solve (``phase_nodes``), checked at
+    once through the same phase."""
+    count = len(alphas)
+    phase = PhaseFunction(B)
+    nodes, slopes = phase_nodes(phase, count, offset)
+    atoms = np.mod(nodes, TWO_PI).reshape(-1, count).T
+    order = np.argsort(atoms, axis=1)
+    atoms = np.take_along_axis(atoms, order, axis=1)
+    weights = np.take_along_axis(1.0 / slopes.reshape(-1, count).T, order, axis=1)
+    _check_measures(phase, np.array(alphas), atoms, weights)
+    return [ClarkMeasure._checked(B, alpha, atoms[j], weights[j]) for j, alpha in enumerate(alphas)]
+
+
 def clark_measure(B: FiniteBlaschke, alpha: complex) -> ClarkMeasure:
-    """The Clark measure at alpha, its weights 1/Theta' from the phase solve
-    of its atoms."""
-    return ClarkMeasure(B, complex(alpha), *_support(B, alpha))
+    """The Clark measure at alpha: one level per winding, offset to the
+    argument of alpha, on the path of ``clark_measures``."""
+    alpha = complex(alpha)
+    if abs(abs(alpha) - 1.0) > 1e-9:
+        raise ValueError("alpha must be unimodular")
+    return _measures(B, [alpha], (math.atan2(alpha.imag, alpha.real) % TWO_PI) / TWO_PI)[0]
+
+
+def clark_support(B: FiniteBlaschke, alpha: complex) -> np.ndarray:
+    """Angles of the N solutions of B = alpha on the circle, increasing."""
+    return clark_measure(B, alpha).atom_angles
 
 
 def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:
     """The Clark measures at the count-th roots of unity, alpha_j = e^{2 pi i j/count},
-    from one phase inversion of all their atoms, with one level-set and mass
-    check of the whole (alpha x atoms) array.  The weights are 1/Theta' from
-    that solve (``phase_nodes``), sorted with their atoms: no |B'| pass over
-    atoms x distinct zeros."""
-    atoms, weights = _sorted_atoms(*phase_nodes(PhaseFunction(B), count), count)  # row j: alpha_j
+    from one phase inversion and one level-set and mass check of all their
+    atoms, the weights 1/Theta' from that solve: no |B'| pass."""
     angles = TWO_PI * np.arange(count) / count
-    alphas = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
-    _check_measures(B, alphas, atoms, weights)
-    return [ClarkMeasure._checked(B, alpha, atoms[j], weights[j]) for j, alpha in enumerate(alphas.tolist())]
+    return _measures(B, [complex(math.cos(a), math.sin(a)) for a in angles])
 
 
 #: the largest alpha grid of ``disintegration_check``
@@ -158,15 +144,9 @@ def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = 16,
     if alpha_count < 1 or (alpha_count & (alpha_count - 1)) != 0:
         raise ValueError("alpha_count must be a power of two")
     sample = f if callable(f) else f.evaluate  # a sampler or a symbol
-    phase = PhaseFunction(B)
     N = B.degree
-    solved = []  # each level's nodes bracket the next
-
-    def level(count, offset):
-        nodes, slopes = phase_nodes(phase, count // N, offset, solved)
-        return np.sum(np.asarray(sample(nodes)) * (N / slopes))
-
-    avg = doubling(level, alpha_count * N, cfg, limit=MAX_ALPHA * N)
+    avg = phase_doubling(B, lambda nodes, slopes: np.sum(np.asarray(sample(nodes)) * (N / slopes)),
+                         alpha_count, cfg, limit=MAX_ALPHA * N)
     lhs = complex(avg.value)
     quad = integrate_circle(lambda t: np.asarray(sample(t)), cfg)
     rhs = complex(quad.value)

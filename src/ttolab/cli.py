@@ -154,7 +154,7 @@ _PARSERS = {
     "quadrature": {"initial_points": _power_of_two, "max_points": _power_of_two,
                    "abs_tol": _positive_float, "rel_tol": _positive_float},
     "angular": {"j_terms": _positive_int, "grid_size": _positive_int,
-                "thresholds": lambda text: tuple(float(t) for t in text.split(","))},
+                "thresholds": lambda text: tuple(map(_positive_float, text.split(",")))},
     "output": {"dir": str},
 }
 
@@ -217,10 +217,20 @@ _GENERATOR_PARAMS = {
 }
 
 
+def _refuse_unread(sections: dict, section: str, kind: str, read) -> None:
+    """Refuse a key of the section that its kind does not read."""
+    for key in sections.get(section, {}):
+        if key not in read:
+            raise ConfigError(f"{section}.{key} is not read by {kind} {section}s")
+
+
 def _sequence_from_section(sections: dict, seed: int) -> ZeroSequence:
     kind = _parse_key(sections, "sequence", "kind")
     if kind is None:
         raise ConfigError("sequence.kind is required")
+    read = ("zeros",) if kind == "explicit" else _GENERATOR_PARAMS.get(kind)
+    if read is not None:  # every kind reads the seed
+        _refuse_unread(sections, "sequence", kind, ("kind", "seed", *read))
     if kind == "explicit":
         zeros = _parse_key(sections, "sequence", "zeros")
         if zeros is None:
@@ -233,8 +243,8 @@ def _sequence_from_section(sections: dict, seed: int) -> ZeroSequence:
 
 def _text_from_section(sections: dict, section: str, default_kind: str, preset: str):
     """The symbol or function of a [symbol] or [function] section.  Its kind
-    (``default_kind`` if unset, 'preset' if only a preset is given) names the
-    key that holds its text, and that key's parser reads it."""
+    (``default_kind`` if unset, 'preset' if a preset is given) names the one
+    text key that the section may hold, read by that key's parser."""
     sec = sections.get(section, {})
     kind = sec.get("kind", "preset" if "preset" in sec else default_kind)
     if kind not in ("preset", _COEFF_KINDS[section]):
@@ -242,6 +252,7 @@ def _text_from_section(sections: dict, section: str, default_kind: str, preset: 
     key = "preset" if kind == "preset" else "coeffs"
     if key == "coeffs" and key not in sec:
         raise ConfigError(f"{section}.coeffs is required for {kind} {section}s")
+    _refuse_unread(sections, section, kind, ("kind", key))
     return _parse_key(sections, section, key, _PARSERS[section]["preset"](preset))
 
 
@@ -276,6 +287,8 @@ def parse_config(path: str, overrides: dict | None = None) -> ParsedConfig:
     """Load, validate and canonicalize an experiment config file."""
     sections = _read_sections(path)
     for section, values in (overrides or {}).items():
+        if "kind" in values:  # a --symbol or --function text replaces its whole section
+            sections[section] = {}
         sections.setdefault(section, {}).update(values)
 
     seed = _parse_key(sections, "sequence", "seed", 0)

@@ -22,8 +22,6 @@ from .blaschke import (
     FiniteBlaschke,
     PhaseFunction,
     abs_derivative_grid,
-    eval_blaschke_folded,
-    phase_nodes,
     tmw_matrix,
 )
 from .clark import ClarkMeasure
@@ -34,6 +32,7 @@ from .quadrature import (
     blaschke_initial_points,
     doubling,
     nu_integral,
+    phase_doubling,
 )
 
 _HERMITIAN_RTOL = 1e-8
@@ -269,7 +268,7 @@ def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
 #: cost of one phase node of z^N B (its share of the phase inversion) in
 #: uniform grid points (a basis sample and its share of the half-triangle
 #: Gram product): 0.3 to 12 on frostman_fast and dense_nonblaschke at
-#: N = 8...128, over four doubling levels solved in nested brackets, the most
+#: N = 8...128, over four doubling levels in nested brackets (``phase_doubling``), the most
 #: at N = 8, where the Gram product is cheap (0.5 to 7 with full products
 #: and the scan's brackets alone; 1 to 15 with midpoint-started Newton).  Any
 #: value from 1 to 255 routes the benchmark configs alike: their dense
@@ -309,10 +308,10 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     carries (N + |B'|) dm onto uniform measure, so its nodes resolve the peaks
     and the flat part of the circle at once, each with the Lebesgue weight
     2N/|Z'| <= 2, |Z'| from the phase solve; their count stops at
-    max_points/PHASE_NODE_COST.  Each doubling level's phase solve is
-    bracketed by the nodes of the levels before it (``phase_nodes``'s
-    ``solved``).  The symbol 1/|B'| of B itself (``inverse_derivative_symbol``)
-    is 1/(|Z'| - N) there, from the same solve, and is not sampled.
+    max_points/PHASE_NODE_COST, and ``phase_doubling`` brackets each
+    level's phase solve by the nodes of the levels before it.  The symbol
+    1/|B'| of B itself (``inverse_derivative_symbol``) is 1/(|Z'| - N)
+    there, from the same solve, and is not sampled.
 
     Each level streams its nodes in blocks of GRAM_NODES: a block holds the
     N x GRAM_NODES basis samples and their weighted conjugate, formed in
@@ -359,15 +358,12 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
         res = doubling(level, uniform, cfg)
     else:
         Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(N, dtype=complex))))
-        phase = PhaseFunction(Z)
         from_slopes = sym.inverse_derivative_of is B
-        solved = []  # each level's nodes bracket the next
 
-        def level(count: int, offset: float) -> np.ndarray:
-            nodes, slopes = phase_nodes(phase, count // (2 * N), offset, solved)
+        def level_sum(nodes: np.ndarray, slopes: np.ndarray) -> np.ndarray:
             return gram(nodes, 2 * N / slopes, slopes if from_slopes else None)
 
-        res = doubling(level, 2 * N * levels, cfg, limit=cfg.max_points // PHASE_NODE_COST)
+        res = phase_doubling(Z, level_sum, levels, cfg, limit=cfg.max_points // PHASE_NODE_COST)
     T = _mirror_lower(res.value) if sym.is_real else res.value
     return T, res.converged, res.estimated_error
 
@@ -514,7 +510,7 @@ def _shift_moments(B: FiniteBlaschke, angles: np.ndarray, powers: np.ndarray) ->
     zeta^m0 conj(zeta)^m0 is 1, and only the Taylor coefficients c_l of B1 and
     B1(zeta) enter; for B = z^N the moments are exactly zeta^k (1 - k/N).  The
     inner sum sum_{l<j} (j-l) a_l is a double running sum of a_l = conj(c_l zeta^l).
-    B1(zeta) is B(zeta) conj(zeta)^m0 from ``eval_blaschke_folded`` of B, |B'|
+    B1(zeta) is B(zeta) conj(zeta)^m0 from ``PhaseFunction.product`` of B, |B'|
     comes from ``abs_derivative_grid`` of B, and the c_l from the product's
     1 - |lambda|^2, correctly rounded: that keeps m_k within 1e-14 of a 50-digit
     reference next to zeros 1e-10 from the circle (1 - |lambda|^2 formed in
@@ -538,7 +534,7 @@ def _shift_moments(B: FiniteBlaschke, angles: np.ndarray, powers: np.ndarray) ->
             for _ in range(mult):
                 c = np.convolve(c, factor)[:L]
         a = np.conj(c)[:, None] * np.conj(powers[:L])
-        b1 = eval_blaschke_folded(B, angles) * np.conj(powers[m0]) if inner.any() else 1.0
+        b1 = PhaseFunction(B).product(angles) * np.conj(powers[m0]) if inner.any() else 1.0
         X[m0 + 1:] -= b1 * np.cumsum(np.cumsum(a, axis=0), axis=0)
     return powers * (1.0 - X / abs_derivative_grid(B, angles))
 

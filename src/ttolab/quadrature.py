@@ -121,12 +121,9 @@ def _chunked_sum(sampler, count: int, stride_offset: float):
     return total
 
 
-def integrate_circle(sampler: Callable, cfg: QuadratureConfig = QuadratureConfig(),
-                     initial_points: int | None = None) -> IntegralResult:
+def integrate_circle(sampler: Callable, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
     """Integrate a sampler against normalized Lebesgue measure on the circle."""
-    M = initial_points or cfg.initial_points
-    M = max(2, min(_next_pow2(M), cfg.max_points))
-    return doubling(partial(_chunked_sum, sampler), M, cfg)
+    return doubling(partial(_chunked_sum, sampler), cfg.initial_points, cfg)
 
 
 def _scalarize(v):
@@ -134,15 +131,24 @@ def _scalarize(v):
     return complex(arr) if arr.ndim == 0 else arr
 
 
-def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
-    """Integral of f against the mean-of-harmonic-measures density |B'|/N:
-    the mean of f over phase nodes, at least ``cfg.initial_points`` of them."""
+def phase_doubling(B: FiniteBlaschke, level_sum: Callable, levels: int, cfg: QuadratureConfig,
+                   limit: int | None = None) -> IntegralResult:
+    """``doubling`` from ``levels`` levels per winding, a level being
+    ``level_sum(nodes, slopes)`` of the phase nodes of B and Theta' = |B'|
+    there, each solve bracketed by the nodes before it (``phase_nodes``'s
+    ``solved``); ``limit`` counts nodes, as in ``doubling``."""
     phase = PhaseFunction(B)
     N = B.degree
     solved = []  # each level's nodes bracket the next
 
     def level(count, offset):
-        nodes, _ = phase_nodes(phase, count // N, offset, solved)
-        return _sample(f, nodes).sum(axis=0)
+        return level_sum(*phase_nodes(phase, count // N, offset, solved))
 
-    return doubling(level, N * max(MIN_LEVELS, -(-cfg.initial_points // N)), cfg)
+    return doubling(level, N * levels, cfg, limit)
+
+
+def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
+    """Integral of f against the mean-of-harmonic-measures density |B'|/N:
+    the mean of f over phase nodes, at least ``cfg.initial_points`` of them."""
+    return phase_doubling(B, lambda nodes, _: _sample(f, nodes).sum(axis=0),
+                          max(MIN_LEVELS, -(-cfg.initial_points // B.degree)), cfg)

@@ -13,6 +13,7 @@ angles, from the phase nodes of z^N B, from spectral sums or from the
 distinct form of a zero rule; these routes check them."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -317,7 +318,7 @@ def fejer_apply(B: FiniteBlaschke, f, zeta, cfg: QuadratureConfig = QuadratureCo
         vals = np.asarray(f(angles)) if callable(f) else np.asarray(f.evaluate(angles))
         return vals * model_kernel_sq_grid(B, th0, angles)
 
-    return integrate_circle(sampler, cfg, initial_points=blaschke_initial_points(B, cfg))
+    return integrate_circle(sampler, dataclasses.replace(cfg, initial_points=blaschke_initial_points(B, cfg)))
 
 
 def van_der_corput_loop(n: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from ttolab.blaschke import (
     angular_partial_sums,
     circle_grid,
     distinct_zeros,
-    eval_blaschke_folded,
     exact_defects,
     generate_zeros,
     phase_nodes,
@@ -30,6 +29,7 @@ from oracles import (
     angular_sums_reference,
     eval_blaschke,
     eval_blaschke_grid,
+    half_angle,
     model_kernel,
     model_kernel_sq_grid,
     tmw_per_zero,
@@ -172,15 +172,22 @@ class TestEvaluation:
         assert eval_blaschke(B, 0) == 0
 
 
-def blaschke_reference(B, angles):
-    """The per-zero loop that eval_blaschke_grid replaced, kept as its oracle."""
+def blaschke_reference(B, angles, reduced=False):
+    """The per-zero loop that eval_blaschke_grid replaced, kept as its oracle.
+    ``reduced`` takes x = th - psi less its nearest multiple of 2 pi, formed
+    in two parts (``oracles.half_angle``), through the sine s and cosine c of
+    its half: sin(x/2) = s, sin x = 2sc and e^{ix} = (c + is)^2."""
     th = np.asarray(angles, dtype=float)
     out = np.ones(th.shape, dtype=complex)
     for r, psi in zip(B._radii, B._phases):
-        x = th - psi
-        half = np.sin(0.5 * x)
-        d = (1.0 - r) + 2.0 * r * half * half - 1j * r * np.sin(x)
-        out *= np.exp(1j * x) * np.conj(d) / d
+        if reduced:
+            _, half, c = half_angle(th, psi)
+            sin_x, turn = 2.0 * half * c, (c + 1j * half) ** 2
+        else:
+            x = th - psi
+            half, sin_x, turn = np.sin(0.5 * x), np.sin(x), np.exp(1j * x)
+        d = (1.0 - r) + 2.0 * r * half * half - 1j * r * sin_x
+        out *= turn * np.conj(d) / d
     return out
 
 
@@ -215,17 +222,19 @@ class TestEvalBlaschkeGrid:
 
 
 def tangent_reference(B, angles):
-    """The folded product's tangent factor (p + iq)^2/(p^2 + q^2), formed once
-    per zero, repeats included, and multiplied in a loop."""
+    """The product's tangent factor (p + iq)^2/(p^2 + q^2), formed once per
+    zero, repeats included, and multiplied in a loop; the tangent of half of
+    th - psi reduced by 2 pi in two parts (``oracles.half_angle``)."""
     th = np.asarray(angles, dtype=float)
     out = np.ones(th.shape, dtype=complex)
     for r, psi, p in zip(B._radii, B._phases, B._p[B._which]):
-        q = (1.0 + r) * np.tan(0.5 * (th - psi))
+        _, s, c = half_angle(th, psi)
+        q = (1.0 + r) * (s / c)
         out *= (p + 1j * q) ** 2 / (p * p + q * q)
     return out
 
 
-class TestEvalBlaschkeFolded:
+class TestPhaseProduct:
     def test_matches_loop_reference(self, edge_blaschke, request):
         # one factor per distinct zero raised to its multiplicity: the powers
         # (up to 256 here, for uniform_zero) move the values by rounding only.
@@ -235,13 +244,13 @@ class TestEvalBlaschkeFolded:
         psi = np.mod(B._phases, 2 * np.pi)
         atoms = np.mod(phase_nodes(PhaseFunction(B), 4)[0], 2 * np.pi)
         th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9, atoms))
-        got = eval_blaschke_folded(B, th)
+        got = PhaseFunction(B).product(th)
         assert np.abs(got - tangent_reference(B, th)).max() <= 1e-12
         if request.node.callspec.params["edge_blaschke"][0] != "explicit_near_circle_pairs":
             # the d-form loop takes nothing from the product's constants; next
             # to the pairs' zeros 1e-10 from the circle its 1 - r parts from
             # the correctly rounded product by up to 3.3e-6
-            assert np.abs(got - blaschke_reference(B, th)).max() <= 1e-12
+            assert np.abs(got - blaschke_reference(B, th, reduced=True)).max() <= 1e-12
 
 
 class CountingPhase(PhaseFunction):
@@ -545,6 +554,19 @@ class TestPhaseSeam:
         assert np.all(np.abs(values - exact) <= 1e-13)
         assert np.all(np.abs(derivs[0] / exact_slope - 1) <= 1e-13)
 
+    def test_product_at_clark_atoms_against_50_digit_values(self):
+        # a zero 1e-10 from the circle just below angle 0: the 16 atoms of
+        # eight Clark measures, most of them just below 2 pi, where B meets
+        # the 50-digit values of the stored zeros through the zero's chart
+        # (measured 8.0e-15; th - psi unreduced gave 1.2e-6)
+        mp = pytest.importorskip("mpmath").mp
+        B = FiniteBlaschke(np.array([0, 0.9999999999 - 0.000000009999999999j]))
+        atoms = np.concatenate([mu.atom_angles for mu in clark_measures(B, 8)])
+        assert np.sum(atoms > 2 * np.pi - 1e-3) >= 8
+        with mp.workdps(50):
+            ref, _ = mp_boundary_values(B, atoms, mp)
+        assert np.abs(PhaseFunction(B).product(atoms) - ref).max() <= 1e-13
+
     def test_negative_and_far_angles(self):
         # a negative angle meets the zeros near angle pi as th + 2 pi in two
         # parts; one outside [-pi, 2 pi] is reduced on its own first
@@ -584,7 +606,7 @@ class TestBoundaryValuesHighPrecision:
     circle the last two exceed any multiple of eps |B'| that holds elsewhere."""
 
     @pytest.mark.parametrize("name", list(MP_NEAR_CIRCLE))
-    def test_folded_product_against_50_digit_reference(self, name):
+    def test_product_against_50_digit_reference(self, name):
         # measured: at most 1.7 eps (|B'| + sum_j 1/|zeta - lambda_j|)
         mp = pytest.importorskip("mpmath").mp
         B = MP_NEAR_CIRCLE[name]()
@@ -595,7 +617,7 @@ class TestBoundaryValuesHighPrecision:
             ref, slope = mp_boundary_values(B, th, mp)
         reach = (1 / np.abs(np.exp(1j * th)[:, None] - B.zeros)).sum(axis=1)
         bound = 1e-15 + 4 * np.finfo(float).eps * (slope + reach)
-        assert np.all(np.abs(eval_blaschke_folded(B, th) - ref) <= bound)
+        assert np.all(np.abs(PhaseFunction(B).product(th) - ref) <= bound)
 
     @pytest.mark.parametrize("name", list(MP_NEAR_CIRCLE))
     def test_clark_weights_against_50_digit_reference(self, name):

@@ -10,7 +10,6 @@ from ttolab.blaschke import (
     ZeroSequence,
     abs_derivative_grid,
     circle_grid,
-    eval_blaschke_folded,
     generate_zeros,
     phase_nodes,
 )
@@ -207,7 +206,7 @@ def per_measure_error(B, atoms, weights):
     count = len(atoms)
     for j, a in enumerate(2 * np.pi * np.arange(count) / count):
         alpha = complex(math.cos(a), math.sin(a))
-        res = np.abs(eval_blaschke_folded(B, atoms[j]) - alpha)
+        res = np.abs(PhaseFunction(B).product(atoms[j]) - alpha)
         if np.any(res > 1e-9 + 16.0 * np.finfo(float).eps / weights[j]):
             return f"level-set residual too large: {res.max():.3e}"
         if B.vanishes_at_origin and abs(weights[j].sum() - 1.0) > 1e-8:
@@ -289,7 +288,7 @@ class TestClarkMeasuresGridCheck:
         order = np.argsort(columns, axis=0)
         for row in weight_rows:
             slopes[order[5, row] * self.COUNT + row] *= 2.0
-        monkeypatch.setattr(clark, "phase_nodes", lambda phase, count: (nodes, slopes))
+        monkeypatch.setattr(clark, "phase_nodes", lambda phase, count, offset: (nodes, slopes))
         atoms = np.take_along_axis(columns, order, axis=0).T.copy()
         weights = 1.0 / np.take_along_axis(slopes.reshape(B.degree, self.COUNT), order, axis=0).T
         return atoms, weights

@@ -111,6 +111,9 @@ class TestParseConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("angular", "j_terms", "lots"),
         ("angular", "thresholds", "1e2,abc"),
+        ("angular", "thresholds", "nan"),
+        ("angular", "thresholds", "1e2,inf"),
+        ("angular", "thresholds", "-5"),
         ("angular", "grid_size", "6.5"),
         ("angular", "j_terms", "0"),
         ("angular", "grid_size", "0"),
@@ -145,6 +148,32 @@ class TestParseConfig:
             parse_config(str(path))
         assert main(["szego", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"sequence.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("[sequence]\nkind = dense_nonblaschke\nlam = 0.7\n", "sequence.lam"),
+        ("[sequence]\nkind = dense_nonblaschke\nr = 0.5\n", "sequence.r"),
+        ("[sequence]\nkind = dense_nonblaschke\nzeros = 0,0.5\n", "sequence.zeros"),
+        ("[sequence]\nkind = explicit\nzeros = 0,0.5\ngamma = 0.3\n", "sequence.gamma"),
+        ("[sequence]\nkind = uniform_zero\n[symbol]\nkind = trig\ncoeffs = c1=1\npreset = cos\n",
+         "symbol.preset"),
+        ("[sequence]\nkind = uniform_zero\n[symbol]\npreset = cos\n[function]\nkind = preset\n"
+         "preset = square\ncoeffs = 0,1\n", "function.coeffs"),
+    ], ids=["dense-lam", "dense-r", "dense-zeros", "explicit-gamma", "trig-preset", "preset-coeffs"])
+    def test_key_the_kind_does_not_read_names_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "unread.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{key} is not read by"):
+            parse_config(str(path))
+        out = tmp_path / "x"
+        assert main(["szego", "--config", str(path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["uniform_zero", "dense_nonblaschke", "frostman_fast"])
+    def test_every_sequence_kind_reads_the_seed(self, tmp_path, kind):
+        path = tmp_path / "seeded.cfg"
+        path.write_text(f"[symbol]\npreset = cos\n[sequence]\nkind = {kind}\nseed = 7\n")
+        assert parse_config(str(path)).experiment.seed == 7
 
     def test_duplicate_key_names_both_lines(self, tmp_path):
         path = tmp_path / "dup.cfg"

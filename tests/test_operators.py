@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttolab import operators
+from ttolab import operators, quadrature
 from ttolab.blaschke import (
     RADIUS_CAP,
     FiniteBlaschke,
@@ -499,8 +499,8 @@ class TestHalfTriangleGram:
             nodes[0] += len(out[0])
             return out
 
-        monkeypatch.setattr(operators, "PhaseFunction", CountingPhase)
-        monkeypatch.setattr(operators, "phase_nodes", counted_nodes)
+        monkeypatch.setattr(quadrature, "PhaseFunction", CountingPhase)
+        monkeypatch.setattr(quadrature, "phase_nodes", counted_nodes)
         T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
         assert T.converged
         assert nodes[0] >= 4 * 2 * 128 * MIN_LEVELS
