@@ -55,15 +55,17 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 # zero sequences
 # ---------------------------------------------------------------------------
 
-def _van_der_corput(n: int) -> np.ndarray:
-    """First n points of the base-2 van der Corput sequence (in [0, 1)).
-    Point i + 2^k is point i plus 2^-(k+1) for i < 2^k; the sums are dyadic,
-    so exact."""
-    out = np.zeros(n)
-    size, step = 1, 0.5
-    while size < n:
-        np.add(out[:min(size, n - size)], step, out=out[size:2 * size])
-        size, step = 2 * size, 0.5 * step
+def _van_der_corput(j: np.ndarray) -> np.ndarray:
+    """Points j of the base-2 van der Corput sequence (in [0, 1)): the bits
+    of j mirrored about the binary point.  Each set bit adds its power of
+    two, largest first; the sums are dyadic, so exact, and a point does not
+    depend on which other indices are asked for with it."""
+    out = np.zeros(len(j))
+    bits, step = np.array(j, dtype=np.int64), 0.5
+    while bits.any():
+        out += (bits & 1) * step
+        bits >>= 1
+        step *= 0.5
     return out
 
 
@@ -113,6 +115,12 @@ class DistinctZeros:
     @property
     def zeros(self) -> np.ndarray:
         return self.distinct[self.which] if self._zeros is None else self._zeros
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """zeros[start:stop], formed from the index map alone."""
+        if self._zeros is not None:
+            return self._zeros[start:stop]
+        return self.distinct[self.which[start:stop]]
 
 
 @dataclass(frozen=True)
@@ -171,37 +179,77 @@ def _frostman_zeros(j: np.ndarray, ndir: int) -> np.ndarray:
     return rad * np.exp(1j * (TWO_PI * (j % ndir) / ndir))
 
 
-def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
-    """The first ``count`` zeros of the rule: in distinct form where they
-    repeat, computed from the rule's few distinct zeros and its index map;
-    as a bare array where the rule makes them distinct (dense_nonblaschke
-    and constant_modulus) or gives no rule (explicit, folded).  Checked to
-    start at the origin and to lie strictly inside the disk."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    kind, p = spec.kind, spec.params
+def _check_zeros(zeros: np.ndarray, first: bool):
+    """Zeros of a rule lie strictly inside the disk, and the first one is the
+    origin."""
+    if first and abs(zeros[0]) != 0.0:
+        raise ValueError("sequence must start at the origin")
+    if np.abs(zeros).max(initial=0.0) >= 1.0:
+        raise ValueError("zeros must lie strictly inside the unit disk")
 
-    if kind == "uniform_zero":
-        lam = DistinctZeros.runs(np.zeros(1, dtype=complex), [count])
 
-    elif kind == "constant_modulus":
+#: the rules that make their zeros distinct, given as bare arrays
+BARE_RULES = ("constant_modulus", "dense_nonblaschke")
+
+
+def _bare_blocks(spec: ZeroSequence, count: int, block: int):
+    """The first ``count`` zeros of a rule in ``BARE_RULES``, as consecutive
+    arrays of ``block`` zeros (the last one shorter), each checked as it is
+    formed.  A zero is the same elementwise arithmetic on its index whatever
+    block holds it, and the random phase rule draws each block from one
+    generator in turn, so the blocks concatenate to the bits of one block
+    of ``count`` zeros.  The parameters are checked at the call."""
+    p = spec.params
+    if spec.kind == "constant_modulus":
         r = float(p.get("r", 0.5))
         if not 0.0 < r < 1.0:
             raise ValueError(f"constant_modulus needs r in (0,1), got {r}")
         rule = p.get("phase_rule", "equispaced")
-        j = np.arange(count)
-        if rule == "equispaced":
-            # base-2 van der Corput: every prefix of length 2^k is equispaced
-            # and extending the sequence never moves earlier points
-            phases = TWO_PI * _van_der_corput(count)
-        elif rule == "golden":
-            phases = TWO_PI * ((j * 0.6180339887498949) % 1.0)
-        elif rule == "random":
-            rng = np.random.default_rng(spec.seed)
-            phases = TWO_PI * rng.random(count)
-        else:
+        if rule not in PHASE_RULES:
             raise ValueError(f"unknown phase_rule {rule!r}")
-        lam = np.where(j == 0, 0.0, r * np.exp(1j * phases))
+        rng = np.random.default_rng(spec.seed) if rule == "random" else None
+
+        def zeros(j: np.ndarray) -> np.ndarray:
+            if rule == "equispaced":
+                # base-2 van der Corput: every prefix of length 2^k is
+                # equispaced and extending the sequence never moves earlier points
+                phases = TWO_PI * _van_der_corput(j)
+            elif rule == "golden":
+                phases = TWO_PI * ((j * 0.6180339887498949) % 1.0)
+            else:
+                phases = TWO_PI * rng.random(len(j))
+            return np.where(j == 0, 0.0, r * np.exp(1j * phases))
+    else:
+        gamma = float(p.get("gamma", 0.6180339887))
+
+        def zeros(j: np.ndarray) -> np.ndarray:
+            rad = np.minimum(1.0 - 1.0 / (j + 1.0), RADIUS_CAP)
+            return rad * np.exp(1j * TWO_PI * ((j * gamma) % 1.0))
+
+    def blocks():
+        for start in range(0, count, block):
+            lam = zeros(np.arange(start, min(start + block, count)))
+            _check_zeros(lam, start == 0)
+            yield lam
+    return blocks()
+
+
+def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
+    """The first ``count`` zeros of the rule: in distinct form where they
+    repeat, computed from the rule's few distinct zeros and its index map;
+    as a bare array where the rule makes them distinct (``BARE_RULES``, in
+    one block of ``_bare_blocks``) or gives no rule (explicit, folded).
+    Checked to start at the origin and to lie strictly inside the disk."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    kind, p = spec.kind, spec.params
+
+    if kind in BARE_RULES:
+        lam, = _bare_blocks(spec, count, count)
+        return lam
+
+    if kind == "uniform_zero":
+        lam = DistinctZeros.runs(np.zeros(1, dtype=complex), [count])
 
     elif kind == "alternating_3k":
         lam0 = float(p.get("lam", 0.5))
@@ -227,12 +275,6 @@ def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
         cap = int((1.0 - RADIUS_CAP) ** -0.25) + 1
         lam = DistinctZeros.cycle(_frostman_zeros(np.arange(min(count, cap + ndir)), ndir), cap, count)
 
-    elif kind == "dense_nonblaschke":
-        gamma = float(p.get("gamma", 0.6180339887))
-        j = np.arange(count)
-        rad = np.minimum(1.0 - 1.0 / (j + 1.0), RADIUS_CAP)
-        lam = rad * np.exp(1j * TWO_PI * ((j * gamma) % 1.0))
-
     elif kind == "explicit":
         pts = np.asarray(spec.explicit_zeros, dtype=complex)
         if len(pts) < count:
@@ -242,11 +284,8 @@ def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
     else:  # pragma: no cover - guarded in __post_init__
         raise ValueError(f"unknown generator tag {kind!r}")
 
-    first, values = (lam[0], lam) if isinstance(lam, np.ndarray) else (lam.distinct[lam.which[0]], lam.distinct)
-    if abs(first) != 0.0:
-        raise ValueError("sequence must start at the origin")
-    if np.abs(values).max(initial=0.0) >= 1.0:
-        raise ValueError("zeros must lie strictly inside the unit disk")
+    _check_zeros(lam.block(0, 1), True)
+    _check_zeros(lam.distinct, False)
     return lam
 
 
@@ -728,13 +767,14 @@ def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0,
 # the orthonormal basis
 # ---------------------------------------------------------------------------
 
-def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
+def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal-basis sample matrix E with E[m, i] = e_i(e^{i angles[m]}).
 
     Basis functions are partial products times normalized Cauchy kernels:
     e_i = (b_0 ... b_{i-1}) * sqrt(1-|lam_i|^2)/(1 - conj(lam_i) z).  The
-    samples are written basis-major, one contiguous row per e_i, and E is the
-    transposed view of that (N x angles) array: ``E.T`` is C-contiguous.
+    samples are written basis-major, one contiguous row per e_i, into
+    ``out`` (a C-contiguous N x angles array) if given, and E is the
+    transposed view of that array: ``E.T`` is C-contiguous.
 
     The kernel c/(1 - conj(lam) z) and the factor sigma (z - lam)/(1 - conj(lam) z)
     of a repeated zero are formed once, at its first position, and reused at
@@ -743,7 +783,7 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     """
     z = np.exp(1j * np.asarray(angles, dtype=float))
     N = B.degree
-    rows = np.empty((N, len(z)), dtype=complex)
+    rows = np.empty((N, len(z)), dtype=complex) if out is None else out
     pref = np.ones_like(z)
     counts = B._distinct[1]
     repeated = (counts > 1)[B._which].tolist()
@@ -788,20 +828,26 @@ class AngularDiagnostics:
     first_crossing: np.ndarray  # (len(thresholds), len(grid)), -1 = not crossed
 
 
-#: zeros per block of ``angular_partial_sums``: 2 MB per float temporary on
-#: the 64-point grid of the shipped configs
-ANGULAR_BLOCK = 4096
+#: zeros per block of ``angular_partial_sums``: its (2, points, zeros) buffer
+#: holds two float planes, 1 MiB on the 64-point grid of the shipped configs.
+#: On that grid 10^5 dense_nonblaschke zeros took 43 ms in blocks of 1024,
+#: 46 ms in blocks of 2048 and 38 ms in blocks of 4096 (best of 15, 2-vCPU
+#: host, one thread); the 4 MiB buffer of 4096 zeros raised the shipped
+#: dense benchmark's peak RSS by 4.6 MB, 1024 zeros by 0.6 MB
+ANGULAR_BLOCK = 1024
 
 
 def _poisson_terms(x: np.ndarray, y: np.ndarray, zeros: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """(1 - |lam|^2)/|zeta - lam|^2 per point x zero, in buf[0] of a
     (2, points, zeros) buffer, from the Cartesian parts of zeta = x + iy and
     lam and the correctly rounded ``exact_defects``, as in
-    ``abs_derivative_grid``."""
+    ``abs_derivative_grid``.  The parts of lam are copied out of the complex
+    array first: the passes over contiguous parts ran about 10% faster."""
     out, dy = buf
-    np.subtract(y, zeros.imag, out=dy)
+    re, im = np.stack((zeros.real, zeros.imag))
+    np.subtract(y, im, out=dy)
     np.multiply(dy, dy, out=dy)
-    np.subtract(x, zeros.real, out=out)
+    np.subtract(x, re, out=out)
     np.multiply(out, out, out=out)
     out += dy
     return np.divide(exact_defects(zeros), out, out=out)
@@ -819,7 +865,10 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
     of those terms times each zero's count in its prefix.  Any other sequence
     is streamed: each block of ANGULAR_BLOCK zeros adds its row sums (pairwise)
     to the running sums, and a checkpoint inside the block is the running sum
-    plus a prefix sum of the block's terms.  Either way the terms are
+    plus a prefix sum of the block's terms.  A rule in ``BARE_RULES`` forms
+    its zeros one block at a time (``_bare_blocks``), so the working memory
+    is one block whatever J is; a distinct form gives its blocks from its
+    index map.  Either way the terms are
     ``_poisson_terms``, and a first crossing is a ``searchsorted`` on a
     cumulative sum of the terms (monotone, as they are positive), formed only
     for a row that passes a threshold in a streamed block or in a folded
@@ -830,7 +879,6 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
     if len(angles) == 0:
         raise ValueError("empty grid")
     x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    lam = _rule_zeros(seq, J)
 
     checkpoints = [1]
     while checkpoints[-1] * 2 <= J:
@@ -840,11 +888,15 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
     checkpoints = np.asarray(checkpoints)
     thresholds = tuple(float(t) for t in thresholds)
 
-    if isinstance(lam, DistinctZeros) and len(lam.distinct) * len(checkpoints) < J:
-        partial, crossing = _folded_sums(x, y, lam.distinct, lam.which, checkpoints, thresholds)
+    if seq.kind in BARE_RULES:
+        blocks = _bare_blocks(seq, J, ANGULAR_BLOCK)
     else:
-        zeros = lam if isinstance(lam, np.ndarray) else lam.zeros
-        partial, crossing = _streamed_sums(x, y, zeros, checkpoints, thresholds)
+        lam = _rule_zeros(seq, J)
+        if len(lam.distinct) * len(checkpoints) < J:
+            partial, crossing = _folded_sums(x, y, lam.distinct, lam.which, checkpoints, thresholds)
+            return AngularDiagnostics(angles, checkpoints, partial, thresholds, crossing)
+        blocks = (lam.block(start, start + ANGULAR_BLOCK) for start in range(0, J, ANGULAR_BLOCK))
+    partial, crossing = _streamed_sums(x, y, blocks, checkpoints, thresholds)
     return AngularDiagnostics(angles, checkpoints, partial, thresholds, crossing)
 
 
@@ -855,17 +907,18 @@ def _first_crossing(running: np.ndarray, bound: float) -> int:
     return min(int(np.searchsorted(running, bound, side="right")), len(running) - 1)
 
 
-def _streamed_sums(x, y, lam, checkpoints, thresholds):
-    """Checkpoint sums and first crossings of every zero's term, in blocks."""
-    P, J = len(x), len(lam)
+def _streamed_sums(x, y, blocks, checkpoints, thresholds):
+    """Checkpoint sums and first crossings of every zero's term, from the
+    zeros in consecutive blocks of at most ANGULAR_BLOCK."""
+    P = len(x)
     sums = np.zeros(P)
     partial = np.zeros((P, len(checkpoints)))
     crossing = np.full((len(thresholds), P), -1, dtype=int)
-    buf = np.empty((2, P, min(ANGULAR_BLOCK, J)))
-    next_cp = 0
-    for start in range(0, J, ANGULAR_BLOCK):
-        stop = min(start + ANGULAR_BLOCK, J)
-        terms = _poisson_terms(x, y, lam[start:stop], buf[:, :, :stop - start])
+    buf = np.empty((2, P, min(ANGULAR_BLOCK, int(checkpoints[-1]))))
+    next_cp, start = 0, 0
+    for lam in blocks:
+        stop = start + len(lam)
+        terms = _poisson_terms(x, y, lam, buf[:, :, :len(lam)])
         while next_cp < len(checkpoints) and checkpoints[next_cp] <= stop:
             partial[:, next_cp] = sums + terms[:, :checkpoints[next_cp] - start].sum(axis=1)
             next_cp += 1
@@ -873,7 +926,7 @@ def _streamed_sums(x, y, lam, checkpoints, thresholds):
         for t, bound in enumerate(thresholds):
             for p in np.nonzero((crossing[t] < 0) & (total > bound))[0]:
                 crossing[t, p] = start + _first_crossing(sums[p] + np.cumsum(terms[p]), bound) + 1
-        sums = total
+        sums, start = total, stop
     return partial, crossing
 
 

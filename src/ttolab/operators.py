@@ -230,38 +230,76 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
 
+#: matrix cells per row band of ``compressed_shift``: 2^12 cells keep its
+#: transient near the size of S at N = 128 (260 KiB) and under 300 KiB at any
+#: N.  On dense_nonblaschke (best of 30, 2-vCPU host) N = 128 took 0.25 ms in
+#: bands of 2^12 cells, 0.48 and 0.31 ms in bands of 2^10 and 2^14; N = 1024
+#: took 20 ms, 30 and 16 ms (43 ms and a 41 MiB transient as one band)
+SHIFT_CELLS = 1 << 12
+
+
+def _add_diagonal(A: np.ndarray, c: complex):
+    """A + c I, in place."""
+    A.flat[:: len(A) + 1] += c
+
+
 def compressed_shift(B: FiniteBlaschke) -> np.ndarray:
     """Matrix of the compression of multiplication by z, in closed form.
 
     Lower triangular: diagonal carries the zeros; below the diagonal
     entry (i, j) is c_i c_j conj(sigma_j) prod_{j<l<i} (-|lambda_l|) with
     c = sqrt(1-|lambda|^2) from the product's defects and sigma the unimodular
-    factor normalizers.
+    factor normalizers.  S is written into its output in bands of about
+    SHIFT_CELLS cells, so its working memory is one band.
     """
     N = B.degree
     c, sig, r = B._cnorm, B._sigma, B._radii
-    i, j = np.indices((N, N))
-    # running product down each column, never a ratio of prefix products:
-    # repeated zeros at the origin make those prefixes vanish
-    p = np.cumprod(np.where(i > j + 1, -r[i - 1], 1.0), axis=0)
-    S = np.tril(c[:, None] * c * np.conj(sig) * p, -1)
+    S = np.empty((N, N), dtype=complex)
+    j = np.arange(N)
+    step = max(1, SHIFT_CELLS // N)
+    carry = None
+    for i0 in range(0, N, step):
+        i = np.arange(i0, min(i0 + step, N))[:, None]
+        # running product down each column, never a ratio of prefix products:
+        # repeated zeros at the origin make those prefixes vanish.  The band
+        # continues the product of the row above it, factor by factor, as
+        # one cumulative product down the whole column would
+        p = np.where(i > j + 1, -r[i - 1], 1.0)
+        if carry is not None:
+            p[0] *= carry
+        np.cumprod(p, axis=0, out=p)
+        carry = p[-1]
+        S[i0:i0 + len(i)] = np.tril(c[i] * c * np.conj(sig) * p, i0 - 1)
     np.fill_diagonal(S, B.zeros)
     return S
 
 
 def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
-    """Exact compression of a trig-poly symbol via powers of the shift."""
+    """Exact compression of a trig-poly symbol via powers of the shift.
+    Each term is scaled in one scratch matrix and the constant term is
+    added on the diagonal, so the build holds the powers, T and one scratch."""
     N = B.degree
     S = compressed_shift(B)
     dmax = max((abs(k) for k, _ in sym.coeffs), default=0)
-    powers = [np.eye(N, dtype=complex), S]
+    powers = [None, S]  # the power 0 is I, added on the diagonal
     while len(powers) <= dmax:
         powers.append(powers[-1] @ S)
     T = np.zeros((N, N), dtype=complex)
+    scratch = np.empty_like(T)
     for k, ck in sym.coeffs:
-        T += ck * (powers[k] if k >= 0 else powers[-k].conj().T)
+        if k == 0:
+            _add_diagonal(T, ck)
+            continue
+        if k > 0:
+            np.multiply(ck, powers[k], out=scratch)
+        else:
+            np.conjugate(powers[-k].T, out=scratch)
+            scratch *= ck
+        T += scratch
     if sym.is_real:
-        T = 0.5 * (T + T.conj().T)
+        np.conjugate(T.T, out=scratch)
+        T += scratch
+        T *= 0.5
     return T
 
 
@@ -275,7 +313,13 @@ def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
 #: products take the uniform grid, their frostman products the phase nodes
 PHASE_NODE_COST = 8
 
-#: nodes per block of a sampled build's Gram product
+#: nodes per block of a sampled build's Gram product.  A build holds one
+#: block of N x GRAM_NODES basis samples and one band of their weighted
+#: conjugate at a time: frostman T(1/|B'|) peaked at 3.7 MiB traced at
+#: N = 128 and 9.0 MiB at N = 256 (6.0 and 13.7 MiB when the next block's
+#: samples were formed while the last ones were held).  Blocks of 512 nodes
+#: peaked at 7.5 MiB at N = 256 but took 141 ms there against 135 ms (best
+#: of 7, 2-vCPU host, one thread)
 GRAM_NODES = 1024
 
 
@@ -313,11 +357,11 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     1/|B'| of B itself (``inverse_derivative_symbol``) is 1/(|Z'| - N)
     there, from the same solve, and is not sampled.
 
-    Each level streams its nodes in blocks of GRAM_NODES: a block holds the
-    N x GRAM_NODES basis samples and their weighted conjugate, formed in
-    place, so memory grows with N and not with the node count.  At
-    frostman N = 256 the build's traced peak fell from 105 MB (blocks of
-    2^22/N nodes, three arrays each) to 17 MB.  T(h) of a real symbol is
+    Each level streams its nodes in blocks of GRAM_NODES into one buffer of
+    N x GRAM_NODES basis samples and one band of their weighted conjugate,
+    both reused by every block, so memory grows with N and not with the
+    node count (at frostman N = 256 the traced peak is 9.0 MiB; blocks of
+    2^22/N nodes, three arrays each, had peaked at 105 MB).  T(h) of a real symbol is
     Hermitian, so each block forms only the block-lower triangle of its
     Gram product, in the row bands of ``_row_bands``, with the weighted
     conjugate of one band at a time, and the sum of the levels is mirrored
@@ -331,9 +375,16 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
         """The weighted Gram product of the symbol's samples at the angles;
         given |Z'| at them (``slopes``), the symbol is 1/(|Z'| - N)."""
         acc = np.zeros((N, N), dtype=complex)
+        # every block reuses one block of basis samples and one band of
+        # their weighted conjugate, so two blocks are never held at once
+        size = min(GRAM_NODES, len(angles))
+        rows = np.empty(N * size, dtype=complex)
+        band = np.empty(max(r1 - r0 for r0, r1 in bands) * size, dtype=complex)
         for start in range(0, len(angles), GRAM_NODES):
             th = angles[start:start + GRAM_NODES]
-            E = tmw_matrix(B, th).T  # one contiguous row per basis function
+            n = len(th)
+            # one contiguous row per basis function
+            E = tmw_matrix(B, th, out=rows[:N * n].reshape(N, n)).T
             if slopes is None:
                 vals = np.asarray(sym.evaluate(th))
             else:
@@ -344,7 +395,7 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
                 raise ValueError("symbol flagged real but samples are complex")
             w = vals * weights[start:start + GRAM_NODES]
             for r0, r1 in bands:
-                F = np.conj(E[r0:r1])
+                F = np.conjugate(E[r0:r1], out=band[:(r1 - r0) * n].reshape(r1 - r0, n))
                 F *= w
                 acc[r0:r1, :r1] += F @ E[:r1].T
         return acc
@@ -450,12 +501,14 @@ def apply_function(A: OperatorMatrix, f: ScalarFunction) -> OperatorMatrix:
     """f(A): Horner for polynomial f, eigenvalue map for pointwise f."""
     M = A.matrix
     if f.is_poly:
-        ident = np.eye(M.shape[0], dtype=complex)
         lead, *lower = reversed(f.poly_coeffs or (0j,))
-        out = lead * ident
+        # Horner, each constant added on the diagonal; its first product
+        # (lead I) M is lead M
+        out = lead * (M if lower else np.eye(len(M), dtype=complex))
         for i, c in enumerate(lower):
-            # Horner; its first product (lead I) M is lead M
-            out = (lead * M if i == 0 else out @ M) + c * ident
+            if i:
+                out = out @ M
+            _add_diagonal(out, c)
         return OperatorMatrix(out, A.basis)
     _require_hermitian(M)
     w, V = np.linalg.eigh(0.5 * (M + M.conj().T))

@@ -85,18 +85,18 @@ def doubling(level: Callable, count: int, cfg: QuadratureConfig,
     pass ``limit`` nodes (``cfg.max_points`` by default)."""
     limit = cfg.max_points if limit is None else limit
     running = level(count, 0.0)
-    value, prev, err = running / count, None, float("inf")
-    while True:
-        if prev is not None:
-            err = float(np.max(np.abs(value - prev)))
-            tol = max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(value))))
-            if err <= tol:
-                return IntegralResult(_scalarize(value), err, count, True)
-        if 2 * count > limit:
-            return IntegralResult(_scalarize(value), err, count, False)
+    value, err = running / count, float("inf")
+    # a level runs with the running sum and the last estimate alone held
+    while 2 * count <= limit:
         running = running + level(count, 0.5)
         count *= 2
-        prev, value = value, running / count
+        estimate = running / count
+        err = float(np.max(np.abs(estimate - value)))
+        value = estimate
+        tol = max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(value))))
+        if err <= tol:
+            return IntegralResult(_scalarize(value), err, count, True)
+    return IntegralResult(_scalarize(value), err, count, False)
 
 
 def _sample(sampler, angles):

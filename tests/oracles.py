@@ -321,6 +321,43 @@ def fejer_apply(B: FiniteBlaschke, f, zeta, cfg: QuadratureConfig = QuadratureCo
     return integrate_circle(sampler, dataclasses.replace(cfg, initial_points=blaschke_initial_points(B, cfg)))
 
 
+def shift_cumprod_reference(B: FiniteBlaschke) -> np.ndarray:
+    """The compressed shift as one array: every column's running product
+    down the whole matrix by one ``np.cumprod``, then the lower triangle
+    and the diagonal of zeros."""
+    N = B.degree
+    c, sig, r = B._cnorm, B._sigma, B._radii
+    i, j = np.indices((N, N))
+    p = np.cumprod(np.where(i > j + 1, -r[i - 1], 1.0), axis=0)
+    S = np.tril(c[:, None] * c * np.conj(sig) * p, -1)
+    np.fill_diagonal(S, B.zeros)
+    return S
+
+
+def trig_poly_identity_reference(B: FiniteBlaschke, sym, poly_coeffs) -> np.ndarray:
+    """p(T(phi)) of a trig-poly symbol with every constant term a multiple
+    of a formed identity: T = sum_k c_k S^k (S^0 = I, adjoint powers for
+    k < 0), averaged with its adjoint for a real symbol, then Horner's rule
+    with c I added at each step."""
+    N = B.degree
+    S = compressed_shift(B)
+    ident = np.eye(N, dtype=complex)
+    dmax = max((abs(k) for k, _ in sym.coeffs), default=0)
+    powers = [ident, S]
+    while len(powers) <= dmax:
+        powers.append(powers[-1] @ S)
+    T = np.zeros((N, N), dtype=complex)
+    for k, ck in sym.coeffs:
+        T += ck * (powers[k] if k >= 0 else powers[-k].conj().T)
+    if sym.is_real:
+        T = 0.5 * (T + T.conj().T)
+    lead, *lower = reversed(poly_coeffs)
+    out = lead * ident
+    for i, c in enumerate(lower):
+        out = (lead * T if i == 0 else out @ T) + c * ident
+    return out
+
+
 def van_der_corput_loop(n: int) -> np.ndarray:
     """First n points of the base-2 van der Corput sequence, one point at a
     time, bit by bit."""
@@ -373,8 +410,8 @@ def fold_repeats_reference(lam: np.ndarray, checkpoints: int):
 def angular_sums_reference(seq, grid, J, thresholds=(1e2, 1e3)) -> AngularDiagnostics:
     """``angular_partial_sums`` from the expanded zero list: all J zeros
     generated, then folded by sorting their parts (``fold_repeats_reference``)
-    where that forms fewer terms, and summed by the library's folded or
-    streamed sums."""
+    where that forms fewer terms, and summed by the library's folded sums or
+    streamed sums over slices of ANGULAR_BLOCK zeros."""
     angles = np.asarray(grid, dtype=float)
     x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
     lam = generate_zeros(seq, J)
@@ -384,7 +421,8 @@ def angular_sums_reference(seq, grid, J, thresholds=(1e2, 1e3)) -> AngularDiagno
     thresholds = tuple(float(t) for t in thresholds)
     fold = fold_repeats_reference(lam, len(checkpoints))
     if fold is None:
-        partial, crossing = blaschke._streamed_sums(x, y, lam, checkpoints, thresholds)
+        blocks = (lam[start:start + blaschke.ANGULAR_BLOCK] for start in range(0, J, blaschke.ANGULAR_BLOCK))
+        partial, crossing = blaschke._streamed_sums(x, y, blocks, checkpoints, thresholds)
     else:
         partial, crossing = blaschke._folded_sums(x, y, *fold, checkpoints, thresholds)
     return AngularDiagnostics(angles, checkpoints, partial, thresholds, crossing)

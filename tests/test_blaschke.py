@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -879,7 +880,7 @@ ANGULAR_IDS = ["frostman", "dense", "constant-modulus", "uniform", "alternating"
 class TestAngularPartialSums:
     @pytest.mark.parametrize("seq", ANGULAR_FAMILIES)
     def test_first_crossing_matches_loop_reference(self, seq):
-        # 10^4 terms span three blocks of 4096, or 15 checkpoint intervals
+        # 10^4 terms span ten blocks of 1024, or 15 checkpoint intervals
         # where the zeros repeat; the thresholds are crossed in each of them
         # on some families and never on others
         grid, J, thresholds = circle_grid(24, offset=0.5), 10 ** 4, (1.08, 5.0, 800.0, 6000.0, 1e6)
@@ -988,6 +989,67 @@ class TestAngularPartialSums:
                                     circle_grid(64, offset=0.5), 10 ** 5)
         assert diag.partial_sums[:, -1].min() > 1e3
 
+    def test_dense_memory_does_not_grow_with_term_count(self):
+        # the zeros come from the rule one block at a time: the traced peak
+        # is about 1.2 MiB at both term counts, where forming all J zeros
+        # first peaked at 6.3 and 46 MiB
+        grid, peaks = circle_grid(64, offset=0.5), []
+        for J in (10 ** 5, 10 ** 6):
+            tracemalloc.start()
+            try:
+                angular_partial_sums(ZeroSequence.dense_nonblaschke(), grid, J)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+
+    @pytest.mark.parametrize("block", [1000, 1 << 17], ids=["partial-blocks", "one-block"])
+    def test_block_size_moves_sums_by_rounding_only(self, monkeypatch, block):
+        # the row sums of a block are pairwise, so another block size only
+        # regroups the additions: 1.6e-15 relative to blocks of 1024 with the
+        # 100 blocks of 1000 zeros, 8.9e-16 with one block of all
+        grid, J = circle_grid(64, offset=0.5), 10 ** 5
+        ref = angular_partial_sums(ZeroSequence.dense_nonblaschke(), grid, J)
+        monkeypatch.setattr(blaschke, "ANGULAR_BLOCK", block)
+        diag = angular_partial_sums(ZeroSequence.dense_nonblaschke(), grid, J)
+        assert np.abs(diag.partial_sums / ref.partial_sums - 1).max() <= 4e-15
+        assert np.array_equal(diag.first_crossing, ref.first_crossing)
+
+
+#: the rules whose zeros are streamed from the rule itself
+BARE_SEQUENCES = {
+    "dense": ZeroSequence.dense_nonblaschke(),
+    "equispaced": ZeroSequence.constant_modulus(0.9),
+    "golden": ZeroSequence.constant_modulus(0.9, "golden"),
+    "random": ZeroSequence.constant_modulus(0.7, "random", seed=3),
+}
+
+
+class TestStreamedZeros:
+    @pytest.mark.parametrize("seq", BARE_SEQUENCES.values(), ids=BARE_SEQUENCES.keys())
+    @pytest.mark.parametrize("J, block", [(3001, 1), (10 ** 4 + 7, 1000), (10 ** 4 + 7, 4096),
+                                          (4096, 4096), (10 ** 4 + 7, 10 ** 5)])
+    def test_blocks_match_generate_zeros(self, seq, J, block):
+        # the random rule draws block by block from one generator: the same
+        # stream as one draw of all J phases
+        blocks = list(blaschke._bare_blocks(seq, J, block))
+        assert [len(b) for b in blocks] == [min(block, J - s) for s in range(0, J, block)]
+        assert np.concatenate(blocks).tobytes() == generate_zeros(seq, J).tobytes()
+
+    def test_van_der_corput_per_block(self):
+        full = van_der_corput_loop(5000)
+        for start, stop in [(0, 1), (1, 2), (3, 4), (1000, 3000), (4095, 4097), (4999, 5000)]:
+            got = blaschke._van_der_corput(np.arange(start, stop))
+            assert got.tobytes() == full[start:stop].tobytes()
+
+    @pytest.mark.parametrize("seq, message", [
+        (ZeroSequence.constant_modulus(1.0), "r in"),
+        (ZeroSequence.constant_modulus(0.5, "spiral"), "phase_rule"),
+    ], ids=["radius", "phase-rule"])
+    def test_parameters_are_checked_at_the_call(self, seq, message):
+        with pytest.raises(ValueError, match=message):
+            blaschke._bare_blocks(seq, 10, 4)
+
 
 #: every zero rule: the three phase rules, frostman_fast on 1, 4 and 7
 #: directions (zeros 0...30 lie below the radius cap, the cycle over the
@@ -1047,7 +1109,7 @@ class TestDistinctForm:
         n = 10 ** 5
         lam = generate_zeros(ZeroSequence.alternating_3k(0.5), n)
         assert lam.tobytes() == alternating_3k_loop(0.5, n).tobytes()
-        assert blaschke._van_der_corput(n).tobytes() == van_der_corput_loop(n).tobytes()
+        assert blaschke._van_der_corput(np.arange(n)).tobytes() == van_der_corput_loop(n).tobytes()
         j = np.arange(n)
         ref = np.where(j == 0, 0.0, 0.9 * np.exp(1j * (blaschke.TWO_PI * van_der_corput_loop(n))))
         assert generate_zeros(ZeroSequence.constant_modulus(0.9), n).tobytes() == ref.tobytes()

@@ -1,7 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ttolab.blaschke import RADIUS_CAP, FiniteBlaschke, ZeroSequence, generate_zeros
+from ttolab import experiments
+from ttolab.blaschke import (
+    RADIUS_CAP,
+    FiniteBlaschke,
+    PhaseFunction,
+    ZeroSequence,
+    generate_zeros,
+    phase_nodes,
+)
 from ttolab.experiments import (
     ConvergenceRecord,
     ExperimentConfig,
@@ -333,6 +343,38 @@ class TestFejerSuite:
         a = fejer_suite(cfg, trials=4, grid_points=512)
         b = fejer_suite(cfg, trials=4, grid_points=512)
         assert a == b
+
+    def test_memory_is_the_phase_solve_and_one_block(self):
+        # the suite holds one block of samples and averages beside the phase
+        # solve of its nodes: 0.5 to 0.8 MiB more than the solve's own peak,
+        # where holding all 21 symbols x nodes took 3.2 and 27 MiB more
+        cfg = ExperimentConfig(ZeroSequence.dense_nonblaschke(), TWO_COS, IDENTITY, (16, 32))
+        B = FiniteBlaschke.from_sequence(cfg.sequence, 32)
+        for grid_points in (4096, 32768):
+            peaks = []
+            for run in (lambda: fejer_suite(cfg, trials=20, grid_points=grid_points),
+                        lambda: phase_nodes(PhaseFunction(B), grid_points // 32)):
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[0] - peaks[1] <= 1.5 * 2 ** 20
+
+    @pytest.mark.parametrize("seq", [ZeroSequence.uniform_zero(), ZeroSequence.dense_nonblaschke()],
+                             ids=["origin", "dense"])
+    def test_blocks_give_the_sums_of_one_block(self, monkeypatch, seq):
+        # the node blocks are added where numpy's pairwise sum splits a row:
+        # the l2 gaps keep the bits of one block (4104 nodes at N = 24); a
+        # trial row of the BLAS product in fejer_trig_values may round apart
+        cfg = ExperimentConfig(seq, TWO_COS, IDENTITY, (8, 24))
+        ref = fejer_suite(cfg, trials=3)
+        monkeypatch.setattr(experiments, "FEJER_NODES", 1 << 20)
+        one = fejer_suite(cfg, trials=3)
+        assert [r["l2_gap_sq"] for r in ref["per_n"]] == [r["l2_gap_sq"] for r in one["per_n"]]
+        for a, b in zip(ref["per_n"], one["per_n"]):
+            assert a["contraction_max"] == pytest.approx(b["contraction_max"], rel=1e-15, abs=0)
 
 
 class TestSweepInvariants:
