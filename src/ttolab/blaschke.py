@@ -8,7 +8,10 @@ Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import InitVar, dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -23,17 +26,31 @@ TWO_PI_TAIL = 2.4492935982947064e-16
 #: stay resolvable in double precision
 RADIUS_CAP = 1.0 - 1e-6
 
-GENERATOR_TAGS = (
-    "uniform_zero",
-    "constant_modulus",
-    "alternating_3k",
-    "frostman_fast",
-    "dense_nonblaschke",
-    "explicit",
-)
-
 #: angle rules of the constant_modulus generator
 PHASE_RULES = ("equispaced", "golden", "random")
+
+#: a zero rule's parameter: its default, whose type it must have, and the
+#: condition on its value, also in words
+RuleParam = namedtuple("RuleParam", "default holds words")
+
+#: every zero rule's parameters by name, in the order that its constructor
+#: takes them; ``ZeroSequence`` fills in the defaults and checks each value
+RULE_PARAMS = {
+    "uniform_zero": {},
+    "constant_modulus": {"r": RuleParam(0.5, lambda v: 0.0 < v < 1.0, "in (0,1)"),
+                         "phase_rule": RuleParam("equispaced", PHASE_RULES.__contains__,
+                                                 f"one of {', '.join(PHASE_RULES)}")},
+    "alternating_3k": {"lam": RuleParam(0.5, lambda v: 0.0 < v < 1.0, "in (0,1)")},
+    "frostman_fast": {"directions": RuleParam(4, lambda v: v >= 1, "an integer >= 1")},
+    "dense_nonblaschke": {"gamma": RuleParam(0.6180339887, math.isfinite, "finite")},
+    "explicit": {},
+}
+
+#: the seed that every rule takes (the random phase rule draws from it)
+SEED = RuleParam(0, lambda v: v >= 0, "an integer >= 0")
+
+#: the values that a parameter takes, by the type of its default
+_PARAM_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def circle_grid(count: int, offset: float = 0.0) -> np.ndarray:
@@ -123,60 +140,59 @@ class DistinctZeros:
         return self.distinct[self.which[start:stop]]
 
 
+def _checked_param(kind: str, name: str, value, param: RuleParam):
+    """``value`` as the type of the parameter's default, if it is of that
+    kind and its condition holds; else a ValueError naming the parameter."""
+    cls = type(param.default)
+    if not isinstance(value, _PARAM_TYPES[cls]) or not param.holds(value := cls(value)):
+        raise ValueError(f"{kind} needs {name} {param.words}, got {value!r}")
+    return value
+
+
+def _rule_sequence(kind: str, *values, seed: int = SEED.default, **params) -> "ZeroSequence":
+    """The ``kind`` sequence, its parameters in ``RULE_PARAMS`` order or by name."""
+    if len(values) > len(RULE_PARAMS[kind]):
+        raise TypeError(f"{kind} takes at most {len(RULE_PARAMS[kind])} positional parameters")
+    return ZeroSequence(kind, dict(zip(RULE_PARAMS[kind], values), **params), seed)
+
+
 @dataclass(frozen=True)
 class ZeroSequence:
     """Deterministic rule producing zeros in the open unit disk.
 
     The same (kind, params, seed) always yields the same prefix, whatever
     length is requested, and every rule puts the first zero at the origin.
+    ``params`` holds the rule's parameters (``RULE_PARAMS``), each checked
+    and filled in with its default at construction.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    seed: int = 0
+    seed: int = SEED.default
     explicit_zeros: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_TAGS:
-            raise ValueError(
-                f"unknown generator tag {self.kind!r}; valid tags: {', '.join(GENERATOR_TAGS)}"
-            )
+        declared = RULE_PARAMS.get(self.kind)
+        if declared is None:
+            raise ValueError(f"unknown generator tag {self.kind!r}; valid tags: {', '.join(RULE_PARAMS)}")
+        for name in set(self.params) - set(declared):
+            raise ValueError(f"{self.kind} reads no parameter {name!r}; it reads: {', '.join(declared) or 'none'}")
+        object.__setattr__(self, "params", {
+            name: _checked_param(self.kind, name, self.params.get(name, param.default), param)
+            for name, param in declared.items()})
+        object.__setattr__(self, "seed", _checked_param(self.kind, "seed", self.seed, SEED))
 
-    # -- constructors -------------------------------------------------
+    # -- constructors: a rule's parameters in RULE_PARAMS order or by name, and its seed
 
-    @staticmethod
-    def uniform_zero() -> "ZeroSequence":
-        return ZeroSequence("uniform_zero")
-
-    @staticmethod
-    def constant_modulus(r: float, phase_rule: str = "equispaced", seed: int = 0) -> "ZeroSequence":
-        return ZeroSequence("constant_modulus", {"r": float(r), "phase_rule": phase_rule}, seed=seed)
-
-    @staticmethod
-    def alternating_3k(lam: float) -> "ZeroSequence":
-        return ZeroSequence("alternating_3k", {"lam": float(lam)})
-
-    @staticmethod
-    def frostman_fast(directions: int = 4) -> "ZeroSequence":
-        return ZeroSequence("frostman_fast", {"directions": int(directions)})
-
-    @staticmethod
-    def dense_nonblaschke(gamma: float = 0.6180339887) -> "ZeroSequence":
-        return ZeroSequence("dense_nonblaschke", {"gamma": float(gamma)})
+    uniform_zero = staticmethod(partial(_rule_sequence, "uniform_zero"))
+    constant_modulus = staticmethod(partial(_rule_sequence, "constant_modulus"))
+    alternating_3k = staticmethod(partial(_rule_sequence, "alternating_3k"))
+    frostman_fast = staticmethod(partial(_rule_sequence, "frostman_fast"))
+    dense_nonblaschke = staticmethod(partial(_rule_sequence, "dense_nonblaschke"))
 
     @staticmethod
     def from_points(points: Sequence[complex]) -> "ZeroSequence":
         return ZeroSequence("explicit", explicit_zeros=tuple(complex(p) for p in points))
-
-    # -- generation ----------------------------------------------------
-
-    def zeros(self, count: int) -> np.ndarray:
-        return generate_zeros(self, count)
-
-
-def _frostman_zeros(j: np.ndarray, ndir: int) -> np.ndarray:
-    rad = np.minimum(1.0 - (j + 1.0) ** -4, RADIUS_CAP)
-    return rad * np.exp(1j * (TWO_PI * (j % ndir) / ndir))
 
 
 def _check_zeros(zeros: np.ndarray, first: bool):
@@ -198,15 +214,10 @@ def _bare_blocks(spec: ZeroSequence, count: int, block: int):
     formed.  A zero is the same elementwise arithmetic on its index whatever
     block holds it, and the random phase rule draws each block from one
     generator in turn, so the blocks concatenate to the bits of one block
-    of ``count`` zeros.  The parameters are checked at the call."""
+    of ``count`` zeros."""
     p = spec.params
     if spec.kind == "constant_modulus":
-        r = float(p.get("r", 0.5))
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"constant_modulus needs r in (0,1), got {r}")
-        rule = p.get("phase_rule", "equispaced")
-        if rule not in PHASE_RULES:
-            raise ValueError(f"unknown phase_rule {rule!r}")
+        r, rule = p["r"], p["phase_rule"]
         rng = np.random.default_rng(spec.seed) if rule == "random" else None
 
         def zeros(j: np.ndarray) -> np.ndarray:
@@ -220,18 +231,14 @@ def _bare_blocks(spec: ZeroSequence, count: int, block: int):
                 phases = TWO_PI * rng.random(len(j))
             return np.where(j == 0, 0.0, r * np.exp(1j * phases))
     else:
-        gamma = float(p.get("gamma", 0.6180339887))
-
         def zeros(j: np.ndarray) -> np.ndarray:
             rad = np.minimum(1.0 - 1.0 / (j + 1.0), RADIUS_CAP)
-            return rad * np.exp(1j * TWO_PI * ((j * gamma) % 1.0))
+            return rad * np.exp(1j * TWO_PI * ((j * p["gamma"]) % 1.0))
 
-    def blocks():
-        for start in range(0, count, block):
-            lam = zeros(np.arange(start, min(start + block, count)))
-            _check_zeros(lam, start == 0)
-            yield lam
-    return blocks()
+    for start in range(0, count, block):
+        lam = zeros(np.arange(start, min(start + block, count)))
+        _check_zeros(lam, start == 0)
+        yield lam
 
 
 def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
@@ -252,37 +259,31 @@ def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
         lam = DistinctZeros.runs(np.zeros(1, dtype=complex), [count])
 
     elif kind == "alternating_3k":
-        lam0 = float(p.get("lam", 0.5))
-        if not 0.0 < lam0 < 1.0:
-            raise ValueError(f"alternating_3k needs lam in (0,1), got {lam0}")
         # block rule: indices 3^{k-1} < j <= 3^k carry +lam for odd k,
         # -lam for even k; j = 0 and j = 1 stay at the origin.  Runs: the
         # origin for j < 2, then block k up to min(3^k, count - 1)
         values, ends, k = [0.0], [min(2, count)], 1
         while ends[-1] < count:
-            values.append(lam0 if k % 2 == 1 else -lam0)
+            values.append(p["lam"] if k % 2 == 1 else -p["lam"])
             ends.append(min(3 ** k + 1, count))
             k += 1
         lam = DistinctZeros.runs(np.array(values, dtype=complex), np.diff(ends, prepend=0))
 
     elif kind == "frostman_fast":
-        ndir = int(p.get("directions", 4))
-        if ndir < 1:
-            raise ValueError("frostman_fast needs directions >= 1")
+        ndir = p["directions"]
         # radii grow with j, and (cap + 1)^-4 lies well below 1 - RADIUS_CAP:
         # from j = cap on every radius is the cap, and zero j repeats zero
         # cap + (j - cap) % ndir
         cap = int((1.0 - RADIUS_CAP) ** -0.25) + 1
-        lam = DistinctZeros.cycle(_frostman_zeros(np.arange(min(count, cap + ndir)), ndir), cap, count)
+        j = np.arange(min(count, cap + ndir))
+        head = np.minimum(1.0 - (j + 1.0) ** -4, RADIUS_CAP) * np.exp(1j * (TWO_PI * (j % ndir) / ndir))
+        lam = DistinctZeros.cycle(head, cap, count)
 
-    elif kind == "explicit":
+    else:  # explicit: ZeroSequence admits no other kind
         pts = np.asarray(spec.explicit_zeros, dtype=complex)
         if len(pts) < count:
             raise ValueError(f"explicit sequence has {len(pts)} zeros, {count} requested")
         lam = DistinctZeros.fold(pts[:count].copy())
-
-    else:  # pragma: no cover - guarded in __post_init__
-        raise ValueError(f"unknown generator tag {kind!r}")
 
     _check_zeros(lam.block(0, 1), True)
     _check_zeros(lam.distinct, False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .blaschke import PHASE_RULES, FiniteBlaschke, ZeroSequence
+from .blaschke import RULE_PARAMS, SEED, FiniteBlaschke, ZeroSequence
 from .clark import clark_measure, disintegration_check
 from .experiments import (
     ConvergenceRecord,
@@ -38,7 +39,7 @@ from .experiments import (
     szego_gap,
 )
 from .operators import ScalarFunction, SymbolRep, build_truncated_toeplitz
-from .quadrature import QuadratureConfig
+from .quadrature import GRID_POINTS, QuadratureConfig
 
 
 class ConfigError(ValueError):
@@ -127,10 +128,9 @@ def _checked(convert, holds, what: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _power_of_two = _checked(int, lambda v: v >= 1 and not v & (v - 1), "a power of two")
+_grid_points = _checked(int, *GRID_POINTS)
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 _finite_float = _checked(float, math.isfinite, "finite")
-_unit_interval = _checked(float, lambda v: 0.0 < v < 1.0, "in (0,1)")
-_phase_rule = _checked(str, PHASE_RULES.__contains__, f"one of {', '.join(PHASE_RULES)}")
 _n_values = _checked(lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
                      lambda ns: ns and ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:])),
                      "a strictly increasing list of positive integers")
@@ -143,15 +143,15 @@ _n_values = _checked(lambda text: tuple(int(tok) for tok in text.split(",") if t
 #: the parser of every config key; a flag's value goes through the parser of
 #: the key it overrides (``FLAG_KEYS``)
 _PARSERS = {
-    "sequence": {"kind": str, "seed": int, "r": _unit_interval, "phase_rule": _phase_rule,
-                 "lam": _unit_interval, "gamma": _finite_float, "directions": _positive_int,
-                 "zeros": parse_zeros},
+    "sequence": {"kind": str, "seed": _checked(int, SEED.holds, SEED.words), "zeros": parse_zeros,
+                 **{name: _checked(type(p.default), p.holds, p.words)
+                    for params in RULE_PARAMS.values() for name, p in params.items()}},
     "symbol": {"kind": str, "coeffs": partial(parse_symbol, kind="trig"),
                "preset": partial(parse_symbol, kind="preset")},
     "function": {"kind": str, "coeffs": partial(parse_function, kind="poly"),
                  "preset": partial(parse_function, kind="preset")},
     "sweep": {"n_values": _n_values, "alpha_count": _power_of_two},
-    "quadrature": {"initial_points": _power_of_two, "max_points": _power_of_two,
+    "quadrature": {"initial_points": _grid_points, "max_points": _grid_points,
                    "abs_tol": _positive_float, "rel_tol": _positive_float},
     "angular": {"j_terms": _positive_int, "grid_size": _positive_int,
                 "thresholds": lambda text: tuple(map(_positive_float, text.split(",")))},
@@ -209,12 +209,10 @@ def _parse_key(sections: dict, section: str, key: str, default=None):
         raise ConfigError(f"{section}.{key}: {exc}") from exc
 
 
-#: the parameters of each generator tag but explicit, with their defaults
-_GENERATOR_PARAMS = {
-    "uniform_zero": {}, "constant_modulus": {"r": 0.5, "phase_rule": "equispaced"},
-    "alternating_3k": {"lam": 0.5}, "frostman_fast": {"directions": 4},
-    "dense_nonblaschke": {"gamma": 0.6180339887},
-}
+def _given(sections: dict, section: str, keys=None) -> dict:
+    """The keys of the section that the config gives (of ``keys``, if set), parsed."""
+    return {key: _parse_key(sections, section, key) for key in sections.get(section, {})
+            if keys is None or key in keys}
 
 
 def _refuse_unread(sections: dict, section: str, kind: str, read) -> None:
@@ -224,11 +222,11 @@ def _refuse_unread(sections: dict, section: str, kind: str, read) -> None:
             raise ConfigError(f"{section}.{key} is not read by {kind} {section}s")
 
 
-def _sequence_from_section(sections: dict, seed: int) -> ZeroSequence:
+def _sequence_from_section(sections: dict, seed: dict) -> ZeroSequence:
     kind = _parse_key(sections, "sequence", "kind")
     if kind is None:
         raise ConfigError("sequence.kind is required")
-    read = ("zeros",) if kind == "explicit" else _GENERATOR_PARAMS.get(kind)
+    read = ("zeros",) if kind == "explicit" else RULE_PARAMS.get(kind)
     if read is not None:  # every kind reads the seed
         _refuse_unread(sections, "sequence", kind, ("kind", "seed", *read))
     if kind == "explicit":
@@ -236,15 +234,13 @@ def _sequence_from_section(sections: dict, seed: int) -> ZeroSequence:
         if zeros is None:
             raise ConfigError("sequence.zeros is required for explicit sequences")
         return ZeroSequence.from_points(zeros)
-    params = {key: _parse_key(sections, "sequence", key, default)
-              for key, default in _GENERATOR_PARAMS.get(kind, {}).items()}
-    return ZeroSequence(kind, params, seed=seed)  # an unknown tag fails here, listing the tags
+    return ZeroSequence(kind, _given(sections, "sequence", read or ()), **seed)  # an unknown tag fails here
 
 
-def _text_from_section(sections: dict, section: str, default_kind: str, preset: str):
-    """The symbol or function of a [symbol] or [function] section.  Its kind
-    (``default_kind`` if unset, 'preset' if a preset is given) names the one
-    text key that the section may hold, read by that key's parser."""
+def _text_from_section(sections: dict, section: str, default_kind: str):
+    """The symbol or function of a [symbol] or [function] section (None if
+    no text is given).  Its kind (``default_kind`` if unset, 'preset' if a
+    preset is given) names the one text key that it may hold, read by that key's parser."""
     sec = sections.get(section, {})
     kind = sec.get("kind", "preset" if "preset" in sec else default_kind)
     if kind not in ("preset", _COEFF_KINDS[section]):
@@ -253,12 +249,12 @@ def _text_from_section(sections: dict, section: str, default_kind: str, preset: 
     if key == "coeffs" and key not in sec:
         raise ConfigError(f"{section}.coeffs is required for {kind} {section}s")
     _refuse_unread(sections, section, kind, ("kind", key))
-    return _parse_key(sections, section, key, _PARSERS[section]["preset"](preset))
+    return _parse_key(sections, section, key)
 
 
 def _quadrature_from_section(sections: dict) -> QuadratureConfig:
     """The [quadrature] keys given, over the QuadratureConfig defaults."""
-    values = {key: _parse_key(sections, "quadrature", key) for key in sections.get("quadrature", {})}
+    values = _given(sections, "quadrature")
     try:
         return QuadratureConfig(**values)
     except ValueError as exc:
@@ -291,34 +287,29 @@ def parse_config(path: str, overrides: dict | None = None) -> ParsedConfig:
             sections[section] = {}
         sections.setdefault(section, {}).update(values)
 
-    seed = _parse_key(sections, "sequence", "seed", 0)
+    # only the keys given: the library holds the defaults
+    seed = _given(sections, "sequence", ("seed",))
     try:
-        experiment = ExperimentConfig(
-            sequence=_sequence_from_section(sections, seed),
-            symbol=_text_from_section(sections, "symbol", "trig", "cos"),
-            function=_text_from_section(sections, "function",
-                                        "poly" if sections.get("function") else "preset", "identity"),
-            n_values=_parse_key(sections, "sweep", "n_values", (8, 16, 32, 64)),
-            alpha_count=_parse_key(sections, "sweep", "alpha_count", 32),
-            quadrature=_quadrature_from_section(sections),
-            seed=seed,
-        )
+        sequence = _sequence_from_section(sections, seed)
+        symbol = _text_from_section(sections, "symbol", "trig") or parse_symbol("cos")
+        function = _text_from_section(sections, "function", "poly" if sections.get("function") else "preset")
+        experiment = ExperimentConfig(sequence, symbol, **({} if function is None else {"function": function}),
+                                      **_given(sections, "sweep"), quadrature=_quadrature_from_section(sections),
+                                      **seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    angular_options = {
-        "J": _parse_key(sections, "angular", "j_terms", 10 ** 5),
-        "grid_size": _parse_key(sections, "angular", "grid_size", 64),
-        "thresholds": _parse_key(sections, "angular", "thresholds", (1e2, 1e3)),
-    }
+    angular_options = {"J" if key == "j_terms" else key: value
+                       for key, value in _given(sections, "angular").items()}
+    zeros = sequence.explicit_zeros
+    for key, count in (("sweep.n_values", experiment.n_values[-1]),
+                       ("angular.j_terms", angular_options.get("J", 0))):
+        if zeros and count > len(zeros):
+            raise ConfigError(f"{key}: explicit sequence has {len(zeros)} zeros, {count} requested")
     text = canonical_text(sections)
-    return ParsedConfig(
-        experiment=experiment,
-        out_dir=_parse_key(sections, "output", "dir"),
-        angular_options=angular_options,
-        canonical=text,
-        digest=hashlib.sha256(text.encode()).hexdigest(),
-    )
+    return ParsedConfig(experiment=experiment, out_dir=_parse_key(sections, "output", "dir"),
+                        angular_options=angular_options, canonical=text,
+                        digest=hashlib.sha256(text.encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +374,8 @@ def matrix_to_csv(M: np.ndarray) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-class Manifest:
-    """Run manifest: written once before work starts, finalized afterwards."""
+class Manifest(contextlib.AbstractContextManager):
+    """Run manifest: written once before work starts, finalized at the end of its ``with`` block."""
 
     def __init__(self, out_dir: str, digest: str, seed: int):
         self.out_dir = out_dir
@@ -411,6 +402,11 @@ class Manifest:
         self.data["status"] = status
         self.data["outputs"] = sorted(set(self.data["outputs"]))
         self._flush()
+
+    def __exit__(self, exc_type, exc, tb):
+        """Finalize a run not finalized yet: failed if it raised, else complete."""
+        if self.data["status"] == "running":
+            self.finalize("failed" if exc_type else "complete")
 
 
 # ---------------------------------------------------------------------------
@@ -479,18 +475,17 @@ def _write_or_print(args, sections: dict, identity: str, files: dict, shown: str
     if not args.out:
         sys.stdout.write(shown)
         return 0
-    manifest = Manifest(args.out, hashlib.sha256(identity.encode()).hexdigest(),
-                        _parse_key(sections, "sequence", "seed", 0))
-    for name, data in files.items():
-        manifest.write(name, data)
-    manifest.finalize()
+    with Manifest(args.out, hashlib.sha256(identity.encode()).hexdigest(),
+                  _parse_key(sections, "sequence", "seed", SEED.default)) as manifest:
+        for name, data in files.items():
+            manifest.write(name, data)
     return 0
 
 
 def cmd_operator(args) -> int:
     sections = _flag_sections(args, {"symbol": "c1=1,c-1=1"})
     B = FiniteBlaschke(np.asarray(_parse_key(sections, "sequence", "zeros"), dtype=complex))
-    sym = _text_from_section(sections, "symbol", "trig", "cos")
+    sym = _text_from_section(sections, "symbol", "trig")
     T = build_truncated_toeplitz(B, sym, _quadrature_from_section(sections))
     _warn_unconverged("operator", B.degree, {"converged": float(T.converged)})
     json_text = matrix_to_json(T.matrix)
@@ -519,10 +514,10 @@ def cmd_clark(args) -> int:
 
 def _run_sweep(args, runner, stem: str) -> int:
     parsed, manifest = _sweep(args)
-    records = runner(parsed.experiment)
-    manifest.write(f"{stem}.csv", records_to_csv(records))
-    manifest.write(f"{stem}.json", records_to_json(records))
-    manifest.finalize()
+    with manifest:
+        records = runner(parsed.experiment)
+        manifest.write(f"{stem}.csv", records_to_csv(records))
+        manifest.write(f"{stem}.json", records_to_json(records))
     for rec in records:
         _warn_unconverged(args.command, rec.N, rec.diagnostics)
     return 0
@@ -538,64 +533,63 @@ def cmd_stz(args) -> int:
 
 def cmd_angular(args) -> int:
     parsed, manifest = _sweep(args)
-    rows = angular_condition_a(parsed.experiment)
-    lines = [f"{row['N']},{_fmt(row['max'])},{_fmt(row['median'])},{_fmt(row['min'])}" for row in rows]
-    manifest.write("angular_a.csv", "\r\n".join(["N,max,median,min"] + lines) + "\r\n")
-    opts = parsed.angular_options
-    _, summary = angular_condition_b(parsed.experiment, J=opts["J"],
-                                     grid_size=opts["grid_size"], thresholds=opts["thresholds"])
-    manifest.write("angular_b.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    manifest.write("angular_a.json", json.dumps(rows, sort_keys=True, indent=2) + "\n")
-    manifest.finalize()
+    with manifest:
+        rows = angular_condition_a(parsed.experiment)
+        lines = [f"{row['N']},{_fmt(row['max'])},{_fmt(row['median'])},{_fmt(row['min'])}" for row in rows]
+        manifest.write("angular_a.csv", "\r\n".join(["N,max,median,min"] + lines) + "\r\n")
+        _, summary = angular_condition_b(parsed.experiment, **parsed.angular_options)
+        manifest.write("angular_b.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        manifest.write("angular_a.json", json.dumps(rows, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def cmd_lemmas(args) -> int:
     parsed, manifest = _sweep(args)
-    cfg = parsed.experiment
-    failures = []
+    with manifest:
+        cfg = parsed.experiment
+        failures = []
 
-    hs = hs_approx_gap(cfg)
-    manifest.write("hs_approx.csv", records_to_csv(hs))
-    manifest.write("hs_approx.json", records_to_json(hs))
-    for rec in hs:
-        _warn_unconverged("lemmas", rec.N, rec.diagnostics)
-
-    defect = product_defect_s1(cfg, SymbolRep.trig({2: 1}), SymbolRep.trig({-1: 1}))
-    manifest.write("product_defect.csv", records_to_csv(defect))
-
-    rank_one = product_defect_s1(cfg, SymbolRep.trig({1: 1}), SymbolRep.trig({-1: 1}))
-    for rec in rank_one:
-        if abs(rec.lhs.real - 1.0) > 1e-7:
-            failures.append(f"rank-one trace norm at N={rec.N}: {rec.lhs.real!r}")
-
-    if cfg.function.is_poly and cfg.symbol.is_trig:
-        sdef = stz_defect_s1(cfg)
-        manifest.write("stz_defect.csv", records_to_csv(sdef))
-        for rec in sdef:
+        hs = hs_approx_gap(cfg)
+        manifest.write("hs_approx.csv", records_to_csv(hs))
+        manifest.write("hs_approx.json", records_to_json(hs))
+        for rec in hs:
             _warn_unconverged("lemmas", rec.N, rec.diagnostics)
 
-    report = fejer_suite(cfg)
-    manifest.write("fejer.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
-    for row in report["per_n"]:
-        if row["contraction_max"] > 1.0 + 1e-6:
-            failures.append(f"averaging operator not contractive at N={row['N']}: "
-                            f"{row['contraction_max']!r}")
+        defect = product_defect_s1(cfg, SymbolRep.trig({2: 1}), SymbolRep.trig({-1: 1}))
+        manifest.write("product_defect.csv", records_to_csv(defect))
 
-    if failures:
-        manifest.finalize("failed")
-        for msg in failures:
-            print(f"FAIL: {msg}", file=sys.stderr)
-        return 1
-    manifest.finalize()
+        rank_one = product_defect_s1(cfg, SymbolRep.trig({1: 1}), SymbolRep.trig({-1: 1}))
+        for rec in rank_one:
+            if abs(rec.lhs.real - 1.0) > 1e-7:
+                failures.append(f"rank-one trace norm at N={rec.N}: {rec.lhs.real!r}")
+
+        if cfg.function.is_poly and cfg.symbol.is_trig:
+            sdef = stz_defect_s1(cfg)
+            manifest.write("stz_defect.csv", records_to_csv(sdef))
+            for rec in sdef:
+                _warn_unconverged("lemmas", rec.N, rec.diagnostics)
+
+        report = fejer_suite(cfg)
+        manifest.write("fejer.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
+        for row in report["per_n"]:
+            if row["contraction_max"] > 1.0 + 1e-6:
+                failures.append(f"averaging operator not contractive at N={row['N']}: "
+                                f"{row['contraction_max']!r}")
+
+        if failures:
+            manifest.finalize("failed")
+            for msg in failures:
+                print(f"FAIL: {msg}", file=sys.stderr)
+            return 1
     return 0
 
 
 def cmd_disintegrate(args) -> int:
-    sections = _flag_sections(args, {"symbol": "re_z", "alpha_count": "16"})
+    sections = _flag_sections(args, {"symbol": "re_z"})
     B = FiniteBlaschke(np.asarray(_parse_key(sections, "sequence", "zeros"), dtype=complex))
-    sym = _text_from_section(sections, "symbol", "trig", "cos")
-    res = disintegration_check(sym, B, alpha_count=_parse_key(sections, "sweep", "alpha_count"))
+    sym = _text_from_section(sections, "symbol", "trig")
+    res = disintegration_check(sym, B, **_given(sections, "sweep"))
+    _warn_unconverged("disintegrate", B.degree, {"converged": float(res.converged)})
     payload = {"lhs": {"re": res.lhs.real, "im": res.lhs.imag},
                "rhs": {"re": res.rhs.real, "im": res.rhs.imag},
                "gap": res.gap, "alpha_count": res.alpha_count, "converged": res.converged}

@@ -32,6 +32,9 @@ CHUNK = 1 << 20
 #: origin on the circle, the Lebesgue part of nu gets one node per level
 MIN_LEVELS = 8
 
+#: the condition on a grid size (initial_points, max_points), and in words
+GRID_POINTS = (lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2")
+
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, math.ceil(math.log2(max(1, n))))
@@ -47,8 +50,8 @@ class QuadratureConfig:
     def __post_init__(self):
         for name in ("initial_points", "max_points"):
             v = getattr(self, name)
-            if v < 2 or (v & (v - 1)) != 0:
-                raise ValueError(f"{name} must be a power of two >= 2, got {v}")
+            if not GRID_POINTS[0](v):
+                raise ValueError(f"{name} must be {GRID_POINTS[1]}, got {v}")
         if self.initial_points > self.max_points:
             raise ValueError("initial_points must not exceed max_points")
         if self.abs_tol <= 0 or self.rel_tol <= 0:

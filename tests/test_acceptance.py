@@ -234,6 +234,23 @@ def test_c06_trace_gap_trend_cubic():
     assert ok
 
 
+def test_c06_cubic_gap_is_a_structural_zero():
+    # what the xfail above runs into, pinned: with phi = z + conj(z) and a
+    # zero at the origin the cubic gap is rounding noise at every degree
+    f = ScalarFunction.preset("cube_minus_x")
+    worst = {}
+    for name, seq in (("constant_modulus(0.5,seeded)",
+                       ZeroSequence.constant_modulus(0.5, "random", seed=7)),
+                      ("dense_nonblaschke", ZeroSequence.dense_nonblaschke()),
+                      ("frostman_fast", ZeroSequence.frostman_fast(4))):
+        records = szego_gap(ExperimentConfig(seq, TWO_COS, f, (8, 16, 32, 64, 128)))
+        worst[name] = max(rec.gap for rec in records)
+    ok = max(worst.values()) <= 1e-14
+    _report("C6-supplement cubic structural zero", ok,
+            ", ".join(f"{name}: max gap {gap:.1e}" for name, gap in worst.items()))
+    assert ok
+
+
 def test_c06_supplement_quartic_trend():
     # the even-power companion shows the intended trend with the same sweep
     f = ScalarFunction.poly([0, 0, 0, 0, 1], name="x^4")

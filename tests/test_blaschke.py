@@ -97,6 +97,33 @@ class TestGenerators:
         with pytest.raises(ValueError, match="unknown generator"):
             ZeroSequence("no_such_rule")
 
+    @pytest.mark.parametrize("kind, params, seed, name", [
+        ("dense_nonblaschke", {"gama": 0.3}, 0, "'gama'"),
+        ("frostman_fast", {"directions": 2.5}, 0, "directions"),
+        ("frostman_fast", {"directions": 0}, 0, "directions"),
+        ("dense_nonblaschke", {"gamma": math.nan}, 0, "gamma"),
+        ("alternating_3k", {"lam": math.nan}, 0, "lam"),
+        ("constant_modulus", {"phase_rule": 3}, 0, "phase_rule"),
+        ("uniform_zero", {}, -1, "seed"),
+        ("constant_modulus", {"phase_rule": "random"}, 1.5, "seed"),
+    ], ids=["unread-gama", "fractional-directions", "no-directions", "nan-gamma", "nan-lam",
+            "phase-rule-type", "negative-seed", "fractional-seed"])
+    def test_construction_rejects_a_bad_parameter_by_name(self, kind, params, seed, name):
+        with pytest.raises(ValueError, match=name):
+            ZeroSequence(kind, params, seed=seed)
+
+    def test_construction_fills_in_the_declared_defaults(self):
+        for kind, declared in blaschke.RULE_PARAMS.items():
+            seq = ZeroSequence(kind)
+            assert seq.params == {name: param.default for name, param in declared.items()}
+            assert seq.seed == blaschke.SEED.default
+        seq = ZeroSequence.constant_modulus(Fraction(1, 4), seed=np.int64(3))
+        assert seq.params == {"r": 0.25, "phase_rule": "equispaced"} and type(seq.params["r"]) is float
+        assert type(seq.seed) is int
+        assert ZeroSequence.frostman_fast(np.int64(2)).params["directions"] == 2
+        with pytest.raises(TypeError):
+            ZeroSequence.alternating_3k(0.5, 0.7)
+
     def test_explicit(self):
         seq = ZeroSequence.from_points([0, 0.5, 0.3j])
         assert generate_zeros(seq, 2)[1] == 0.5
@@ -1042,13 +1069,14 @@ class TestStreamedZeros:
             got = blaschke._van_der_corput(np.arange(start, stop))
             assert got.tobytes() == full[start:stop].tobytes()
 
-    @pytest.mark.parametrize("seq, message", [
-        (ZeroSequence.constant_modulus(1.0), "r in"),
-        (ZeroSequence.constant_modulus(0.5, "spiral"), "phase_rule"),
+    @pytest.mark.parametrize("args, message", [
+        ((1.0,), "r in"),
+        ((0.5, "spiral"), "phase_rule"),
     ], ids=["radius", "phase-rule"])
-    def test_parameters_are_checked_at_the_call(self, seq, message):
+    def test_parameters_are_checked_at_construction(self, args, message):
+        # no sequence with a bad parameter exists to stream from
         with pytest.raises(ValueError, match=message):
-            blaschke._bare_blocks(seq, 10, 4)
+            ZeroSequence.constant_modulus(*args)
 
 
 #: every zero rule: the three phase rules, frostman_fast on 1, 4 and 7

@@ -38,6 +38,14 @@ n_values = 8,16,32,64
 """
 
 
+#: an explicit list of three zeros
+EXPLICIT_THREE = "[sequence]\nkind = explicit\nzeros = 0,0.5,0.3i\n[symbol]\npreset = cos\n"
+
+#: zeros one ulp inside the circle, as few zeros and terms as the list holds
+EXPLICIT_NEAR_CIRCLE = ("[sequence]\nkind = explicit\nzeros = 0,0.9999999999999999,0.9999999999999999i\n"
+                        "[symbol]\npreset = cos\n[sweep]\nn_values = 3\n[angular]\nj_terms = 3\n")
+
+
 @pytest.fixture
 def minimal_cfg(tmp_path):
     path = tmp_path / "c.cfg"
@@ -119,7 +127,10 @@ class TestParseConfig:
         ("angular", "grid_size", "0"),
         ("sweep", "alpha_count", "x"),
         ("quadrature", "max_points", "big"),
+        ("quadrature", "max_points", "1"),
+        ("quadrature", "initial_points", "1"),
         ("sequence", "seed", "seven"),
+        ("sequence", "seed", "-1"),
     ])
     def test_malformed_number_names_key(self, tmp_path, capsys, section, key, value):
         # parse_config reads [angular] for every subcommand, so szego fails too
@@ -331,6 +342,61 @@ alpha_count = 8
         assert captured.err == ""
         assert json.loads(captured.out)["dim"] == 2
 
+    def test_unconverged_disintegration_warns(self, capsys):
+        # 4096 alphas per winding already exceed the doubling limit
+        assert main(["disintegrate", "--zeros", "0,0.5", "--alpha-count", "4096"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "WARN: disintegrate N=2 converged = 0\n"
+        assert json.loads(captured.out)["converged"] is False
+        assert main(["disintegrate", "--zeros", "0,0.5"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_run_that_raises_leaves_a_failed_manifest(self, tmp_path, capsys):
+        # zeros one ulp inside the circle: the Clark measures lose mass and
+        # angular stops after writing its running manifest
+        path = tmp_path / "near.cfg"
+        path.write_text(EXPLICIT_NEAR_CIRCLE)
+        out = tmp_path / "near"
+        assert main(["angular", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("invariant failure: total mass")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert set(manifest["outputs"]) == {f for f in os.listdir(out) if f != "manifest.json"}
+
+    @pytest.mark.parametrize("command, extra, key, count", [
+        ("szego", "[sweep]\nn_values = 2,4\n", "sweep.n_values", 4),
+        ("szego", "", "sweep.n_values", 64),  # the default n_values
+        ("angular", "[sweep]\nn_values = 2,3\n[angular]\nj_terms = 4\n", "angular.j_terms", 4),
+        ("szego", "[sweep]\nn_values = 2,3\n[angular]\nj_terms = 4\n", "angular.j_terms", 4),
+    ], ids=["szego-n-values", "szego-default-n-values", "angular-j-terms", "szego-j-terms"])
+    def test_explicit_sequence_shorter_than_asked_names_key(self, tmp_path, capsys, command, extra, key,
+                                                            count):
+        path = tmp_path / "short.cfg"
+        path.write_text(EXPLICIT_THREE + extra)
+        out = tmp_path / "x"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {key}: explicit sequence has 3 zeros, {count} requested\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["szego", "stz", "lemmas"])
+    def test_explicit_sequence_runs_under_the_default_j_terms(self, tmp_path, command):
+        path = tmp_path / "three.cfg"
+        path.write_text(EXPLICIT_THREE + "[sweep]\nn_values = 2,3\n")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+
+    def test_negative_seed_names_key_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "seed.cfg"
+        path.write_text("[sequence]\nkind = dense_nonblaschke\nseed = -1\n[symbol]\npreset = cos\n")
+        out = tmp_path / "x"
+        assert main(["lemmas", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: sequence.seed: must be an integer >= 0, got -1\n"
+        assert not out.exists()
+        path.write_text("[sequence]\nkind = dense_nonblaschke\n[symbol]\npreset = cos\n")
+        assert main(["lemmas", "--config", str(path), "--out", str(out), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "config error: --seed: must be an integer >= 0, got -3\n"
+        assert not out.exists()
+
     def test_exit_code_on_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[sequence]\nkind = constant_modulus\nr = 1.5\n")
@@ -434,6 +500,7 @@ class TestFlags:
     @pytest.mark.parametrize("argv, flag", [
         (["operator", "--zeros", "0,0.5", "--tol", "0"], "--tol"),
         (["operator", "--zeros", "0,0.5", "--max-grid", "0"], "--max-grid"),
+        (["operator", "--zeros", "0,0.5", "--max-grid", "1"], "--max-grid"),
         (["disintegrate", "--zeros", "0,0.5", "--alpha-count", "0"], "--alpha-count"),
         (["operator", "--zeros", "0,0.5", "--symbol", "c1=1,c1=5"], "--symbol"),
         (["operator", "--zeros", "0,nan"], "--zeros"),
@@ -442,7 +509,7 @@ class TestFlags:
         (["clark", "--zeros", "0,0.5", "--alpha-angle", "inf"], "--alpha-angle"),
         (["clark", "--zeros", "0,0.5", "--alpha-angle", "nan"], "--alpha-angle"),
         (["disintegrate", "--zeros", "0,0.5", "--symbol", "poly:1"], "--symbol"),
-    ], ids=["operator-tol-0", "operator-max-grid-0", "disintegrate-alpha-count-0",
+    ], ids=["operator-tol-0", "operator-max-grid-0", "operator-max-grid-1", "disintegrate-alpha-count-0",
             "operator-repeated-frequency", "operator-nan-zero", "operator-zero-outside",
             "clark-zero-outside", "clark-alpha-angle-inf", "clark-alpha-angle-nan",
             "disintegrate-unknown-symbol"])
@@ -454,7 +521,7 @@ class TestFlags:
 
     @pytest.mark.parametrize("flag, value", [
         ("--n", "8,4"), ("--seed", "x"), ("--function", "poly:"), ("--symbol", "c1=1,c+1=5"),
-        ("--alpha-count", "3"), ("--tol", "nan"),
+        ("--alpha-count", "3"), ("--tol", "nan"), ("--seed", "-1"),
     ])
     def test_malformed_sweep_flag_names_it(self, minimal_cfg, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
