@@ -3,7 +3,6 @@ spaces: Blaschke data, Clark measures, trace identities and convergence
 experiments."""
 
 from .blaschke import (
-    AngularDiagnostics,
     FiniteBlaschke,
     ZeroSequence,
     angular_partial_sums,

@@ -133,12 +133,6 @@ class DistinctZeros:
     def zeros(self) -> np.ndarray:
         return self.distinct[self.which] if self._zeros is None else self._zeros
 
-    def block(self, start: int, stop: int) -> np.ndarray:
-        """zeros[start:stop], formed from the index map alone."""
-        if self._zeros is not None:
-            return self._zeros[start:stop]
-        return self.distinct[self.which[start:stop]]
-
 
 def _checked_param(kind: str, name: str, value, param: RuleParam):
     """``value`` as the type of the parameter's default, if it is of that
@@ -285,7 +279,7 @@ def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
             raise ValueError(f"explicit sequence has {len(pts)} zeros, {count} requested")
         lam = DistinctZeros.fold(pts[:count].copy())
 
-    _check_zeros(lam.block(0, 1), True)
+    _check_zeros(lam.distinct[lam.which[:1]], True)
     _check_zeros(lam.distinct, False)
     return lam
 
@@ -812,23 +806,6 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray, out: np.ndarray | None = N
 # partial angular sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AngularDiagnostics:
-    """Running Poisson-kernel sums along a zero sequence, per grid point.
-
-    ``checkpoints`` are term counts (powers of two up to J, then J itself);
-    ``partial_sums[p, c]`` is the sum of the first checkpoints[c] terms at
-    grid point p.  ``first_crossing[t][p]`` is the smallest term count at
-    which the running sum at point p exceeds thresholds[t], or -1.
-    """
-
-    grid: np.ndarray            # angles
-    checkpoints: np.ndarray     # term counts
-    partial_sums: np.ndarray    # (len(grid), len(checkpoints))
-    thresholds: tuple
-    first_crossing: np.ndarray  # (len(thresholds), len(grid)), -1 = not crossed
-
-
 #: zeros per block of ``angular_partial_sums``: its (2, points, zeros) buffer
 #: holds two float planes, 1 MiB on the 64-point grid of the shipped configs.
 #: On that grid 10^5 dense_nonblaschke zeros took 43 ms in blocks of 1024,
@@ -854,104 +831,34 @@ def _poisson_terms(x: np.ndarray, y: np.ndarray, zeros: np.ndarray, buf: np.ndar
     return np.divide(exact_defects(zeros), out, out=out)
 
 
-def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int,
-                         thresholds: Sequence[float] = (1e2, 1e3)) -> AngularDiagnostics:
-    """Accumulate sum_j (1-|lam_j|^2)/|zeta - lam_j|^2 over j < J per grid point.
+def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int) -> np.ndarray:
+    """sum_j (1-|lam_j|^2)/|zeta - lam_j|^2 over j < J at each grid angle zeta.
 
-    The rule gives its zeros in distinct form where they repeat
+    One loop adds the pairwise row sum of each block's ``_poisson_terms`` to
+    the running sums.  A rule in ``BARE_RULES`` forms its zeros one block of
+    ANGULAR_BLOCK at a time (``_bare_blocks``), so the working memory is one
+    block whatever J is.  Any other rule gives its zeros in distinct form
     (``DistinctZeros``: frostman_fast has 35 distinct zeros in 10^5, formed
-    with no 10^5-element complex array).  With D distinct zeros and C
-    checkpoints, such a sequence is folded when D C < J: each distinct zero's
-    term is formed once per grid point, and a checkpoint is the pairwise sum
-    of those terms times each zero's count in its prefix.  Any other sequence
-    is streamed: each block of ANGULAR_BLOCK zeros adds its row sums (pairwise)
-    to the running sums, and a checkpoint inside the block is the running sum
-    plus a prefix sum of the block's terms.  A rule in ``BARE_RULES`` forms
-    its zeros one block at a time (``_bare_blocks``), so the working memory
-    is one block whatever J is; a distinct form gives its blocks from its
-    index map.  Either way the terms are
-    ``_poisson_terms``, and a first crossing is a ``searchsorted`` on a
-    cumulative sum of the terms (monotone, as they are positive), formed only
-    for a row that passes a threshold in a streamed block or in a folded
-    checkpoint interval."""
+    with no 10^5-element complex array), and each block of ANGULAR_BLOCK
+    distinct zeros has its terms weighted by their multiplicities."""
     if J < 1:
         raise ValueError("J must be >= 1")
     angles = np.asarray(grid, dtype=float)
     if len(angles) == 0:
         raise ValueError("empty grid")
     x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
-
-    checkpoints = [1]
-    while checkpoints[-1] * 2 <= J:
-        checkpoints.append(checkpoints[-1] * 2)
-    if checkpoints[-1] != J:
-        checkpoints.append(J)
-    checkpoints = np.asarray(checkpoints)
-    thresholds = tuple(float(t) for t in thresholds)
-
     if seq.kind in BARE_RULES:
-        blocks = _bare_blocks(seq, J, ANGULAR_BLOCK)
+        count, blocks = J, ((zeros, None) for zeros in _bare_blocks(seq, J, ANGULAR_BLOCK))
     else:
         lam = _rule_zeros(seq, J)
-        if len(lam.distinct) * len(checkpoints) < J:
-            partial, crossing = _folded_sums(x, y, lam.distinct, lam.which, checkpoints, thresholds)
-            return AngularDiagnostics(angles, checkpoints, partial, thresholds, crossing)
-        blocks = (lam.block(start, start + ANGULAR_BLOCK) for start in range(0, J, ANGULAR_BLOCK))
-    partial, crossing = _streamed_sums(x, y, blocks, checkpoints, thresholds)
-    return AngularDiagnostics(angles, checkpoints, partial, thresholds, crossing)
-
-
-def _first_crossing(running: np.ndarray, bound: float) -> int:
-    """Index of the first running sum above ``bound``, at most the last one:
-    a crossing that only the checkpoint or row sum sees, as they round apart
-    from the cumulative sum, falls on the last term."""
-    return min(int(np.searchsorted(running, bound, side="right")), len(running) - 1)
-
-
-def _streamed_sums(x, y, blocks, checkpoints, thresholds):
-    """Checkpoint sums and first crossings of every zero's term, from the
-    zeros in consecutive blocks of at most ANGULAR_BLOCK."""
-    P = len(x)
-    sums = np.zeros(P)
-    partial = np.zeros((P, len(checkpoints)))
-    crossing = np.full((len(thresholds), P), -1, dtype=int)
-    buf = np.empty((2, P, min(ANGULAR_BLOCK, int(checkpoints[-1]))))
-    next_cp, start = 0, 0
-    for lam in blocks:
-        stop = start + len(lam)
-        terms = _poisson_terms(x, y, lam, buf[:, :, :len(lam)])
-        while next_cp < len(checkpoints) and checkpoints[next_cp] <= stop:
-            partial[:, next_cp] = sums + terms[:, :checkpoints[next_cp] - start].sum(axis=1)
-            next_cp += 1
-        total = sums + terms.sum(axis=1)
-        for t, bound in enumerate(thresholds):
-            for p in np.nonzero((crossing[t] < 0) & (total > bound))[0]:
-                crossing[t, p] = start + _first_crossing(sums[p] + np.cumsum(terms[p]), bound) + 1
-        sums, start = total, stop
-    return partial, crossing
-
-
-def _folded_sums(x, y, distinct, which, checkpoints, thresholds):
-    """Checkpoint sums and first crossings from the terms of the distinct
-    zeros, where lam == distinct[which]."""
-    buf = np.empty((2, len(x), len(distinct)))
-    terms, weighted = _poisson_terms(x, y, distinct, buf), buf[1]
-    # counts[d]: occurrences of distinct zero d among the first `stop` zeros
-    counts = np.zeros(len(distinct))
-    partial = np.empty((len(x), len(checkpoints)))
-    start = 0
-    for c, stop in enumerate(checkpoints):
-        counts += np.bincount(which[start:stop], minlength=len(distinct))
-        partial[:, c] = np.multiply(terms, counts, out=weighted).sum(axis=1)
-        start = stop
-    # the weighted sums grow with the checkpoint (rounding is monotone), so
-    # the first checkpoint above a bound closes the interval of its crossing
-    crossing = np.full((len(thresholds), len(x)), -1, dtype=int)
-    for t, bound in enumerate(thresholds):
-        above = partial > bound
-        for p in np.nonzero(above[:, -1])[0]:
-            c = int(np.argmax(above[p]))
-            start, base = (checkpoints[c - 1], partial[p, c - 1]) if c else (0, 0.0)
-            running = base + np.cumsum(terms[p, which[start:checkpoints[c]]])
-            crossing[t, p] = start + _first_crossing(running, bound) + 1
-    return partial, crossing
+        count, weights = len(lam.distinct), lam.counts.astype(float)
+        blocks = ((lam.distinct[start:start + ANGULAR_BLOCK], weights[start:start + ANGULAR_BLOCK])
+                  for start in range(0, count, ANGULAR_BLOCK))
+    sums = np.zeros(len(angles))
+    buf = np.empty((2, len(angles), min(ANGULAR_BLOCK, count)))
+    for zeros, multiplicities in blocks:
+        terms = _poisson_terms(x, y, zeros, buf[:, :, :len(zeros)])
+        if multiplicities is not None:
+            terms *= multiplicities
+        sums += terms.sum(axis=1)
+    return sums

@@ -13,6 +13,7 @@ import argparse
 import cmath
 import contextlib
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .experiments import (
     stz_defect_s1,
     stz_trace,
     szego_gap,
+    threshold_keys,
 )
 from .operators import ScalarFunction, SymbolRep, build_truncated_toeplitz
 from .quadrature import GRID_POINTS, QuadratureConfig
@@ -136,6 +138,13 @@ _n_values = _checked(lambda text: tuple(int(tok) for tok in text.split(",") if t
                      "a strictly increasing list of positive integers")
 
 
+def _thresholds(text: str) -> tuple:
+    """Positive finite thresholds, no two with one summary key (``threshold_keys``)."""
+    values = tuple(map(_positive_float, text.split(",")))
+    threshold_keys(values)
+    return values
+
+
 # ---------------------------------------------------------------------------
 # config documents
 # ---------------------------------------------------------------------------
@@ -154,7 +163,7 @@ _PARSERS = {
     "quadrature": {"initial_points": _grid_points, "max_points": _grid_points,
                    "abs_tol": _positive_float, "rel_tol": _positive_float},
     "angular": {"j_terms": _positive_int, "grid_size": _positive_int,
-                "thresholds": lambda text: tuple(map(_positive_float, text.split(",")))},
+                "thresholds": _thresholds},
     "output": {"dir": str},
 }
 
@@ -279,8 +288,9 @@ def canonical_text(sections: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def parse_config(path: str, overrides: dict | None = None) -> ParsedConfig:
-    """Load, validate and canonicalize an experiment config file."""
+def parse_config(path: str, overrides: dict | None = None, command: str | None = None) -> ParsedConfig:
+    """Load, validate and canonicalize an experiment config file for the
+    subcommand ``command``: angular sums angular.j_terms zeros, given or not."""
     sections = _read_sections(path)
     for section, values in (overrides or {}).items():
         if "kind" in values:  # a --symbol or --function text replaces its whole section
@@ -302,8 +312,9 @@ def parse_config(path: str, overrides: dict | None = None) -> ParsedConfig:
     angular_options = {"J" if key == "j_terms" else key: value
                        for key, value in _given(sections, "angular").items()}
     zeros = sequence.explicit_zeros
+    j_terms = inspect.signature(angular_condition_b).parameters["J"].default if command == "angular" else 0
     for key, count in (("sweep.n_values", experiment.n_values[-1]),
-                       ("angular.j_terms", angular_options.get("J", 0))):
+                       ("angular.j_terms", angular_options.get("J", j_terms))):
         if zeros and count > len(zeros):
             raise ConfigError(f"{key}: explicit sequence has {len(zeros)} zeros, {count} requested")
     text = canonical_text(sections)
@@ -457,7 +468,7 @@ def _sweep(args) -> tuple[ParsedConfig, Manifest]:
     overrides = _flag_sections(args)
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
-    parsed = parse_config(args.config, overrides)
+    parsed = parse_config(args.config, overrides, args.command)
     out = args.out or parsed.out_dir or "results"
     return parsed, Manifest(out, parsed.digest, parsed.experiment.seed)
 
@@ -537,7 +548,7 @@ def cmd_angular(args) -> int:
         rows = angular_condition_a(parsed.experiment)
         lines = [f"{row['N']},{_fmt(row['max'])},{_fmt(row['median'])},{_fmt(row['min'])}" for row in rows]
         manifest.write("angular_a.csv", "\r\n".join(["N,max,median,min"] + lines) + "\r\n")
-        _, summary = angular_condition_b(parsed.experiment, **parsed.angular_options)
+        summary = angular_condition_b(parsed.experiment, **parsed.angular_options)
         manifest.write("angular_b.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
         manifest.write("angular_a.json", json.dumps(rows, sort_keys=True, indent=2) + "\n")
     return 0

@@ -15,9 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .blaschke import (
+    SEED,
     FiniteBlaschke,
     PhaseFunction,
     ZeroSequence,
+    _checked_param,
     abs_derivative_grid,
     angular_partial_sums,
     circle_grid,
@@ -49,9 +51,10 @@ class ExperimentConfig:
     n_values: tuple = (8, 16, 32, 64)
     alpha_count: int = 32
     quadrature: QuadratureConfig = QuadratureConfig()
-    seed: int = 0
+    seed: int = SEED.default
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _checked_param("experiment", "seed", self.seed, SEED))
         ns = tuple(int(n) for n in self.n_values)
         if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be a strictly increasing list of positive integers")
@@ -150,27 +153,36 @@ def angular_condition_a(cfg: ExperimentConfig) -> list[dict]:
     return out
 
 
-def angular_condition_b(cfg: ExperimentConfig, J: int = 10 ** 5, grid_size: int = 64,
-                        thresholds: Sequence[float] = (1e2, 1e3)):
-    """Partial Poisson sums on a circle grid with threshold statistics.
+def threshold_keys(thresholds: Sequence[float]) -> list[str]:
+    """The text of each threshold t in the summary keys ``below_<t>`` and
+    ``above_<t>`` of ``angular_condition_b``, as ``{t:g}`` formats it; a
+    ValueError if two thresholds share it."""
+    keys = [f"{float(t):g}" for t in thresholds]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(f"thresholds {thresholds[keys.index(key)]!r} and {thresholds[i]!r} "
+                             f"share the summary key {key}")
+    return keys
 
-    Returns the raw diagnostics plus, per threshold, the fraction of grid
-    points whose J-term sum stays below it (points of slow phase growth)."""
-    grid = circle_grid(grid_size, offset=0.5)
-    diagnostics = angular_partial_sums(cfg.sequence, grid, J, thresholds=thresholds)
-    final = diagnostics.partial_sums[:, -1]
+
+def angular_condition_b(cfg: ExperimentConfig, J: int = 10 ** 5, grid_size: int = 64,
+                        thresholds: Sequence[float] = (1e2, 1e3)) -> dict:
+    """J-term Poisson sums on a circle grid (``angular_partial_sums``): their
+    range and, per threshold, the fraction of grid points whose sum stays
+    below it (points of slow phase growth) and the fraction at or above it."""
+    keys = threshold_keys(thresholds)
+    sums = angular_partial_sums(cfg.sequence, circle_grid(grid_size, offset=0.5), J)
     fractions = {}
-    for t in thresholds:
-        fractions[f"below_{t:g}"] = float(np.mean(final < t))
-        fractions[f"above_{t:g}"] = float(np.mean(final >= t))
-    summary = {
+    for t, key in zip(thresholds, keys):
+        fractions[f"below_{key}"] = float(np.mean(sums < t))
+        fractions[f"above_{key}"] = float(np.mean(sums >= t))
+    return {
         "J": float(J),
         "grid_size": float(grid_size),
-        "min_sum": float(final.min()),
-        "max_sum": float(final.max()),
+        "min_sum": float(sums.min()),
+        "max_sum": float(sums.max()),
         **fractions,
     }
-    return diagnostics, summary
 
 
 # ---------------------------------------------------------------------------

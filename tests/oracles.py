@@ -22,9 +22,9 @@ from ttolab import blaschke
 from ttolab.blaschke import (
     PHASE_BLOCK,
     TWO_PI,
-    AngularDiagnostics,
     FiniteBlaschke,
     abs_derivative_grid,
+    exact_defects,
     generate_zeros,
     tmw_matrix,
 )
@@ -386,43 +386,36 @@ def alternating_3k_loop(lam0: float, count: int) -> np.ndarray:
     return vals
 
 
-def fold_repeats_reference(lam: np.ndarray, checkpoints: int):
-    """(distinct, which) with lam == distinct[which], when weighting each
-    distinct zero's term at each of the checkpoints forms fewer terms than
-    len(lam); None otherwise.  A zero is keyed by the ranks of its real and
+def fold_repeats_reference(lam: np.ndarray):
+    """(distinct, counts), lam made of counts[k] copies of distinct[k] and
+    distinct sorted as ``np.unique`` sorts complex values, when some zero
+    repeats; None otherwise.  A zero is keyed by the ranks of its real and
     imaginary parts among their sorted distinct values."""
     ranks = []
     for part in (lam.real, lam.imag):
         values = np.unique(part)
-        if len(values) * checkpoints >= len(lam):
-            return None
         ranks.append((values, np.searchsorted(values, part)))
     (real, key), (imag, rank) = ranks
-    key = key * len(imag) + rank
-    keys = np.unique(key)
-    if len(keys) * checkpoints >= len(lam):
+    keys, counts = np.unique(key * len(imag) + rank, return_counts=True)
+    if len(keys) == len(lam):
         return None
     distinct = np.empty(len(keys), dtype=complex)
     distinct.real, distinct.imag = real[keys // len(imag)], imag[keys % len(imag)]
-    return distinct, np.searchsorted(keys, key)
+    return distinct, counts
 
 
-def angular_sums_reference(seq, grid, J, thresholds=(1e2, 1e3)) -> AngularDiagnostics:
+def angular_sums_reference(seq, grid, J) -> np.ndarray:
     """``angular_partial_sums`` from the expanded zero list: all J zeros
-    generated, then folded by sorting their parts (``fold_repeats_reference``)
-    where that forms fewer terms, and summed by the library's folded sums or
-    streamed sums over slices of ANGULAR_BLOCK zeros."""
+    generated, folded by sorting their parts (``fold_repeats_reference``)
+    where some repeat, and the terms (1 - |lam|^2)/|zeta - lam|^2, times the
+    multiplicities, summed row by row over slices of ANGULAR_BLOCK zeros."""
     angles = np.asarray(grid, dtype=float)
     x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
     lam = generate_zeros(seq, J)
-    checkpoints = 2 ** np.arange(J.bit_length())
-    if checkpoints[-1] != J:
-        checkpoints = np.append(checkpoints, J)
-    thresholds = tuple(float(t) for t in thresholds)
-    fold = fold_repeats_reference(lam, len(checkpoints))
-    if fold is None:
-        blocks = (lam[start:start + blaschke.ANGULAR_BLOCK] for start in range(0, J, blaschke.ANGULAR_BLOCK))
-        partial, crossing = blaschke._streamed_sums(x, y, blocks, checkpoints, thresholds)
-    else:
-        partial, crossing = blaschke._folded_sums(x, y, *fold, checkpoints, thresholds)
-    return AngularDiagnostics(angles, checkpoints, partial, thresholds, crossing)
+    zeros, counts = fold_repeats_reference(lam) or (lam, np.ones(J))
+    sums = np.zeros(len(angles))
+    for start in range(0, len(zeros), blaschke.ANGULAR_BLOCK):
+        part = zeros[start:start + blaschke.ANGULAR_BLOCK]
+        terms = exact_defects(part) / ((x - part.real) ** 2 + (y - part.imag) ** 2)
+        sums += (terms * counts[start:start + blaschke.ANGULAR_BLOCK]).sum(axis=1)
+    return sums

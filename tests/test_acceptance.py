@@ -281,10 +281,10 @@ def test_c07_stz_trend_and_counterexample():
     ratio = frost["median"] / dense["median"]
     median_ok = ratio > 10.0
     # (iii) partial angular sums at J = 1e5 on a 64-point grid
-    _, sfrost = angular_condition_b(ExperimentConfig(ZeroSequence.frostman_fast(4),
+    sfrost = angular_condition_b(ExperimentConfig(ZeroSequence.frostman_fast(4),
                                                      TWO_COS, SQUARE, (8,)),
                                     J=10 ** 5, grid_size=64, thresholds=(1e2,))
-    _, sdense = angular_condition_b(ExperimentConfig(ZeroSequence.dense_nonblaschke(),
+    sdense = angular_condition_b(ExperimentConfig(ZeroSequence.dense_nonblaschke(),
                                                      TWO_COS, SQUARE, (8,)),
                                     J=10 ** 5, grid_size=64, thresholds=(1e2,))
     frac_ok = sfrost["below_100"] >= 0.25 and sdense["below_100"] == 0.0

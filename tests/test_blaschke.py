@@ -842,23 +842,6 @@ class TestTMWBasis:
         assert np.abs(G - np.eye(3)).max() < 1e-8
 
 
-def crossing_reference(seq, grid, J, thresholds):
-    """First term count at which each running sum exceeds each threshold,
-    found point by point in a loop over the cumulative sums of all terms.
-    The terms are those of ``poisson_terms_reference`` in double: terms
-    formed another way differ by an ulp, and that decides a threshold that
-    a running sum meets to within rounding (uniform_zero's terms are 1, and
-    the thresholds include integers)."""
-    running = np.cumsum(poisson_terms_reference(seq, grid, J, float), axis=1)
-    out = np.full((len(thresholds), len(grid)), -1)
-    for t, bound in enumerate(thresholds):
-        for p in range(len(grid)):
-            hits = np.nonzero(running[p] > bound)[0]
-            if len(hits):
-                out[t, p] = hits[0] + 1
-    return out
-
-
 def poisson_terms_reference(seq, grid, J, dtype):
     """(1 - |lam|^2)/|zeta - lam|^2 from the double-precision points
     zeta = (cos, sin)(grid) and zeros, with the arithmetic done in dtype and
@@ -872,15 +855,10 @@ def poisson_terms_reference(seq, grid, J, dtype):
     return (defects / ((x - lr) ** 2 + (y - li) ** 2)).astype(float)
 
 
-def fsum_worst(diag, terms):
-    """Largest relative distance of the partial sums from math.fsum of the
-    same prefixes of the terms, over all points and checkpoints."""
-    worst = 0.0
-    for sums, row in zip(diag.partial_sums, terms.tolist()):
-        for got, cp in zip(sums, diag.checkpoints):
-            ref = math.fsum(row[:cp])
-            worst = max(worst, abs(got - ref) / ref)
-    return worst
+def fsum_worst(sums, terms):
+    """Largest relative distance of the sums from math.fsum of the same
+    terms, over all points."""
+    return max(abs(got - math.fsum(row)) / math.fsum(row) for got, row in zip(sums, terms.tolist()))
 
 
 def cap_pairs_sequence(count=10 ** 5):
@@ -894,127 +872,94 @@ def cap_pairs_sequence(count=10 ** 5):
     return ZeroSequence.from_points(np.concatenate(([0j], points[draws])))
 
 
-#: sequences besides frostman_fast whose zeros repeat: angular_partial_sums folds them
-REPEATED = [ZeroSequence.uniform_zero(), ZeroSequence.alternating_3k(0.5), cap_pairs_sequence()]
+#: sequences besides frostman_fast whose zeros repeat: angular_partial_sums weights
+#: each distinct zero by its multiplicity.  Every dense zero twice gives more
+#: distinct zeros than one block holds
+REPEATED = [ZeroSequence.uniform_zero(), ZeroSequence.alternating_3k(0.5), cap_pairs_sequence(),
+            ZeroSequence.from_points(np.repeat(generate_zeros(ZeroSequence.dense_nonblaschke(), 5 * 10 ** 4), 2))]
 
 
 #: every family of TestAngularPartialSums
 ANGULAR_FAMILIES = [ZeroSequence.frostman_fast(4), ZeroSequence.dense_nonblaschke(),
                     ZeroSequence.constant_modulus(0.9)] + REPEATED
-ANGULAR_IDS = ["frostman", "dense", "constant-modulus", "uniform", "alternating", "cap-pairs"]
+ANGULAR_IDS = ["frostman", "dense", "constant-modulus", "uniform", "alternating", "cap-pairs", "dense-twice"]
 
 
 class TestAngularPartialSums:
-    @pytest.mark.parametrize("seq", ANGULAR_FAMILIES)
-    def test_first_crossing_matches_loop_reference(self, seq):
-        # 10^4 terms span ten blocks of 1024, or 15 checkpoint intervals
-        # where the zeros repeat; the thresholds are crossed in each of them
-        # on some families and never on others
-        grid, J, thresholds = circle_grid(24, offset=0.5), 10 ** 4, (1.08, 5.0, 800.0, 6000.0, 1e6)
-        diag = angular_partial_sums(seq, grid, J, thresholds=thresholds)
-        assert np.array_equal(diag.first_crossing, crossing_reference(seq, grid, J, thresholds))
-
-    @pytest.mark.parametrize("seq", [ZeroSequence.dense_nonblaschke(), ZeroSequence.frostman_fast(4)] + REPEATED)
-    def test_checkpoints_match_fsum(self, seq):
+    @pytest.mark.parametrize("seq", [ZeroSequence.dense_nonblaschke(), ZeroSequence.frostman_fast(4)] + REPEATED,
+                             ids=["dense", "frostman"] + ANGULAR_IDS[3:])
+    def test_totals_match_fsum(self, seq):
         # the shipped grid and term count.  Against fsum of the same double
-        # terms only the summation errs: 5.9e-16 on dense (streamed), and on
-        # the folded sequences 5.9e-16 (frostman; 3.0e-15 streamed), 0
-        # (uniform), 2.2e-16 (alternating) and 4.2e-16 (cap pairs).  Against
-        # terms formed in long double: 1.6e-15 (dense) and 2.0e-15 (frostman)
-        # with the correctly rounded 1 - |lam|^2; the double form
+        # terms only the summation errs: 1.1e-15 on dense, and on the
+        # weighted distinct zeros 2.8e-16 (frostman), 0 (uniform), 2.0e-16
+        # (alternating), 3.8e-16 (cap pairs) and 8.5e-16 (dense twice).
+        # Against terms formed in long double: 1.8e-15 (dense) and 2.0e-15
+        # (frostman) with the correctly rounded 1 - |lam|^2; the double form
         # 1 - (x^2 + y^2), off by eps/(1 - |lam|^2), gave 2.4e-12 and 9.8e-12
-        # streamed, with most frostman zeros at the 1 - 1e-6 cap
+        # summed zero by zero, with most frostman zeros at the 1 - 1e-6 cap
         grid, J = circle_grid(64, offset=0.5), 10 ** 5
-        diag = angular_partial_sums(seq, grid, J)
-        assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, float)) <= 1e-14
-        assert fsum_worst(diag, poisson_terms_reference(seq, grid, J, np.longdouble)) <= 1e-14
+        sums = angular_partial_sums(seq, grid, J)
+        assert fsum_worst(sums, poisson_terms_reference(seq, grid, J, float)) <= 1e-14
+        assert fsum_worst(sums, poisson_terms_reference(seq, grid, J, np.longdouble)) <= 1e-14
 
     @pytest.mark.parametrize("seq", ANGULAR_FAMILIES, ids=ANGULAR_IDS)
-    @pytest.mark.parametrize("grid, J, thresholds", [
-        (circle_grid(24, offset=0.5), 10 ** 4, (1.08, 5.0, 800.0, 6000.0, 1e6)),
-        (circle_grid(64, offset=0.5), 10 ** 5, (1e2, 1e3)),
-    ], ids=["crossings", "shipped"])
-    def test_matches_expand_and_fold_reference(self, seq, grid, J, thresholds):
+    @pytest.mark.parametrize("grid, J", [
+        (circle_grid(24, offset=0.5), 10 ** 4 + 7),
+        (circle_grid(64, offset=0.5), 10 ** 5),
+    ], ids=["partial-block", "shipped"])
+    def test_matches_expand_and_fold_reference(self, seq, grid, J):
         # the distinct form of the rule against all J zeros generated and
         # folded by sorting: the same terms in the same order, so the same bytes
-        diag = angular_partial_sums(seq, grid, J, thresholds=thresholds)
-        ref = angular_sums_reference(seq, grid, J, thresholds)
-        assert diag.checkpoints.tobytes() == ref.checkpoints.tobytes()
-        assert diag.partial_sums.tobytes() == ref.partial_sums.tobytes()
-        assert diag.first_crossing.tobytes() == ref.first_crossing.tobytes()
-
-    @pytest.mark.parametrize("seq, distinct", [
-        (ZeroSequence.frostman_fast(4), 35),
-        (ZeroSequence.uniform_zero(), 1),
-        (ZeroSequence.alternating_3k(0.5), 3),
-        (cap_pairs_sequence(), 10),
-        (ZeroSequence.dense_nonblaschke(), 10 ** 5),
-        (ZeroSequence.constant_modulus(0.9), 10 ** 5),  # conjugate pairs, no repeats
-        (ZeroSequence.from_points(np.repeat(generate_zeros(ZeroSequence.dense_nonblaschke(), 5 * 10 ** 4), 2)),
-         5 * 10 ** 4),  # every zero twice: 18 checkpoints make folding cost more
-    ], ids=["frostman", "uniform", "alternating", "cap-pairs", "dense", "constant-modulus", "dense-twice"])
-    def test_folds_only_where_it_forms_fewer_terms(self, monkeypatch, seq, distinct):
-        J = 10 ** 5  # 18 checkpoints
-        runs = distinct_zeros(seq, J)
-        assert len(runs.distinct) == distinct
-        assert runs.zeros.tobytes() == generate_zeros(seq, J).tobytes()
-        routes = []
-        for route in ("_folded_sums", "_streamed_sums"):
-            def spy(*args, route=route, sums=getattr(blaschke, route)):
-                routes.append(route)
-                return sums(*args)
-            monkeypatch.setattr(blaschke, route, spy)
-        angular_partial_sums(seq, np.array([0.3]), J)
-        assert routes == ["_folded_sums" if distinct * 18 < J else "_streamed_sums"]
+        sums = angular_partial_sums(seq, grid, J)
+        assert sums.tobytes() == angular_sums_reference(seq, grid, J).tobytes()
 
     def test_uniform_equals_term_count(self):
-        diag = angular_partial_sums(ZeroSequence.uniform_zero(), circle_grid(8), 50)
-        assert np.allclose(diag.partial_sums[:, -1], 50.0)
-        assert diag.checkpoints[-1] == 50
-
-    def test_monotone_nonnegative(self):
-        diag = angular_partial_sums(ZeroSequence.dense_nonblaschke(), circle_grid(16), 3000)
-        assert np.all(diag.partial_sums >= 0)
-        assert np.all(np.diff(diag.partial_sums, axis=1) >= -1e-12)
+        sums = angular_partial_sums(ZeroSequence.uniform_zero(), circle_grid(8), 50)
+        assert np.allclose(sums, 50.0, rtol=1e-14, atol=0.0)
 
     def test_against_direct_sum(self):
         seq = ZeroSequence.frostman_fast(4)
         grid = circle_grid(6, offset=0.5)
         J = 5000
-        diag = angular_partial_sums(seq, grid, J)
         lam = generate_zeros(seq, J)
         z = np.exp(1j * grid)
         direct = (exact_defects(lam)[None, :] / np.abs(z[:, None] - lam[None, :]) ** 2).sum(axis=1)
-        assert np.allclose(diag.partial_sums[:, -1], direct, rtol=1e-12)
-
-    def test_first_crossing(self):
-        seq = ZeroSequence.uniform_zero()
-        diag = angular_partial_sums(seq, circle_grid(4), 100, thresholds=(10.5, 1000.0))
-        assert np.all(diag.first_crossing[0] == 11)   # sum exceeds 10.5 at term 11
-        assert np.all(diag.first_crossing[1] == -1)   # never crosses 1000
+        assert np.allclose(angular_partial_sums(seq, grid, J), direct, rtol=1e-12)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             angular_partial_sums(ZeroSequence.uniform_zero(), np.array([]), 10)
+
+    @pytest.mark.parametrize("seq", [ZeroSequence.uniform_zero(), ZeroSequence.dense_nonblaschke()],
+                             ids=["distinct-form", "bare"])
+    def test_no_terms(self, seq):
+        with pytest.raises(ValueError, match="J must be >= 1"):
+            angular_partial_sums(seq, circle_grid(4), 0)
+
+    @pytest.mark.parametrize("seq", [ZeroSequence.frostman_fast(4), cap_pairs_sequence()], ids=["frostman", "cap-pairs"])
+    def test_distinct_zeros_in_many_blocks(self, monkeypatch, seq):
+        # blocks of 8 split frostman's 35 distinct zeros into five and the
+        # cap pairs' 10 into two, the last block shorter: still the oracle's
+        # bytes under the same block size
+        monkeypatch.setattr(blaschke, "ANGULAR_BLOCK", 8)
+        grid, J = circle_grid(24, offset=0.5), 10 ** 4
+        assert angular_partial_sums(seq, grid, J).tobytes() == angular_sums_reference(seq, grid, J).tobytes()
 
     def test_frostman_tail_bound_off_directions(self):
         # far from the accumulation directions the tail increase obeys the
         # elementary bound sum of 2(1-|lam_j|)/dist^2
         J0, J = 2 ** 14, 10 ** 5
         seq = ZeroSequence.frostman_fast(4)
-        diag = angular_partial_sums(seq, np.array([np.pi / 4]), J)
-        sums = diag.partial_sums[0]
-        observed_tail = sums[-1] - sums[np.searchsorted(diag.checkpoints, J0)]
+        head, total = (angular_partial_sums(seq, np.array([np.pi / 4]), n)[0] for n in (J0, J))
         lam = generate_zeros(seq, J)[J0:]
         dist2 = np.abs(np.exp(1j * np.pi / 4) - lam) ** 2
         bound = float(np.sum(2 * (1 - np.abs(lam)) / dist2))
-        assert observed_tail <= bound
-        assert sums[-1] < 1e2
+        assert total - head <= bound
+        assert total < 1e2
 
     def test_dense_growth_on_full_grid(self):
-        diag = angular_partial_sums(ZeroSequence.dense_nonblaschke(),
-                                    circle_grid(64, offset=0.5), 10 ** 5)
-        assert diag.partial_sums[:, -1].min() > 1e3
+        sums = angular_partial_sums(ZeroSequence.dense_nonblaschke(), circle_grid(64, offset=0.5), 10 ** 5)
+        assert sums.min() > 1e3
 
     def test_dense_memory_does_not_grow_with_term_count(self):
         # the zeros come from the rule one block at a time: the traced peak
@@ -1038,9 +983,8 @@ class TestAngularPartialSums:
         grid, J = circle_grid(64, offset=0.5), 10 ** 5
         ref = angular_partial_sums(ZeroSequence.dense_nonblaschke(), grid, J)
         monkeypatch.setattr(blaschke, "ANGULAR_BLOCK", block)
-        diag = angular_partial_sums(ZeroSequence.dense_nonblaschke(), grid, J)
-        assert np.abs(diag.partial_sums / ref.partial_sums - 1).max() <= 4e-15
-        assert np.array_equal(diag.first_crossing, ref.first_crossing)
+        sums = angular_partial_sums(ZeroSequence.dense_nonblaschke(), grid, J)
+        assert np.abs(sums / ref - 1).max() <= 4e-15
 
 
 #: the rules whose zeros are streamed from the rule itself

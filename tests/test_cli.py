@@ -122,6 +122,8 @@ class TestParseConfig:
         ("angular", "thresholds", "nan"),
         ("angular", "thresholds", "1e2,inf"),
         ("angular", "thresholds", "-5"),
+        ("angular", "thresholds", "100.0000001,100.0000002"),  # both keyed below_100
+        ("angular", "thresholds", "1e3,5,1000"),
         ("angular", "grid_size", "6.5"),
         ("angular", "j_terms", "0"),
         ("angular", "grid_size", "0"),
@@ -368,7 +370,9 @@ alpha_count = 8
         ("szego", "", "sweep.n_values", 64),  # the default n_values
         ("angular", "[sweep]\nn_values = 2,3\n[angular]\nj_terms = 4\n", "angular.j_terms", 4),
         ("szego", "[sweep]\nn_values = 2,3\n[angular]\nj_terms = 4\n", "angular.j_terms", 4),
-    ], ids=["szego-n-values", "szego-default-n-values", "angular-j-terms", "szego-j-terms"])
+        ("angular", "[sweep]\nn_values = 2,3\n", "angular.j_terms", 10 ** 5),  # the default j_terms
+    ], ids=["szego-n-values", "szego-default-n-values", "angular-j-terms", "szego-j-terms",
+            "angular-default-j-terms"])
     def test_explicit_sequence_shorter_than_asked_names_key(self, tmp_path, capsys, command, extra, key,
                                                             count):
         path = tmp_path / "short.cfg"
@@ -384,6 +388,17 @@ alpha_count = 8
         path = tmp_path / "three.cfg"
         path.write_text(EXPLICIT_THREE + "[sweep]\nn_values = 2,3\n")
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+
+    def test_thresholds_sharing_a_summary_key_name_key_and_write_nothing(self, tmp_path, capsys):
+        # both would be below_100 and above_100 in angular_b.json
+        path = tmp_path / "collide.cfg"
+        path.write_text(EXPLICIT_THREE + "[sweep]\nn_values = 2,3\n[angular]\nj_terms = 3\n"
+                        "thresholds = 100.0000001,100.0000002\n")
+        out = tmp_path / "x"
+        assert main(["angular", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: angular.thresholds: thresholds 100.0000001 "
+                                           "and 100.0000002 share the summary key 100\n")
+        assert not out.exists()
 
     def test_negative_seed_names_key_and_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "seed.cfg"

@@ -23,6 +23,7 @@ from ttolab.experiments import (
     stz_defect_s1,
     stz_trace,
     szego_gap,
+    threshold_keys,
 )
 from ttolab.operators import (
     ScalarFunction,
@@ -59,6 +60,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(ZeroSequence.uniform_zero(), SymbolRep.trig({1: 1}),
                              ScalarFunction.preset("abs"), (8,))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_is_checked(self, seed):
+        # numpy's default_rng would meet -1 only when the suite draws its trials
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, SQUARE, (8,), seed=seed)
+
+    def test_seed_is_an_int(self):
+        cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, SQUARE, (8,), seed=np.int64(4))
+        assert type(cfg.seed) is int and cfg.seed == 4
+        assert classical_cfg().seed == 0
 
     def test_gap_is_derived(self):
         rec = ConvergenceRecord(4, 1.0 + 1j, 1.0)
@@ -178,9 +190,24 @@ class TestAngularConditions:
 
     def test_condition_b_summary(self):
         cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, IDENTITY, (8,))
-        diag, summary = angular_condition_b(cfg, J=500, grid_size=16, thresholds=(100.0,))
-        assert summary["below_100"] == 0.0  # sums reach J = 500 everywhere
-        assert diag.partial_sums.shape[0] == 16
+        summary = angular_condition_b(cfg, J=500, grid_size=16, thresholds=(100.0, 1e3))
+        # the sums are J = 500 everywhere, to the rounding of |zeta|^2 = 1
+        assert summary == {"J": 500.0, "grid_size": 16.0, "min_sum": pytest.approx(500.0, rel=1e-15),
+                           "max_sum": pytest.approx(500.0, rel=1e-15),
+                           "below_100": 0.0, "above_100": 1.0, "below_1000": 1.0, "above_1000": 0.0}
+
+    def test_threshold_keys(self):
+        # {t:g}: six significant digits, no trailing zeros, exponent from 1e6 on
+        assert threshold_keys((100, 1e3, 2.5, 1e6, 0.125, 1234567.0)) == \
+            ["100", "1000", "2.5", "1e+06", "0.125", "1.23457e+06"]
+
+    @pytest.mark.parametrize("thresholds", [(100.0000001, 100.0000002), (1e3, 5.0, 1000.0)])
+    def test_thresholds_sharing_a_key_are_refused(self, thresholds):
+        with pytest.raises(ValueError, match="share the summary key"):
+            threshold_keys(thresholds)
+        cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, IDENTITY, (8,))
+        with pytest.raises(ValueError, match="share the summary key"):
+            angular_condition_b(cfg, J=10, grid_size=4, thresholds=thresholds)
 
 
 class TestHsApproxGap:
