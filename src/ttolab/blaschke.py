@@ -29,8 +29,8 @@ RADIUS_CAP = 1.0 - 1e-6
 #: angle rules of the constant_modulus generator
 PHASE_RULES = ("equispaced", "golden", "random")
 
-#: a zero rule's parameter: its default, whose type it must have, and the
-#: condition on its value, also in words
+#: a declared setting (a zero rule's parameter, a config key): its default,
+#: whose type it must have, and the condition on its value, also in words
 RuleParam = namedtuple("RuleParam", "default holds words")
 
 #: every zero rule's parameters by name, in the order that its constructor
@@ -51,6 +51,15 @@ SEED = RuleParam(0, lambda v: v >= 0, "an integer >= 0")
 
 #: the values that a parameter takes, by the type of its default
 _PARAM_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _as_param_type(value, default):
+    """``value`` as the type of ``default`` (a tuple default: a tuple or list
+    of its first entry's kind, as a tuple), or None if it is not of that kind."""
+    if isinstance(default, tuple):
+        items = [_as_param_type(v, default[0]) for v in value] if isinstance(value, (tuple, list)) else [None]
+        return None if None in items else tuple(items)
+    return type(default)(value) if isinstance(value, _PARAM_TYPES[type(default)]) else None
 
 
 def circle_grid(count: int, offset: float = 0.0) -> np.ndarray:
@@ -95,15 +104,21 @@ class DistinctZeros:
 
     __slots__ = ("distinct", "counts", "which", "_zeros")
 
-    def __init__(self, distinct: np.ndarray, counts: np.ndarray, which: np.ndarray,
-                 zeros: np.ndarray | None = None):
-        self.distinct, self.counts, self.which, self._zeros = distinct, counts, which, zeros
+    def __init__(self, distinct: np.ndarray, counts: np.ndarray, which: np.ndarray):
+        self.distinct, self.counts, self.which, self._zeros = distinct, counts, which, None
 
     @staticmethod
     def fold(zeros: np.ndarray) -> "DistinctZeros":
-        """The distinct form of a bare zero array, by ``np.unique``."""
-        distinct, which, counts = np.unique(zeros, return_inverse=True, return_counts=True)
-        return DistinctZeros(distinct, counts, which, zeros)
+        """The distinct form of a bare zero array, by ``np.unique`` when a part is first read."""
+        folded = object.__new__(DistinctZeros)
+        folded._zeros = zeros
+        return folded
+
+    def __getattr__(self, name: str):
+        if name not in ("distinct", "counts", "which"):  # only the unread parts of a folded list
+            raise AttributeError(name)
+        self.distinct, self.which, self.counts = np.unique(self._zeros, return_inverse=True, return_counts=True)
+        return getattr(self, name)
 
     @staticmethod
     def runs(values: np.ndarray, lengths: np.ndarray) -> "DistinctZeros":
@@ -135,12 +150,17 @@ class DistinctZeros:
 
 
 def _checked_param(kind: str, name: str, value, param: RuleParam):
-    """``value`` as the type of the parameter's default, if it is of that
-    kind and its condition holds; else a ValueError naming the parameter."""
-    cls = type(param.default)
-    if not isinstance(value, _PARAM_TYPES[cls]) or not param.holds(value := cls(value)):
+    """``value`` as the type of the parameter's default (``_as_param_type``), if
+    it is of that kind and its condition holds; else a ValueError naming it."""
+    if (converted := _as_param_type(value, param.default)) is None or not param.holds(converted):
         raise ValueError(f"{kind} needs {name} {param.words}, got {value!r}")
-    return value
+    return converted
+
+
+def _checked_fields(obj, kind: str, params: dict) -> None:
+    """Check and hold each field of the frozen dataclass that ``params`` declares."""
+    for name, param in params.items():
+        object.__setattr__(obj, name, _checked_param(kind, name, getattr(obj, name), param))
 
 
 def _rule_sequence(kind: str, *values, seed: int = SEED.default, **params) -> "ZeroSequence":
@@ -185,8 +205,8 @@ class ZeroSequence:
     dense_nonblaschke = staticmethod(partial(_rule_sequence, "dense_nonblaschke"))
 
     @staticmethod
-    def from_points(points: Sequence[complex]) -> "ZeroSequence":
-        return ZeroSequence("explicit", explicit_zeros=tuple(complex(p) for p in points))
+    def from_points(points: Sequence[complex], seed: int = SEED.default) -> "ZeroSequence":
+        return ZeroSequence("explicit", seed=seed, explicit_zeros=tuple(complex(p) for p in points))
 
 
 def _check_zeros(zeros: np.ndarray, first: bool):
@@ -235,11 +255,10 @@ def _bare_blocks(spec: ZeroSequence, count: int, block: int):
         yield lam
 
 
-def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
-    """The first ``count`` zeros of the rule: in distinct form where they
-    repeat, computed from the rule's few distinct zeros and its index map;
-    as a bare array where the rule makes them distinct (``BARE_RULES``, in
-    one block of ``_bare_blocks``) or gives no rule (explicit, folded).
+def distinct_zeros(spec: ZeroSequence, count: int) -> DistinctZeros:
+    """The first ``count`` zeros of the sequence rule in distinct form: in
+    closed form from the few distinct zeros of a repeating rule (uniform_zero,
+    alternating_3k, frostman_fast), else folded (``DistinctZeros.fold``).
     Checked to start at the origin and to lie strictly inside the disk."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -247,7 +266,7 @@ def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
 
     if kind in BARE_RULES:
         lam, = _bare_blocks(spec, count, count)
-        return lam
+        return DistinctZeros.fold(lam)
 
     if kind == "uniform_zero":
         lam = DistinctZeros.runs(np.zeros(1, dtype=complex), [count])
@@ -285,21 +304,9 @@ def _rule_zeros(spec: ZeroSequence, count: int) -> np.ndarray | DistinctZeros:
 
 
 def generate_zeros(spec: ZeroSequence, count: int) -> np.ndarray:
-    """Produce the first ``count`` zeros of the sequence rule.
-
-    All rules return an array starting with 0 and with every modulus
-    strictly below 1 (capped at ``RADIUS_CAP``).
-    """
-    lam = _rule_zeros(spec, count)
-    return lam if isinstance(lam, np.ndarray) else lam.zeros
-
-
-def distinct_zeros(spec: ZeroSequence, count: int) -> DistinctZeros:
-    """The first ``count`` zeros of the sequence rule in distinct form: in
-    closed form for the repeating rules (uniform_zero, alternating_3k,
-    frostman_fast), folded by ``DistinctZeros.fold`` for the others."""
-    lam = _rule_zeros(spec, count)
-    return DistinctZeros.fold(lam) if isinstance(lam, np.ndarray) else lam
+    """The first ``count`` zeros of the sequence rule as one array
+    (``distinct_zeros``; capped at ``RADIUS_CAP``)."""
+    return distinct_zeros(spec, count).zeros
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +857,7 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int) -> np.ndar
     if seq.kind in BARE_RULES:
         count, blocks = J, ((zeros, None) for zeros in _bare_blocks(seq, J, ANGULAR_BLOCK))
     else:
-        lam = _rule_zeros(seq, J)
+        lam = distinct_zeros(seq, J)
         count, weights = len(lam.distinct), lam.counts.astype(float)
         blocks = ((lam.distinct[start:start + ANGULAR_BLOCK], weights[start:start + ANGULAR_BLOCK])
                   for start in range(0, count, ANGULAR_BLOCK))

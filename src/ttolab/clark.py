@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import TWO_PI, FiniteBlaschke, PhaseFunction, phase_nodes
+from .blaschke import TWO_PI, FiniteBlaschke, PhaseFunction, RuleParam, _checked_param, phase_nodes
 from .quadrature import IntegralResult, QuadratureConfig, integrate_circle, phase_doubling
 
 
@@ -119,6 +119,9 @@ def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:
 #: the largest alpha grid of ``disintegration_check``
 MAX_ALPHA = 1 << 12
 
+#: the [sweep] alpha_count, the size of an alpha grid (``disintegration_check`` starts at 16)
+ALPHA_COUNT = RuleParam(32, lambda v: v >= 1 and not v & (v - 1), "a power of two")
+
 
 @dataclass(frozen=True)
 class DisintegrationResult:
@@ -141,8 +144,7 @@ def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = 16,
     each weighted 1/|B'|, so the average is the mean of f * N/|B'| over
     those nodes, |B'| = Theta' from the phase solve.
     """
-    if alpha_count < 1 or (alpha_count & (alpha_count - 1)) != 0:
-        raise ValueError("alpha_count must be a power of two")
+    alpha_count = _checked_param("disintegrate", "alpha_count", alpha_count, ALPHA_COUNT)
     sample = f if callable(f) else f.evaluate  # a sampler or a symbol
     N = B.degree
     avg = phase_doubling(B, lambda nodes, slopes: np.sum(np.asarray(sample(nodes)) * (N / slopes)),

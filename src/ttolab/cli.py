@@ -13,7 +13,6 @@ import argparse
 import cmath
 import contextlib
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -25,9 +24,11 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .blaschke import RULE_PARAMS, SEED, FiniteBlaschke, ZeroSequence
+from .blaschke import RULE_PARAMS, SEED, FiniteBlaschke, RuleParam, ZeroSequence
 from .clark import clark_measure, disintegration_check
 from .experiments import (
+    ANGULAR_PARAMS,
+    SWEEP_PARAMS,
     ConvergenceRecord,
     ExperimentConfig,
     angular_condition_a,
@@ -38,10 +39,9 @@ from .experiments import (
     stz_defect_s1,
     stz_trace,
     szego_gap,
-    threshold_keys,
 )
 from .operators import ScalarFunction, SymbolRep, build_truncated_toeplitz
-from .quadrature import GRID_POINTS, QuadratureConfig
+from .quadrature import QUADRATURE_PARAMS, QuadratureConfig
 
 
 class ConfigError(ValueError):
@@ -118,31 +118,21 @@ def parse_function(text: str, kind: str | None = None) -> ScalarFunction:
     return ScalarFunction.poly(coeffs, name=text)
 
 
-def _checked(convert, holds, what: str):
-    """A parser that converts the text, then insists that ``holds(value)``."""
+def _key_parser(param: RuleParam):
+    """The parser of a declared setting: its text as the type of its default
+    (a tuple default takes a comma list), then its condition."""
     def parse(text: str):
-        value = convert(text)
-        if not holds(value):
-            raise ValueError(f"must be {what}, got {value!r}")
+        if isinstance(param.default, tuple):
+            value = tuple(type(param.default[0])(tok) for tok in text.split(",") if tok.strip())
+        else:
+            value = type(param.default)(text)
+        if not param.holds(value):
+            raise ValueError(f"must be {param.words}, got {value!r}")
         return value
     return parse
 
 
-_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
-_power_of_two = _checked(int, lambda v: v >= 1 and not v & (v - 1), "a power of two")
-_grid_points = _checked(int, *GRID_POINTS)
-_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
-_finite_float = _checked(float, math.isfinite, "finite")
-_n_values = _checked(lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
-                     lambda ns: ns and ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:])),
-                     "a strictly increasing list of positive integers")
-
-
-def _thresholds(text: str) -> tuple:
-    """Positive finite thresholds, no two with one summary key (``threshold_keys``)."""
-    values = tuple(map(_positive_float, text.split(",")))
-    threshold_keys(values)
-    return values
+_finite_float = _key_parser(RuleParam(0.0, math.isfinite, "finite"))
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +142,15 @@ def _thresholds(text: str) -> tuple:
 #: the parser of every config key; a flag's value goes through the parser of
 #: the key it overrides (``FLAG_KEYS``)
 _PARSERS = {
-    "sequence": {"kind": str, "seed": _checked(int, SEED.holds, SEED.words), "zeros": parse_zeros,
-                 **{name: _checked(type(p.default), p.holds, p.words)
-                    for params in RULE_PARAMS.values() for name, p in params.items()}},
+    "sequence": {"kind": str, "zeros": parse_zeros, **{name: _key_parser(p) for params in
+                 ({"seed": SEED}, *RULE_PARAMS.values()) for name, p in params.items()}},
     "symbol": {"kind": str, "coeffs": partial(parse_symbol, kind="trig"),
                "preset": partial(parse_symbol, kind="preset")},
     "function": {"kind": str, "coeffs": partial(parse_function, kind="poly"),
                  "preset": partial(parse_function, kind="preset")},
-    "sweep": {"n_values": _n_values, "alpha_count": _power_of_two},
-    "quadrature": {"initial_points": _grid_points, "max_points": _grid_points,
-                   "abs_tol": _positive_float, "rel_tol": _positive_float},
-    "angular": {"j_terms": _positive_int, "grid_size": _positive_int,
-                "thresholds": _thresholds},
+    "sweep": {name: _key_parser(p) for name, p in SWEEP_PARAMS.items()},
+    "quadrature": {name: _key_parser(p) for name, p in QUADRATURE_PARAMS.items()},
+    "angular": {name: _key_parser(p) for name, p in ANGULAR_PARAMS.items()},
     "output": {"dir": str},
 }
 
@@ -231,7 +218,8 @@ def _refuse_unread(sections: dict, section: str, kind: str, read) -> None:
             raise ConfigError(f"{section}.{key} is not read by {kind} {section}s")
 
 
-def _sequence_from_section(sections: dict, seed: dict) -> ZeroSequence:
+def _sequence_from_section(sections: dict) -> ZeroSequence:
+    seed = _given(sections, "sequence", ("seed",))
     kind = _parse_key(sections, "sequence", "kind")
     if kind is None:
         raise ConfigError("sequence.kind is required")
@@ -242,7 +230,7 @@ def _sequence_from_section(sections: dict, seed: dict) -> ZeroSequence:
         zeros = _parse_key(sections, "sequence", "zeros")
         if zeros is None:
             raise ConfigError("sequence.zeros is required for explicit sequences")
-        return ZeroSequence.from_points(zeros)
+        return ZeroSequence.from_points(zeros, **seed)
     return ZeroSequence(kind, _given(sections, "sequence", read or ()), **seed)  # an unknown tag fails here
 
 
@@ -274,7 +262,6 @@ def _quadrature_from_section(sections: dict) -> QuadratureConfig:
 class ParsedConfig:
     experiment: ExperimentConfig
     out_dir: str | None
-    angular_options: dict
     canonical: str
     digest: str
 
@@ -298,28 +285,23 @@ def parse_config(path: str, overrides: dict | None = None, command: str | None =
         sections.setdefault(section, {}).update(values)
 
     # only the keys given: the library holds the defaults
-    seed = _given(sections, "sequence", ("seed",))
     try:
-        sequence = _sequence_from_section(sections, seed)
+        sequence = _sequence_from_section(sections)
         symbol = _text_from_section(sections, "symbol", "trig") or parse_symbol("cos")
         function = _text_from_section(sections, "function", "poly" if sections.get("function") else "preset")
         experiment = ExperimentConfig(sequence, symbol, **({} if function is None else {"function": function}),
-                                      **_given(sections, "sweep"), quadrature=_quadrature_from_section(sections),
-                                      **seed)
+                                      **_given(sections, "sweep"), **_given(sections, "angular"),
+                                      quadrature=_quadrature_from_section(sections))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    angular_options = {"J" if key == "j_terms" else key: value
-                       for key, value in _given(sections, "angular").items()}
     zeros = sequence.explicit_zeros
-    j_terms = inspect.signature(angular_condition_b).parameters["J"].default if command == "angular" else 0
-    for key, count in (("sweep.n_values", experiment.n_values[-1]),
-                       ("angular.j_terms", angular_options.get("J", j_terms))):
+    j_terms = experiment.j_terms if command == "angular" or "j_terms" in sections.get("angular", {}) else 0
+    for key, count in (("sweep.n_values", experiment.n_values[-1]), ("angular.j_terms", j_terms)):
         if zeros and count > len(zeros):
             raise ConfigError(f"{key}: explicit sequence has {len(zeros)} zeros, {count} requested")
     text = canonical_text(sections)
-    return ParsedConfig(experiment=experiment, out_dir=_parse_key(sections, "output", "dir"),
-                        angular_options=angular_options, canonical=text,
+    return ParsedConfig(experiment=experiment, out_dir=_parse_key(sections, "output", "dir"), canonical=text,
                         digest=hashlib.sha256(text.encode()).hexdigest())
 
 
@@ -470,7 +452,7 @@ def _sweep(args) -> tuple[ParsedConfig, Manifest]:
         raise ConfigError("--config is required for this subcommand")
     parsed = parse_config(args.config, overrides, args.command)
     out = args.out or parsed.out_dir or "results"
-    return parsed, Manifest(out, parsed.digest, parsed.experiment.seed)
+    return parsed, Manifest(out, parsed.digest, parsed.experiment.sequence.seed)
 
 
 def _warn_unconverged(command: str, N: int, diagnostics: dict):
@@ -548,7 +530,7 @@ def cmd_angular(args) -> int:
         rows = angular_condition_a(parsed.experiment)
         lines = [f"{row['N']},{_fmt(row['max'])},{_fmt(row['median'])},{_fmt(row['min'])}" for row in rows]
         manifest.write("angular_a.csv", "\r\n".join(["N,max,median,min"] + lines) + "\r\n")
-        summary = angular_condition_b(parsed.experiment, **parsed.angular_options)
+        summary = angular_condition_b(parsed.experiment)
         manifest.write("angular_b.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
         manifest.write("angular_a.json", json.dumps(rows, sort_keys=True, indent=2) + "\n")
     return 0

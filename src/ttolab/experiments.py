@@ -15,17 +15,17 @@ from typing import Sequence
 import numpy as np
 
 from .blaschke import (
-    SEED,
     FiniteBlaschke,
     PhaseFunction,
+    RuleParam,
     ZeroSequence,
-    _checked_param,
+    _checked_fields,
     abs_derivative_grid,
     angular_partial_sums,
     circle_grid,
     phase_nodes,
 )
-from .clark import clark_measures
+from .clark import ALPHA_COUNT, clark_measures
 from .operators import (
     OperatorMatrix,
     ScalarFunction,
@@ -43,24 +43,39 @@ from .operators import (
 from .quadrature import QuadratureConfig, integrate_circle
 
 
+_COUNT = (lambda v: v >= 1, "an integer >= 1")
+
+#: the [sweep] and [angular] settings: each ``ExperimentConfig`` field's
+#: default and condition, which it checks and the CLI parses its key by
+SWEEP_PARAMS = {
+    "n_values": RuleParam((8, 16, 32, 64), lambda ns: ns and ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:])),
+                          "a strictly increasing list of positive integers"),
+    "alpha_count": ALPHA_COUNT,
+}
+ANGULAR_PARAMS = {
+    "j_terms": RuleParam(10 ** 5, *_COUNT),
+    "grid_size": RuleParam(64, *_COUNT),
+    # no two thresholds may share a summary key (``threshold_keys`` raises)
+    "thresholds": RuleParam((1e2, 1e3), lambda ts: ts and all(0.0 < t < np.inf for t in ts)
+                            and threshold_keys(ts), "a list of positive finite numbers"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     sequence: ZeroSequence
     symbol: SymbolRep
     function: ScalarFunction = ScalarFunction.preset("identity")
-    n_values: tuple = (8, 16, 32, 64)
-    alpha_count: int = 32
+    n_values: tuple = SWEEP_PARAMS["n_values"].default
+    alpha_count: int = SWEEP_PARAMS["alpha_count"].default
     quadrature: QuadratureConfig = QuadratureConfig()
-    seed: int = SEED.default
+    j_terms: int = ANGULAR_PARAMS["j_terms"].default
+    grid_size: int = ANGULAR_PARAMS["grid_size"].default
+    thresholds: tuple = ANGULAR_PARAMS["thresholds"].default
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _checked_param("experiment", "seed", self.seed, SEED))
-        ns = tuple(int(n) for n in self.n_values)
-        if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("n_values must be a strictly increasing list of positive integers")
-        object.__setattr__(self, "n_values", ns)
-        if self.alpha_count < 1 or (self.alpha_count & (self.alpha_count - 1)) != 0:
-            raise ValueError("alpha_count must be a power of two")
+        _checked_fields(self, "sweep", SWEEP_PARAMS)
+        _checked_fields(self, "angular", ANGULAR_PARAMS)
         if not self.function.is_poly and not self.symbol.is_real:
             raise ValueError("pointwise functions require a real-valued symbol")
 
@@ -77,10 +92,6 @@ class ConvergenceRecord:
         object.__setattr__(self, "gap", abs(self.lhs - self.rhs))
 
 
-def _blaschke(cfg: ExperimentConfig, N: int) -> FiniteBlaschke:
-    return FiniteBlaschke.from_sequence(cfg.sequence, N)
-
-
 # ---------------------------------------------------------------------------
 # trace asymptotics
 # ---------------------------------------------------------------------------
@@ -91,7 +102,7 @@ def szego_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     records = []
     composed = cfg.function.compose_symbol(cfg.symbol)
     for N in cfg.n_values:
-        B = _blaschke(cfg, N)
+        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
         T = build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature)
         fT = apply_function(T, cfg.function)
         lhs = trace(fT) / N
@@ -118,7 +129,7 @@ def stz_trace(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
         rhs_quad = integrate_circle(composed.evaluate, cfg.quadrature)
         rhs, rhs_points = complex(rhs_quad.value), rhs_quad.points_used
     for N in cfg.n_values:
-        B = _blaschke(cfg, N)
+        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
         T_beta = build_truncated_toeplitz(B, inverse_derivative_symbol(B), cfg.quadrature)
         fT = apply_function(build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature), cfg.function)
         lhs = complex(np.einsum("ij,ji->", T_beta.matrix, fT.matrix))  # Tr(T_beta f(T)) in O(N^2)
@@ -139,7 +150,7 @@ def angular_condition_a(cfg: ExperimentConfig) -> list[dict]:
     """Decay profile of the largest Clark weight over an alpha grid, per N."""
     out = []
     for N in cfg.n_values:
-        B = _blaschke(cfg, N)
+        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
         vals = np.sort([mu.weights.max() for mu in clark_measures(B, cfg.alpha_count)])
         # the median as np.median forms it, which would import numpy.ma
         mid = len(vals) // 2
@@ -165,24 +176,17 @@ def threshold_keys(thresholds: Sequence[float]) -> list[str]:
     return keys
 
 
-def angular_condition_b(cfg: ExperimentConfig, J: int = 10 ** 5, grid_size: int = 64,
-                        thresholds: Sequence[float] = (1e2, 1e3)) -> dict:
+def angular_condition_b(cfg: ExperimentConfig) -> dict:
     """J-term Poisson sums on a circle grid (``angular_partial_sums``): their
     range and, per threshold, the fraction of grid points whose sum stays
     below it (points of slow phase growth) and the fraction at or above it."""
-    keys = threshold_keys(thresholds)
-    sums = angular_partial_sums(cfg.sequence, circle_grid(grid_size, offset=0.5), J)
-    fractions = {}
-    for t, key in zip(thresholds, keys):
-        fractions[f"below_{key}"] = float(np.mean(sums < t))
-        fractions[f"above_{key}"] = float(np.mean(sums >= t))
-    return {
-        "J": float(J),
-        "grid_size": float(grid_size),
-        "min_sum": float(sums.min()),
-        "max_sum": float(sums.max()),
-        **fractions,
-    }
+    sums = angular_partial_sums(cfg.sequence, circle_grid(cfg.grid_size, offset=0.5), cfg.j_terms)
+    summary = {"J": float(cfg.j_terms), "grid_size": float(cfg.grid_size),
+               "min_sum": float(sums.min()), "max_sum": float(sums.max())}
+    for t, key in zip(cfg.thresholds, threshold_keys(cfg.thresholds)):
+        summary[f"below_{key}"] = float(np.mean(sums < t))
+        summary[f"above_{key}"] = float(np.mean(sums >= t))
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +217,7 @@ def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     records = []
     sym = cfg.symbol
     for N in cfg.n_values:
-        B = _blaschke(cfg, N)
+        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
         T = build_truncated_toeplitz(B, sym, cfg.quadrature)
         measures = clark_measures(B, cfg.alpha_count)
         atoms = np.concatenate([mu.atom_angles for mu in measures])
@@ -244,7 +248,7 @@ def product_defect_s1(cfg: ExperimentConfig, phi: SymbolRep, psi: SymbolRep) -> 
     prod = phi * psi
     records = []
     for N in cfg.n_values:
-        B = _blaschke(cfg, N)
+        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
         Tphi = build_truncated_toeplitz(B, phi)
         Tpsi = build_truncated_toeplitz(B, psi)
         Tprod = build_truncated_toeplitz(B, prod)
@@ -260,7 +264,7 @@ def stz_defect_s1(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     composed = cfg.function.compose_symbol(cfg.symbol)
     records = []
     for N in cfg.n_values:
-        B = _blaschke(cfg, N)
+        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
         T_beta = build_truncated_toeplitz(B, inverse_derivative_symbol(B), cfg.quadrature)
         fT = apply_function(build_truncated_toeplitz(B, cfg.symbol), cfg.function)
         Tcomp = build_truncated_toeplitz(B, composed)
@@ -333,14 +337,14 @@ def fejer_suite(cfg: ExperimentConfig, trials: int = 20, grid_points: int = 4096
     averages from one set of shift moments per degree (``fejer_trig_values``)
     and no Toeplitz matrix is built.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.sequence.seed)
     trial_symbols = [_random_trig_poly(rng) for _ in range(trials)]
     lipschitz = cfg.symbol if cfg.symbol.is_trig else SymbolRep.preset("re_z")
 
     report: dict = {"per_n": [], "trials": trials}
     probe_angles = circle_grid(16, offset=0.37)
     for N in cfg.n_values:
-        B = _blaschke(cfg, N)
+        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
         angles, _ = phase_nodes(PhaseFunction(B), -(-grid_points // N))
         report["per_n"].append(_fejer_row(B, trial_symbols + [lipschitz], angles, probe_angles))
 

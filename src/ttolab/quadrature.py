@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blaschke import FiniteBlaschke, TWO_PI, PhaseFunction, phase_nodes
+from .blaschke import FiniteBlaschke, TWO_PI, PhaseFunction, RuleParam, _checked_fields, phase_nodes
 
 #: number of grid points evaluated per chunk (keeps peak memory flat)
 CHUNK = 1 << 20
@@ -32,8 +32,17 @@ CHUNK = 1 << 20
 #: origin on the circle, the Lebesgue part of nu gets one node per level
 MIN_LEVELS = 8
 
-#: the condition on a grid size (initial_points, max_points), and in words
-GRID_POINTS = (lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2")
+_GRID_POINTS = (lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2")
+_TOLERANCE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+
+#: the [quadrature] settings: each ``QuadratureConfig`` field's default and
+#: condition, which it checks and the CLI parses its key by
+QUADRATURE_PARAMS = {
+    "initial_points": RuleParam(256, *_GRID_POINTS),
+    "max_points": RuleParam(1 << 20, *_GRID_POINTS),
+    "abs_tol": RuleParam(1e-10, *_TOLERANCE),
+    "rel_tol": RuleParam(1e-9, *_TOLERANCE),
+}
 
 
 def _next_pow2(n: int) -> int:
@@ -42,20 +51,15 @@ def _next_pow2(n: int) -> int:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    initial_points: int = 256
-    max_points: int = 1 << 20
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
+    initial_points: int = QUADRATURE_PARAMS["initial_points"].default
+    max_points: int = QUADRATURE_PARAMS["max_points"].default
+    abs_tol: float = QUADRATURE_PARAMS["abs_tol"].default
+    rel_tol: float = QUADRATURE_PARAMS["rel_tol"].default
 
     def __post_init__(self):
-        for name in ("initial_points", "max_points"):
-            v = getattr(self, name)
-            if not GRID_POINTS[0](v):
-                raise ValueError(f"{name} must be {GRID_POINTS[1]}, got {v}")
+        _checked_fields(self, "quadrature", QUADRATURE_PARAMS)
         if self.initial_points > self.max_points:
             raise ValueError("initial_points must not exceed max_points")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)

@@ -281,12 +281,10 @@ def test_c07_stz_trend_and_counterexample():
     ratio = frost["median"] / dense["median"]
     median_ok = ratio > 10.0
     # (iii) partial angular sums at J = 1e5 on a 64-point grid
-    sfrost = angular_condition_b(ExperimentConfig(ZeroSequence.frostman_fast(4),
-                                                     TWO_COS, SQUARE, (8,)),
-                                    J=10 ** 5, grid_size=64, thresholds=(1e2,))
-    sdense = angular_condition_b(ExperimentConfig(ZeroSequence.dense_nonblaschke(),
-                                                     TWO_COS, SQUARE, (8,)),
-                                    J=10 ** 5, grid_size=64, thresholds=(1e2,))
+    cfg_b = dict(j_terms=10 ** 5, grid_size=64, thresholds=(1e2,))
+    sfrost = angular_condition_b(ExperimentConfig(ZeroSequence.frostman_fast(4), TWO_COS, SQUARE, (8,), **cfg_b))
+    sdense = angular_condition_b(ExperimentConfig(ZeroSequence.dense_nonblaschke(), TWO_COS, SQUARE, (8,),
+                                                  **cfg_b))
     frac_ok = sfrost["below_100"] >= 0.25 and sdense["below_100"] == 0.0
     ok = stz_ok and median_ok and frac_ok
     _report("C7 stz-trend+counterexample", ok,
@@ -302,7 +300,7 @@ def test_c08_lemma_suites():
     worst_ratio = 0.0
     for seq in (ZeroSequence.dense_nonblaschke(), ZeroSequence.uniform_zero()):
         report = fejer_suite(ExperimentConfig(seq, SymbolRep.preset("re_z"),
-                                              n_values=(8, 16, 32, 64), seed=0),
+                                              n_values=(8, 16, 32, 64)),
                              trials=20)
         for row in report["per_n"]:
             worst_ratio = max(worst_ratio, row["contraction_max"])

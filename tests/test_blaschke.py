@@ -129,6 +129,10 @@ class TestGenerators:
         assert generate_zeros(seq, 2)[1] == 0.5
         with pytest.raises(ValueError):
             generate_zeros(seq, 5)
+        assert seq.seed == blaschke.SEED.default
+        assert ZeroSequence.from_points([0, 0.5], seed=5).seed == 5
+        with pytest.raises(ValueError, match="seed"):
+            ZeroSequence.from_points([0, 0.5], seed=-1)
 
 
 class TestEvaluation:
@@ -1064,6 +1068,17 @@ class TestDistinctForm:
         for got, want in zip(B._distinct + (B._which, B._defects, B._p, B._cnorm),
                              ref._distinct + (ref._which, ref._defects, ref._p, ref._cnorm)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_fold_sorts_when_a_part_is_first_read(self):
+        # generate_zeros reads only the array, so a bare rule's zeros are not sorted
+        zeros = np.array([0.5, 0, 0.5j, 0.5], dtype=complex)
+        folded = blaschke.DistinctZeros.fold(zeros)
+        assert folded.zeros is zeros
+        distinct, which, counts = np.unique(zeros, return_inverse=True, return_counts=True)
+        for got, want in ((folded.counts, counts), (folded.distinct, distinct), (folded.which, which)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with pytest.raises(AttributeError):
+            folded.size
 
     def test_explicit_keeps_signed_zeros(self):
         # generate_zeros hands back the explicit list as given; the product

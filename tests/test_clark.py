@@ -401,3 +401,9 @@ class TestDisintegration:
         B = FiniteBlaschke(np.array([0j]))
         with pytest.raises(ValueError):
             disintegration_check(lambda t: np.ones_like(t), B, alpha_count=3)
+
+    @pytest.mark.parametrize("alpha_count", [4.0, 0, 12])
+    def test_alpha_count_is_refused_by_name(self, alpha_count):
+        # alpha_count = 4.0 once raised a TypeError from its bit test
+        with pytest.raises(ValueError, match="alpha_count"):
+            disintegration_check(lambda t: np.ones_like(t), FiniteBlaschke(np.array([0j])), alpha_count=alpha_count)

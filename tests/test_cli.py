@@ -1,8 +1,10 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,9 @@ from ttolab.cli import (
     parse_symbol,
     parse_zeros,
 )
+from ttolab.blaschke import ZeroSequence
+from ttolab.experiments import ANGULAR_PARAMS, SWEEP_PARAMS, ExperimentConfig
+from ttolab.quadrature import QUADRATURE_PARAMS, QuadratureConfig
 
 MINIMAL = """
 [sequence]
@@ -79,6 +84,50 @@ class TestValueParsers:
         assert parse_function("square").eval_scalar(3.0) == 9.0
         with pytest.raises(ConfigError):
             parse_function("nope")
+
+
+#: sample values of each declared [sweep], [quadrature] and [angular] setting,
+#: accepted and refused ones; the config text of a tuple is its comma list
+SETTING_SAMPLES = {
+    "n_values": [(8, 16), (8,), (1, 2, 3), (8, 8), (16, 8), (0, 8), (8.5, 16), ()],
+    "alpha_count": [32, 1, 4096, 12, 0, -4, 32.0],
+    "initial_points": [256, 2, 4096, 1, 0, 300, 256.0],
+    "max_points": [1 << 20, 1024, 1000, 1, 1024.0],
+    "abs_tol": [1e-10, 5.0, 0.0, -1e-9, math.nan, math.inf],
+    "rel_tol": [1e-9, 1e-300, 0.0, -1.0, math.nan, math.inf],
+    "j_terms": [10 ** 5, 1, 0, -3, 2.5],
+    "grid_size": [64, 1, 0, 6.5],
+    "thresholds": [(1e2, 1e3), (5,), (2.5, 100), (math.nan,), (-1,), (1e2, math.inf), (0,),
+                   (100.0000001, 100.0000002), (1e3, 5.0, 1000.0), ()],
+}
+
+#: the library object that checks each section's settings
+SETTING_OWNERS = {"sweep": partial(ExperimentConfig, ZeroSequence.uniform_zero(), parse_symbol("cos")),
+                  "angular": partial(ExperimentConfig, ZeroSequence.uniform_zero(), parse_symbol("cos")),
+                  "quadrature": QuadratureConfig}
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, params in
+                                          (("sweep", SWEEP_PARAMS), ("quadrature", QUADRATURE_PARAMS),
+                                           ("angular", ANGULAR_PARAMS)) for key in params])
+def test_key_parser_and_library_agree_on_every_setting(section, key):
+    # one declaration per setting: the CLI parses the text of each sample
+    # value to what the library holds, and both refuse the same samples
+    outcomes = []
+    for value in SETTING_SAMPLES[key]:
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        try:
+            parsed = cli._PARSERS[section][key](text)
+        except ValueError:
+            parsed = None
+        try:
+            checked = getattr(SETTING_OWNERS[section](**{key: value}), key)
+        except ValueError as exc:
+            assert key in str(exc)
+            checked = None
+        assert parsed == checked and type(parsed) is type(checked), (value, parsed, checked)
+        outcomes.append(checked is None)
+    assert set(outcomes) == {False, True}
 
 
 class TestParseConfig:
@@ -186,7 +235,7 @@ class TestParseConfig:
     def test_every_sequence_kind_reads_the_seed(self, tmp_path, kind):
         path = tmp_path / "seeded.cfg"
         path.write_text(f"[symbol]\npreset = cos\n[sequence]\nkind = {kind}\nseed = 7\n")
-        assert parse_config(str(path)).experiment.seed == 7
+        assert parse_config(str(path)).experiment.sequence.seed == 7
 
     def test_duplicate_key_names_both_lines(self, tmp_path):
         path = tmp_path / "dup.cfg"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, SQUARE, (8,), alpha_count=12)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_values", (8.5, 16)), ("alpha_count", 32.0), ("j_terms", 2.5), ("grid_size", 0),
+        ("thresholds", (math.nan,)), ("thresholds", (-1,)),
+    ])
+    def test_refuses_a_bad_setting_by_name(self, name, value):
+        # n_values = (8.5, 16) once became (8, 16) without a word
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, SQUARE, **{name: value})
+
+    def test_settings_take_the_declared_types(self):
+        cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, SQUARE, [np.int64(4), 8],
+                               thresholds=[100, 1e3])
+        assert cfg.n_values == (4, 8) and all(type(n) is int for n in cfg.n_values)
+        assert cfg.thresholds == (100.0, 1e3) and all(type(t) is float for t in cfg.thresholds)
+
     def test_pointwise_function_needs_real_symbol(self):
         with pytest.raises(ValueError):
             ExperimentConfig(ZeroSequence.uniform_zero(), SymbolRep.trig({1: 1}),
@@ -65,12 +81,12 @@ class TestConfigValidation:
     def test_seed_is_checked(self, seed):
         # numpy's default_rng would meet -1 only when the suite draws its trials
         with pytest.raises(ValueError, match="seed"):
-            ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, SQUARE, (8,), seed=seed)
+            ExperimentConfig(ZeroSequence.uniform_zero(seed=seed), TWO_COS, SQUARE, (8,))
 
     def test_seed_is_an_int(self):
-        cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, SQUARE, (8,), seed=np.int64(4))
-        assert type(cfg.seed) is int and cfg.seed == 4
-        assert classical_cfg().seed == 0
+        cfg = ExperimentConfig(ZeroSequence.uniform_zero(seed=np.int64(4)), TWO_COS, SQUARE, (8,))
+        assert type(cfg.sequence.seed) is int and cfg.sequence.seed == 4
+        assert classical_cfg().sequence.seed == 0
 
     def test_gap_is_derived(self):
         rec = ConvergenceRecord(4, 1.0 + 1j, 1.0)
@@ -189,8 +205,9 @@ class TestAngularConditions:
         assert rows[1]["max"] < rows[0]["max"] / 2
 
     def test_condition_b_summary(self):
-        cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, IDENTITY, (8,))
-        summary = angular_condition_b(cfg, J=500, grid_size=16, thresholds=(100.0, 1e3))
+        cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, IDENTITY, (8,), j_terms=500, grid_size=16,
+                               thresholds=(100.0, 1e3))
+        summary = angular_condition_b(cfg)
         # the sums are J = 500 everywhere, to the rounding of |zeta|^2 = 1
         assert summary == {"J": 500.0, "grid_size": 16.0, "min_sum": pytest.approx(500.0, rel=1e-15),
                            "max_sum": pytest.approx(500.0, rel=1e-15),
@@ -205,9 +222,9 @@ class TestAngularConditions:
     def test_thresholds_sharing_a_key_are_refused(self, thresholds):
         with pytest.raises(ValueError, match="share the summary key"):
             threshold_keys(thresholds)
-        cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, IDENTITY, (8,))
         with pytest.raises(ValueError, match="share the summary key"):
-            angular_condition_b(cfg, J=10, grid_size=4, thresholds=thresholds)
+            ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, IDENTITY, (8,), j_terms=10, grid_size=4,
+                             thresholds=thresholds)
 
 
 class TestHsApproxGap:
@@ -342,15 +359,15 @@ class TestDefects:
 class TestFejerSuite:
     def test_constant_function_fixed_point(self):
         # averaging reproduces constants exactly: every trial ratio equals 1
-        cfg = ExperimentConfig(ZeroSequence.dense_nonblaschke(), SymbolRep.constant(1.0),
-                               IDENTITY, (6,), seed=1)
+        cfg = ExperimentConfig(ZeroSequence.dense_nonblaschke(seed=1), SymbolRep.constant(1.0),
+                               IDENTITY, (6,))
         report = fejer_suite(cfg, trials=1, grid_points=512)
         assert report["per_n"][0]["l2_gap_sq"] < 1e-25
 
     def test_classical_l2_rate(self):
         # power case with the cosine pair: averaged f differs by f/N exactly
-        cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, IDENTITY,
-                               (8, 16, 32), seed=2)
+        cfg = ExperimentConfig(ZeroSequence.uniform_zero(seed=2), TWO_COS, IDENTITY,
+                               (8, 16, 32))
         report = fejer_suite(cfg, trials=3, grid_points=1024)
         for row in report["per_n"]:
             assert row["l2_gap_sq"] == pytest.approx(2 / row["N"] ** 2, abs=1e-10)
@@ -358,15 +375,15 @@ class TestFejerSuite:
             assert ratio <= 0.6
 
     def test_contraction(self):
-        cfg = ExperimentConfig(ZeroSequence.dense_nonblaschke(), SymbolRep.preset("re_z"),
-                               IDENTITY, (8, 16), seed=3)
+        cfg = ExperimentConfig(ZeroSequence.dense_nonblaschke(seed=3), SymbolRep.preset("re_z"),
+                               IDENTITY, (8, 16))
         report = fejer_suite(cfg, trials=10, grid_points=2048)
         for row in report["per_n"]:
             assert row["contraction_max"] <= 1 + 1e-6
 
     def test_deterministic_given_seed(self):
         cfg = ExperimentConfig(ZeroSequence.constant_modulus(0.5, "random", seed=9),
-                               SymbolRep.preset("re_z"), IDENTITY, (8,), seed=5)
+                               SymbolRep.preset("re_z"), IDENTITY, (8,))
         a = fejer_suite(cfg, trials=4, grid_points=512)
         b = fejer_suite(cfg, trials=4, grid_points=512)
         assert a == b
@@ -418,8 +435,8 @@ class TestSweepInvariants:
         # zeros piling onto few directions obstruct pointwise convergence of
         # the averaging operator; the suite records the gap and the local
         # derivative growth for inspection (no fixed constant asserted)
-        cfg = ExperimentConfig(ZeroSequence.frostman_fast(4), SymbolRep.preset("re_z"),
-                               IDENTITY, (8, 16), seed=0)
+        cfg = ExperimentConfig(ZeroSequence.frostman_fast(4, seed=0), SymbolRep.preset("re_z"),
+                               IDENTITY, (8, 16))
         report = fejer_suite(cfg, trials=2, grid_points=1024)
         for row in report["per_n"]:
             gaps = np.asarray(row["pointwise_gap"])

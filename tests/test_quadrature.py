@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,15 @@ class TestConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("abs_tol", math.nan), ("abs_tol", math.inf), ("rel_tol", math.nan), ("rel_tol", math.inf),
+        ("initial_points", 256.0),
+    ])
+    def test_refuses_a_bad_field_by_name(self, name, value):
+        # abs_tol = inf once let integrate_circle report converged at its first doubling
+        with pytest.raises(ValueError, match=name):
+            QuadratureConfig(**{name: value})
 
 
 class TestIntegrateCircle:
