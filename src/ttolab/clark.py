@@ -133,7 +133,7 @@ class DisintegrationResult:
     quadrature: IntegralResult
 
 
-def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = 16,
+def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = ALPHA_COUNT.default,
                          cfg: QuadratureConfig = QuadratureConfig()) -> DisintegrationResult:
     """Average the Clark integrals of f over alpha and compare with the
     plain circle integral of f.

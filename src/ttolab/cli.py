@@ -1,8 +1,9 @@
 """Configuration-driven command line front end.
 
-Subcommands map onto the experiment modules; every run writes a manifest
-naming its outputs, and result CSV/JSON files are byte-identical across runs
-with the same config and seed.  The config format is a flat sectioned
+Subcommands map onto the experiment modules and hand their outputs back
+through one ``Run``: a run with a result directory writes a manifest naming
+its outputs, and result CSV/JSON files are byte-identical across runs with
+the same config and seed.  The config format is a flat sectioned
 key-value document; see the README for the schema.  One parser per run takes
 only the flags its subcommand reads, each read by the parser of its config key.
 """
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -263,7 +265,6 @@ class ParsedConfig:
     experiment: ExperimentConfig
     out_dir: str | None
     canonical: str
-    digest: str
 
 
 def canonical_text(sections: dict) -> str:
@@ -300,13 +301,12 @@ def parse_config(path: str, overrides: dict | None = None, command: str | None =
     for key, count in (("sweep.n_values", experiment.n_values[-1]), ("angular.j_terms", j_terms)):
         if zeros and count > len(zeros):
             raise ConfigError(f"{key}: explicit sequence has {len(zeros)} zeros, {count} requested")
-    text = canonical_text(sections)
-    return ParsedConfig(experiment=experiment, out_dir=_parse_key(sections, "output", "dir"), canonical=text,
-                        digest=hashlib.sha256(text.encode()).hexdigest())
+    return ParsedConfig(experiment=experiment, out_dir=_parse_key(sections, "output", "dir"),
+                        canonical=canonical_text(sections))
 
 
 # ---------------------------------------------------------------------------
-# output writers
+# runs and their outputs
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, data: str):
@@ -316,90 +316,92 @@ def _atomic_write(path: str, data: str):
     os.replace(tmp, path)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _file_text(name: str, data) -> str:
+    """The text of a file: CSV rows for a .csv name (RFC 4180, each float
+    field its repr), else ``data`` as JSON."""
+    if not name.endswith(".csv"):
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows(data)
+    return buf.getvalue()
 
 
-def _csv_field(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _record_data(name: str, records: list[ConvergenceRecord]):
+    """Sweep records as the rows of a .csv file, else as a JSON payload."""
+    if not name.endswith(".csv"):
+        return [{"N": r.N, "lhs": {"re": r.lhs.real, "im": r.lhs.imag}, "rhs": {"re": r.rhs.real, "im": r.rhs.imag},
+                 "gap": r.gap, "diagnostics": r.diagnostics} for r in records]
+    keys = sorted({k for r in records for k in r.diagnostics})
+    return [["N", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "gap", *keys]] + [
+        [r.N, r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag, r.gap, *(r.diagnostics.get(k, "") for k in keys)]
+        for r in records]
 
 
-def records_to_csv(records: list[ConvergenceRecord]) -> str:
-    diag_keys = sorted({k for r in records for k in r.diagnostics})
-    header = ["N", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "gap"] + diag_keys
-    lines = [",".join(header)]
-    for r in records:
-        row = [str(r.N), _fmt(r.lhs.real), _fmt(r.lhs.imag), _fmt(r.rhs.real),
-               _fmt(r.rhs.imag), _fmt(r.gap)]
-        row += [_fmt(r.diagnostics.get(k, "")) for k in diag_keys]
-        lines.append(",".join(_csv_field(c) for c in row))
-    return "\r\n".join(lines) + "\r\n"
+class Manifest:
+    """Run manifest: flushed with status 'running' before the work starts, then with its end status."""
 
-
-def records_to_json(records: list[ConvergenceRecord]) -> str:
-    payload = [
-        {
-            "N": r.N,
-            "lhs": {"re": r.lhs.real, "im": r.lhs.imag},
-            "rhs": {"re": r.rhs.real, "im": r.rhs.imag},
-            "gap": r.gap,
-            "diagnostics": dict(sorted(r.diagnostics.items())),
-        }
-        for r in records
-    ]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def matrix_to_json(M: np.ndarray) -> str:
-    body = [[[float(v.real), float(v.imag)] for v in row] for row in M]
-    return json.dumps({"dim": M.shape[0], "entries_row_major": body}, sort_keys=True, indent=2) + "\n"
-
-
-def matrix_to_csv(M: np.ndarray) -> str:
-    lines = ["i,j,re,im"]
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            lines.append(f"{i},{j},{_fmt(float(M[i, j].real))},{_fmt(float(M[i, j].imag))}")
-    return "\r\n".join(lines) + "\r\n"
-
-
-class Manifest(contextlib.AbstractContextManager):
-    """Run manifest: written once before work starts, finalized at the end of its ``with`` block."""
-
-    def __init__(self, out_dir: str, digest: str, seed: int):
+    def __init__(self, out_dir: str, identity: str, seed: int):
         self.out_dir = out_dir
-        self.data = {
-            "config_hash": digest,
-            "version": __version__,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "seed": seed,
-            "status": "running",
-            "outputs": [],
-        }
-        os.makedirs(out_dir, exist_ok=True)
-        self._flush()
-
-    def _flush(self):
-        _atomic_write(os.path.join(self.out_dir, "manifest.json"),
-                      json.dumps(self.data, sort_keys=True, indent=2) + "\n")
+        self.data = {"config_hash": hashlib.sha256(identity.encode()).hexdigest(), "version": __version__,
+                     "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "seed": seed, "outputs": []}
 
     def write(self, name: str, data: str):
         _atomic_write(os.path.join(self.out_dir, name), data)
         self.data["outputs"].append(name)
 
-    def finalize(self, status: str = "complete"):
+    def flush(self, status: str):
         self.data["status"] = status
         self.data["outputs"] = sorted(set(self.data["outputs"]))
-        self._flush()
+        os.makedirs(self.out_dir, exist_ok=True)
+        _atomic_write(os.path.join(self.out_dir, "manifest.json"), _file_text("manifest.json", self.data))
 
-    def __exit__(self, exc_type, exc, tb):
-        """Finalize a run not finalized yet: failed if it raised, else complete."""
-        if self.data["status"] == "running":
-            self.finalize("failed" if exc_type else "complete")
+
+class Run:
+    """The one route from a subcommand's work to its outputs: its files, its
+    WARN lines (a ``*converged*`` diagnostic that reads 0) and its failed
+    checks (``failures``), under the result directory ``out`` or to stdout."""
+
+    def __init__(self, command: str, out: str | None = None, identity: str = "", seed: int = SEED.default):
+        self.command, self.shown, self.warnings, self.failures = command, None, [], []
+        self.manifest = Manifest(out, identity, seed) if out else None
+
+    def file(self, name: str, data):
+        """Take a file as it is formed: CSV rows or a JSON payload."""
+        text = _file_text(name, data)
+        if self.manifest is not None:
+            self.manifest.write(name, text)
+        self.shown = self.shown or text
+
+    def records(self, records: list[ConvergenceRecord], *names: str):
+        """Take sweep records as each of the files ``names``, and their WARN lines."""
+        for name in names:
+            self.file(name, _record_data(name, records))
+        for rec in records:
+            self.warn(rec.N, rec.diagnostics)
+
+    def warn(self, N: int, diagnostics: dict):
+        self.warnings += [f"WARN: {self.command} N={N} {key} = 0" for key, value in sorted(diagnostics.items())
+                          if "converged" in key and value == 0]
+
+    def __call__(self, work) -> int:
+        """Run ``work()`` and return the exit code: 1 if a check failed, else
+        0.  The manifest ends 'failed' if the work raised or a check failed,
+        else 'complete'; without one the first file goes to stdout.  The WARN
+        lines, then the FAIL lines, go to stderr, also when the work raised."""
+        if self.manifest is not None:
+            self.manifest.flush("running")
+        status = "failed"
+        try:
+            work()
+            status = "failed" if self.failures else "complete"
+        finally:
+            for line in self.warnings + [f"FAIL: {message}" for message in self.failures]:
+                print(line, file=sys.stderr)
+            if self.manifest is not None:
+                self.manifest.flush(status)
+        if self.manifest is None:
+            sys.stdout.write(self.shown)
+        return 1 if self.failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -445,149 +447,102 @@ def _flag_sections(args, defaults: dict | None = None) -> dict:
     return sections
 
 
-def _sweep(args) -> tuple[ParsedConfig, Manifest]:
-    """A sweep's config under its flags' overrides, and its run manifest."""
+def _blaschke(sections: dict) -> FiniteBlaschke:
+    return FiniteBlaschke(np.asarray(_parse_key(sections, "sequence", "zeros"), dtype=complex))
+
+
+def _sweep(args) -> tuple[ExperimentConfig, Run]:
+    """A sweep's config under its flags' overrides, and its run."""
     overrides = _flag_sections(args)
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
     parsed = parse_config(args.config, overrides, args.command)
     out = args.out or parsed.out_dir or "results"
-    return parsed, Manifest(out, parsed.digest, parsed.experiment.sequence.seed)
-
-
-def _warn_unconverged(command: str, N: int, diagnostics: dict):
-    """Print a WARN line to stderr for each *converged* diagnostic that reads 0."""
-    for key, value in sorted(diagnostics.items()):
-        if "converged" in key and value == 0:
-            print(f"WARN: {command} N={N} {key} = 0", file=sys.stderr)
-
-
-def _write_or_print(args, sections: dict, identity: str, files: dict, shown: str) -> int:
-    """Write the files under --out with a manifest hashed from ``identity``,
-    or print ``shown`` without one."""
-    if not args.out:
-        sys.stdout.write(shown)
-        return 0
-    with Manifest(args.out, hashlib.sha256(identity.encode()).hexdigest(),
-                  _parse_key(sections, "sequence", "seed", SEED.default)) as manifest:
-        for name, data in files.items():
-            manifest.write(name, data)
-    return 0
+    return parsed.experiment, Run(args.command, out, parsed.canonical, parsed.experiment.sequence.seed)
 
 
 def cmd_operator(args) -> int:
     sections = _flag_sections(args, {"symbol": "c1=1,c-1=1"})
-    B = FiniteBlaschke(np.asarray(_parse_key(sections, "sequence", "zeros"), dtype=complex))
-    sym = _text_from_section(sections, "symbol", "trig")
-    T = build_truncated_toeplitz(B, sym, _quadrature_from_section(sections))
-    _warn_unconverged("operator", B.degree, {"converged": float(T.converged)})
-    json_text = matrix_to_json(T.matrix)
-    return _write_or_print(args, sections, "operator|" + json.dumps(sections, sort_keys=True),
-                           {"operator.json": json_text, "operator.csv": matrix_to_csv(T.matrix)},
-                           json_text)
+    B, sym = _blaschke(sections), _text_from_section(sections, "symbol", "trig")
+    quad = _quadrature_from_section(sections)
+    run = Run(args.command, args.out, "operator|" + json.dumps(sections, sort_keys=True))
+
+    def work():
+        T = build_truncated_toeplitz(B, sym, quad)
+        run.warn(B.degree, {"converged": float(T.converged)})
+        entries = np.stack([T.matrix.real, T.matrix.imag], axis=-1).tolist()
+        run.file("operator.json", {"dim": len(entries), "entries_row_major": entries})
+        run.file("operator.csv", [["i", "j", "re", "im"]] + [[i, j, *v] for i, row in enumerate(entries)
+                                                             for j, v in enumerate(row)])
+    return run(work)
 
 
 def cmd_clark(args) -> int:
-    sections = _flag_sections(args)
-    B = FiniteBlaschke(np.asarray(_parse_key(sections, "sequence", "zeros"), dtype=complex))
+    B = _blaschke(_flag_sections(args))
     a = 0.0 if args.alpha_angle is None else _flag_value("alpha_angle", _finite_float, args.alpha_angle)
-    mu = clark_measure(B, complex(math.cos(a), math.sin(a)))
-    rows = [f"{_fmt(a)},{_fmt(float(th))},{_fmt(float(w))}" for th, w in zip(mu.atom_angles, mu.weights)]
-    csv_text = "\r\n".join(["alpha_angle,zeta_angle,weight"] + rows) + "\r\n"
-    payload = {
-        "alpha_angle": a,
-        "atoms": [{"angle": float(th), "weight": float(w)}
-                  for th, w in zip(mu.atom_angles, mu.weights)],
-        "total_mass": mu.total_mass(),
-    }
-    json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return _write_or_print(args, sections, f"clark|{args.zeros}|{a}",
-                           {"clark.csv": csv_text, "clark.json": json_text}, csv_text)
+    run = Run(args.command, args.out, f"clark|{args.zeros}|{a}")
 
-
-def _run_sweep(args, runner, stem: str) -> int:
-    parsed, manifest = _sweep(args)
-    with manifest:
-        records = runner(parsed.experiment)
-        manifest.write(f"{stem}.csv", records_to_csv(records))
-        manifest.write(f"{stem}.json", records_to_json(records))
-    for rec in records:
-        _warn_unconverged(args.command, rec.N, rec.diagnostics)
-    return 0
+    def work():
+        mu = clark_measure(B, complex(math.cos(a), math.sin(a)))
+        atoms = list(zip(mu.atom_angles.tolist(), mu.weights.tolist()))
+        run.file("clark.csv", [["alpha_angle", "zeta_angle", "weight"]] + [[a, th, w] for th, w in atoms])
+        run.file("clark.json", {"alpha_angle": a, "atoms": [{"angle": th, "weight": w} for th, w in atoms],
+                                "total_mass": mu.total_mass()})
+    return run(work)
 
 
 def cmd_szego(args) -> int:
-    return _run_sweep(args, szego_gap, "szego")
+    cfg, run = _sweep(args)
+    return run(lambda: run.records(szego_gap(cfg), "szego.csv", "szego.json"))
 
 
 def cmd_stz(args) -> int:
-    return _run_sweep(args, stz_trace, "stz")
+    cfg, run = _sweep(args)
+    return run(lambda: run.records(stz_trace(cfg), "stz.csv", "stz.json"))
 
 
 def cmd_angular(args) -> int:
-    parsed, manifest = _sweep(args)
-    with manifest:
-        rows = angular_condition_a(parsed.experiment)
-        lines = [f"{row['N']},{_fmt(row['max'])},{_fmt(row['median'])},{_fmt(row['min'])}" for row in rows]
-        manifest.write("angular_a.csv", "\r\n".join(["N,max,median,min"] + lines) + "\r\n")
-        summary = angular_condition_b(parsed.experiment)
-        manifest.write("angular_b.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
-        manifest.write("angular_a.json", json.dumps(rows, sort_keys=True, indent=2) + "\n")
-    return 0
+    cfg, run = _sweep(args)
+
+    def work():
+        rows = angular_condition_a(cfg)
+        run.file("angular_a.csv", [["N", "max", "median", "min"]] +
+                 [[row["N"], row["max"], row["median"], row["min"]] for row in rows])
+        run.file("angular_b.json", angular_condition_b(cfg))
+        run.file("angular_a.json", rows)
+    return run(work)
 
 
 def cmd_lemmas(args) -> int:
-    parsed, manifest = _sweep(args)
-    with manifest:
-        cfg = parsed.experiment
-        failures = []
+    cfg, run = _sweep(args)
 
-        hs = hs_approx_gap(cfg)
-        manifest.write("hs_approx.csv", records_to_csv(hs))
-        manifest.write("hs_approx.json", records_to_json(hs))
-        for rec in hs:
-            _warn_unconverged("lemmas", rec.N, rec.diagnostics)
-
-        defect = product_defect_s1(cfg, SymbolRep.trig({2: 1}), SymbolRep.trig({-1: 1}))
-        manifest.write("product_defect.csv", records_to_csv(defect))
-
+    def work():
+        run.records(hs_approx_gap(cfg), "hs_approx.csv", "hs_approx.json")
+        run.records(product_defect_s1(cfg, SymbolRep.trig({2: 1}), SymbolRep.trig({-1: 1})), "product_defect.csv")
         rank_one = product_defect_s1(cfg, SymbolRep.trig({1: 1}), SymbolRep.trig({-1: 1}))
-        for rec in rank_one:
-            if abs(rec.lhs.real - 1.0) > 1e-7:
-                failures.append(f"rank-one trace norm at N={rec.N}: {rec.lhs.real!r}")
-
+        run.failures += [f"rank-one trace norm at N={rec.N}: {rec.lhs.real!r}"
+                         for rec in rank_one if abs(rec.lhs.real - 1.0) > 1e-7]
         if cfg.function.is_poly and cfg.symbol.is_trig:
-            sdef = stz_defect_s1(cfg)
-            manifest.write("stz_defect.csv", records_to_csv(sdef))
-            for rec in sdef:
-                _warn_unconverged("lemmas", rec.N, rec.diagnostics)
-
+            run.records(stz_defect_s1(cfg), "stz_defect.csv")
         report = fejer_suite(cfg)
-        manifest.write("fejer.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
-        for row in report["per_n"]:
-            if row["contraction_max"] > 1.0 + 1e-6:
-                failures.append(f"averaging operator not contractive at N={row['N']}: "
-                                f"{row['contraction_max']!r}")
-
-        if failures:
-            manifest.finalize("failed")
-            for msg in failures:
-                print(f"FAIL: {msg}", file=sys.stderr)
-            return 1
-    return 0
+        run.file("fejer.json", report)
+        run.failures += [f"averaging operator not contractive at N={row['N']}: {row['contraction_max']!r}"
+                         for row in report["per_n"] if row["contraction_max"] > 1.0 + 1e-6]
+    return run(work)
 
 
 def cmd_disintegrate(args) -> int:
     sections = _flag_sections(args, {"symbol": "re_z"})
-    B = FiniteBlaschke(np.asarray(_parse_key(sections, "sequence", "zeros"), dtype=complex))
-    sym = _text_from_section(sections, "symbol", "trig")
-    res = disintegration_check(sym, B, **_given(sections, "sweep"))
-    _warn_unconverged("disintegrate", B.degree, {"converged": float(res.converged)})
-    payload = {"lhs": {"re": res.lhs.real, "im": res.lhs.imag},
-               "rhs": {"re": res.rhs.real, "im": res.rhs.imag},
-               "gap": res.gap, "alpha_count": res.alpha_count, "converged": res.converged}
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 0
+    B, sym, sweep = _blaschke(sections), _text_from_section(sections, "symbol", "trig"), _given(sections, "sweep")
+    run = Run(args.command)
+
+    def work():
+        res = disintegration_check(sym, B, **sweep)
+        run.warn(B.degree, {"converged": float(res.converged)})
+        run.file("disintegrate.json", {"lhs": {"re": res.lhs.real, "im": res.lhs.imag},
+                                       "rhs": {"re": res.rhs.real, "im": res.rhs.imag},
+                                       "gap": res.gap, "alpha_count": res.alpha_count, "converged": res.converged})
+    return run(work)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +552,8 @@ def cmd_disintegrate(args) -> int:
 # the flags each subcommand reads, as text for the parsers above; --zeros is required
 _SWEEP = ("--config", "--out", "--seed", "--tol", "--max-grid", "--alpha-count", "--symbol", "--function", "--n")
 COMMANDS = {
-    "operator": ("--zeros", "--symbol", "--tol", "--max-grid", "--out", "--seed"),
-    "clark": ("--zeros", "--alpha-angle", "--out", "--seed"),
+    "operator": ("--zeros", "--symbol", "--tol", "--max-grid", "--out"),
+    "clark": ("--zeros", "--alpha-angle", "--out"),
     "szego": _SWEEP, "stz": _SWEEP, "angular": _SWEEP, "lemmas": _SWEEP,
     "disintegrate": ("--zeros", "--symbol", "--alpha-count"),
 }

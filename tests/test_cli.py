@@ -46,6 +46,11 @@ n_values = 8,16,32,64
 #: an explicit list of three zeros
 EXPLICIT_THREE = "[sequence]\nkind = explicit\nzeros = 0,0.5,0.3i\n[symbol]\npreset = cos\n"
 
+#: max_points = 512 starves the sampled 1/|B'| build next to frostman zeros
+#: at the 1 - 1e-6 cap: stz and the lemma suite's stz_defect rows warn at N = 8 and 32
+STARVED_FROSTMAN = ("[sequence]\nkind = frostman_fast\n[symbol]\npreset = cos\n"
+                    "[sweep]\nn_values = 8,32\n[quadrature]\nmax_points = 512\n")
+
 #: zeros one ulp inside the circle, as few zeros and terms as the list holds
 EXPLICIT_NEAR_CIRCLE = ("[sequence]\nkind = explicit\nzeros = 0,0.9999999999999999,0.9999999999999999i\n"
                         "[symbol]\npreset = cos\n[sweep]\nn_values = 3\n[angular]\nj_terms = 3\n")
@@ -139,7 +144,6 @@ class TestParseConfig:
         again = tmp_path / "canon.cfg"
         again.write_text(parsed.canonical)
         assert parse_config(str(again)).canonical == parsed.canonical
-        assert parse_config(str(again)).digest == parsed.digest
 
     def test_modulus_bound_rejected_with_key_path(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -336,8 +340,7 @@ alpha_count = 8
         # max_points = 512 starves the sampled 1/|B'| build next to zeros at
         # the 1 - 1e-6 cap; the run still completes and exits 0
         path = tmp_path / "starved.cfg"
-        path.write_text("[sequence]\nkind = frostman_fast\n[symbol]\npreset = cos\n"
-                        "[sweep]\nn_values = 8,32\n[quadrature]\nmax_points = 512\n")
+        path.write_text(STARVED_FROSTMAN)
         out = tmp_path / "starved"
         assert main(["stz", "--config", str(path), "--out", str(out)]) == 0
         assert capsys.readouterr().err.splitlines() == [
@@ -351,8 +354,7 @@ alpha_count = 8
     def test_unconverged_lemma_build_warns(self, minimal_cfg, tmp_path, capsys):
         # the same starved 1/|B'| build inside the lemma suite's stz_defect rows
         path = tmp_path / "starved.cfg"
-        path.write_text("[sequence]\nkind = frostman_fast\n[symbol]\npreset = cos\n"
-                        "[sweep]\nn_values = 8,32\n[quadrature]\nmax_points = 512\n")
+        path.write_text(STARVED_FROSTMAN)
         out = tmp_path / "starved"
         assert main(["lemmas", "--config", str(path), "--out", str(out)]) == 0
         assert capsys.readouterr().err.splitlines() == [
@@ -414,6 +416,72 @@ alpha_count = 8
         assert manifest["status"] == "failed"
         assert set(manifest["outputs"]) == {f for f in os.listdir(out) if f != "manifest.json"}
 
+    def test_failed_lemma_check_exits_1_after_its_warn_lines(self, tmp_path, capsys, monkeypatch):
+        # an averaging operator that is not a contraction fails the lemma run
+        monkeypatch.setattr(cli, "fejer_suite", lambda cfg: {"per_n": [
+            {"N": N, "contraction_max": 2.0} for N in cfg.n_values]})
+        path = tmp_path / "starved.cfg"
+        path.write_text(STARVED_FROSTMAN)
+        out = tmp_path / "starved"
+        assert main(["lemmas", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "WARN: lemmas N=8 beta_build_converged = 0",
+            "WARN: lemmas N=32 beta_build_converged = 0",
+            "FAIL: averaging operator not contractive at N=8: 2.0",
+            "FAIL: averaging operator not contractive at N=32: 2.0",
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == sorted(f for f in os.listdir(out) if f != "manifest.json")
+        assert "fejer.json" in manifest["outputs"]
+
+    def test_lemma_run_that_raises_prints_its_warn_lines_first(self, tmp_path, capsys, monkeypatch):
+        def raise_(cfg):
+            raise ValueError("no averaging operator")
+
+        monkeypatch.setattr(cli, "fejer_suite", raise_)
+        path = tmp_path / "starved.cfg"
+        path.write_text(STARVED_FROSTMAN)
+        out = tmp_path / "starved"
+        assert main(["lemmas", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "WARN: lemmas N=8 beta_build_converged = 0",
+            "WARN: lemmas N=32 beta_build_converged = 0",
+            "invariant failure: no averaging operator",
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == sorted(f for f in os.listdir(out) if f != "manifest.json")
+        assert "fejer.json" not in manifest["outputs"]
+
+    @pytest.mark.parametrize("argv, first, files", [
+        (["operator", "--zeros", "0,0.999999", "--symbol", "abs_sin", "--max-grid", "512"],
+         "operator.json", ["operator.csv", "operator.json"]),
+        (["clark", "--zeros", "0,0.9999999999+0.000000009999999999i", "--alpha-angle", "0"],
+         "clark.csv", ["clark.csv", "clark.json"]),
+    ], ids=["operator", "clark"])
+    def test_out_writes_the_first_file_that_stdout_shows(self, tmp_path, capsys, argv, first, files):
+        # the starved abs_sin build warns, the zero 1e-10 from the circle sits by the 2 pi seam
+        assert main(argv) == 0
+        shown = capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == shown.err
+        assert (out / first).read_bytes().decode() == shown.out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["outputs"], manifest["seed"]) == ("complete", files, 0)
+        assert sorted(os.listdir(out)) == sorted(files + ["manifest.json"])
+
+    def test_disintegrate_runs_the_declared_alpha_count_by_default(self, capsys):
+        # --alpha-count sets sweep.alpha_count, whose declared default (32) is
+        # disintegration_check's own
+        assert main(["disintegrate", "--zeros", "0,0.5"]) == 0
+        default = capsys.readouterr().out
+        assert main(["disintegrate", "--zeros", "0,0.5", "--alpha-count", "32"]) == 0
+        assert capsys.readouterr().out == default
+
     @pytest.mark.parametrize("command, extra, key, count", [
         ("szego", "[sweep]\nn_values = 2,4\n", "sweep.n_values", 4),
         ("szego", "", "sweep.n_values", 64),  # the default n_values
@@ -471,8 +539,8 @@ alpha_count = 8
         assert main(["szego"]) == 2
 
 
-#: the flags each subcommand reads: 9 per sweep, 6 + 4 + 3 for the zero-list
-#: commands, 49 in all
+#: the flags each subcommand reads: 9 per sweep, 5 + 3 + 3 for the zero-list
+#: commands, 47 in all
 SWEEP_FLAGS = {"--config", "--out", "--seed", "--tol", "--max-grid", "--alpha-count",
                "--symbol", "--function", "--n"}
 COMMAND_FLAGS = {
@@ -480,8 +548,8 @@ COMMAND_FLAGS = {
     "stz": SWEEP_FLAGS,
     "angular": SWEEP_FLAGS,
     "lemmas": SWEEP_FLAGS,
-    "operator": {"--zeros", "--symbol", "--tol", "--max-grid", "--out", "--seed"},
-    "clark": {"--zeros", "--alpha-angle", "--out", "--seed"},
+    "operator": {"--zeros", "--symbol", "--tol", "--max-grid", "--out"},
+    "clark": {"--zeros", "--alpha-angle", "--out"},
     "disintegrate": {"--zeros", "--symbol", "--alpha-count"},
 }
 ALL_FLAGS = sorted(SWEEP_FLAGS | {"--zeros", "--alpha-angle"})
@@ -493,8 +561,8 @@ class TestFlags:
     def test_each_subcommand_takes_the_flags_it_reads(self):
         taken = {cmd: set(flags) for cmd, flags in COMMANDS.items()}
         assert taken == COMMAND_FLAGS
-        assert sum(map(len, taken.values())) == 49
-        assert len(UNREAD) == 28
+        assert sum(map(len, taken.values())) == 47
+        assert len(UNREAD) == 30
         # and the parser built for each subcommand takes exactly those
         for cmd, flags in taken.items():
             parser = build_parser(cmd)
@@ -659,9 +727,10 @@ n_values = 4,8,16
         assert digest("d", "--tol", "1e-8") != digest("a")
 
     def test_seed_override_changes_hash(self, minimal_cfg):
+        # the manifest's config_hash is the hash of the canonical text
         a = parse_config(minimal_cfg)
         b = parse_config(minimal_cfg, {"sequence": {"seed": "3"}})
-        assert a.digest != b.digest
+        assert a.canonical != b.canonical
 
 
 REPO = Path(__file__).resolve().parent.parent
