@@ -425,6 +425,14 @@ def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     1 - |lambda|^2.  Repeated zeros are folded into one pass with a
     multiplicity weight; scratch buffers are reused across zeros, so the
     cost is six in-place vector passes per distinct zero.
+
+    The Cartesian parts of the angle are rounded to eps, so next to a zero
+    lambda the value is off by up to about eps/|zeta - lambda|^2, or
+    eps/|zeta - lambda| relative: 1.0e-6 relative at the Clark atoms next
+    to zeros 1e-10 from the circle, where Theta' of ``PhaseFunction`` is
+    within 4.2e-15 of the 50-digit value.  The library calls it only on
+    uniform grids, as the sampler of T(1/|B'|); at nodes that a phase solve
+    placed, B and |B'| come from that solve.
     """
     th = np.asarray(angles, dtype=float)
     cos_t, sin_t = np.cos(th), np.sin(th)
@@ -652,32 +660,22 @@ class PhaseFunction:
         return self._scan
 
 
-def invert_phase(phase: PhaseFunction, targets, known: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+def invert_phase(phase: PhaseFunction, targets, brackets: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Angles in [0, 2*pi] where Theta takes the targets, each in [Theta(0),
-    Theta(0) + 2*pi*N], and Theta' = |B'| there.  The phase's bracket scan
-    (``PhaseFunction.bracket_scan``, formed once per phase) brackets every
-    target and starts it from the inverse cubic Hermite interpolant of the
-    scan on its bracket (the bracket midpoint if that falls outside).
-    Halley steps (Theta' = |B'| >= 1 and Theta'' come with each phase
-    evaluation), safeguarded by bisection, then polish all targets at once.
-
-    ``known``, arrays (angles, levels, Theta') of nodes that earlier
-    inversions solved, takes the place of the scan's interior as brackets,
-    for this call only: the levels of a doubling run interleave, so each
-    target starts on the bracket of its two neighbouring levels, whose
-    values stand for Theta there (off by at most the phase tolerance or the
-    ulp exit, far less than a level step).  The phase's kept scan does not
-    change.
+    Theta(0) + 2*pi*N], and Theta' = |B'| there.  ``brackets``, increasing
+    arrays (angles, Theta, Theta') that span [0, 2 pi] (``phase_nodes``
+    gives them), bracket every target and start it from their inverse cubic
+    Hermite interpolant on its bracket (the bracket midpoint if that falls
+    outside).  Halley steps (Theta' = |B'| >= 1 and Theta'' come with each
+    phase evaluation), safeguarded by bisection, then polish all targets at
+    once.
 
     Theta' comes from the evaluation that accepted each angle; only angles
     moved after their last evaluation, at the 1e-15 bracket exit, are
     evaluated again."""
     N = phase.blaschke.degree
     targets = np.asarray(targets, dtype=float)
-    grid, vals, slopes = phase.bracket_scan()
-    if known is not None:
-        order = np.argsort(known[1])
-        grid, vals, slopes = (np.concatenate((a[:1], b[order], a[-1:])) for a, b in zip((grid, vals, slopes), known))
+    grid, vals, slopes = brackets
     idx = np.clip(np.searchsorted(vals, targets), 1, len(grid) - 1)
     lo, hi = grid[idx - 1], grid[idx]
 
@@ -737,6 +735,17 @@ def invert_phase(phase: PhaseFunction, targets, known: tuple | None = None) -> t
     return theta, theta_prime
 
 
+#: targets per block of a ``phase_nodes`` solve: the solve holds about 230
+#: bytes per target of a block beside its 16 per node of output.  Against
+#: one block, the traced peak fell from 14.5 to 3.9 MiB on dense_nonblaschke
+#: N = 32 with 65536 nodes and from 7.8 to 2.8 MiB on frostman_fast N = 1024
+#: with 32 levels, and ``clark_measures(B, 32)`` at frostman_fast N = 16384
+#: from 153 to 77 MB RSS in 1.47-1.68 s (1.43-2.06 s).  Frostman N = 1024
+#: took 57 ms against 50 ms as one block, 65 ms in blocks of 2048 (best of
+#: 7, 2-vCPU host, one thread)
+PHASE_TARGETS = 1 << 12
+
+
 def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0,
                 solved: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Theta^{-1} of the count*N levels 2*pi*(k + offset)/count, in [0, 2*pi],
@@ -747,19 +756,34 @@ def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0,
     atoms of the Clark measures at alpha_j = e^{2 pi i (j + offset)/count}:
     ``reshape(N, count)`` puts alpha_j in column j.
 
+    The targets are bracketed by the phase's scan (``PhaseFunction.bracket_scan``,
+    formed once per phase) and solved PHASE_TARGETS at a time into the two
+    returned arrays, so the solve's working memory is one block of targets.
+
     ``solved``, a list kept by the caller across the levels of one doubling
-    run, holds (angles, levels, Theta') of every earlier call: they bracket
-    this call's targets (``invert_phase``'s ``known``), and this call's nodes
-    are appended.  The sampled build of frostman N = 128 (8 levels per winding
-    of z^N B, then doublings) takes 2.0 phase rows per node so, scan
-    included, against 2.34 from the scan alone.
+    run, holds (angles, levels, Theta') of every earlier call: they take the
+    place of the scan's interior as brackets for this call, and this call's
+    nodes are appended.  The levels of a doubling run interleave, so each
+    target starts on the bracket of its two neighbouring levels, whose values
+    stand for Theta there (off by at most the phase tolerance or the ulp exit,
+    far less than a level step); the phase's kept scan does not change.  The
+    sampled build of frostman N = 128 (8 levels per winding of z^N B, then
+    doublings) takes 2.0 phase rows per node so, scan included, against 2.34
+    from the scan alone.
     """
     N = phase.blaschke.degree
     levels = TWO_PI * (np.arange(count * N) + offset) / count
     # a level below Theta(0) is reached one full winding later
     targets = np.where(levels < phase._anchor, levels + TWO_PI * N, levels)
-    known = tuple(np.concatenate(part) for part in zip(*solved)) if solved else None
-    nodes, slopes = invert_phase(phase, targets, known)
+    brackets = phase.bracket_scan()
+    if solved:
+        known = [np.concatenate(part) for part in zip(*solved)]
+        order = np.argsort(known[1])
+        brackets = tuple(np.concatenate((a[:1], b[order], a[-1:])) for a, b in zip(brackets, known))
+    nodes, slopes = np.empty(len(targets)), np.empty(len(targets))
+    for start in range(0, len(targets), PHASE_TARGETS):
+        block = slice(start, start + PHASE_TARGETS)
+        nodes[block], slopes[block] = invert_phase(phase, targets[block], brackets)
     if solved is not None:
         solved.append((nodes, targets, slopes))
     return nodes, slopes

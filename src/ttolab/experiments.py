@@ -20,7 +20,6 @@ from .blaschke import (
     RuleParam,
     ZeroSequence,
     _checked_fields,
-    abs_derivative_grid,
     angular_partial_sums,
     circle_grid,
     phase_nodes,
@@ -206,7 +205,8 @@ def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     split keeps a constant symbol's lhs exactly 0.  E_N phi at the atoms comes
     from the shift moments for a trig symbol (``fejer_trig_values``) and, one
     measure at a time so that temporaries stay N x N, from the built T(phi)
-    for a sampled one (``fejer_values``).
+    for a sampled one (``fejer_values``); both take B = alpha and |B'| = 1/w
+    at the atoms from their measure.
 
     The rhs is the same quantity through the averaging operator, the integral
     of conj(phi)(phi - E_N phi) against the mean harmonic measure, taken in
@@ -222,10 +222,12 @@ def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
         measures = clark_measures(B, cfg.alpha_count)
         atoms = np.concatenate([mu.atom_angles for mu in measures])
         if sym.is_trig:
-            (values,), (averages,) = fejer_trig_values(B, [sym], atoms)
+            alphas = np.repeat([mu.alpha for mu in measures], N)
+            slopes = 1.0 / np.concatenate([mu.weights for mu in measures])
+            (values,), (averages,) = fejer_trig_values(B, [sym], atoms, alphas, slopes)
         else:
             values = np.asarray(sym.evaluate(atoms))
-            averages = np.concatenate([fejer_values(B, T, mu.atom_angles) for mu in measures])
+            averages = np.concatenate([fejer_values(B, T, mu.atom_angles, 1.0 / mu.weights) for mu in measures])
         hs_sq = np.vdot(T.matrix, T.matrix).real
         total = (np.sum(np.abs(values - averages) ** 2)
                  + (cfg.alpha_count * hs_sq - np.sum(np.abs(averages) ** 2)))
@@ -292,38 +294,43 @@ def _random_trig_poly(rng: np.random.Generator, degree: int = 6) -> SymbolRep:
 FEJER_NODES = 1024
 
 
-def _fejer_sums(B: FiniteBlaschke, symbols: list, angles: np.ndarray) -> tuple:
-    """Sums over the angles of |E_N phi|^2 and |phi|^2 per trial symbol
-    (all symbols but the last) and of |E_N phi - phi|^2 for the last one.
+def _fejer_sums(B: FiniteBlaschke, symbols: list, nodes: tuple) -> tuple:
+    """Sums over the nodes (arrays of angles, B and |B'|) of |E_N phi|^2 and
+    |phi|^2 per trial symbol (all but the last) and of |E_N phi - phi|^2 for the last.
 
-    Up to FEJER_NODES angles are one block of ``fejer_trig_values``; more
+    Up to FEJER_NODES nodes are one block of ``fejer_trig_values``; more
     are split where numpy's pairwise summation splits a row (half the
     count, rounded down to a multiple of 8) and the halves' sums added, so
-    the terms add in the order of one row sum over all the angles."""
-    n = len(angles)
+    the terms add in the order of one row sum over all the nodes."""
+    n = len(nodes[0])
     if n > FEJER_NODES:
         half = n // 2 - n // 2 % 8
-        return tuple(a + b for a, b in zip(_fejer_sums(B, symbols, angles[:half]),
-                                           _fejer_sums(B, symbols, angles[half:])))
-    fvals, evals = fejer_trig_values(B, symbols, angles)
+        return tuple(x + y for x, y in zip(_fejer_sums(B, symbols, [a[:half] for a in nodes]),
+                                           _fejer_sums(B, symbols, [a[half:] for a in nodes])))
+    fvals, evals = fejer_trig_values(B, symbols, *nodes)
     return (np.sum(np.abs(evals[:-1]) ** 2, axis=1), np.sum(np.abs(fvals[:-1]) ** 2, axis=1),
             np.sum(np.abs(evals[-1] - fvals[-1]) ** 2))
 
 
-def _fejer_row(B: FiniteBlaschke, symbols: list, angles: np.ndarray,
-               probe_angles: np.ndarray) -> dict:
-    """One degree of ``fejer_suite``: symbols are the trials, then the
-    Lipschitz symbol.  The samples and averages of one block of nodes are
-    all that is held at a time (``_fejer_sums``)."""
+def _fejer_row(phase: PhaseFunction, count: int, symbols: list, probe_angles: np.ndarray) -> dict:
+    """One degree of ``fejer_suite`` on the phase nodes of count levels per
+    winding: symbols are the trials, then the Lipschitz symbol.  B at node k
+    is its level e^{2 pi i k/count} and |B'| the solve's Theta'; at the probe
+    angles both come from the phase.  One block of nodes is held at a time."""
+    B = phase.blaschke
+    angles, slopes = phase_nodes(phase, count)
     n = len(angles)
-    sq_avg, sq_val, gap = _fejer_sums(B, symbols, angles)
-    probe_f, probe_e = fejer_trig_values(B, symbols[-1:], probe_angles)
+    levels = np.tile(np.exp(1j * circle_grid(count)), B.degree)
+    sq_avg, sq_val, gap = _fejer_sums(B, symbols, (angles, levels, slopes))
+    probe = np.empty((2, len(probe_angles)))
+    phase(probe_angles, probe)
+    probe_f, probe_e = fejer_trig_values(B, symbols[-1:], probe_angles, phase.product(probe_angles), probe[0])
     return {
         "N": B.degree,
         "contraction_max": float(np.max(np.sqrt((sq_avg / n) / (sq_val / n)))),
         "l2_gap_sq": float(gap / n),
         "pointwise_gap": np.abs(probe_e[0] - probe_f[0]).tolist(),
-        "pointwise_derivative": abs_derivative_grid(B, probe_angles).tolist(),
+        "pointwise_derivative": probe[0].tolist(),
         "grid_points": float(n),
     }
 
@@ -344,9 +351,8 @@ def fejer_suite(cfg: ExperimentConfig, trials: int = 20, grid_points: int = 4096
     report: dict = {"per_n": [], "trials": trials}
     probe_angles = circle_grid(16, offset=0.37)
     for N in cfg.n_values:
-        B = FiniteBlaschke.from_sequence(cfg.sequence, N)
-        angles, _ = phase_nodes(PhaseFunction(B), -(-grid_points // N))
-        report["per_n"].append(_fejer_row(B, trial_symbols + [lipschitz], angles, probe_angles))
+        phase = PhaseFunction(FiniteBlaschke.from_sequence(cfg.sequence, N))
+        report["per_n"].append(_fejer_row(phase, -(-grid_points // N), trial_symbols + [lipschitz], probe_angles))
 
     gaps = [row["l2_gap_sq"] for row in report["per_n"]]
     report["l2_decay_ratios"] = [b / a if a > 0 else 0.0 for a, b in zip(gaps, gaps[1:])]

@@ -17,13 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blaschke import (
-    TWO_PI,
-    FiniteBlaschke,
-    PhaseFunction,
-    abs_derivative_grid,
-    tmw_matrix,
-)
+from .blaschke import TWO_PI, FiniteBlaschke, abs_derivative_grid, tmw_matrix
 from .clark import ClarkMeasure
 from .quadrature import (
     MIN_LEVELS,
@@ -538,36 +532,36 @@ def trace_norm(A: OperatorMatrix) -> float:
 # averaging (Fejer-type) operator
 # ---------------------------------------------------------------------------
 
-def fejer_values(B: FiniteBlaschke, toeplitz: OperatorMatrix, angles: np.ndarray) -> np.ndarray:
-    """Averaging operator of any compressed symbol on a grid of angles.
+def fejer_values(B: FiniteBlaschke, toeplitz: OperatorMatrix, angles: np.ndarray,
+                 slopes: np.ndarray) -> np.ndarray:
+    """Averaging operator of any compressed symbol at the angles, given |B'| there.
 
     The average of f against |normalized kernel at zeta|^2 equals the
     quadratic form of the compressed symbol at the normalized kernel, so one
     operator build gives the averaged function everywhere.  ``hs_approx_gap``
-    takes E_N phi at the Clark atoms of a sampled symbol from it; trig-poly
-    symbols take ``fejer_trig_values`` instead.
+    takes E_N phi at the Clark atoms of a sampled symbol from it, |B'| = 1/w
+    from their measure; trig-poly symbols take ``fejer_trig_values`` instead.
     """
     E = tmw_matrix(B, angles).T  # row i: e_i at the angles
     num = np.sum(E * (toeplitz.matrix @ np.conj(E)), axis=0)
-    return num / abs_derivative_grid(B, angles)
+    return num / slopes
 
 
-def _shift_moments(B: FiniteBlaschke, angles: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """The shift moments m_k = <S^k k_zeta, k_zeta>/|B'(zeta)| at zeta = e^{i angles},
-    k = 0...D, given powers[k] = zeta^k, in closed form.
+def _shift_moments(B: FiniteBlaschke, b: np.ndarray, slopes: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The shift moments m_k = <S^k k_zeta, k_zeta>/|B'(zeta)|, k = 0...D, in closed
+    form at the nodes zeta, given powers[k] = zeta^k, b = B(zeta) and slopes = |B'(zeta)|.
 
     S^k = P_B z^k on the model space (Sarason) and P_B z^l = z^l - B P_+(conj(B) z^l)
     give m_k = zeta^k [1 - (k - B(zeta) sum_{n<k} (k-n) conj(b_n zeta^n))/|B'(zeta)|]
     with b_n the Taylor coefficients of B.  The m0 zeros at the origin are
     taken out as the exact power z^m0: B = z^m0 B1, so the n < m0 terms vanish,
     zeta^m0 conj(zeta)^m0 is 1, and only the Taylor coefficients c_l of B1 and
-    B1(zeta) enter; for B = z^N the moments are exactly zeta^k (1 - k/N).  The
-    inner sum sum_{l<j} (j-l) a_l is a double running sum of a_l = conj(c_l zeta^l).
-    B1(zeta) is B(zeta) conj(zeta)^m0 from ``PhaseFunction.product`` of B, |B'|
-    comes from ``abs_derivative_grid`` of B, and the c_l from the product's
-    1 - |lambda|^2, correctly rounded: that keeps m_k within 1e-14 of a 50-digit
-    reference next to zeros 1e-10 from the circle (1 - |lambda|^2 formed in
-    double moved m_k by up to 1e-10 there)."""
+    B1(zeta) = b conj(zeta)^m0 enter; for B = z^N the moments are exactly
+    zeta^k (1 - k/N).  The inner sum sum_{l<j} (j-l) a_l is a double running sum
+    of a_l = conj(c_l zeta^l).  The c_l come from the product's 1 - |lambda|^2,
+    correctly rounded: that keeps m_k within 1e-14 of a 50-digit reference
+    next to zeros 1e-10 from the circle (1 - |lambda|^2 formed in double moved
+    m_k by up to 1e-10 there)."""
     D = len(powers) - 1
     uniq, counts = B._distinct
     inner = uniq != 0
@@ -587,15 +581,15 @@ def _shift_moments(B: FiniteBlaschke, angles: np.ndarray, powers: np.ndarray) ->
             for _ in range(mult):
                 c = np.convolve(c, factor)[:L]
         a = np.conj(c)[:, None] * np.conj(powers[:L])
-        b1 = PhaseFunction(B).product(angles) * np.conj(powers[m0]) if inner.any() else 1.0
+        b1 = b * np.conj(powers[m0]) if inner.any() else 1.0
         X[m0 + 1:] -= b1 * np.cumsum(np.cumsum(a, axis=0), axis=0)
-    return powers * (1.0 - X / abs_derivative_grid(B, angles))
+    return powers * (1.0 - X / slopes)
 
 
-def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep],
-                      angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Samples and averages E_N phi of trig-poly symbols on a grid of angles,
-    one row per symbol.
+def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep], angles: np.ndarray,
+                      b: np.ndarray, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples and averages E_N phi of trig-poly symbols at the angles, one
+    row per symbol, given B (``b``) and |B'| (``slopes``) there.
 
     T(phi) = sum_k c_k S^k, with adjoint powers for k < 0, so
     E_N phi = sum_k c_k m_k with the shift moments
@@ -613,7 +607,7 @@ def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep],
             row[D + k] = c
     th = np.asarray(angles, dtype=float)
     powers = np.exp(1j * th) ** np.arange(D + 1)[:, None]
-    moments = _shift_moments(B, th, powers)
+    moments = _shift_moments(B, b, slopes, powers)
     values = coeffs @ np.concatenate((np.conj(powers[:0:-1]), powers))
     averages = coeffs @ np.concatenate((np.conj(moments[:0:-1]), moments))
     return values, averages

@@ -454,6 +454,26 @@ class TestInvertPhase:
         assert len(solved) == 4
         assert phase.bracket_scan() is scan and np.array_equal(scan[0], grid)
 
+    def test_solve_holds_one_block_of_targets(self, monkeypatch):
+        # 65536 nodes of dense N = 32 are solved PHASE_TARGETS at a time into
+        # the returned arrays: the traced peak stays under 6 MiB (3.9 MiB;
+        # one block of all the targets peaked at 14.5 MiB), and the nodes are
+        # those of one block, to the bound of the nested-bracket test
+        B = FiniteBlaschke.from_sequence(ZeroSequence.dense_nonblaschke(), 32)
+        phase = PhaseFunction(B)
+        phase.bracket_scan()
+        tracemalloc.start()
+        try:
+            nodes, slopes = phase_nodes(phase, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(nodes) == 65536 and peak < 6 * 2 ** 20
+        monkeypatch.setattr(blaschke, "PHASE_TARGETS", 1 << 30)
+        whole, whole_slopes = phase_nodes(phase, 2048)
+        tol = max(1e-13, 2e-15 * B.degree)
+        assert np.all(np.abs(nodes - whole) <= 2 * tol / whole_slopes + 4e-15)
+
 
 def mp_phase(B, mp):
     """Theta and |B'| of the stored zeros at the working precision of mp: the

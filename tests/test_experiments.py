@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttolab import experiments
+from ttolab import blaschke, clark, experiments, operators, quadrature
 from ttolab.blaschke import (
     RADIUS_CAP,
     FiniteBlaschke,
     PhaseFunction,
     ZeroSequence,
+    abs_derivative_grid,
     generate_zeros,
     phase_nodes,
 )
@@ -146,7 +147,7 @@ class TestStzTrace:
         T_beta = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
         T_phi = build_truncated_toeplitz(B, TWO_COS)
         lhs = np.trace(T_beta.matrix @ T_phi.matrix)
-        avg = integrate_circle(lambda t: fejer_values(B, T_phi, t))
+        avg = integrate_circle(lambda t: fejer_values(B, T_phi, t, abs_derivative_grid(B, t)))
         assert lhs == pytest.approx(avg.value, abs=1e-6)
 
     def test_beta_trace_is_one(self):
@@ -254,7 +255,7 @@ def hs_rhs_kernel_average(B, sym, T, cfg=QuadratureConfig()):
 
     def integrand(angles):
         pv = np.asarray(sym.evaluate(angles))
-        return np.conj(pv) * (pv - fejer_values(B, T, angles))
+        return np.conj(pv) * (pv - fejer_values(B, T, angles, abs_derivative_grid(B, angles)))
 
     return nu_integral(integrand, B, cfg)
 
@@ -419,6 +420,39 @@ class TestFejerSuite:
         assert [r["l2_gap_sq"] for r in ref["per_n"]] == [r["l2_gap_sq"] for r in one["per_n"]]
         for a, b in zip(ref["per_n"], one["per_n"]):
             assert a["contraction_max"] == pytest.approx(b["contraction_max"], rel=1e-15, abs=0)
+
+
+class TestAveragingTakesItsNodes:
+    """The averaging operator evaluates neither B nor |B'|: each caller
+    passes them from the solve that placed its nodes."""
+
+    @pytest.mark.parametrize("seq, ns", [(ZeroSequence.dense_nonblaschke(), (8, 16)),
+                                         (ZeroSequence.frostman_fast(4), (32, 64))],
+                             ids=["dense", "frostman"])
+    def test_no_product_or_abs_derivative_pass(self, monkeypatch, seq, ns):
+        # fejer_suite evaluates B once per degree, at its 16 probe angles;
+        # trig hs_approx_gap once per degree, in the level-set check of its
+        # Clark atoms; neither runs a Cartesian |B'| pass
+        calls = {"product": 0, "abs_derivative_grid": 0}
+        product, abs_derivative = PhaseFunction.product, blaschke.abs_derivative_grid
+
+        def counted_product(self, angles):
+            calls["product"] += 1
+            return product(self, angles)
+
+        def counted_abs_derivative(B, angles):
+            calls["abs_derivative_grid"] += 1
+            return abs_derivative(B, angles)
+
+        monkeypatch.setattr(PhaseFunction, "product", counted_product)
+        for module in (blaschke, clark, operators, quadrature, experiments):
+            if hasattr(module, "abs_derivative_grid"):
+                monkeypatch.setattr(module, "abs_derivative_grid", counted_abs_derivative)
+        cfg = ExperimentConfig(seq, TWO_COS, IDENTITY, ns)
+        fejer_suite(cfg, trials=3)
+        assert calls == {"product": len(ns), "abs_derivative_grid": 0}
+        hs_approx_gap(cfg)
+        assert calls == {"product": 2 * len(ns), "abs_derivative_grid": 0}
 
 
 class TestSweepInvariants:

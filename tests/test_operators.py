@@ -748,14 +748,15 @@ class TestFejerApply:
         T = build_truncated_toeplitz(B, sym)
         for th in (0.0, 1.3, 4.0):
             direct = fejer_apply(B, sym.evaluate, th).value
-            fast = fejer_values(B, T, np.array([th]))[0]
+            fast = fejer_values(B, T, np.array([th]), abs_derivative_grid(B, np.array([th])))[0]
             assert direct == pytest.approx(fast, abs=1e-8)
 
 
 def fejer_trig_reference(B, symbols, angles):
     """Averages with one Toeplitz build and one fejer_values call per
-    symbol: the route the closed-form shift moments replaced."""
-    return np.array([fejer_values(B, build_truncated_toeplitz(B, sym), angles) for sym in symbols])
+    symbol, over a |B'| pass: the route the closed-form shift moments replaced."""
+    slopes = abs_derivative_grid(B, angles)
+    return np.array([fejer_values(B, build_truncated_toeplitz(B, sym), angles, slopes) for sym in symbols])
 
 
 def mp_shift_moments(B, angles, D, mp):
@@ -792,10 +793,18 @@ class TestFejerTrigValues:
         symbols = [SymbolRep.trig({k: complex(rng.normal(), rng.normal()) for k in range(-6, 7)})
                    for _ in range(3)]
         symbols.append(SymbolRep.trig({1: 0.5, -1: 0.5, 3: 0.25j, -3: -0.25j}))  # real, Lipschitz
-        # a uniform grid plus phase nodes, which crowd next to near-circle zeros
-        angles = np.concatenate((circle_grid(2049, offset=0.37),
-                                 phase_nodes(PhaseFunction(B), 4)[0]))
-        values, averages = fejer_trig_values(B, symbols, angles)
+        # a uniform grid plus phase nodes, which crowd next to near-circle
+        # zeros: B and |B'| at the grid from the phase, at the nodes their
+        # levels and the solve's Theta'
+        phase = PhaseFunction(B)
+        grid = circle_grid(2049, offset=0.37)
+        grid_derivs = np.empty((2, len(grid)))
+        phase(grid, grid_derivs)
+        nodes, node_slopes = phase_nodes(phase, 4)
+        angles = np.concatenate((grid, nodes))
+        levels = np.concatenate((phase.product(grid), np.tile(np.exp(1j * circle_grid(4)), B.degree)))
+        values, averages = fejer_trig_values(B, symbols, angles, levels,
+                                             np.concatenate((grid_derivs[0], node_slopes)))
         assert values.shape == averages.shape == (len(symbols), len(angles))
         ref_values = np.array([sym.evaluate(angles) for sym in symbols])
         if 1 - B._radii.max() < 1e-5:
@@ -818,4 +827,4 @@ class TestFejerTrigValues:
     def test_rejects_sampled_symbol(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
         with pytest.raises(ValueError):
-            fejer_trig_values(B, [SymbolRep.preset("abs_sin")], circle_grid(8))
+            fejer_trig_values(B, [SymbolRep.preset("abs_sin")], circle_grid(8), np.ones(8), np.ones(8))
