@@ -375,7 +375,6 @@ class FiniteBlaschke:
         sub = (r > 0) & ~nz
         sigma[sub] = np.exp(-1j * np.angle(z[sub]))
         object.__setattr__(self, "_radii", r)
-        object.__setattr__(self, "_phases", np.angle(z))
         object.__setattr__(self, "_sigma", sigma)
         # the one place that forms a zero's defect d = 1 - |lambda|^2: once per
         # distinct zero, correctly rounded, with p = d/(1 + |lambda|) (1 - |lambda|
@@ -510,7 +509,8 @@ class PhaseFunction:
         # each factor's lift term at angle 0, from the code path of a call,
         # so that Theta(0) is the anchor exactly
         self._offsets = 0.0
-        self._offsets = self._terms(np.zeros(1), *(np.empty((len(r), 1)) for _ in range(3))).copy()
+        _, *block = next(self._blocks(np.zeros(1), float, float))
+        self._offsets = self._terms(*block).copy()
         self._scan = None
 
     def _half_differences(self, th, t):
@@ -570,33 +570,38 @@ class PhaseFunction:
             factors[repeated] **= powers[repeated, None]
         np.prod(factors, axis=0, out=out)
 
+    def _blocks(self, th, *scratch):
+        """For each block of at most PHASE_BLOCK distinct-zero x angle cells
+        of the angles th: its slice of th, then t = tan((th - psi)/2)
+        (``_half_differences``) and arrays of the dtypes ``scratch``, one
+        row per distinct zero and one column per angle of the block.  Every
+        block reuses the same buffers."""
+        z = len(self._r)
+        step = max(1, PHASE_BLOCK // z)
+        buffers = [np.empty(z * min(step, len(th)), dtype=d) for d in (float, *scratch)]
+        for start in range(0, len(th), step):
+            rows = slice(start, start + step)
+            count = len(th[rows])
+            t, *rest = (b[:z * count].reshape(z, count) for b in buffers)
+            np.tan(self._half_differences(th[rows], t), out=t)
+            yield rows, t, *rest
+
     def product(self, angles) -> np.ndarray:
         """B at e^{i angles}, any shape, from the tangents t of a call and no
         lift: with q = (1 + r) t, a distinct zero's factor (p + iq)^2/(p^2 + q^2)
         to its multiplicity.  Next to a near-circle zero p and q keep their
         relative accuracy, where (z - lam)/(1 - conj(lam) z) loses eps/|z - lam|."""
         th = np.asarray(angles, dtype=float)
-        flat = th.reshape(-1)
-        out = np.empty(flat.shape, dtype=complex)
-        z = len(self._r)
-        step = max(1, PHASE_BLOCK // z)
-        buffers = [np.empty(z * min(step, len(flat)), dtype=d) for d in (float, float, complex)]
-        for start in range(0, len(flat), step):
-            rows = slice(start, start + step)
-            count = len(flat[rows])
-            t, inv, factors = (b[:z * count].reshape(z, count) for b in buffers)
-            np.tan(self._half_differences(flat[rows], t), out=t)
+        out = np.empty(th.size, dtype=complex)
+        for rows, t, inv, factors in self._blocks(th.reshape(-1), float, complex):
             t *= self._qc
             self._factor_product(t, self._pc, self._powers, out[rows], inv, factors)
         return out.reshape(th.shape)
 
-    def _terms(self, th, t, t2, lift):
-        """Fill t with tan h, h = (th - psi)/2 (``_half_differences``), t2
-        with t^2 and lift with each factor's lift term
-        arctan(2rt/(p + (1+r)t^2)) less its value at angle 0, one row per
-        distinct zero and one column per angle th; returns lift."""
-        h = self._half_differences(th, t)
-        np.tan(h, out=t)
+    def _terms(self, t, t2, lift):
+        """Fill t2 with t^2 and lift with each factor's lift term
+        arctan(2rt/(p + (1+r)t^2)) less its value at angle 0, from the
+        tangents t of ``_blocks``; returns lift."""
         np.multiply(t, t, out=t2)
         np.multiply(t2, self._qc, out=lift)
         lift += self._pc
@@ -614,14 +619,8 @@ class PhaseFunction:
         th = np.atleast_1d(np.asarray(angles, dtype=float))
         out = np.empty(th.shape)
         N = float(self.blaschke.degree)
-        z = len(self._r)
-        step = max(1, PHASE_BLOCK // z)
-        buffers = [np.empty(z * min(step, len(th))) for _ in range(3)]
-        for start in range(0, len(th), step):
-            rows = slice(start, start + step)
-            count = len(th[rows])
-            t, t2, lift = (b[:z * count].reshape(z, count) for b in buffers)
-            self._terms(th[rows], t, t2, lift)
+        for rows, t, t2, lift in self._blocks(th, float, float):
+            self._terms(t, t2, lift)
             out[rows] = (self._anchor + N * th[rows]) + self._lift @ lift
             if derivs is not None:
                 den = np.multiply(t2, self._qc * self._qc, out=lift)
@@ -666,13 +665,14 @@ def invert_phase(phase: PhaseFunction, targets, brackets: tuple) -> tuple[np.nda
     arrays (angles, Theta, Theta') that span [0, 2 pi] (``phase_nodes``
     gives them), bracket every target and start it from their inverse cubic
     Hermite interpolant on its bracket (the bracket midpoint if that falls
-    outside).  Halley steps (Theta' = |B'| >= 1 and Theta'' come with each
-    phase evaluation), safeguarded by bisection, then polish all targets at
-    once.
+    outside).
 
-    Theta' comes from the evaluation that accepted each angle; only angles
-    moved after their last evaluation, at the 1e-15 bracket exit, are
-    evaluated again."""
+    One stop rule: each pass evaluates Theta, Theta' and Theta'' at the
+    active angles and narrows their brackets, and a target stops at that
+    evaluation when |Theta - target| <= tol, its Halley step or its bracket
+    is at most 1e-15, or the pass is the 200th; else it takes the step,
+    safeguarded by bisection.  So each angle comes with the Theta' that
+    accepted it."""
     N = phase.blaschke.degree
     targets = np.asarray(targets, dtype=float)
     grid, vals, slopes = brackets
@@ -690,59 +690,43 @@ def invert_phase(phase: PhaseFunction, targets, brackets: tuple) -> tuple[np.nda
     theta = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
 
     tol = max(1e-13, 2e-15 * N)
-    active = np.ones(len(targets), dtype=bool)
-    moved = np.zeros(len(targets), dtype=bool)  # left at the bracket after a move
+    active = np.arange(len(targets))
     theta_prime = np.empty(len(targets))
-    for _ in range(200):
-        sub = np.nonzero(active)[0]
-        derivs = np.empty((2, len(sub)))
-        err = phase(theta[sub], derivs) - targets[sub]
-        theta_prime[sub] = derivs[0]
+    for sweep in range(200):
+        derivs = np.empty((2, len(active)))
+        err = phase(theta[active], derivs) - targets[active]
+        theta_prime[active] = derivs[0]
         neg = err < 0.0
-        lo[sub[neg]] = theta[sub[neg]]
-        hi[sub[~neg]] = theta[sub[~neg]]
-        done = np.abs(err) <= tol
-        still = sub[~done]
-        active[sub[done]] = False
-        if not len(still):
-            break
-        err, slope, curve = err[~done], derivs[0, ~done], derivs[1, ~done]
+        lo[active[neg]] = theta[active[neg]]
+        hi[active[~neg]] = theta[active[~neg]]
         # Halley: the Newton step over 1 - err Theta''/(2 Theta'^2); where that
         # factor falls to 1/2 or below, the plain Newton step
+        slope, curve = derivs
         newton = err / slope
         factor = 1.0 - 0.5 * newton * curve / slope
         step = np.where(factor > 0.5, newton / factor, newton)
-        # inside a phase spike |B'| * ulp exceeds tol: stop there once the
-        # step is below the 1e-15 bracket width that ends bisection
-        tiny = np.abs(step) <= 1e-15
-        active[still[tiny]] = False
-        still, step = still[~tiny], step[~tiny]
-        halley = theta[still] - step
-        mid = 0.5 * (lo[still] + hi[still])
-        inside = (halley > lo[still]) & (halley < hi[still])
-        theta[still] = np.where(inside, halley, mid)
-        width_done = (hi[still] - lo[still]) <= 1e-15
-        if np.any(width_done):
-            active[still[width_done]] = False
-            moved[still[width_done]] = True
-    # angles never evaluated since their last move: the bracket exits, and
-    # any target still active when the iteration cap ends the loop
-    stale = np.nonzero(moved | active)[0]
-    if len(stale):
-        derivs = np.empty((2, len(stale)))
-        phase(theta[stale], derivs)
-        theta_prime[stale] = derivs[0]
+        # inside a phase spike |B'| * ulp exceeds tol: the 1e-15 exits end it
+        go = ((np.abs(err) > tol) & (np.abs(step) > 1e-15)
+              & (hi[active] - lo[active] > 1e-15) & (sweep < 199))
+        active, step = active[go], step[go]
+        if not len(active):
+            break
+        halley = theta[active] - step
+        inside = (halley > lo[active]) & (halley < hi[active])
+        theta[active] = np.where(inside, halley, 0.5 * (lo[active] + hi[active]))
     return theta, theta_prime
 
 
 #: targets per block of a ``phase_nodes`` solve: the solve holds about 230
 #: bytes per target of a block beside its 16 per node of output.  Against
-#: one block, the traced peak fell from 14.5 to 3.9 MiB on dense_nonblaschke
-#: N = 32 with 65536 nodes and from 7.8 to 2.8 MiB on frostman_fast N = 1024
+#: one block, the traced peak fell from 14.3 to 3.8 MiB on dense_nonblaschke
+#: N = 32 with 65536 nodes and from 7.7 to 2.8 MiB on frostman_fast N = 1024
 #: with 32 levels, and ``clark_measures(B, 32)`` at frostman_fast N = 16384
-#: from 153 to 77 MB RSS in 1.47-1.68 s (1.43-2.06 s).  Frostman N = 1024
-#: took 57 ms against 50 ms as one block, 65 ms in blocks of 2048 (best of
-#: 7, 2-vCPU host, one thread)
+#: from 153 to 77 MB RSS.  Frostman N = 1024 took 21.4 ms against 18.5 ms as
+#: one block (24 phase calls against 3), 24.2 ms in blocks of 2048; dense
+#: N = 32 took 27.7 against 30.2 ms, frostman N = 16384 285 against 287 ms
+#: (best of 7, 2-vCPU host, one thread).  Each call ends in a partial block
+#: of PHASE_BLOCK cells: frostman N = 1024 makes 104 block passes against 91
 PHASE_TARGETS = 1 << 12
 
 

@@ -104,7 +104,7 @@ def parse_symbol(text: str, kind: str | None = None) -> SymbolRep:
         if k in coeffs:
             raise ConfigError(f"frequency {k} given twice in {text!r}")
         coeffs[k] = parse_complex(val)
-    return SymbolRep.trig(coeffs, name=text)
+    return SymbolRep.trig(coeffs)
 
 
 def parse_function(text: str, kind: str | None = None) -> ScalarFunction:
@@ -117,7 +117,7 @@ def parse_function(text: str, kind: str | None = None) -> ScalarFunction:
     coeffs = [parse_complex(tok) for tok in text.removeprefix("poly:").split(",") if tok.strip()]
     if not coeffs:
         raise ConfigError(f"no polynomial coefficients in {text!r}")
-    return ScalarFunction.poly(coeffs, name=text)
+    return ScalarFunction.poly(coeffs)
 
 
 def _key_parser(param: RuleParam):
@@ -538,10 +538,11 @@ def cmd_disintegrate(args) -> int:
 
     def work():
         res = disintegration_check(sym, B, **sweep)
-        run.warn(B.degree, {"converged": float(res.converged)})
+        run.warn(B.degree, {"converged": float(res.converged), "rhs_converged": float(res.quadrature.converged)})
         run.file("disintegrate.json", {"lhs": {"re": res.lhs.real, "im": res.lhs.imag},
                                        "rhs": {"re": res.rhs.real, "im": res.rhs.imag},
-                                       "gap": res.gap, "alpha_count": res.alpha_count, "converged": res.converged})
+                                       "gap": res.gap, "alpha_count": res.alpha_count, "converged": res.converged,
+                                       "rhs_converged": res.quadrature.converged})
     return run(work)
 
 

@@ -39,7 +39,7 @@ from .operators import (
     trace_formula_rhs,
     trace_norm,
 )
-from .quadrature import QuadratureConfig, integrate_circle
+from .quadrature import IntegralResult, QuadratureConfig, integrate_circle
 
 
 _COUNT = (lambda v: v >= 1, "an integer >= 1")
@@ -110,6 +110,7 @@ def szego_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
             "quad_points": float(rhs.points_used),
             "quad_error": float(rhs.estimated_error / N),
             "build_converged": float(T.converged),
+            "rhs_converged": float(rhs.converged),
         }
         records.append(ConvergenceRecord(N, lhs, rhs.value / N, diagnostics=diag))
     return records
@@ -118,15 +119,15 @@ def szego_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
 def stz_trace(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     """Weighted trace against the reciprocal-derivative symbol, compared with
     the plain Lebesgue integral of f(phi): the constant coefficient when
-    f o phi is a trig polynomial (``rhs_points`` reads 0), as
-    ``trace_formula_rhs`` takes the szego rhs, else circle quadrature."""
+    f o phi is a trig polynomial (``rhs_points`` reads 0, and the rhs counts
+    as converged), as ``trace_formula_rhs`` takes the szego rhs, else circle
+    quadrature."""
     records = []
     composed = cfg.function.compose_symbol(cfg.symbol)
     if composed.is_trig:
-        rhs, rhs_points = complex(composed.coeff_dict.get(0, 0j)), 0
+        rhs = IntegralResult(complex(composed.coeff_dict.get(0, 0j)), 0.0, 0, True)
     else:
-        rhs_quad = integrate_circle(composed.evaluate, cfg.quadrature)
-        rhs, rhs_points = complex(rhs_quad.value), rhs_quad.points_used
+        rhs = integrate_circle(composed.evaluate, cfg.quadrature)
     for N in cfg.n_values:
         B = FiniteBlaschke.from_sequence(cfg.sequence, N)
         T_beta = build_truncated_toeplitz(B, inverse_derivative_symbol(B), cfg.quadrature)
@@ -135,9 +136,11 @@ def stz_trace(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
         diag = {
             "beta_build_error": float(T_beta.estimated_error),
             "beta_build_converged": float(T_beta.converged),
-            "rhs_points": float(rhs_points),
+            "build_converged": float(fT.converged),
+            "rhs_points": float(rhs.points_used),
+            "rhs_converged": float(rhs.converged),
         }
-        records.append(ConvergenceRecord(N, lhs, rhs, diagnostics=diag))
+        records.append(ConvergenceRecord(N, lhs, complex(rhs.value), diagnostics=diag))
     return records
 
 

@@ -12,7 +12,7 @@ and Schatten norms use numpy.linalg (eigh, svd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -51,34 +51,33 @@ class SymbolRep:
     coeffs: tuple = ()
     sampler: Callable | None = None
     is_real: bool = False
-    name: str = ""
     inverse_derivative_of: FiniteBlaschke | None = None
 
     @staticmethod
-    def trig(coeffs: Mapping[int, complex], name: str = "") -> "SymbolRep":
+    def trig(coeffs: Mapping[int, complex]) -> "SymbolRep":
         items = tuple(sorted((int(k), complex(v)) for k, v in coeffs.items() if v != 0))
         d = dict(items)
         real = all(d.get(-k, 0j) == v.conjugate() for k, v in d.items())
-        return SymbolRep(coeffs=items, is_real=real, name=name)
+        return SymbolRep(coeffs=items, is_real=real)
 
     @staticmethod
-    def from_sampler(fn: Callable, real: bool = False, name: str = "") -> "SymbolRep":
-        return SymbolRep(sampler=fn, is_real=real, name=name)
+    def from_sampler(fn: Callable, real: bool = False) -> "SymbolRep":
+        return SymbolRep(sampler=fn, is_real=real)
 
     @staticmethod
     def constant(c: complex) -> "SymbolRep":
-        return SymbolRep.trig({0: c}, name=f"const({c})")
+        return SymbolRep.trig({0: c})
 
     @staticmethod
     def preset(name: str) -> "SymbolRep":
         if name == "cos":  # z + conj(z), the classical tridiagonal example
-            return SymbolRep.trig({1: 1.0, -1: 1.0}, name=name)
+            return SymbolRep.trig({1: 1.0, -1: 1.0})
         if name == "re_z":
-            return SymbolRep.trig({1: 0.5, -1: 0.5}, name=name)
+            return SymbolRep.trig({1: 0.5, -1: 0.5})
         if name == "z":
-            return SymbolRep.trig({1: 1.0}, name=name)
+            return SymbolRep.trig({1: 1.0})
         if name == "abs_sin":
-            return SymbolRep.from_sampler(lambda t: np.abs(np.sin(t)), real=True, name=name)
+            return SymbolRep.from_sampler(lambda t: np.abs(np.sin(t)), real=True)
         raise ValueError(f"unknown symbol preset {name!r}")
 
     @property
@@ -111,7 +110,7 @@ class SymbolRep:
         for k1, c1 in self.coeffs:
             for k2, c2 in other.coeffs:
                 prod[k1 + k2] = prod.get(k1 + k2, 0j) + c1 * c2
-        return SymbolRep.trig(prod, name=f"({self.name})*({other.name})")
+        return SymbolRep.trig(prod)
 
     def __add__(self, other: "SymbolRep") -> "SymbolRep":
         if not (self.is_trig and other.is_trig):
@@ -119,13 +118,12 @@ class SymbolRep:
         s = self.coeff_dict
         for k, c in other.coeffs:
             s[k] = s.get(k, 0j) + c
-        return SymbolRep.trig(s, name=f"({self.name})+({other.name})")
+        return SymbolRep.trig(s)
 
 
 def inverse_derivative_symbol(B: FiniteBlaschke) -> SymbolRep:
     """The weight 1/|B'| as a (real, smooth) sampled symbol."""
-    return SymbolRep(sampler=lambda t: 1.0 / abs_derivative_grid(B, t), is_real=True,
-                     name=f"1/|B'| (deg {B.degree})", inverse_derivative_of=B)
+    return SymbolRep(sampler=lambda t: 1.0 / abs_derivative_grid(B, t), is_real=True, inverse_derivative_of=B)
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +137,17 @@ class ScalarFunction:
 
     poly_coeffs: tuple = ()
     pointwise: Callable | None = None
-    name: str = ""
 
     @staticmethod
-    def poly(coeffs: Sequence[complex], name: str = "") -> "ScalarFunction":
+    def poly(coeffs: Sequence[complex]) -> "ScalarFunction":
         c = tuple(complex(v) for v in coeffs)
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
-        return ScalarFunction(poly_coeffs=c, name=name or f"poly{list(coeffs)}")
+        return ScalarFunction(poly_coeffs=c)
 
     @staticmethod
-    def from_pointwise(fn: Callable, name: str = "") -> "ScalarFunction":
-        return ScalarFunction(pointwise=fn, name=name)
+    def from_pointwise(fn: Callable) -> "ScalarFunction":
+        return ScalarFunction(pointwise=fn)
 
     @staticmethod
     def preset(name: str) -> "ScalarFunction":
@@ -161,11 +158,11 @@ class ScalarFunction:
             "cube_minus_x": [0, -1, 0, 1],
         }
         if name in table:
-            return ScalarFunction.poly(table[name], name=name)
+            return ScalarFunction.poly(table[name])
         if name == "abs":
-            return ScalarFunction.from_pointwise(np.abs, name=name)
+            return ScalarFunction.from_pointwise(np.abs)
         if name == "exp":
-            return ScalarFunction.from_pointwise(np.exp, name=name)
+            return ScalarFunction.from_pointwise(np.exp)
         raise ValueError(f"unknown function preset {name!r}")
 
     @property
@@ -186,14 +183,14 @@ class ScalarFunction:
             acc = SymbolRep.constant(0.0)
             for c in reversed(self.poly_coeffs):
                 acc = acc * sym + SymbolRep.constant(c)
-            return SymbolRep.trig(acc.coeff_dict, name=f"{self.name}({sym.name})")
+            return SymbolRep.trig(acc.coeff_dict)
         if not sym.is_real:
             raise ValueError("pointwise functions require a real-valued symbol")
 
         def sampler(angles):
             vals = np.real(sym.evaluate(angles))
             return np.asarray(self.eval_scalar(vals))
-        return SymbolRep.from_sampler(sampler, real=True, name=f"{self.name}({sym.name})")
+        return SymbolRep.from_sampler(sampler, real=True)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +489,8 @@ def _require_hermitian(M: np.ndarray):
 
 
 def apply_function(A: OperatorMatrix, f: ScalarFunction) -> OperatorMatrix:
-    """f(A): Horner for polynomial f, eigenvalue map for pointwise f."""
+    """f(A): Horner for polynomial f, eigenvalue map for pointwise f.  The
+    result carries A's ``converged`` and ``estimated_error``."""
     M = A.matrix
     if f.is_poly:
         lead, *lower = reversed(f.poly_coeffs or (0j,))
@@ -503,11 +501,11 @@ def apply_function(A: OperatorMatrix, f: ScalarFunction) -> OperatorMatrix:
             if i:
                 out = out @ M
             _add_diagonal(out, c)
-        return OperatorMatrix(out, A.basis)
+        return replace(A, matrix=out)
     _require_hermitian(M)
     w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
     fw = np.asarray(f.eval_scalar(w), dtype=complex)
-    return OperatorMatrix((V * fw) @ V.conj().T, A.basis)
+    return replace(A, matrix=(V * fw) @ V.conj().T)
 
 
 # ---------------------------------------------------------------------------

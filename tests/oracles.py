@@ -224,7 +224,7 @@ def eval_blaschke_grid(B: FiniteBlaschke, angles) -> np.ndarray:
     size, so none holds a single angle unless the call does: numpy
     multiplies one-element arrays with another kernel, which can move the
     last bit."""
-    r, psi = B._radii[:, None], B._phases[:, None]
+    r, psi = B._radii[:, None], np.angle(B.zeros)[:, None]
     th = np.asarray(angles, dtype=float)
     flat = th.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)

@@ -253,7 +253,7 @@ def test_c06_cubic_gap_is_a_structural_zero():
 
 def test_c06_supplement_quartic_trend():
     # the even-power companion shows the intended trend with the same sweep
-    f = ScalarFunction.poly([0, 0, 0, 0, 1], name="x^4")
+    f = ScalarFunction.poly([0, 0, 0, 0, 1])
     ok = True
     details = []
     for name, seq in (("constant_modulus(0.5,seeded)",

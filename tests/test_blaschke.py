@@ -211,7 +211,7 @@ def blaschke_reference(B, angles, reduced=False):
     its half: sin(x/2) = s, sin x = 2sc and e^{ix} = (c + is)^2."""
     th = np.asarray(angles, dtype=float)
     out = np.ones(th.shape, dtype=complex)
-    for r, psi in zip(B._radii, B._phases):
+    for r, psi in zip(B._radii, np.angle(B.zeros)):
         if reduced:
             _, half, c = half_angle(th, psi)
             sin_x, turn = 2.0 * half * c, (c + 1j * half) ** 2
@@ -229,7 +229,7 @@ class TestEvalBlaschkeGrid:
 
     def test_matches_loop_reference(self, edge_blaschke):
         B = edge_blaschke
-        psi = np.mod(B._phases, 2 * np.pi)
+        psi = np.mod(np.angle(B.zeros), 2 * np.pi)
         th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9))
         assert np.array_equal(eval_blaschke_grid(B, th), blaschke_reference(B, th))
 
@@ -259,7 +259,7 @@ def tangent_reference(B, angles):
     th - psi reduced by 2 pi in two parts (``oracles.half_angle``)."""
     th = np.asarray(angles, dtype=float)
     out = np.ones(th.shape, dtype=complex)
-    for r, psi, p in zip(B._radii, B._phases, B._p[B._which]):
+    for r, psi, p in zip(B._radii, np.angle(B.zeros), B._p[B._which]):
         _, s, c = half_angle(th, psi)
         q = (1.0 + r) * (s / c)
         out *= (p + 1j * q) ** 2 / (p * p + q * q)
@@ -273,7 +273,7 @@ class TestPhaseProduct:
         # The product's accuracy against the stored zeros is held to 50 digits
         # in TestBoundaryValuesHighPrecision
         B = edge_blaschke
-        psi = np.mod(B._phases, 2 * np.pi)
+        psi = np.mod(np.angle(B.zeros), 2 * np.pi)
         atoms = np.mod(phase_nodes(PhaseFunction(B), 4)[0], 2 * np.pi)
         th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9, atoms))
         got = PhaseFunction(B).product(th)
@@ -396,10 +396,11 @@ class TestInvertPhase:
     ], ids=["frostman_fast-128", "near_circle_pairs-64", "pairs_1e-14-64"])
     def test_slope_is_that_of_the_accepting_evaluation(self, make):
         # Theta' at each node is the one the solve evaluated at exactly that
-        # angle.  At 1 - 1e-14 (pairs, N = 64) one node of 512 leaves at the
-        # 1e-15 bracket after a move, and only its re-evaluation is at its
-        # angle.  A fresh evaluation of all nodes agrees to the rounding of
-        # the D-term row sum, which BLAS orders by the row's place in the call
+        # angle: a target stops at the evaluation that accepts it, on every
+        # exit (the 1e-15 bracket exit too, 1 node of 512 at 1 - 1e-14 for
+        # pairs, N = 64), and its angle does not move after it.  A fresh
+        # evaluation of all nodes agrees to the rounding of the D-term row
+        # sum, which BLAS orders by the row's place in the call
         B = make()
         phase = RecordingPhase(B)
         nodes, slopes = phase_nodes(phase, 8)
@@ -410,6 +411,17 @@ class TestInvertPhase:
         fresh = np.empty((2, len(nodes)))
         phase(nodes, fresh)
         assert np.all(np.abs(slopes - fresh[0]) <= len(phase._r) * np.finfo(float).eps * fresh[0])
+
+    def test_blocked_solve_makes_no_empty_phase_call(self):
+        # frostman N = 1024 at 32 levels is 8 blocks of PHASE_TARGETS; each
+        # block's last targets stop at the evaluation that accepts them, so
+        # no pass evaluates the phase on zero angles
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 1024)
+        phase = RecordingPhase(B)
+        phase_nodes(phase, 32)
+        sizes = [len(angles) for angles, _ in phase.calls]
+        assert 32 * 1024 // blaschke.PHASE_TARGETS == 8
+        assert len(sizes) > 8 and min(sizes) > 0
 
     def test_values_do_not_depend_on_derivs(self, edge_blaschke):
         phase = PhaseFunction(edge_blaschke)
@@ -662,7 +674,7 @@ class TestBoundaryValuesHighPrecision:
         # measured: at most 1.7 eps (|B'| + sum_j 1/|zeta - lambda_j|)
         mp = pytest.importorskip("mpmath").mp
         B = MP_NEAR_CIRCLE[name]()
-        psi = np.mod(B._phases, 2 * np.pi)
+        psi = np.mod(np.angle(B.zeros), 2 * np.pi)
         atoms = np.mod(phase_nodes(PhaseFunction(B), 4)[0], 2 * np.pi)
         th = np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, psi - 1e-9, atoms))
         with mp.workdps(50):
@@ -822,7 +834,7 @@ class TestKernels:
 def tmw_angles(B):
     """A grid, every zero's direction and 1e-9 beside it, and a block of
     phase nodes of z^N B as the sampled build uses them."""
-    psi = np.mod(B._phases, 2 * np.pi)
+    psi = np.mod(np.angle(B.zeros), 2 * np.pi)
     Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(B.degree, dtype=complex))))
     nodes, _ = phase_nodes(PhaseFunction(Z), max(1, 512 // B.degree))
     return np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, nodes[:1024]))

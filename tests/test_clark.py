@@ -45,7 +45,7 @@ def phase_reference(phase, angles):
     product's defect of its zero, summed in a loop."""
     B = phase.blaschke
     total = np.full(angles.shape, phase._anchor)
-    for r, psi, p in zip(B._radii, B._phases, B._p[B._which]):
+    for r, psi, p in zip(B._radii, np.angle(B.zeros), B._p[B._which]):
         total += phase_lift(angles, psi, r, p) - phase_lift(0.0, psi, r, p)
     return total
 
@@ -56,7 +56,7 @@ class TestPhaseFunction:
         phase = PhaseFunction(B)
         # a uniform grid plus points on and just past each zero's direction,
         # where near-circle zeros make the phase jump by almost 2*pi
-        psi = np.mod(B._phases, 2 * np.pi)
+        psi = np.mod(np.angle(B.zeros), 2 * np.pi)
         th = np.concatenate((circle_grid(1024, offset=0.25), psi, psi + 1e-9, psi - 1e-9))
         tol = 1e-13 * 2 * np.pi * B.degree
         assert np.abs(phase(th) - phase_reference(phase, th)).max() <= tol

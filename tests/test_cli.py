@@ -51,6 +51,12 @@ EXPLICIT_THREE = "[sequence]\nkind = explicit\nzeros = 0,0.5,0.3i\n[symbol]\npre
 STARVED_FROSTMAN = ("[sequence]\nkind = frostman_fast\n[symbol]\npreset = cos\n"
                     "[sweep]\nn_values = 8,32\n[quadrature]\nmax_points = 512\n")
 
+#: max_points = 1024 starves the sampled T(abs_sin) build on the dense
+#: sequence and the rhs quadratures of abs o abs_sin (6.0e-6 estimated for
+#: stz, 6.4e-5 for szego at N = 8)
+STARVED_DENSE = ("[sequence]\nkind = dense_nonblaschke\n[symbol]\npreset = abs_sin\n[function]\npreset = abs\n"
+                 "[sweep]\nn_values = 8,16\n[quadrature]\nmax_points = 1024\n")
+
 #: zeros one ulp inside the circle, as few zeros and terms as the list holds
 EXPLICIT_NEAR_CIRCLE = ("[sequence]\nkind = explicit\nzeros = 0,0.9999999999999999,0.9999999999999999i\n"
                         "[symbol]\npreset = cos\n[sweep]\nn_values = 3\n[angular]\nj_terms = 3\n")
@@ -383,6 +389,26 @@ alpha_count = 8
         rows = (out / "hs_approx.json").read_text()
         assert [rec["diagnostics"]["rhs_converged"] for rec in json.loads(rows)] == [1.0, 1.0]
 
+    @pytest.mark.parametrize("command, keys", [
+        ("szego", ["build_converged", "rhs_converged"]),
+        ("stz", ["build_converged", "rhs_converged"]),
+        ("lemmas", ["build_converged"]),
+        ("angular", []),
+    ])
+    def test_every_unconverged_stage_warns(self, tmp_path, capsys, command, keys):
+        # each sweep prints one WARN line per unconverged stage and N, and
+        # its records read 0 in those columns and 1 in every other flag
+        path = tmp_path / "starved.cfg"
+        path.write_text(STARVED_DENSE)
+        out = tmp_path / "starved"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"WARN: {command} N={N} {key} = 0" for N in (8, 16) for key in keys]
+        table = {"szego": "szego.json", "stz": "stz.json", "lemmas": "hs_approx.json"}.get(command)
+        for rec in json.loads((out / table).read_text()) if table else []:
+            assert {k for k, v in rec["diagnostics"].items() if "converged" in k and v != 1.0} == set(keys)
+            assert all(v in (0.0, 1.0) for k, v in rec["diagnostics"].items() if "converged" in k)
+
     def test_unconverged_operator_build_warns(self, capsys):
         # a zero at 1 - 1e-6 with 512 points at most: the sampled build stops short
         args = ["operator", "--zeros", "0,0.999999", "--symbol", "abs_sin", "--max-grid", "512"]
@@ -403,6 +429,21 @@ alpha_count = 8
         assert json.loads(captured.out)["converged"] is False
         assert main(["disintegrate", "--zeros", "0,0.5"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_unconverged_disintegration_rhs_warns(self, capsys, monkeypatch):
+        # 512 points at most leave the circle integral of abs_sin, the rhs,
+        # unconverged (2.4e-5 estimated): the JSON and a WARN line say so
+        monkeypatch.setattr(cli, "disintegration_check",
+                            partial(cli.disintegration_check, cfg=QuadratureConfig(max_points=512)))
+        assert main(["disintegrate", "--zeros", "0,0.5", "--symbol", "abs_sin"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["WARN: disintegrate N=2 converged = 0",
+                                             "WARN: disintegrate N=2 rhs_converged = 0"]
+        assert json.loads(captured.out)["rhs_converged"] is False
+        monkeypatch.undo()
+        assert main(["disintegrate", "--zeros", "0,0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["rhs_converged"] is True
 
     def test_run_that_raises_leaves_a_failed_manifest(self, tmp_path, capsys):
         # zeros one ulp inside the circle: the Clark measures lose mass and

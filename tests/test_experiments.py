@@ -191,6 +191,41 @@ class TestStzTrace:
         assert rec.rhs == pytest.approx(4 / np.pi, abs=1e-6)
 
 
+#: the dense sequence under a 1024-point cap: the sampled T(abs_sin) build
+#: and the rhs quadratures of abs o abs_sin stop short at N = 8 and 16
+STARVED_DENSE = ExperimentConfig(ZeroSequence.dense_nonblaschke(), SymbolRep.preset("abs_sin"),
+                                 ScalarFunction.preset("abs"), (8, 16), quadrature=QuadratureConfig(max_points=1024))
+
+
+class TestStageFlags:
+    def test_szego_records_its_build_and_rhs(self):
+        cfg = STARVED_DENSE
+        composed = cfg.function.compose_symbol(cfg.symbol)
+        for rec in szego_gap(cfg):
+            B = FiniteBlaschke.from_sequence(cfg.sequence, rec.N)
+            build = build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature)
+            rhs = trace_formula_rhs(B, composed, cfg.quadrature)
+            assert not build.converged and not rhs.converged
+            assert rec.diagnostics["build_converged"] == 0.0 and rec.diagnostics["rhs_converged"] == 0.0
+
+    def test_stz_records_its_builds_and_rhs(self):
+        cfg = STARVED_DENSE
+        rhs = integrate_circle(cfg.function.compose_symbol(cfg.symbol).evaluate, cfg.quadrature)
+        assert not rhs.converged
+        for rec in stz_trace(cfg):
+            B = FiniteBlaschke.from_sequence(cfg.sequence, rec.N)
+            assert not build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature).converged
+            assert build_truncated_toeplitz(B, inverse_derivative_symbol(B), cfg.quadrature).converged
+            assert rec.rhs == rhs.value and rec.diagnostics["rhs_points"] == rhs.points_used
+            assert {k: v for k, v in rec.diagnostics.items() if "converged" in k} == {
+                "beta_build_converged": 1.0, "build_converged": 0.0, "rhs_converged": 0.0}
+
+    def test_closed_forms_count_as_converged(self):
+        for records in (szego_gap(classical_cfg(ns=(8,))), stz_trace(classical_cfg(ns=(8,)))):
+            assert all(v == 1.0 for rec in records for k, v in rec.diagnostics.items() if "converged" in k)
+            assert records[0].diagnostics["rhs_converged"] == 1.0
+
+
 class TestAngularConditions:
     def test_uniform_beta_norm_exact(self):
         cfg = ExperimentConfig(ZeroSequence.uniform_zero(), TWO_COS, IDENTITY, (8, 16),
@@ -260,7 +295,7 @@ def hs_rhs_kernel_average(B, sym, T, cfg=QuadratureConfig()):
     return nu_integral(integrand, B, cfg)
 
 
-HS_TRIG = SymbolRep.trig({-1: 1.0, 2: 0.5j, 3: 0.25}, name="complex trig")
+HS_TRIG = SymbolRep.trig({-1: 1.0, 2: 0.5j, 3: 0.25})
 
 
 class TestHsClosedForm:

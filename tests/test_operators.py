@@ -664,6 +664,16 @@ class TestApplyFunction:
         with pytest.raises(ValueError):
             apply_function(T, ScalarFunction.preset("abs"))
 
+    @pytest.mark.parametrize("f", ["square", "abs"])
+    def test_carries_the_convergence_of_its_input(self, f):
+        # a starved sampled build of T(abs_sin) next to a zero at 1 - 1e-6:
+        # f(T) keeps its flag and error estimate, on both branches
+        B = FiniteBlaschke(np.array([0, 0.999999]))
+        T = build_truncated_toeplitz(B, SymbolRep.preset("abs_sin"), QuadratureConfig(max_points=512))
+        assert not T.converged and T.estimated_error > 0
+        fT = apply_function(T, ScalarFunction.preset(f))
+        assert (fT.converged, fT.estimated_error) == (T.converged, T.estimated_error)
+
 
 class TestNorms:
     def test_identity_norms(self):
