@@ -12,7 +12,7 @@ from .clark import (
     ClarkMeasure,
     PhaseFunction,
     clark_measure,
-    clark_measures,
+    clark_rows,
     clark_support,
     disintegration_check,
 )

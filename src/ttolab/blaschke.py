@@ -659,9 +659,10 @@ class PhaseFunction:
         return self._scan
 
 
-def invert_phase(phase: PhaseFunction, targets, brackets: tuple) -> tuple[np.ndarray, np.ndarray]:
+def invert_phase(phase: PhaseFunction, targets, brackets: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angles in [0, 2*pi] where Theta takes the targets, each in [Theta(0),
-    Theta(0) + 2*pi*N], and Theta' = |B'| there.  ``brackets``, increasing
+    Theta(0) + 2*pi*N], Theta' = |B'| there and the residuals Theta - target,
+    so that B = e^{i(target + residual)} there.  ``brackets``, increasing
     arrays (angles, Theta, Theta') that span [0, 2 pi] (``phase_nodes``
     gives them), bracket every target and start it from their inverse cubic
     Hermite interpolant on its bracket (the bracket midpoint if that falls
@@ -671,8 +672,8 @@ def invert_phase(phase: PhaseFunction, targets, brackets: tuple) -> tuple[np.nda
     active angles and narrows their brackets, and a target stops at that
     evaluation when |Theta - target| <= tol, its Halley step or its bracket
     is at most 1e-15, or the pass is the 200th; else it takes the step,
-    safeguarded by bisection.  So each angle comes with the Theta' that
-    accepted it."""
+    safeguarded by bisection.  So each angle comes with the Theta' and the
+    residual of the evaluation that accepted it."""
     N = phase.blaschke.degree
     targets = np.asarray(targets, dtype=float)
     grid, vals, slopes = brackets
@@ -691,11 +692,11 @@ def invert_phase(phase: PhaseFunction, targets, brackets: tuple) -> tuple[np.nda
 
     tol = max(1e-13, 2e-15 * N)
     active = np.arange(len(targets))
-    theta_prime = np.empty(len(targets))
+    theta_prime, residual = np.empty(len(targets)), np.empty(len(targets))
     for sweep in range(200):
         derivs = np.empty((2, len(active)))
         err = phase(theta[active], derivs) - targets[active]
-        theta_prime[active] = derivs[0]
+        theta_prime[active], residual[active] = derivs[0], err
         neg = err < 0.0
         lo[active[neg]] = theta[active[neg]]
         hi[active[~neg]] = theta[active[~neg]]
@@ -714,14 +715,14 @@ def invert_phase(phase: PhaseFunction, targets, brackets: tuple) -> tuple[np.nda
         halley = theta[active] - step
         inside = (halley > lo[active]) & (halley < hi[active])
         theta[active] = np.where(inside, halley, 0.5 * (lo[active] + hi[active]))
-    return theta, theta_prime
+    return theta, theta_prime, residual
 
 
 #: targets per block of a ``phase_nodes`` solve: the solve holds about 230
-#: bytes per target of a block beside its 16 per node of output.  Against
+#: bytes per target of a block beside its 24 per node of output.  Against
 #: one block, the traced peak fell from 14.3 to 3.8 MiB on dense_nonblaschke
 #: N = 32 with 65536 nodes and from 7.7 to 2.8 MiB on frostman_fast N = 1024
-#: with 32 levels, and ``clark_measures(B, 32)`` at frostman_fast N = 16384
+#: with 32 levels, and the Clark atoms of 32 alphas at frostman_fast N = 16384
 #: from 153 to 77 MB RSS.  Frostman N = 1024 took 21.4 ms against 18.5 ms as
 #: one block (24 phase calls against 3), 24.2 ms in blocks of 2048; dense
 #: N = 32 took 27.7 against 30.2 ms, frostman N = 16384 285 against 287 ms
@@ -731,9 +732,10 @@ PHASE_TARGETS = 1 << 12
 
 
 def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0,
-                solved: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+                solved: list | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Theta^{-1} of the count*N levels 2*pi*(k + offset)/count, in [0, 2*pi],
-    and Theta' = |B'| at them (see ``invert_phase``).
+    Theta' = |B'| at them and the residuals Theta - level (see ``invert_phase``):
+    B at node k is e^{2 pi i (k + offset)/count} e^{i residual}.
 
     Theta carries |B'| dm onto uniform measure, so these are equal-weight nodes
     of nu = |B'|/N dm, and weighted by N/|B'| nodes of dm.  They are also the
@@ -741,7 +743,7 @@ def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0,
     ``reshape(N, count)`` puts alpha_j in column j.
 
     The targets are bracketed by the phase's scan (``PhaseFunction.bracket_scan``,
-    formed once per phase) and solved PHASE_TARGETS at a time into the two
+    formed once per phase) and solved PHASE_TARGETS at a time into the three
     returned arrays, so the solve's working memory is one block of targets.
 
     ``solved``, a list kept by the caller across the levels of one doubling
@@ -764,13 +766,13 @@ def phase_nodes(phase: PhaseFunction, count: int, offset: float = 0.0,
         known = [np.concatenate(part) for part in zip(*solved)]
         order = np.argsort(known[1])
         brackets = tuple(np.concatenate((a[:1], b[order], a[-1:])) for a, b in zip(brackets, known))
-    nodes, slopes = np.empty(len(targets)), np.empty(len(targets))
+    nodes, slopes, residuals = np.empty((3, len(targets)))
     for start in range(0, len(targets), PHASE_TARGETS):
         block = slice(start, start + PHASE_TARGETS)
-        nodes[block], slopes[block] = invert_phase(phase, targets[block], brackets)
+        nodes[block], slopes[block], residuals[block] = invert_phase(phase, targets[block], brackets)
     if solved is not None:
         solved.append((nodes, targets, slopes))
-    return nodes, slopes
+    return nodes, slopes, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +832,11 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray, out: np.ndarray | None = N
 ANGULAR_BLOCK = 1024
 
 
-def _poisson_terms(x: np.ndarray, y: np.ndarray, zeros: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _poisson_terms(x: np.ndarray, y: np.ndarray, zeros: np.ndarray, defects: np.ndarray,
+                   buf: np.ndarray) -> np.ndarray:
     """(1 - |lam|^2)/|zeta - lam|^2 per point x zero, in buf[0] of a
     (2, points, zeros) buffer, from the Cartesian parts of zeta = x + iy and
-    lam and the correctly rounded ``exact_defects``, as in
+    lam and the zeros' correctly rounded ``exact_defects``, as in
     ``abs_derivative_grid``.  The parts of lam are copied out of the complex
     array first: the passes over contiguous parts ran about 10% faster."""
     out, dy = buf
@@ -843,19 +846,19 @@ def _poisson_terms(x: np.ndarray, y: np.ndarray, zeros: np.ndarray, buf: np.ndar
     np.subtract(x, re, out=out)
     np.multiply(out, out, out=out)
     out += dy
-    return np.divide(exact_defects(zeros), out, out=out)
+    return np.divide(defects, out, out=out)
 
 
 def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int) -> np.ndarray:
     """sum_j (1-|lam_j|^2)/|zeta - lam_j|^2 over j < J at each grid angle zeta.
 
-    One loop adds the pairwise row sum of each block's ``_poisson_terms`` to
-    the running sums.  A rule in ``BARE_RULES`` forms its zeros one block of
-    ANGULAR_BLOCK at a time (``_bare_blocks``), so the working memory is one
-    block whatever J is.  Any other rule gives its zeros in distinct form
-    (``DistinctZeros``: frostman_fast has 35 distinct zeros in 10^5, formed
-    with no 10^5-element complex array), and each block of ANGULAR_BLOCK
-    distinct zeros has its terms weighted by their multiplicities."""
+    One loop adds the pairwise row sums of ``_poisson_terms`` over slices of
+    ANGULAR_BLOCK zeros to the running sums.  A rule in ``BARE_RULES`` forms
+    its zeros and their ``exact_defects`` four slices at a time
+    (``_bare_blocks``), so the working memory is bounded whatever J is.  Any
+    other rule gives its zeros in distinct form (``DistinctZeros``: 35 for
+    10^5 frostman_fast zeros, with no 10^5-element complex array), each
+    one's terms weighted by its multiplicity."""
     if J < 1:
         raise ValueError("J must be >= 1")
     angles = np.asarray(grid, dtype=float)
@@ -863,17 +866,18 @@ def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int) -> np.ndar
         raise ValueError("empty grid")
     x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
     if seq.kind in BARE_RULES:
-        count, blocks = J, ((zeros, None) for zeros in _bare_blocks(seq, J, ANGULAR_BLOCK))
+        count, blocks = J, ((zeros, None) for zeros in _bare_blocks(seq, J, 4 * ANGULAR_BLOCK))
     else:
         lam = distinct_zeros(seq, J)
-        count, weights = len(lam.distinct), lam.counts.astype(float)
-        blocks = ((lam.distinct[start:start + ANGULAR_BLOCK], weights[start:start + ANGULAR_BLOCK])
-                  for start in range(0, count, ANGULAR_BLOCK))
+        count, blocks = len(lam.distinct), [(lam.distinct, lam.counts.astype(float))]
     sums = np.zeros(len(angles))
     buf = np.empty((2, len(angles), min(ANGULAR_BLOCK, count)))
     for zeros, multiplicities in blocks:
-        terms = _poisson_terms(x, y, zeros, buf[:, :, :len(zeros)])
-        if multiplicities is not None:
-            terms *= multiplicities
-        sums += terms.sum(axis=1)
+        defects = exact_defects(zeros)
+        for start in range(0, len(zeros), ANGULAR_BLOCK):
+            part = slice(start, start + ANGULAR_BLOCK)
+            terms = _poisson_terms(x, y, zeros[part], defects[part], buf[:, :, :len(defects[part])])
+            if multiplicities is not None:
+                terms *= multiplicities[part]
+            sums += terms.sum(axis=1)
     return sums

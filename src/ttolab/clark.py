@@ -4,8 +4,9 @@ The boundary phase of a finite Blaschke product is strictly increasing with
 total increase 2*pi*N, so the level set B = alpha consists of exactly N
 circle points.  Those points are phase nodes (``blaschke.phase_nodes``, the
 inverse of the closed-form phase at equispaced levels); this module turns
-them into the atomic Clark measures with weights 1/|B'|, one alpha or a whole
-grid of alphas per phase inversion.
+them into the atomic Clark measures with weights 1/|B'|, one alpha
+(``clark_measure``) or the rows of a whole grid of alphas (``clark_rows``)
+per phase inversion.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import TWO_PI, FiniteBlaschke, PhaseFunction, RuleParam, _checked_param, phase_nodes
+from .blaschke import TWO_PI, FiniteBlaschke, PhaseFunction, RuleParam, _checked_param, circle_grid, phase_nodes
 from .quadrature import IntegralResult, QuadratureConfig, integrate_circle, phase_doubling
 
 
@@ -45,9 +46,9 @@ class ClarkMeasure:
     """Atomic spectral measure of the Clark unitary at parameter alpha.
 
     Exactly N atoms (zeta_k, w_k) with w_k = 1/|B'(zeta_k)|, sorted by angle.
-    For B vanishing at 0 the weights sum to 1.  A measure built on its own
-    checks its atoms and mass on construction; ``clark_measures`` checks a
-    whole alpha grid at once.
+    For B vanishing at 0 the weights sum to 1.  Construction checks the atoms
+    and the mass; a whole alpha grid comes as rows of arrays (``clark_rows``),
+    checked at once, with no measure objects.
     """
 
     blaschke: FiniteBlaschke
@@ -62,14 +63,6 @@ class ClarkMeasure:
         _check_measures(PhaseFunction(B), np.array([self.alpha]), np.asarray(self.atom_angles)[None],
                         np.asarray(self.weights)[None])
 
-    @classmethod
-    def _checked(cls, B: FiniteBlaschke, alpha: complex, atom_angles: np.ndarray,
-                 weights: np.ndarray) -> "ClarkMeasure":
-        """A measure whose row ``_check_measures`` has passed."""
-        mu = object.__new__(cls)
-        mu.__dict__.update(blaschke=B, alpha=alpha, atom_angles=atom_angles, weights=weights)
-        return mu
-
     @property
     def atoms(self) -> np.ndarray:
         return np.exp(1j * self.atom_angles)
@@ -78,29 +71,24 @@ class ClarkMeasure:
         return float(self.weights.sum())
 
 
-def _measures(B: FiniteBlaschke, alphas: list, offset: float = 0.0) -> list[ClarkMeasure]:
-    """The Clark measures at alphas, alpha_j = e^{2 pi i (j + offset)/count}
-    for count = len(alphas): rows of atoms in [0, 2 pi), increasing, and
-    weights 1/Theta' = 1/|B'| from one solve (``phase_nodes``), checked at
-    once through the same phase."""
-    count = len(alphas)
-    phase = PhaseFunction(B)
-    nodes, slopes = phase_nodes(phase, count, offset)
-    atoms = np.mod(nodes, TWO_PI).reshape(-1, count).T
+def _rows(phase: PhaseFunction, count: int, offset: float = 0.0) -> tuple:
+    """The nodes of ``phase_nodes(phase, count, offset)`` as count rows, row j
+    the atoms of the Clark measure at alpha_j = e^{2 pi i (j + offset)/count}:
+    their angles in [0, 2 pi), increasing, and Theta' and the residual at each."""
+    nodes, slopes, residuals = (a.reshape(-1, count).T for a in phase_nodes(phase, count, offset))
+    atoms = np.mod(nodes, TWO_PI)
     order = np.argsort(atoms, axis=1)
-    atoms = np.take_along_axis(atoms, order, axis=1)
-    weights = np.take_along_axis(1.0 / slopes.reshape(-1, count).T, order, axis=1)
-    _check_measures(phase, np.array(alphas), atoms, weights)
-    return [ClarkMeasure._checked(B, alpha, atoms[j], weights[j]) for j, alpha in enumerate(alphas)]
+    return tuple(np.take_along_axis(a, order, axis=1) for a in (atoms, slopes, residuals))
 
 
 def clark_measure(B: FiniteBlaschke, alpha: complex) -> ClarkMeasure:
     """The Clark measure at alpha: one level per winding, offset to the
-    argument of alpha, on the path of ``clark_measures``."""
+    argument of alpha, checked on construction."""
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-9:
         raise ValueError("alpha must be unimodular")
-    return _measures(B, [alpha], (math.atan2(alpha.imag, alpha.real) % TWO_PI) / TWO_PI)[0]
+    (atoms,), (slopes,), _ = _rows(PhaseFunction(B), 1, (math.atan2(alpha.imag, alpha.real) % TWO_PI) / TWO_PI)
+    return ClarkMeasure(B, alpha, atoms, 1.0 / slopes)
 
 
 def clark_support(B: FiniteBlaschke, alpha: complex) -> np.ndarray:
@@ -108,12 +96,18 @@ def clark_support(B: FiniteBlaschke, alpha: complex) -> np.ndarray:
     return clark_measure(B, alpha).atom_angles
 
 
-def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:
+def clark_rows(B: FiniteBlaschke, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Clark measures at the count-th roots of unity, alpha_j = e^{2 pi i j/count},
-    from one phase inversion and one level-set and mass check of all their
-    atoms, the weights 1/Theta' from that solve: no |B'| pass."""
-    angles = TWO_PI * np.arange(count) / count
-    return _measures(B, [complex(math.cos(a), math.sin(a)) for a in angles])
+    as (count x N) rows: atom angles in [0, 2 pi), increasing, B there
+    (alpha_j e^{i residual}) and the weights 1/Theta' = 1/|B'|, from one
+    phase inversion (``phase_nodes``) and one level-set and mass check of
+    every row (``_check_measures``): no |B'| pass."""
+    phase = PhaseFunction(B)
+    atoms, slopes, residuals = _rows(phase, count)
+    alphas = np.exp(1j * circle_grid(count))
+    weights = 1.0 / slopes
+    _check_measures(phase, alphas, atoms, weights)
+    return atoms, alphas[:, None] * np.exp(1j * residuals), weights
 
 
 #: the largest alpha grid of ``disintegration_check``

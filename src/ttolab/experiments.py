@@ -24,7 +24,7 @@ from .blaschke import (
     circle_grid,
     phase_nodes,
 )
-from .clark import ALPHA_COUNT, clark_measures
+from .clark import ALPHA_COUNT, clark_rows
 from .operators import (
     OperatorMatrix,
     ScalarFunction,
@@ -153,7 +153,7 @@ def angular_condition_a(cfg: ExperimentConfig) -> list[dict]:
     out = []
     for N in cfg.n_values:
         B = FiniteBlaschke.from_sequence(cfg.sequence, N)
-        vals = np.sort([mu.weights.max() for mu in clark_measures(B, cfg.alpha_count)])
+        vals = np.sort(clark_rows(B, cfg.alpha_count)[2].max(axis=1))
         # the median as np.median forms it, which would import numpy.ma
         mid = len(vals) // 2
         median = vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
@@ -207,9 +207,9 @@ def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     sum |phi - E_N phi|^2 + (alpha_count ||T||_HS^2 - sum |E_N phi|^2); this
     split keeps a constant symbol's lhs exactly 0.  E_N phi at the atoms comes
     from the shift moments for a trig symbol (``fejer_trig_values``) and, one
-    measure at a time so that temporaries stay N x N, from the built T(phi)
-    for a sampled one (``fejer_values``); both take B = alpha and |B'| = 1/w
-    at the atoms from their measure.
+    alpha at a time so that temporaries stay N x N, from the built T(phi)
+    for a sampled one (``fejer_values``); both take B and |B'| = 1/w at the
+    atoms from the rows of the phase solve (``clark_rows``).
 
     The rhs is the same quantity through the averaging operator, the integral
     of conj(phi)(phi - E_N phi) against the mean harmonic measure, taken in
@@ -222,15 +222,12 @@ def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
     for N in cfg.n_values:
         B = FiniteBlaschke.from_sequence(cfg.sequence, N)
         T = build_truncated_toeplitz(B, sym, cfg.quadrature)
-        measures = clark_measures(B, cfg.alpha_count)
-        atoms = np.concatenate([mu.atom_angles for mu in measures])
+        atoms, b, weights = clark_rows(B, cfg.alpha_count)
         if sym.is_trig:
-            alphas = np.repeat([mu.alpha for mu in measures], N)
-            slopes = 1.0 / np.concatenate([mu.weights for mu in measures])
-            (values,), (averages,) = fejer_trig_values(B, [sym], atoms, alphas, slopes)
+            (values,), (averages,) = fejer_trig_values(B, [sym], atoms.ravel(), b.ravel(), 1.0 / weights.ravel())
         else:
-            values = np.asarray(sym.evaluate(atoms))
-            averages = np.concatenate([fejer_values(B, T, mu.atom_angles, 1.0 / mu.weights) for mu in measures])
+            values = np.asarray(sym.evaluate(atoms.ravel()))
+            averages = np.concatenate([fejer_values(B, T, row, 1.0 / w) for row, w in zip(atoms, weights)])
         hs_sq = np.vdot(T.matrix, T.matrix).real
         total = (np.sum(np.abs(values - averages) ** 2)
                  + (cfg.alpha_count * hs_sq - np.sum(np.abs(averages) ** 2)))
@@ -318,13 +315,14 @@ def _fejer_sums(B: FiniteBlaschke, symbols: list, nodes: tuple) -> tuple:
 def _fejer_row(phase: PhaseFunction, count: int, symbols: list, probe_angles: np.ndarray) -> dict:
     """One degree of ``fejer_suite`` on the phase nodes of count levels per
     winding: symbols are the trials, then the Lipschitz symbol.  B at node k
-    is its level e^{2 pi i k/count} and |B'| the solve's Theta'; at the probe
-    angles both come from the phase.  One block of nodes is held at a time."""
+    is its level e^{2 pi i k/count} times e^{i residual} and |B'| the solve's
+    Theta'; at the probe angles both come from the phase.  One block of nodes
+    is held at a time."""
     B = phase.blaschke
-    angles, slopes = phase_nodes(phase, count)
+    angles, slopes, residuals = phase_nodes(phase, count)
     n = len(angles)
     levels = np.tile(np.exp(1j * circle_grid(count)), B.degree)
-    sq_avg, sq_val, gap = _fejer_sums(B, symbols, (angles, levels, slopes))
+    sq_avg, sq_val, gap = _fejer_sums(B, symbols, (angles, levels * np.exp(1j * residuals), slopes))
     probe = np.empty((2, len(probe_angles)))
     phase(probe_angles, probe)
     probe_f, probe_e = fejer_trig_values(B, symbols[-1:], probe_angles, phase.product(probe_angles), probe[0])

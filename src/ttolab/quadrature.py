@@ -149,7 +149,7 @@ def phase_doubling(B: FiniteBlaschke, level_sum: Callable, levels: int, cfg: Qua
     solved = []  # each level's nodes bracket the next
 
     def level(count, offset):
-        return level_sum(*phase_nodes(phase, count // N, offset, solved))
+        return level_sum(*phase_nodes(phase, count // N, offset, solved)[:2])
 
     return doubling(level, N * levels, cfg, limit)
 

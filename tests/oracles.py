@@ -4,8 +4,8 @@ from sines of the angle differences, the arctan2 lift of the boundary phase,
 the kernel average of a function by circle quadrature, the Poisson integral,
 the Clark unitary as a rank-one perturbation of the compressed shift, the
 defect I - SS*, the basis samples from one pass per zero, the kernel
-coefficients of the basis, the Hilbert-Schmidt lemma's lhs from Clark
-spectral sums, T(1/|B'|) from the Clark atoms and by 50-digit quadrature,
+coefficients of the basis, the Clark measures of an alpha grid as objects,
+the Hilbert-Schmidt lemma's lhs from Clark spectral sums, T(1/|B'|) from the Clark atoms and by 50-digit quadrature,
 the Hilbert-Schmidt and operator norms, the per-zero loops of two zero
 rules, and the angular sums from the expanded zero list, folded by sorting.
 The library takes these quantities in closed form, from tangents of half
@@ -28,7 +28,7 @@ from ttolab.blaschke import (
     generate_zeros,
     tmw_matrix,
 )
-from ttolab.clark import clark_measures
+from ttolab.clark import ClarkMeasure, clark_rows
 from ttolab.operators import (
     OperatorMatrix,
     build_clark_spectral,
@@ -128,6 +128,14 @@ def tmw_kernel_coeffs(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     return np.conj(tmw_matrix(B, angles))
 
 
+def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:
+    """The Clark measures at the count-th roots of unity as objects, one per
+    row of ``clark_rows``, each checked again on construction."""
+    atoms, _, weights = clark_rows(B, count)
+    return [ClarkMeasure(B, complex(math.cos(a), math.sin(a)), row, w)
+            for a, row, w in zip(TWO_PI * np.arange(count) / count, atoms, weights)]
+
+
 def hs_lhs_reference(cfg) -> list[float]:
     """The lhs of ``hs_approx_gap`` from Clark spectral sums: per degree, the
     sum over the alpha grid of ||T(phi) - (Clark functional calculus of
@@ -154,9 +162,7 @@ def inverse_derivative_from_clark(B: FiniteBlaschke, rtol: float = 1e-13) -> np.
     from L = 8 until two grids agree to rtol max|T|."""
     prev, L = None, 8
     while True:
-        measures = clark_measures(B, L)
-        atoms = np.concatenate([mu.atom_angles for mu in measures])
-        w = np.concatenate([mu.weights for mu in measures])
+        atoms, _, w = (a.ravel() for a in clark_rows(B, L))
         E = tmw_matrix(B, atoms)
         T = (E.conj().T * (w * w)) @ E / L
         if prev is not None and np.abs(T - prev).max() <= rtol * np.abs(T).max():

@@ -21,13 +21,14 @@ from ttolab.blaschke import (
     phase_nodes,
     tmw_matrix,
 )
-from ttolab.clark import PhaseFunction, clark_measure, clark_measures
+from ttolab.clark import PhaseFunction, clark_measure
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
 from oracles import (
     abs_derivative_boundary,
     alternating_3k_loop,
     angular_sums_reference,
+    clark_measures,
     eval_blaschke,
     eval_blaschke_grid,
     half_angle,
@@ -296,8 +297,8 @@ class CountingPhase(PhaseFunction):
 
 
 class RecordingPhase(PhaseFunction):
-    """PhaseFunction that keeps the angles and Theta' of every call that asks
-    for derivatives."""
+    """PhaseFunction that keeps the angles, Theta' and Theta of every call
+    that asks for derivatives."""
 
     def __init__(self, B):
         super().__init__(B)
@@ -306,7 +307,7 @@ class RecordingPhase(PhaseFunction):
     def __call__(self, angles, derivs=None):
         out = super().__call__(angles, derivs)
         if derivs is not None:
-            self.calls.append((np.array(angles, dtype=float), derivs[0].copy()))
+            self.calls.append((np.array(angles, dtype=float), derivs[0].copy(), out.copy()))
         return out
 
 
@@ -327,7 +328,7 @@ class TestInvertPhase:
         B = edge_blaschke
         phase = PhaseFunction(B)
         count = 8
-        nodes, _ = phase_nodes(phase, count)
+        nodes, _, _ = phase_nodes(phase, count)
         targets = phase_levels(phase, count)
         derivs = np.empty((2, len(nodes)))
         err = np.abs(phase(nodes, derivs) - targets)
@@ -395,19 +396,22 @@ class TestInvertPhase:
         lambda: near_circle_pairs(64, 1e-14),
     ], ids=["frostman_fast-128", "near_circle_pairs-64", "pairs_1e-14-64"])
     def test_slope_is_that_of_the_accepting_evaluation(self, make):
-        # Theta' at each node is the one the solve evaluated at exactly that
-        # angle: a target stops at the evaluation that accepts it, on every
-        # exit (the 1e-15 bracket exit too, 1 node of 512 at 1 - 1e-14 for
-        # pairs, N = 64), and its angle does not move after it.  A fresh
+        # Theta' and the residual Theta - level at each node are those the
+        # solve evaluated at exactly that angle: a target stops at the
+        # evaluation that accepts it, on every exit (the 1e-15 bracket exit
+        # too, 1 node of 512 at 1 - 1e-14 for pairs, N = 64), and its angle
+        # does not move after it.  A fresh
         # evaluation of all nodes agrees to the rounding of the D-term row
         # sum, which BLAS orders by the row's place in the call
         B = make()
         phase = RecordingPhase(B)
-        nodes, slopes = phase_nodes(phase, 8)
+        nodes, slopes, residuals = phase_nodes(phase, 8)
         last = {}
-        for angles, slope in phase.calls:
-            last.update(zip(angles.tolist(), slope.tolist()))
-        assert np.array_equal(slopes, [last[x] for x in nodes.tolist()])
+        for angles, slope, value in phase.calls:
+            last.update(zip(angles.tolist(), zip(slope.tolist(), value.tolist())))
+        accepted = np.array([last[x] for x in nodes.tolist()])
+        assert np.array_equal(slopes, accepted[:, 0])
+        assert np.array_equal(residuals, accepted[:, 1] - phase_levels(phase, 8))
         fresh = np.empty((2, len(nodes)))
         phase(nodes, fresh)
         assert np.all(np.abs(slopes - fresh[0]) <= len(phase._r) * np.finfo(float).eps * fresh[0])
@@ -419,7 +423,7 @@ class TestInvertPhase:
         B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 1024)
         phase = RecordingPhase(B)
         phase_nodes(phase, 32)
-        sizes = [len(angles) for angles, _ in phase.calls]
+        sizes = [len(angles) for angles, *_ in phase.calls]
         assert 32 * 1024 // blaschke.PHASE_TARGETS == 8
         assert len(sizes) > 8 and min(sizes) > 0
 
@@ -456,8 +460,8 @@ class TestInvertPhase:
         tol = max(1e-13, 2e-15 * B.degree)
         solved = []
         for count, offset in ((4, 0.0), (4, 0.5), (8, 0.5), (16, 0.5)):
-            nodes, slopes = phase_nodes(phase, count, offset, solved)
-            fresh, fresh_slopes = phase_nodes(PhaseFunction(B), count, offset)
+            nodes, slopes, _ = phase_nodes(phase, count, offset, solved)
+            fresh, fresh_slopes, _ = phase_nodes(PhaseFunction(B), count, offset)
             assert np.all(np.abs(nodes - fresh) <= 2 * tol / fresh_slopes + 4e-15)
             derivs = np.empty((2, len(nodes)))
             phase(nodes, derivs)
@@ -476,13 +480,13 @@ class TestInvertPhase:
         phase.bracket_scan()
         tracemalloc.start()
         try:
-            nodes, slopes = phase_nodes(phase, 2048)
+            nodes, slopes, _ = phase_nodes(phase, 2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(nodes) == 65536 and peak < 6 * 2 ** 20
         monkeypatch.setattr(blaschke, "PHASE_TARGETS", 1 << 30)
-        whole, whole_slopes = phase_nodes(phase, 2048)
+        whole, whole_slopes, _ = phase_nodes(phase, 2048)
         tol = max(1e-13, 2e-15 * B.degree)
         assert np.all(np.abs(nodes - whole) <= 2 * tol / whole_slopes + 4e-15)
 
@@ -539,7 +543,7 @@ class TestPhaseNodesHighPrecision:
         B = MP_NEAR_CIRCLE[name]()
         phase = PhaseFunction(B)
         count = 4
-        nodes, _ = phase_nodes(phase, count)
+        nodes, _, _ = phase_nodes(phase, count)
         tol = max(1e-13, 2e-15 * B.degree)
         with mp.workdps(50):
             theta, slope = mp_phase(B, mp)
@@ -585,7 +589,7 @@ class TestPhaseSeam:
         mp = pytest.importorskip("mpmath").mp
         B = near_circle_pairs(N)
         phase = PhaseFunction(B)
-        nodes, _ = phase_nodes(phase, 8)
+        nodes, _, _ = phase_nodes(phase, 8)
         near = nodes[(nodes < 1e-3) | (nodes > 2 * np.pi - 1e-3)]
         assert np.sum(near > np.pi) >= 4 and np.sum(near < np.pi) >= 4
         derivs = np.empty((2, len(near)))
@@ -607,7 +611,7 @@ class TestPhaseSeam:
         mp = pytest.importorskip("mpmath").mp
         B = FiniteBlaschke(np.array([0, (1 - 1e-10) * np.exp(1j * psi), (1 - 1e-10) * np.exp(-1j * psi)]))
         phase = PhaseFunction(B)
-        nodes, _ = phase_nodes(phase, 64)
+        nodes, _, _ = phase_nodes(phase, 64)
         th = np.concatenate((nodes, -nodes[nodes < 1e-3]))
         derivs = np.empty((2, len(th)))
         values = phase(th, derivs)
@@ -836,7 +840,7 @@ def tmw_angles(B):
     phase nodes of z^N B as the sampled build uses them."""
     psi = np.mod(np.angle(B.zeros), 2 * np.pi)
     Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(B.degree, dtype=complex))))
-    nodes, _ = phase_nodes(PhaseFunction(Z), max(1, 512 // B.degree))
+    nodes, _, _ = phase_nodes(PhaseFunction(Z), max(1, 512 // B.degree))
     return np.concatenate((circle_grid(257, offset=0.13), psi, psi + 1e-9, nodes[:1024]))
 
 
@@ -998,8 +1002,8 @@ class TestAngularPartialSums:
         assert sums.min() > 1e3
 
     def test_dense_memory_does_not_grow_with_term_count(self):
-        # the zeros come from the rule one block at a time: the traced peak
-        # is about 1.2 MiB at both term counts, where forming all J zeros
+        # the zeros come from the rule four blocks at a time: the traced peak
+        # is about 1.9 MiB at both term counts, where forming all J zeros
         # first peaked at 6.3 and 46 MiB
         grid, peaks = circle_grid(64, offset=0.5), []
         for J in (10 ** 5, 10 ** 6):

@@ -17,7 +17,7 @@ from ttolab.clark import (
     ClarkMeasure,
     PhaseFunction,
     clark_measure,
-    clark_measures,
+    clark_rows,
     clark_support,
     disintegration_check,
 )
@@ -30,7 +30,7 @@ from ttolab.operators import (
 )
 from ttolab.quadrature import nu_integral
 
-from oracles import build_clark_unitary, eval_blaschke_grid, op_norm, phase_lift, tmw_kernel_coeffs
+from oracles import build_clark_unitary, clark_measures, eval_blaschke_grid, op_norm, phase_lift, tmw_kernel_coeffs
 
 
 def random_blaschke(n, seed=0, rmax=0.9):
@@ -270,17 +270,17 @@ class TestClarkWeightsFromSolve:
 
 
 class TestClarkMeasuresGridCheck:
-    """``clark_measures`` checks all 32 measures of its grid at once; one bad
-    atom or weight of one alpha raises the error that checking each measure
-    on its own raised."""
+    """``clark_rows`` checks all 32 rows of its grid at once; one bad atom or
+    weight of one alpha raises the error that checking each measure on its
+    own raised."""
 
     COUNT = 32
 
     def corrupted_grid(self, monkeypatch, B, atom_rows=(), weight_rows=()):
-        """Feed clark_measures nodes with one atom of each of atom_rows moved
+        """Feed clark_rows nodes with one atom of each of atom_rows moved
         by 1e-3, and Theta' = |B'| doubled at the sixth atom (by angle) of
         each of weight_rows; return the atoms and weights it then forms."""
-        nodes, slopes = phase_nodes(PhaseFunction(B), self.COUNT)
+        nodes, slopes, residuals = phase_nodes(PhaseFunction(B), self.COUNT)
         nodes, slopes = nodes.copy(), slopes.copy()
         for row in atom_rows:
             nodes[3 * self.COUNT + row] += 1e-3  # column row: alpha_row
@@ -288,7 +288,7 @@ class TestClarkMeasuresGridCheck:
         order = np.argsort(columns, axis=0)
         for row in weight_rows:
             slopes[order[5, row] * self.COUNT + row] *= 2.0
-        monkeypatch.setattr(clark, "phase_nodes", lambda phase, count, offset: (nodes, slopes))
+        monkeypatch.setattr(clark, "phase_nodes", lambda phase, count, offset: (nodes, slopes, residuals))
         atoms = np.take_along_axis(columns, order, axis=0).T.copy()
         weights = 1.0 / np.take_along_axis(slopes.reshape(B.degree, self.COUNT), order, axis=0).T
         return atoms, weights
@@ -305,14 +305,12 @@ class TestClarkMeasuresGridCheck:
         kind = "level-set" if min(atom_rows, default=99) <= min(weight_rows, default=99) else "total mass"
         assert expected.startswith(kind)
         with pytest.raises(ValueError) as err:
-            clark_measures(B, self.COUNT)
+            clark_rows(B, self.COUNT)
         assert str(err.value) == expected
 
     def test_clean_grid_passes_both_checks(self):
         B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 40)
-        measures = clark_measures(B, self.COUNT)
-        atoms = np.array([mu.atom_angles for mu in measures])
-        weights = np.array([mu.weights for mu in measures])
+        atoms, _, weights = clark_rows(B, self.COUNT)
         assert per_measure_error(B, atoms, weights) is None
 
     def test_measure_on_its_own_is_checked(self):
@@ -361,6 +359,23 @@ class TestPhaseNodes:
         for mu in measures:
             assert np.all(np.diff(mu.atom_angles) >= 0)
             assert circular_gap(mu.atom_angles, clark_support(B, mu.alpha)) < 1e-12
+
+    def test_clark_rows_match_clark_measure(self, edge_blaschke):
+        # row j holds the atoms of the measure at alpha_j = i^j, solved there
+        # on their own, and their weights (measured: the same atoms, weights
+        # within 1.3e-15 relative); B there is the product's to the rounding
+        # of Theta (3.4e-13 at N = 256), far closer than the level alpha_j
+        # next to a spike
+        B = edge_blaschke
+        atoms, b, weights = clark_rows(B, 4)
+        assert atoms.shape == b.shape == weights.shape == (4, B.degree)
+        for j, alpha in enumerate([1, 1j, -1, -1j]):
+            mu = clark_measure(B, alpha)
+            assert circular_gap(atoms[j], mu.atom_angles) < 1e-12
+            nearest = np.abs(np.angle(np.exp(1j * (atoms[j][:, None] - mu.atom_angles)))).argmin(axis=1)
+            assert weights[j] == pytest.approx(mu.weights[nearest], rel=1e-14, abs=0)
+        bound = 4 * np.finfo(float).eps * 2 * np.pi * B.degree
+        assert np.abs(b - PhaseFunction(B).product(atoms)).max() <= bound
 
     def test_nu_integral_matches_closed_form(self, edge_blaschke):
         B = edge_blaschke

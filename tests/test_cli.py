@@ -430,6 +430,16 @@ alpha_count = 8
         assert main(["disintegrate", "--zeros", "0,0.5"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_kinked_symbol_leaves_only_the_alpha_average_unconverged(self, capsys):
+        # the alpha average of abs_sin closes in by a factor 4 per doubling
+        # (3.9e-8 off at MAX_ALPHA = 4096 alphas), while the rhs, on a grid
+        # that holds the kinks, converges: exit 0 and one WARN line
+        assert main(["disintegrate", "--zeros", "0,0.5", "--symbol", "abs_sin"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "WARN: disintegrate N=2 converged = 0\n"
+        result = json.loads(captured.out)
+        assert result["converged"] is False and result["rhs_converged"] is True
+
     def test_unconverged_disintegration_rhs_warns(self, capsys, monkeypatch):
         # 512 points at most leave the circle integral of abs_sin, the rhs,
         # unconverged (2.4e-5 estimated): the JSON and a WARN line say so

@@ -805,15 +805,15 @@ class TestFejerTrigValues:
         symbols.append(SymbolRep.trig({1: 0.5, -1: 0.5, 3: 0.25j, -3: -0.25j}))  # real, Lipschitz
         # a uniform grid plus phase nodes, which crowd next to near-circle
         # zeros: B and |B'| at the grid from the phase, at the nodes their
-        # levels and the solve's Theta'
+        # levels times e^{i residual} and the solve's Theta'
         phase = PhaseFunction(B)
         grid = circle_grid(2049, offset=0.37)
         grid_derivs = np.empty((2, len(grid)))
         phase(grid, grid_derivs)
-        nodes, node_slopes = phase_nodes(phase, 4)
+        nodes, node_slopes, residuals = phase_nodes(phase, 4)
         angles = np.concatenate((grid, nodes))
-        levels = np.concatenate((phase.product(grid), np.tile(np.exp(1j * circle_grid(4)), B.degree)))
-        values, averages = fejer_trig_values(B, symbols, angles, levels,
+        levels = np.tile(np.exp(1j * circle_grid(4)), B.degree) * np.exp(1j * residuals)
+        values, averages = fejer_trig_values(B, symbols, angles, np.concatenate((phase.product(grid), levels)),
                                              np.concatenate((grid_derivs[0], node_slopes)))
         assert values.shape == averages.shape == (len(symbols), len(angles))
         ref_values = np.array([sym.evaluate(angles) for sym in symbols])

@@ -11,7 +11,6 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from ttolab.blaschke import RADIUS_CAP, FiniteBlaschke, ZeroSequence, circle_grid  # noqa: E402
-from ttolab.clark import clark_measures  # noqa: E402
 from ttolab.experiments import ExperimentConfig, hs_approx_gap  # noqa: E402
 from ttolab.operators import (  # noqa: E402
     SymbolRep,
@@ -20,7 +19,7 @@ from ttolab.operators import (  # noqa: E402
     trace_formula_rhs,
 )
 
-from oracles import build_clark_unitary, hs_lhs_reference, rank_one_defect  # noqa: E402
+from oracles import build_clark_unitary, clark_measures, hs_lhs_reference, rank_one_defect  # noqa: E402
 
 
 @st.composite
