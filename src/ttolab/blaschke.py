@@ -96,57 +96,31 @@ def _van_der_corput(j: np.ndarray) -> np.ndarray:
 
 
 class DistinctZeros:
-    """A zero list in distinct form: ``distinct`` holds each distinct zero
-    once, sorted as ``np.unique`` sorts complex values, ``counts`` their
-    multiplicities and ``which`` the index of each zero's distinct zero, so
-    that zeros == distinct[which].  ``zeros`` is the list itself: the one it
-    was folded from (``fold``), else distinct[which]."""
+    """A zero list in distinct form.  The zeros are values[index], or
+    ``values`` itself, as given, when index is None.  ``distinct`` holds each
+    distinct zero once, sorted as ``np.unique`` sorts complex values,
+    ``counts`` their multiplicities and ``which`` the index of each zero's
+    distinct zero, so that zeros == distinct[which].  All three come from one
+    ``np.unique`` of ``values`` when a part is first read; ``which`` is then
+    written over an index array, and ``values`` becomes ``distinct``."""
 
-    __slots__ = ("distinct", "counts", "which", "_zeros")
+    __slots__ = ("values", "index", "distinct", "counts", "which")
 
-    def __init__(self, distinct: np.ndarray, counts: np.ndarray, which: np.ndarray):
-        self.distinct, self.counts, self.which, self._zeros = distinct, counts, which, None
-
-    @staticmethod
-    def fold(zeros: np.ndarray) -> "DistinctZeros":
-        """The distinct form of a bare zero array, by ``np.unique`` when a part is first read."""
-        folded = object.__new__(DistinctZeros)
-        folded._zeros = zeros
-        return folded
+    def __init__(self, values: np.ndarray, index: np.ndarray | None = None):
+        self.values, self.index = values, index
 
     def __getattr__(self, name: str):
-        if name not in ("distinct", "counts", "which"):  # only the unread parts of a folded list
+        if name not in ("distinct", "counts", "which"):  # only the unread parts
             raise AttributeError(name)
-        self.distinct, self.which, self.counts = np.unique(self._zeros, return_inverse=True, return_counts=True)
+        self.distinct, self.which, self.counts = np.unique(self.values, return_inverse=True, return_counts=True)
+        if self.index is not None:  # mode="clip" takes in place, with no buffer
+            self.values, self.which = self.distinct, np.take(self.which, self.index, out=self.index, mode="clip")
+            self.counts = np.bincount(self.which, minlength=len(self.distinct))
         return getattr(self, name)
-
-    @staticmethod
-    def runs(values: np.ndarray, lengths: np.ndarray) -> "DistinctZeros":
-        """The distinct form of the zeros values[0] repeated lengths[0] times,
-        then values[1] repeated lengths[1] times, and so on (every length
-        positive): only the run values are folded."""
-        folded = DistinctZeros.fold(values)
-        counts = np.zeros(len(folded.distinct), dtype=np.intp)
-        np.add.at(counts, folded.which, lengths)
-        return DistinctZeros(folded.distinct, counts, np.repeat(folded.which, lengths))
-
-    @staticmethod
-    def cycle(head: np.ndarray, start: int, count: int) -> "DistinctZeros":
-        """The distinct form of the first count zeros of head, then
-        head[start:], head[start:], ...: only the head is folded."""
-        folded = DistinctZeros.fold(head)
-        period = len(head) - start
-        reps = -(-(count - len(head)) // period) if count > len(head) else 0
-        which = np.empty(len(head) + reps * period, dtype=np.intp)
-        which[:len(head)] = folded.which
-        if reps:
-            which[len(head):].reshape(reps, period)[:] = folded.which[start:]
-        which = which[:count]
-        return DistinctZeros(folded.distinct, np.bincount(which, minlength=len(folded.distinct)), which)
 
     @property
     def zeros(self) -> np.ndarray:
-        return self.distinct[self.which] if self._zeros is None else self._zeros
+        return self.values if self.index is None else self.values[self.index]
 
 
 def _checked_param(kind: str, name: str, value, param: RuleParam):
@@ -256,20 +230,22 @@ def _bare_blocks(spec: ZeroSequence, count: int, block: int):
 
 
 def distinct_zeros(spec: ZeroSequence, count: int) -> DistinctZeros:
-    """The first ``count`` zeros of the sequence rule in distinct form: in
-    closed form from the few distinct zeros of a repeating rule (uniform_zero,
-    alternating_3k, frostman_fast), else folded (``DistinctZeros.fold``).
-    Checked to start at the origin and to lie strictly inside the disk."""
+    """The first ``count`` zeros of the sequence rule as a ``DistinctZeros``:
+    a repeating rule (uniform_zero, alternating_3k, frostman_fast) gives its
+    few distinct values and the index of each zero's value, any other rule
+    its bare zeros.  Checked to start at the origin and to lie strictly
+    inside the disk, from the values and the first zero: nothing is folded
+    until a part of the distinct form is read."""
     if count < 1:
         raise ValueError("count must be >= 1")
     kind, p = spec.kind, spec.params
 
     if kind in BARE_RULES:
         lam, = _bare_blocks(spec, count, count)
-        return DistinctZeros.fold(lam)
+        return DistinctZeros(lam)
 
     if kind == "uniform_zero":
-        lam = DistinctZeros.runs(np.zeros(1, dtype=complex), [count])
+        lam = DistinctZeros(np.zeros(1, dtype=complex), np.zeros(count, dtype=np.intp))
 
     elif kind == "alternating_3k":
         # block rule: indices 3^{k-1} < j <= 3^k carry +lam for odd k,
@@ -280,32 +256,36 @@ def distinct_zeros(spec: ZeroSequence, count: int) -> DistinctZeros:
             values.append(p["lam"] if k % 2 == 1 else -p["lam"])
             ends.append(min(3 ** k + 1, count))
             k += 1
-        lam = DistinctZeros.runs(np.array(values, dtype=complex), np.diff(ends, prepend=0))
+        runs = np.repeat(np.arange(len(values)), np.diff(ends, prepend=0))
+        lam = DistinctZeros(np.array(values, dtype=complex), runs)
 
     elif kind == "frostman_fast":
         ndir = p["directions"]
-        # radii grow with j, and (cap + 1)^-4 lies well below 1 - RADIUS_CAP:
-        # from j = cap on every radius is the cap, and zero j repeats zero
-        # cap + (j - cap) % ndir
+        # radii grow with j, and (cap + 1)^-4 lies well below 1 - RADIUS_CAP: from
+        # j = cap on every radius is the cap, and zero j repeats zero cap + (j - cap) % ndir
         cap = int((1.0 - RADIUS_CAP) ** -0.25) + 1
         j = np.arange(min(count, cap + ndir))
         head = np.minimum(1.0 - (j + 1.0) ** -4, RADIUS_CAP) * np.exp(1j * (TWO_PI * (j % ndir) / ndir))
-        lam = DistinctZeros.cycle(head, cap, count)
+        index = np.arange(-cap, count - cap)
+        np.remainder(index[cap:], ndir, out=index[cap:])
+        index += cap
+        lam = DistinctZeros(head, index)
 
     else:  # explicit: ZeroSequence admits no other kind
         pts = np.asarray(spec.explicit_zeros, dtype=complex)
         if len(pts) < count:
             raise ValueError(f"explicit sequence has {len(pts)} zeros, {count} requested")
-        lam = DistinctZeros.fold(pts[:count].copy())
+        lam = DistinctZeros(pts[:count].copy())
 
-    _check_zeros(lam.distinct[lam.which[:1]], True)
-    _check_zeros(lam.distinct, False)
+    _check_zeros(lam.values[:1] if lam.index is None else lam.values[lam.index[:1]], True)
+    _check_zeros(lam.values, False)
     return lam
 
 
 def generate_zeros(spec: ZeroSequence, count: int) -> np.ndarray:
-    """The first ``count`` zeros of the sequence rule as one array
-    (``distinct_zeros``; capped at ``RADIUS_CAP``)."""
+    """The first ``count`` zeros of the sequence rule as one array: the
+    ``zeros`` of ``distinct_zeros``, so nothing is folded (capped at
+    ``RADIUS_CAP``)."""
     return distinct_zeros(spec, count).zeros
 
 
@@ -351,8 +331,8 @@ class FiniteBlaschke:
     """Degree-N Blaschke product given by its zero list (first zero at 0).
 
     The product keeps its zeros in distinct form: the ``DistinctZeros`` of a
-    sequence rule (``from_sequence``), or the bare zero list folded by
-    ``DistinctZeros.fold``."""
+    sequence rule (``from_sequence``), else ``DistinctZeros`` of the bare
+    zero list, folded where ``__post_init__`` reads its parts."""
 
     zeros: np.ndarray
     runs: InitVar[DistinctZeros | None] = None
@@ -380,7 +360,7 @@ class FiniteBlaschke:
         # distinct zero, correctly rounded, with p = d/(1 + |lambda|) (1 - |lambda|
         # to rounding) and the kernel norm c = sqrt(d) of each zero
         if runs is None:
-            runs = DistinctZeros.fold(z)
+            runs = DistinctZeros(z)
         uniq, counts, which = runs.distinct + 0.0, runs.counts, runs.which
         defects = exact_defects(uniq)
         object.__setattr__(self, "_distinct", (uniq, counts))

@@ -110,7 +110,8 @@ def clark_rows(B: FiniteBlaschke, count: int) -> tuple[np.ndarray, np.ndarray, n
     return atoms, alphas[:, None] * np.exp(1j * residuals), weights
 
 
-#: the largest alpha grid of ``disintegration_check``
+#: the largest alpha grid of ``disintegration_check`` from a start of at
+#: most MAX_ALPHA/2; a larger start doubles once, so that two grids compare
 MAX_ALPHA = 1 << 12
 
 #: the [sweep] alpha_count, the size of an alpha grid (``disintegration_check`` starts at 16)
@@ -133,7 +134,8 @@ def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = ALPHA_COUNT.de
     plain circle integral of f.
 
     The alpha grid is the alpha_count-th roots of unity, doubled until the
-    average stabilizes to the configured tolerance or would pass MAX_ALPHA.
+    average stabilizes to the configured tolerance or would pass
+    max(MAX_ALPHA, 2 * alpha_count).
     Its Clark atoms are the phase nodes of alpha_count levels per winding,
     each weighted 1/|B'|, so the average is the mean of f * N/|B'| over
     those nodes, |B'| = Theta' from the phase solve.
@@ -142,7 +144,7 @@ def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = ALPHA_COUNT.de
     sample = f if callable(f) else f.evaluate  # a sampler or a symbol
     N = B.degree
     avg = phase_doubling(B, lambda nodes, slopes: np.sum(np.asarray(sample(nodes)) * (N / slopes)),
-                         alpha_count, cfg, limit=MAX_ALPHA * N)
+                         alpha_count, cfg, limit=max(MAX_ALPHA, 2 * alpha_count) * N)
     lhs = complex(avg.value)
     quad = integrate_circle(lambda t: np.asarray(sample(t)), cfg)
     rhs = complex(quad.value)

@@ -236,17 +236,20 @@ def _sequence_from_section(sections: dict) -> ZeroSequence:
     return ZeroSequence(kind, _given(sections, "sequence", read or ()), **seed)  # an unknown tag fails here
 
 
-def _text_from_section(sections: dict, section: str, default_kind: str):
+def _text_from_section(sections: dict, section: str):
     """The symbol or function of a [symbol] or [function] section (None if
-    no text is given).  Its kind (``default_kind`` if unset, 'preset' if a
-    preset is given) names the one text key that it may hold, read by that key's parser."""
+    it gives neither a kind nor a text key).  Its kind (given, else that of
+    the text key present, preset before coeffs) names the one text key that
+    it must hold, read by that key's parser."""
     sec = sections.get(section, {})
-    kind = sec.get("kind", "preset" if "preset" in sec else default_kind)
+    kind = sec.get("kind", "preset" if "preset" in sec else _COEFF_KINDS[section] if "coeffs" in sec else None)
+    if kind is None:
+        return None
     if kind not in ("preset", _COEFF_KINDS[section]):
         raise ConfigError(f"unknown {section}.kind {kind!r}")
     key = "preset" if kind == "preset" else "coeffs"
-    if key == "coeffs" and key not in sec:
-        raise ConfigError(f"{section}.coeffs is required for {kind} {section}s")
+    if key not in sec:
+        raise ConfigError(f"{section}.{key} is required for {kind} {section}s")
     _refuse_unread(sections, section, kind, ("kind", key))
     return _parse_key(sections, section, key)
 
@@ -288,8 +291,10 @@ def parse_config(path: str, overrides: dict | None = None, command: str | None =
     # only the keys given: the library holds the defaults
     try:
         sequence = _sequence_from_section(sections)
-        symbol = _text_from_section(sections, "symbol", "trig") or parse_symbol("cos")
-        function = _text_from_section(sections, "function", "poly" if sections.get("function") else "preset")
+        symbol = _text_from_section(sections, "symbol")
+        if symbol is None:
+            raise ConfigError("a [symbol] section (or --symbol) is required")
+        function = _text_from_section(sections, "function")
         experiment = ExperimentConfig(sequence, symbol, **({} if function is None else {"function": function}),
                                       **_given(sections, "sweep"), **_given(sections, "angular"),
                                       quadrature=_quadrature_from_section(sections))
@@ -463,7 +468,7 @@ def _sweep(args) -> tuple[ExperimentConfig, Run]:
 
 def cmd_operator(args) -> int:
     sections = _flag_sections(args, {"symbol": "c1=1,c-1=1"})
-    B, sym = _blaschke(sections), _text_from_section(sections, "symbol", "trig")
+    B, sym = _blaschke(sections), _text_from_section(sections, "symbol")
     quad = _quadrature_from_section(sections)
     run = Run(args.command, args.out, "operator|" + json.dumps(sections, sort_keys=True))
 
@@ -533,7 +538,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_disintegrate(args) -> int:
     sections = _flag_sections(args, {"symbol": "re_z"})
-    B, sym, sweep = _blaschke(sections), _text_from_section(sections, "symbol", "trig"), _given(sections, "sweep")
+    B, sym, sweep = _blaschke(sections), _text_from_section(sections, "symbol"), _given(sections, "sweep")
     run = Run(args.command)
 
     def work():

@@ -1105,10 +1105,21 @@ class TestDistinctForm:
                              ref._distinct + (ref._which, ref._defects, ref._p, ref._cnorm)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", DISTINCT_RULES)
+    def test_generate_zeros_never_folds(self, monkeypatch, name):
+        # the checks read the rule's values and the first zero: no rule sorts
+        # its zeros to hand back the array
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        for count in DISTINCT_COUNTS:
+            generate_zeros(DISTINCT_RULES[name], count)
+        assert len(calls) == 0
+
     def test_fold_sorts_when_a_part_is_first_read(self):
         # generate_zeros reads only the array, so a bare rule's zeros are not sorted
         zeros = np.array([0.5, 0, 0.5j, 0.5], dtype=complex)
-        folded = blaschke.DistinctZeros.fold(zeros)
+        folded = blaschke.DistinctZeros(zeros)
         assert folded.zeros is zeros
         distinct, which, counts = np.unique(zeros, return_inverse=True, return_counts=True)
         for got, want in ((folded.counts, counts), (folded.distinct, distinct), (folded.which, which)):

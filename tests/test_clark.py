@@ -412,6 +412,16 @@ class TestDisintegration:
         assert res.converged
         assert res.gap < 1e-6
 
+    @pytest.mark.parametrize("alpha_count", [clark.MAX_ALPHA, 2 * clark.MAX_ALPHA])
+    def test_start_at_or_past_the_largest_grid_compares_two(self, alpha_count):
+        # a start at or past MAX_ALPHA doubles once, so that two grids compare
+        # and the exact average of re_z converges
+        B = FiniteBlaschke(np.array([0, 0.5]))
+        res = disintegration_check(SymbolRep.preset("re_z"), B, alpha_count=alpha_count)
+        assert res.converged
+        assert res.alpha_count == 2 * alpha_count
+        assert res.gap < 1e-12
+
     def test_alpha_count_validation(self):
         B = FiniteBlaschke(np.array([0j]))
         with pytest.raises(ValueError):

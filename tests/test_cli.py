@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -241,6 +242,25 @@ class TestParseConfig:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[sequence]\nkind = uniform_zero\n[symbol]\nkind = preset\n", "symbol.preset is required for preset symbols"),
+        ("[sequence]\nkind = uniform_zero\n[symbol]\npreset = cos\n[function]\nkind = preset\n",
+         "function.preset is required for preset functions"),
+        ("[sequence]\nkind = uniform_zero\n", r"\[symbol\] section \(or --symbol\) is required"),
+        ("[sequence]\nkind = uniform_zero\n[symbol]\n", r"\[symbol\] section \(or --symbol\) is required"),
+    ], ids=["symbol-preset", "function-preset", "no-symbol", "empty-symbol"])
+    def test_missing_text_names_what_is_required(self, tmp_path, capsys, text, message):
+        # a kind requires its text key, and every sweep requires a symbol:
+        # none falls back to cos or to the default function
+        path = tmp_path / "textless.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(str(path))
+        out = tmp_path / "x"
+        assert main(["szego", "--config", str(path), "--out", str(out)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["uniform_zero", "dense_nonblaschke", "frostman_fast"])
     def test_every_sequence_kind_reads_the_seed(self, tmp_path, kind):
         path = tmp_path / "seeded.cfg"
@@ -421,12 +441,13 @@ alpha_count = 8
         assert captured.err == ""
         assert json.loads(captured.out)["dim"] == 2
 
-    def test_unconverged_disintegration_warns(self, capsys):
-        # 4096 alphas per winding already exceed the doubling limit
+    def test_alpha_start_at_max_alpha_converges(self, capsys):
+        # a start of 4096 alphas per winding doubles once to compare two grids
         assert main(["disintegrate", "--zeros", "0,0.5", "--alpha-count", "4096"]) == 0
         captured = capsys.readouterr()
-        assert captured.err == "WARN: disintegrate N=2 converged = 0\n"
-        assert json.loads(captured.out)["converged"] is False
+        assert captured.err == ""
+        result = json.loads(captured.out)
+        assert result["converged"] is True and result["alpha_count"] == 8192
         assert main(["disintegrate", "--zeros", "0,0.5"]) == 0
         assert capsys.readouterr().err == ""
 
