@@ -254,15 +254,6 @@ def _text_from_section(sections: dict, section: str):
     return _parse_key(sections, section, key)
 
 
-def _quadrature_from_section(sections: dict) -> QuadratureConfig:
-    """The [quadrature] keys given, over the QuadratureConfig defaults."""
-    values = _given(sections, "quadrature")
-    try:
-        return QuadratureConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"quadrature: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class ParsedConfig:
     experiment: ExperimentConfig
@@ -297,7 +288,7 @@ def parse_config(path: str, overrides: dict | None = None, command: str | None =
         function = _text_from_section(sections, "function")
         experiment = ExperimentConfig(sequence, symbol, **({} if function is None else {"function": function}),
                                       **_given(sections, "sweep"), **_given(sections, "angular"),
-                                      quadrature=_quadrature_from_section(sections))
+                                      quadrature=QuadratureConfig(**_given(sections, "quadrature")))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -323,23 +314,26 @@ def _atomic_write(path: str, data: str):
 
 def _file_text(name: str, data) -> str:
     """The text of a file: CSV rows for a .csv name (RFC 4180, each float
-    field its repr), else ``data`` as JSON."""
+    field its repr), else ``data`` as strict JSON (a non-finite float raises)."""
     if not name.endswith(".csv"):
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerows(data)
     return buf.getvalue()
 
 
 def _record_data(name: str, records: list[ConvergenceRecord]):
-    """Sweep records as the rows of a .csv file, else as a JSON payload."""
+    """Sweep records as the rows of a .csv file, else as a JSON payload.  A
+    non-finite diagnostic (the error estimate of a run that could not double)
+    is no value: null in JSON, an empty cell in CSV, as a missing one is."""
+    diags = [{k: v if math.isfinite(v) else None for k, v in r.diagnostics.items()} for r in records]
     if not name.endswith(".csv"):
         return [{"N": r.N, "lhs": {"re": r.lhs.real, "im": r.lhs.imag}, "rhs": {"re": r.rhs.real, "im": r.rhs.imag},
-                 "gap": r.gap, "diagnostics": r.diagnostics} for r in records]
-    keys = sorted({k for r in records for k in r.diagnostics})
+                 "gap": r.gap, "diagnostics": d} for r, d in zip(records, diags)]
+    keys = sorted({k for d in diags for k in d})
     return [["N", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "gap", *keys]] + [
-        [r.N, r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag, r.gap, *(r.diagnostics.get(k, "") for k in keys)]
-        for r in records]
+        [r.N, r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag, r.gap, *map(d.get, keys)]
+        for r, d in zip(records, diags)]
 
 
 class Manifest:
@@ -469,7 +463,7 @@ def _sweep(args) -> tuple[ExperimentConfig, Run]:
 def cmd_operator(args) -> int:
     sections = _flag_sections(args, {"symbol": "c1=1,c-1=1"})
     B, sym = _blaschke(sections), _text_from_section(sections, "symbol")
-    quad = _quadrature_from_section(sections)
+    quad = QuadratureConfig(**_given(sections, "quadrature"))
     run = Run(args.command, args.out, "operator|" + json.dumps(sections, sort_keys=True))
 
     def work():

@@ -20,6 +20,7 @@ import numpy as np
 from .blaschke import TWO_PI, FiniteBlaschke, abs_derivative_grid, tmw_matrix
 from .clark import ClarkMeasure
 from .quadrature import (
+    FIRST_POINTS,
     MIN_LEVELS,
     IntegralResult,
     QuadratureConfig,
@@ -391,7 +392,7 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
                 acc[r0:r1, :r1] += F @ E[:r1].T
         return acc
 
-    levels = max(MIN_LEVELS, -(-cfg.initial_points // (2 * N)))
+    levels = max(MIN_LEVELS, -(-FIRST_POINTS // (2 * N)))
     uniform = blaschke_initial_points(B, cfg)
     if uniform <= PHASE_NODE_COST * 2 * N * levels:
         def level(M: int, offset: float) -> np.ndarray:
@@ -452,7 +453,7 @@ def semicommutator_trace(B: FiniteBlaschke, sym: SymbolRep, toeplitz: OperatorMa
     else:
         abs_sq = SymbolRep.from_sampler(lambda t: np.abs(sym.evaluate(t)) ** 2, real=True)
     tr = trace_formula_rhs(B, abs_sq, cfg)
-    hs_sq = float(np.linalg.norm(toeplitz.matrix)) ** 2
+    hs_sq = np.vdot(toeplitz.matrix, toeplitz.matrix).real
     return IntegralResult(complex(tr.value - hs_sq), tr.estimated_error, tr.points_used, tr.converged)
 
 

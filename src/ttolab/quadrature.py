@@ -32,16 +32,20 @@ CHUNK = 1 << 20
 #: origin on the circle, the Lebesgue part of nu gets one node per level
 MIN_LEVELS = 8
 
-_GRID_POINTS = (lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2")
-_TOLERANCE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+#: the least first level, in nodes, of a circle integral, a nu-integral and
+#: a sampled build
+FIRST_POINTS = 256
+
+#: relative tolerance of every doubling run, beside the absolute ``abs_tol``
+REL_TOL = 1e-9
 
 #: the [quadrature] settings: each ``QuadratureConfig`` field's default and
-#: condition, which it checks and the CLI parses its key by
+#: condition, which it checks and the CLI parses its key by.  A budget of
+#: 2 * FIRST_POINTS or more lets every uniform run double once
 QUADRATURE_PARAMS = {
-    "initial_points": RuleParam(256, *_GRID_POINTS),
-    "max_points": RuleParam(1 << 20, *_GRID_POINTS),
-    "abs_tol": RuleParam(1e-10, *_TOLERANCE),
-    "rel_tol": RuleParam(1e-9, *_TOLERANCE),
+    "max_points": RuleParam(1 << 20, lambda v: v >= 2 * FIRST_POINTS and not v & (v - 1),
+                            f"a power of two >= {2 * FIRST_POINTS}"),
+    "abs_tol": RuleParam(1e-10, lambda v: 0.0 < v < math.inf, "positive and finite"),
 }
 
 
@@ -51,15 +55,11 @@ def _next_pow2(n: int) -> int:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    initial_points: int = QUADRATURE_PARAMS["initial_points"].default
     max_points: int = QUADRATURE_PARAMS["max_points"].default
     abs_tol: float = QUADRATURE_PARAMS["abs_tol"].default
-    rel_tol: float = QUADRATURE_PARAMS["rel_tol"].default
 
     def __post_init__(self):
         _checked_fields(self, "quadrature", QUADRATURE_PARAMS)
-        if self.initial_points > self.max_points:
-            raise ValueError("initial_points must not exceed max_points")
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,11 @@ def blaschke_initial_points(B: FiniteBlaschke, cfg: QuadratureConfig) -> int:
     A zero at radius r produces a Poisson peak of angular width ~p, the
     product's (1 - r^2)/(1 + r), so the equispaced grid must step well below
     the narrowest width present; eight points per narrowest peak resolves
-    them all before the first doubling check.  Capped at max_points/2 so one
-    doubling stays possible.
+    them all before the first doubling check.  At least FIRST_POINTS, and
+    capped at max_points/2 so one doubling stays possible.
     """
     scale = 8.0 * float(((1.0 + np.abs(B._distinct[0])) / B._p).max())
-    n = _next_pow2(int(min(scale, cfg.max_points // 2)))
-    return max(cfg.initial_points, min(n, cfg.max_points // 2))
+    return max(FIRST_POINTS, _next_pow2(int(min(scale, cfg.max_points // 2))))
 
 
 def doubling(level: Callable, count: int, cfg: QuadratureConfig,
@@ -100,7 +99,7 @@ def doubling(level: Callable, count: int, cfg: QuadratureConfig,
         estimate = running / count
         err = float(np.max(np.abs(estimate - value)))
         value = estimate
-        tol = max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(value))))
+        tol = max(cfg.abs_tol, REL_TOL * float(np.max(np.abs(value))))
         if err <= tol:
             return IntegralResult(_scalarize(value), err, count, True)
     return IntegralResult(_scalarize(value), err, count, False)
@@ -130,7 +129,7 @@ def _chunked_sum(sampler, count: int, stride_offset: float):
 
 def integrate_circle(sampler: Callable, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
     """Integrate a sampler against normalized Lebesgue measure on the circle."""
-    return doubling(partial(_chunked_sum, sampler), cfg.initial_points, cfg)
+    return doubling(partial(_chunked_sum, sampler), FIRST_POINTS, cfg)
 
 
 def _scalarize(v):
@@ -156,6 +155,6 @@ def phase_doubling(B: FiniteBlaschke, level_sum: Callable, levels: int, cfg: Qua
 
 def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
     """Integral of f against the mean-of-harmonic-measures density |B'|/N:
-    the mean of f over phase nodes, at least ``cfg.initial_points`` of them."""
+    the mean of f over phase nodes, at least FIRST_POINTS of them."""
     return phase_doubling(B, lambda nodes, _: _sample(f, nodes).sum(axis=0),
-                          max(MIN_LEVELS, -(-cfg.initial_points // B.degree)), cfg)
+                          max(MIN_LEVELS, -(-FIRST_POINTS // B.degree)), cfg)

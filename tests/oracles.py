@@ -13,8 +13,8 @@ angles, from the phase nodes of z^N B, from spectral sums or from the
 distinct form of a zero rule; these routes check them."""
 
 import cmath
-import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 
@@ -39,8 +39,9 @@ from ttolab.operators import (
 from ttolab.quadrature import (
     IntegralResult,
     QuadratureConfig,
+    _chunked_sum,
     blaschke_initial_points,
-    integrate_circle,
+    doubling,
     nu_integral,
 )
 
@@ -316,6 +317,12 @@ def model_kernel_sq_grid(B: FiniteBlaschke, zeta, angles: np.ndarray,
     return out
 
 
+def peak_integral(sampler, B: FiniteBlaschke, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
+    """``integrate_circle`` of the sampler from a first level that resolves
+    the narrowest kernel peak of B (``blaschke_initial_points``)."""
+    return doubling(partial(_chunked_sum, sampler), blaschke_initial_points(B, cfg), cfg)
+
+
 def fejer_apply(B: FiniteBlaschke, f, zeta, cfg: QuadratureConfig = QuadratureConfig()):
     """Average of f against the squared normalized boundary kernel at zeta."""
     th0 = _as_angle(zeta)
@@ -324,7 +331,7 @@ def fejer_apply(B: FiniteBlaschke, f, zeta, cfg: QuadratureConfig = QuadratureCo
         vals = np.asarray(f(angles)) if callable(f) else np.asarray(f.evaluate(angles))
         return vals * model_kernel_sq_grid(B, th0, angles)
 
-    return integrate_circle(sampler, dataclasses.replace(cfg, initial_points=blaschke_initial_points(B, cfg)))
+    return peak_integral(sampler, B, cfg)
 
 
 def shift_cumprod_reference(B: FiniteBlaschke) -> np.ndarray:

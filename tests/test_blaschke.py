@@ -761,7 +761,7 @@ class TestDensities:
             assert np.all(vals >= 1.0 - 1e-12)
 
     def test_nu_mass_all_generators(self):
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_points=1 << 22)
+        cfg = QuadratureConfig(abs_tol=1e-9, max_points=1 << 22)
         for seq in ALL_GENERATORS:
             B = FiniteBlaschke(generate_zeros(seq, 16))
             res = nu_integral(lambda t: np.ones_like(t), B, cfg)
@@ -771,7 +771,7 @@ class TestDensities:
         # phase nodes give mass 1 by construction, so check the moments
         # against the closed form: the integral of zeta^k against |B'|/N
         # is the mean of lambda^k over the zeros (conjugated for k < 0)
-        cfg = QuadratureConfig(abs_tol=5e-6, rel_tol=1e-12, max_points=1 << 26)
+        cfg = QuadratureConfig(abs_tol=5e-6, max_points=1 << 26)
         for seq in ALL_GENERATORS:
             B = FiniteBlaschke(generate_zeros(seq, 128))
             for k in (1, -2, 5):

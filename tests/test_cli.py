@@ -103,10 +103,8 @@ class TestValueParsers:
 SETTING_SAMPLES = {
     "n_values": [(8, 16), (8,), (1, 2, 3), (8, 8), (16, 8), (0, 8), (8.5, 16), ()],
     "alpha_count": [32, 1, 4096, 12, 0, -4, 32.0],
-    "initial_points": [256, 2, 4096, 1, 0, 300, 256.0],
-    "max_points": [1 << 20, 1024, 1000, 1, 1024.0],
+    "max_points": [1 << 20, 1024, 512, 1000, 256, 1, 1024.0],
     "abs_tol": [1e-10, 5.0, 0.0, -1e-9, math.nan, math.inf],
-    "rel_tol": [1e-9, 1e-300, 0.0, -1.0, math.nan, math.inf],
     "j_terms": [10 ** 5, 1, 0, -3, 2.5],
     "grid_size": [64, 1, 0, 6.5],
     "thresholds": [(1e2, 1e3), (5,), (2.5, 100), (math.nan,), (-1,), (1e2, math.inf), (0,),
@@ -190,7 +188,9 @@ class TestParseConfig:
         ("sweep", "alpha_count", "x"),
         ("quadrature", "max_points", "big"),
         ("quadrature", "max_points", "1"),
-        ("quadrature", "initial_points", "1"),
+        ("quadrature", "max_points", "256"),  # too few for a uniform run to double
+        ("quadrature", "initial_points", "256"),  # a removed key: the first level is fixed
+        ("quadrature", "rel_tol", "1e-9"),  # a removed key: the relative tolerance is fixed
         ("sequence", "seed", "seven"),
         ("sequence", "seed", "-1"),
     ])
@@ -408,6 +408,32 @@ alpha_count = 8
         ]
         rows = (out / "hs_approx.json").read_text()
         assert [rec["diagnostics"]["rhs_converged"] for rec in json.loads(rows)] == [1.0, 1.0]
+
+    def test_a_run_that_cannot_double_writes_no_error_estimate(self, tmp_path, capsys):
+        # at N = 64 the nu-integral's first level (8 levels x 64 nodes) fills
+        # max_points = 512, so it cannot double and its error estimate is
+        # infinite: null in strict JSON and an empty CSV cell, as a missing
+        # diagnostic is written, and the run still warns
+        out = tmp_path / "res"
+        assert main(["szego", "--config", str(REPO / "configs" / "dense_sweep.cfg"), "--function", "exp",
+                     "--max-grid", "512", "--n", "32,64", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == ["WARN: szego N=64 rhs_converged = 0"]
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        files = {name: (out / name).read_text() for name in os.listdir(out)}
+        for name, text in files.items():
+            if name.endswith(".json"):
+                json.loads(text, parse_constant=refuse)
+        rows = [rec["diagnostics"] for rec in json.loads(files["szego.json"])]
+        assert math.isfinite(rows[0]["quad_error"]) and rows[1]["quad_error"] is None
+        assert [row["rhs_converged"] for row in rows] == [1.0, 0.0]
+        header, first, second = (line.split(",") for line in files["szego.csv"].splitlines())
+        column = header.index("quad_error")
+        assert float(first[column]) == rows[0]["quad_error"] and second[column] == ""
+        with pytest.raises(ValueError):
+            cli._file_text("x.json", {"gap": math.nan})
 
     @pytest.mark.parametrize("command, keys", [
         ("szego", ["build_converged", "rhs_converged"]),
@@ -705,6 +731,8 @@ class TestFlags:
         (["operator", "--zeros", "0,0.5", "--tol", "0"], "--tol"),
         (["operator", "--zeros", "0,0.5", "--max-grid", "0"], "--max-grid"),
         (["operator", "--zeros", "0,0.5", "--max-grid", "1"], "--max-grid"),
+        (["operator", "--zeros", "0,0.5", "--max-grid", "128"], "--max-grid"),
+        (["operator", "--zeros", "0,0.5", "--max-grid", "256"], "--max-grid"),
         (["disintegrate", "--zeros", "0,0.5", "--alpha-count", "0"], "--alpha-count"),
         (["operator", "--zeros", "0,0.5", "--symbol", "c1=1,c1=5"], "--symbol"),
         (["operator", "--zeros", "0,nan"], "--zeros"),
@@ -713,7 +741,8 @@ class TestFlags:
         (["clark", "--zeros", "0,0.5", "--alpha-angle", "inf"], "--alpha-angle"),
         (["clark", "--zeros", "0,0.5", "--alpha-angle", "nan"], "--alpha-angle"),
         (["disintegrate", "--zeros", "0,0.5", "--symbol", "poly:1"], "--symbol"),
-    ], ids=["operator-tol-0", "operator-max-grid-0", "operator-max-grid-1", "disintegrate-alpha-count-0",
+    ], ids=["operator-tol-0", "operator-max-grid-0", "operator-max-grid-1", "operator-max-grid-128",
+            "operator-max-grid-256", "disintegrate-alpha-count-0",
             "operator-repeated-frequency", "operator-nan-zero", "operator-zero-outside",
             "clark-zero-outside", "clark-alpha-angle-inf", "clark-alpha-angle-nan",
             "disintegrate-unknown-symbol"])

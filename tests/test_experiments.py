@@ -7,6 +7,7 @@ import pytest
 from ttolab import blaschke, clark, experiments, operators, quadrature
 from ttolab.blaschke import (
     RADIUS_CAP,
+    RULE_PARAMS,
     FiniteBlaschke,
     PhaseFunction,
     ZeroSequence,
@@ -45,6 +46,10 @@ from oracles import hs_lhs_reference, inverse_derivative_from_clark
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
 SQUARE = ScalarFunction.preset("square")
 IDENTITY = ScalarFunction.preset("identity")
+
+
+#: the five zero rules with their default parameters
+FIVE_RULES = [kind for kind in RULE_PARAMS if kind != "explicit"]
 
 
 def classical_cfg(f=SQUARE, ns=(8, 16, 32, 64)):
@@ -338,6 +343,18 @@ class TestHsClosedForm:
         for rec in hs_approx_gap(cfg):
             assert rec.gap <= 1e-12
 
+    @pytest.mark.parametrize("kind", FIVE_RULES)
+    def test_two_cos_rhs_is_two_over_n(self, kind):
+        # with B(0) = 0, Tr T(|z + conj z|^2) - ||T(z + conj z)||_HS^2 = 2,
+        # since tr S*S = N - 1; the rhs forms ||T||_HS^2 as the lhs does.  On
+        # uniform_zero the entries of T are 0 and 1, so the sum of their
+        # squares, 2(N - 1), and with it the rhs are exact
+        for N in (8, 16, 32, 64, 128):
+            B = FiniteBlaschke.from_sequence(ZeroSequence(kind), N)
+            rhs = semicommutator_trace(B, TWO_COS, build_truncated_toeplitz(B, TWO_COS)).value / N
+            assert abs(rhs - 2 / N) <= 3e-12 * (2 / N), (N, rhs)
+            assert kind != "uniform_zero" or rhs == 2 / N, (N, rhs)
+
     @pytest.mark.parametrize("seq, sym, ns", [
         (ZeroSequence.dense_nonblaschke(), TWO_COS, (8, 16, 32, 64)),
         (ZeroSequence.dense_nonblaschke(), SymbolRep.preset("re_z"), (200,)),
@@ -541,6 +558,28 @@ class TestAveragingTakesItsNodes:
         phase = PhaseFunction(FiniteBlaschke.from_sequence(seq, N))
         experiments._fejer_row(phase, count, [TWO_COS, TWO_COS], circle_grid(16, offset=0.37))
         assert len(seen) >= 3 and max(seen) <= bound
+
+
+@pytest.mark.parametrize("seq", [ZeroSequence(kind) for kind in FIVE_RULES]
+                         + [ZeroSequence.from_points([0, RADIUS_CAP])], ids=FIVE_RULES + ["explicit_at_cap"])
+def test_every_sweep_at_degrees_one_and_two(seq):
+    # every rule puts its first zero at the origin, so B_1 = z: K_B is the
+    # constants, T(phi) = 0 for phi = z + conj z, and Clark measures are
+    # one atom of mass 1
+    cfg = ExperimentConfig(seq, TWO_COS, SQUARE, (1, 2))
+    for rec in szego_gap(cfg):
+        assert rec.gap == pytest.approx(2 / rec.N, abs=1e-12)
+    for rec in stz_trace(cfg):
+        assert rec.rhs == 2
+        if rec.N == 1 or seq.kind == "uniform_zero":
+            assert rec.gap == pytest.approx(2 / rec.N, abs=1e-12)
+    first = angular_condition_a(cfg)[0]
+    assert first["max"] == first["median"] == first["min"] == 1.0
+    for rec in product_defect_s1(cfg, SymbolRep.trig({1: 1}), SymbolRep.trig({-1: 1})):
+        assert rec.lhs.real == pytest.approx(1.0, abs=1e-12)
+    assert all(rec.gap <= 1e-12 for rec in hs_approx_gap(cfg))
+    assert stz_defect_s1(cfg)[0].lhs.real == pytest.approx(2.0, abs=1e-12)
+    assert all(row["contraction_max"] <= 1.0 for row in fejer_suite(cfg)["per_n"])
 
 
 class TestSweepInvariants:

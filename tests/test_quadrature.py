@@ -1,12 +1,16 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from ttolab.blaschke import FiniteBlaschke, ZeroSequence, generate_zeros
 from ttolab.quadrature import (
+    FIRST_POINTS,
     QuadratureConfig,
+    _chunked_sum,
     blaschke_initial_points,
+    doubling,
     integrate_circle,
     nu_integral,
 )
@@ -22,22 +26,18 @@ def nu_l2_norm(f, B):
 class TestConfig:
     def test_defaults_valid(self):
         cfg = QuadratureConfig()
-        assert cfg.initial_points == 256
+        assert (cfg.max_points, cfg.abs_tol) == (1 << 20, 1e-10)
 
     @pytest.mark.parametrize("kwargs", [
-        {"initial_points": 300},
         {"max_points": 100},
-        {"initial_points": 1 << 12, "max_points": 1 << 10},
         {"abs_tol": 0.0},
-        {"rel_tol": -1.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
 
     @pytest.mark.parametrize("name, value", [
-        ("abs_tol", math.nan), ("abs_tol", math.inf), ("rel_tol", math.nan), ("rel_tol", math.inf),
-        ("initial_points", 256.0),
+        ("abs_tol", math.nan), ("abs_tol", math.inf), ("max_points", 256), ("max_points", 512.0),
     ])
     def test_refuses_a_bad_field_by_name(self, name, value):
         # abs_tol = inf once let integrate_circle report converged at its first doubling
@@ -57,10 +57,17 @@ class TestIntegrateCircle:
 
     def test_exact_once_degree_resolved(self):
         # value is already exact at M = 16 > degree; doubling must not move it
-        cfg = QuadratureConfig(initial_points=16)
-        res = integrate_circle(lambda t: 2.0 + np.exp(3j * t) + np.exp(-2j * t), cfg)
+        f = lambda t: 2.0 + np.exp(3j * t) + np.exp(-2j * t)
+        res = doubling(partial(_chunked_sum, f), 16, QuadratureConfig())
         assert res.value == pytest.approx(2.0, abs=1e-14)
         assert res.points_used <= 64
+
+    def test_least_budget_fits_one_doubling(self):
+        # at max_points = 2 * FIRST_POINTS a peak-sized first level still
+        # leaves room to double
+        cfg = QuadratureConfig(max_points=2 * FIRST_POINTS)
+        for B in (FiniteBlaschke(np.array([0, 0.5])), FiniteBlaschke(np.array([0, 1 - 1e-6]))):
+            assert blaschke_initial_points(B, cfg) == FIRST_POINTS
 
     def test_linearity(self):
         f = lambda t: np.exp(1j * t) + 0.3 * np.cos(4 * t)
@@ -86,7 +93,7 @@ class TestIntegrateCircle:
         def sq(t):
             return np.abs(np.sqrt(1 - lam ** 2) / (1 - lam * np.exp(1j * t))) ** 2
 
-        res = integrate_circle(sq, QuadratureConfig(max_points=4096, abs_tol=1e-12, rel_tol=1e-12))
+        res = integrate_circle(sq, QuadratureConfig(max_points=4096, abs_tol=1e-12))
         assert not res.converged
         assert res.points_used == 4096
 
