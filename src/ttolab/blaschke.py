@@ -250,20 +250,22 @@ def distinct_zeros(spec: ZeroSequence, count: int) -> DistinctZeros:
     elif kind == "alternating_3k":
         # block rule: indices 3^{k-1} < j <= 3^k carry +lam for odd k,
         # -lam for even k; j = 0 and j = 1 stay at the origin.  Runs: the
-        # origin for j < 2, then block k up to min(3^k, count - 1)
-        values, ends, k = [0.0], [min(2, count)], 1
+        # origin for j < 2, then block k up to min(3^k, count - 1), each the
+        # index of its value in (0, lam, -lam)
+        which, ends, k = [0], [min(2, count)], 1
         while ends[-1] < count:
-            values.append(p["lam"] if k % 2 == 1 else -p["lam"])
+            which.append(2 - k % 2)
             ends.append(min(3 ** k + 1, count))
             k += 1
-        runs = np.repeat(np.arange(len(values)), np.diff(ends, prepend=0))
-        lam = DistinctZeros(np.array(values, dtype=complex), runs)
+        values = np.array([0.0, p["lam"], -p["lam"]], dtype=complex)[:len(which)]
+        lam = DistinctZeros(values, np.repeat(which, np.diff(ends, prepend=0)))
 
     elif kind == "frostman_fast":
         ndir = p["directions"]
-        # radii grow with j, and (cap + 1)^-4 lies well below 1 - RADIUS_CAP: from
-        # j = cap on every radius is the cap, and zero j repeats zero cap + (j - cap) % ndir
-        cap = int((1.0 - RADIUS_CAP) ** -0.25) + 1
+        # radii grow with j: from the first j with (j + 1)^-4 <= 1 - RADIUS_CAP,
+        # j = cap, on every radius is the cap, and zero j repeats zero
+        # cap + (j - cap) % ndir
+        cap = math.ceil((1.0 - RADIUS_CAP) ** -0.25) - 1
         j = np.arange(min(count, cap + ndir))
         head = np.minimum(1.0 - (j + 1.0) ** -4, RADIUS_CAP) * np.exp(1j * (TWO_PI * (j % ndir) / ndir))
         index = np.arange(-cap, count - cap)
@@ -395,42 +397,63 @@ class FiniteBlaschke:
 PHASE_BLOCK = 1 << 15
 
 
-def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
-    """|B'| on the circle: sum of Poisson kernels at the zeros.
+#: zero x angle cells per block of ``_poisson_sum``: two float planes of
+#: 1 MiB, 1024 zeros on the 64-point grid of the shipped configs.  There
+#: 10^5 dense_nonblaschke zeros took 43, 46 and 38 ms in blocks of 1024, 2048
+#: and 4096 zeros (best of 15, 2-vCPU host, one thread), but 4096 raised the
+#: shipped dense benchmark's peak RSS by 4.6 MB where 1024 raise it by 0.6 MB
+POISSON_CELLS = 1 << 16
 
-    The squared distance to each zero is formed from Cartesian coordinates
-    (never from 1 + r^2 - 2r cos, which cancels catastrophically for zeros
-    within ~1e-8 of the circle), and the numerator is the product's
-    1 - |lambda|^2.  Repeated zeros are folded into one pass with a
-    multiplicity weight; scratch buffers are reused across zeros, so the
-    cost is six in-place vector passes per distinct zero.
 
-    The Cartesian parts of the angle are rounded to eps, so next to a zero
-    lambda the value is off by up to about eps/|zeta - lambda|^2, or
-    eps/|zeta - lambda| relative: 1.0e-6 relative at the Clark atoms next
-    to zeros 1e-10 from the circle, where Theta' of ``PhaseFunction`` is
-    within 4.2e-15 of the 50-digit value.  The library calls it only on
-    uniform grids, as the sampler of T(1/|B'|); at nodes that a phase solve
-    placed, B and |B'| come from that solve.
-    """
+def _poisson_sum(angles, zeros: np.ndarray, defects: np.ndarray, counts: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j m_j (1 - |lam_j|^2)/|zeta - lam_j|^2 at the angles (in their
+    shape) from the zeros, their ``exact_defects`` and multiplicities m_j
+    (1 if not given), added to ``out`` if given: the one Cartesian Poisson
+    kernel.  The squared distance comes from Cartesian parts, never from
+    1 + r^2 - 2r cos, which cancels for zeros within ~1e-8 of the circle.
+    A block of at most POISSON_CELLS cells holds max(1, POISSON_CELLS //
+    angles) zeros, one row per angle; its terms are divided out, weighted,
+    and its pairwise row sums added to the sums, block by block.  The parts
+    of lambda are copied out first: passes over contiguous parts ran about
+    10% faster."""
     th = np.asarray(angles, dtype=float)
-    cos_t, sin_t = np.cos(th), np.sin(th)
+    x, y = np.cos(th).reshape(-1, 1), np.sin(th).reshape(-1, 1)
+    re, im = np.stack((zeros.real, zeros.imag))
+    step = max(1, POISSON_CELLS // max(1, len(x)))  # zeros per block
+    width = POISSON_CELLS // min(step, len(zeros))  # angles per block
+    buf = np.empty((2, min(step, len(zeros)) * min(width, len(x))))
+    sums = np.zeros(len(x)) if out is None else out.reshape(-1)
+    for a in range(0, len(x), width):
+        rows = slice(a, a + width)
+        for start in range(0, len(zeros), step):
+            part = slice(start, start + step)
+            shape = (len(x[rows]), len(re[part]))
+            terms, dy = (b[:shape[0] * shape[1]].reshape(shape) for b in buf)
+            np.subtract(y[rows], im[part], out=dy)
+            np.multiply(dy, dy, out=dy)
+            np.subtract(x[rows], re[part], out=terms)
+            np.multiply(terms, terms, out=terms)
+            terms += dy
+            np.divide(defects[part], terms, out=terms)
+            if counts is not None:
+                terms *= counts[part]
+            sums[rows] += terms.sum(axis=1)
+    return sums.reshape(th.shape)
+
+
+def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
+    """|B'| on the circle: the Poisson kernel over the distinct zeros, each
+    times its multiplicity (``_poisson_sum``).  The Cartesian parts of the
+    angle are rounded to eps, so next to a zero lambda the value is off by
+    up to about eps/|zeta - lambda|^2, or eps/|zeta - lambda| relative:
+    1.0e-6 relative at the Clark atoms next to zeros 1e-10 from the circle,
+    where Theta' of ``PhaseFunction`` is within 4.2e-15 of the 50-digit
+    value.  The library calls it only on uniform grids, as the sampler of
+    T(1/|B'|); at nodes that a phase solve placed, B and |B'| come from
+    that solve."""
     uniq, counts = B._distinct
-    out = np.zeros_like(th)
-    dx = np.empty_like(th)
-    dy = np.empty_like(th)
-    for lam, weight in zip(uniq, counts * B._defects):
-        if lam == 0:
-            out += weight
-            continue
-        np.subtract(cos_t, lam.real, out=dx)
-        np.multiply(dx, dx, out=dx)
-        np.subtract(sin_t, lam.imag, out=dy)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        np.divide(weight, dx, out=dx)
-        np.add(out, dx, out=out)
-    return out
+    return _poisson_sum(angles, uniq, B._defects, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -803,61 +826,25 @@ def tmw_matrix(B: FiniteBlaschke, angles: np.ndarray, out: np.ndarray | None = N
 # partial angular sums
 # ---------------------------------------------------------------------------
 
-#: zeros per block of ``angular_partial_sums``: its (2, points, zeros) buffer
-#: holds two float planes, 1 MiB on the 64-point grid of the shipped configs.
-#: On that grid 10^5 dense_nonblaschke zeros took 43 ms in blocks of 1024,
-#: 46 ms in blocks of 2048 and 38 ms in blocks of 4096 (best of 15, 2-vCPU
-#: host, one thread); the 4 MiB buffer of 4096 zeros raised the shipped
-#: dense benchmark's peak RSS by 4.6 MB, 1024 zeros by 0.6 MB
-ANGULAR_BLOCK = 1024
-
-
-def _poisson_terms(x: np.ndarray, y: np.ndarray, zeros: np.ndarray, defects: np.ndarray,
-                   buf: np.ndarray) -> np.ndarray:
-    """(1 - |lam|^2)/|zeta - lam|^2 per point x zero, in buf[0] of a
-    (2, points, zeros) buffer, from the Cartesian parts of zeta = x + iy and
-    lam and the zeros' correctly rounded ``exact_defects``, as in
-    ``abs_derivative_grid``.  The parts of lam are copied out of the complex
-    array first: the passes over contiguous parts ran about 10% faster."""
-    out, dy = buf
-    re, im = np.stack((zeros.real, zeros.imag))
-    np.subtract(y, im, out=dy)
-    np.multiply(dy, dy, out=dy)
-    np.subtract(x, re, out=out)
-    np.multiply(out, out, out=out)
-    out += dy
-    return np.divide(defects, out, out=out)
-
-
 def angular_partial_sums(seq: ZeroSequence, grid: np.ndarray, J: int) -> np.ndarray:
     """sum_j (1-|lam_j|^2)/|zeta - lam_j|^2 over j < J at each grid angle zeta.
 
-    One loop adds the pairwise row sums of ``_poisson_terms`` over slices of
-    ANGULAR_BLOCK zeros to the running sums.  A rule in ``BARE_RULES`` forms
-    its zeros and their ``exact_defects`` four slices at a time
-    (``_bare_blocks``), so the working memory is bounded whatever J is.  Any
-    other rule gives its zeros in distinct form (``DistinctZeros``: 35 for
-    10^5 frostman_fast zeros, with no 10^5-element complex array), each
-    one's terms weighted by its multiplicity."""
+    One loop adds the ``_poisson_sum`` of each block of zeros to the sums.
+    A rule in ``BARE_RULES`` forms its zeros and their ``exact_defects`` four
+    kernel blocks at a time (``_bare_blocks``), so the working memory is
+    bounded whatever J is.  Any other rule gives one block, its distinct form
+    with multiplicities (``DistinctZeros``: 35 for 10^5 frostman_fast zeros)."""
     if J < 1:
         raise ValueError("J must be >= 1")
     angles = np.asarray(grid, dtype=float)
     if len(angles) == 0:
         raise ValueError("empty grid")
-    x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
     if seq.kind in BARE_RULES:
-        count, blocks = J, ((zeros, None) for zeros in _bare_blocks(seq, J, 4 * ANGULAR_BLOCK))
+        blocks = ((zeros, None) for zeros in _bare_blocks(seq, J, 4 * max(1, POISSON_CELLS // len(angles))))
     else:
         lam = distinct_zeros(seq, J)
-        count, blocks = len(lam.distinct), [(lam.distinct, lam.counts.astype(float))]
+        blocks = [(lam.distinct, lam.counts)]
     sums = np.zeros(len(angles))
-    buf = np.empty((2, len(angles), min(ANGULAR_BLOCK, count)))
-    for zeros, multiplicities in blocks:
-        defects = exact_defects(zeros)
-        for start in range(0, len(zeros), ANGULAR_BLOCK):
-            part = slice(start, start + ANGULAR_BLOCK)
-            terms = _poisson_terms(x, y, zeros[part], defects[part], buf[:, :, :len(defects[part])])
-            if multiplicities is not None:
-                terms *= multiplicities[part]
-            sums += terms.sum(axis=1)
+    for zeros, counts in blocks:
+        _poisson_sum(angles, zeros, exact_defects(zeros), counts, sums)
     return sums

@@ -28,8 +28,9 @@ from .blaschke import FiniteBlaschke, TWO_PI, PhaseFunction, RuleParam, _checked
 #: number of grid points evaluated per chunk (keeps peak memory flat)
 CHUNK = 1 << 20
 
-#: least phase levels per winding of a nu-integral: with every zero but the
-#: origin on the circle, the Lebesgue part of nu gets one node per level
+#: least phase levels per winding of a nu-integral and of a sampled build's
+#: first level, unless half the node budget holds fewer: with every zero but
+#: the origin on the circle, the Lebesgue part of nu gets one node per level
 MIN_LEVELS = 8
 
 #: the least first level, in nodes, of a circle integral, a nu-integral and
@@ -142,9 +143,13 @@ def phase_doubling(B: FiniteBlaschke, level_sum: Callable, levels: int, cfg: Qua
     """``doubling`` from ``levels`` levels per winding, a level being
     ``level_sum(nodes, slopes)`` of the phase nodes of B and Theta' = |B'|
     there, each solve bracketed by the nodes before it (``phase_nodes``'s
-    ``solved``); ``limit`` counts nodes, as in ``doubling``."""
+    ``solved``); ``limit`` counts nodes, as in ``doubling``.  The first level
+    takes at most half the limit, so that the run can double once, and never
+    less than one level per winding."""
     phase = PhaseFunction(B)
     N = B.degree
+    limit = cfg.max_points if limit is None else limit
+    levels = max(1, min(levels, limit // (2 * N)))
     solved = []  # each level's nodes bracket the next
 
     def level(count, offset):
@@ -155,6 +160,8 @@ def phase_doubling(B: FiniteBlaschke, level_sum: Callable, levels: int, cfg: Qua
 
 def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
     """Integral of f against the mean-of-harmonic-measures density |B'|/N:
-    the mean of f over phase nodes, at least FIRST_POINTS of them."""
+    the mean of f over phase nodes, from MIN_LEVELS levels per winding and
+    at least FIRST_POINTS nodes, or half of max_points if that is fewer
+    (``phase_doubling``)."""
     return phase_doubling(B, lambda nodes, _: _sample(f, nodes).sum(axis=0),
                           max(MIN_LEVELS, -(-FIRST_POINTS // B.degree)), cfg)

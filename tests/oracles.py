@@ -421,14 +421,16 @@ def angular_sums_reference(seq, grid, J) -> np.ndarray:
     """``angular_partial_sums`` from the expanded zero list: all J zeros
     generated, folded by sorting their parts (``fold_repeats_reference``)
     where some repeat, and the terms (1 - |lam|^2)/|zeta - lam|^2, times the
-    multiplicities, summed row by row over slices of ANGULAR_BLOCK zeros."""
+    multiplicities, summed row by row over slices of POISSON_CELLS // angles
+    zeros (at least one)."""
     angles = np.asarray(grid, dtype=float)
     x, y = np.cos(angles)[:, None], np.sin(angles)[:, None]
     lam = generate_zeros(seq, J)
     zeros, counts = fold_repeats_reference(lam) or (lam, np.ones(J))
     sums = np.zeros(len(angles))
-    for start in range(0, len(zeros), blaschke.ANGULAR_BLOCK):
-        part = zeros[start:start + blaschke.ANGULAR_BLOCK]
+    block = max(1, blaschke.POISSON_CELLS // len(angles))
+    for start in range(0, len(zeros), block):
+        part = zeros[start:start + block]
         terms = exact_defects(part) / ((x - part.real) ** 2 + (y - part.imag) ** 2)
-        sums += (terms * counts[start:start + blaschke.ANGULAR_BLOCK]).sum(axis=1)
+        sums += (terms * counts[start:start + block]).sum(axis=1)
     return sums

@@ -981,8 +981,8 @@ class TestAngularPartialSums:
         # blocks of 8 split frostman's 35 distinct zeros into five and the
         # cap pairs' 10 into two, the last block shorter: still the oracle's
         # bytes under the same block size
-        monkeypatch.setattr(blaschke, "ANGULAR_BLOCK", 8)
         grid, J = circle_grid(24, offset=0.5), 10 ** 4
+        monkeypatch.setattr(blaschke, "POISSON_CELLS", 8 * len(grid))
         assert angular_partial_sums(seq, grid, J).tobytes() == angular_sums_reference(seq, grid, J).tobytes()
 
     def test_frostman_tail_bound_off_directions(self):
@@ -1022,9 +1022,88 @@ class TestAngularPartialSums:
         # 100 blocks of 1000 zeros, 8.9e-16 with one block of all
         grid, J = circle_grid(64, offset=0.5), 10 ** 5
         ref = angular_partial_sums(ZeroSequence.dense_nonblaschke(), grid, J)
-        monkeypatch.setattr(blaschke, "ANGULAR_BLOCK", block)
+        monkeypatch.setattr(blaschke, "POISSON_CELLS", block * len(grid))
         sums = angular_partial_sums(ZeroSequence.dense_nonblaschke(), grid, J)
         assert np.abs(sums / ref - 1).max() <= 4e-15
+
+
+#: rules whose product and J-term sums take one distinct form: the same
+#: zeros, defects and multiplicities in the same order
+INDEXED_SEQUENCES = {"uniform": ZeroSequence.uniform_zero(), "alternating": ZeroSequence.alternating_3k(0.5),
+                     "frostman": ZeroSequence.frostman_fast(4)}
+
+#: rules whose product sorts its distinct zeros while the sums take them in
+#: the rule's order (the bare rules), and an explicit list
+REORDERED_SEQUENCES = {
+    "dense": ZeroSequence.dense_nonblaschke(),
+    "equispaced": ZeroSequence.constant_modulus(0.9),
+    "golden": ZeroSequence.constant_modulus(0.9, "golden"),
+    "random": ZeroSequence.constant_modulus(0.7, "random", seed=3),
+    "explicit": ZeroSequence.from_points(np.concatenate(([0.0], 0.99 * np.sqrt(np.random.default_rng(5).random(999))
+                                                         * np.exp(2j * np.pi * np.random.default_rng(6).random(999))))),
+}
+
+#: a small cell budget, so that every edge of the kernel's blocks is met on
+#: a few angles: k = 8 and 3 split it evenly
+SMALL_CELLS = 96
+
+
+class TestOnePoissonKernel:
+    @pytest.mark.parametrize("N", [1, 35, 36, 1000])
+    @pytest.mark.parametrize("seq", INDEXED_SEQUENCES.values(), ids=INDEXED_SEQUENCES.keys())
+    @pytest.mark.parametrize("grid", [circle_grid(64, offset=0.5), circle_grid(1000, offset=0.5)],
+                             ids=["shipped-grid", "1000-angles"])
+    def test_product_equals_partial_sums_bit_for_bit(self, seq, N, grid):
+        # |B'| of the N-th product is the N-term sum: one kernel on one
+        # distinct form.  Two kernels had differed by up to 6.7e-16 relative
+        B = FiniteBlaschke.from_sequence(seq, N)
+        assert abs_derivative_grid(B, grid).tobytes() == angular_partial_sums(seq, grid, N).tobytes()
+
+    @pytest.mark.parametrize("N", [1, 35, 36, 1000])
+    @pytest.mark.parametrize("seq", REORDERED_SEQUENCES.values(), ids=REORDERED_SEQUENCES.keys())
+    def test_product_equals_partial_sums_to_rounding(self, seq, N):
+        grid = circle_grid(64, offset=0.5)
+        B = FiniteBlaschke.from_sequence(seq, N)
+        sums = angular_partial_sums(seq, grid, N)
+        assert np.abs(abs_derivative_grid(B, grid) / sums - 1).max() <= 4e-15
+
+    @pytest.mark.parametrize("angles", [1, SMALL_CELLS // 8 - 1, SMALL_CELLS // 8, SMALL_CELLS // 8 + 1,
+                                        SMALL_CELLS // 3 - 1, SMALL_CELLS // 3, SMALL_CELLS // 3 + 1,
+                                        SMALL_CELLS + 1, 3 * SMALL_CELLS + 5])
+    def test_block_edges(self, monkeypatch, angles):
+        # zero counts one either side of a block of SMALL_CELLS // angles
+        # zeros (one zero when the angles exceed the budget), and two
+        # blocks and one zero more: the sums meet the oracle's slices bit for
+        # bit, and |B'| one angle at a time
+        monkeypatch.setattr(blaschke, "POISSON_CELLS", SMALL_CELLS)
+        block = max(1, SMALL_CELLS // angles)
+        seq, grid = ZeroSequence.dense_nonblaschke(), circle_grid(angles, offset=0.5)
+        for J in sorted({block - 1, block, block + 1, 2 * block + 1} - {0}):
+            assert angular_partial_sums(seq, grid, J).tobytes() == angular_sums_reference(seq, grid, J).tobytes()
+            B = FiniteBlaschke.from_sequence(seq, J)
+            one_by_one = np.array([abs_derivative_boundary(B, t) for t in grid])
+            assert np.abs(abs_derivative_grid(B, grid) / one_by_one - 1).max() <= 4e-15
+
+    def test_keeps_the_shape_of_the_angles(self):
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 40)
+        grid = circle_grid(12).reshape(3, 4)
+        assert abs_derivative_grid(B, grid).tobytes() == abs_derivative_grid(B, grid.ravel()).reshape(3, 4).tobytes()
+        assert abs_derivative_grid(B, np.float64(1.2)).shape == ()
+        assert abs_derivative_grid(B, np.empty(0)).shape == (0,)
+
+    def test_holds_one_block_of_cells(self):
+        # 4096 angles and 10^4 zeros are 4 x 10^7 cells, two planes of them
+        # 655 MB; the kernel holds two planes of POISSON_CELLS (1 MiB) beside
+        # the parts of the zeros and a few arrays of the angles: 1.4 MiB traced
+        zeros = generate_zeros(ZeroSequence.dense_nonblaschke(), 10 ** 4)
+        grid, defects = circle_grid(4096, offset=0.5), exact_defects(zeros)
+        tracemalloc.start()
+        try:
+            blaschke._poisson_sum(grid, zeros, defects)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * blaschke.POISSON_CELLS
 
 
 #: the rules whose zeros are streamed from the rule itself
@@ -1115,6 +1194,24 @@ class TestDistinctForm:
         for count in DISTINCT_COUNTS:
             generate_zeros(DISTINCT_RULES[name], count)
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("count", DISTINCT_COUNTS + (34, 35, 36, 37, 38, 39))
+    @pytest.mark.parametrize("name", ["uniform_zero", "alternating_3k", "frostman_fast", "frostman_fast_1",
+                                      "frostman_fast_7"])
+    def test_indexed_values_are_distinct(self, name, count):
+        # below, at and past frostman's radius cap (zero 31 is the first at
+        # it): each value once, so no fold hides a repeat
+        runs = distinct_zeros(DISTINCT_RULES[name], count)
+        assert runs.index is not None
+        assert len(set(runs.values.tolist())) == len(runs.values)
+
+    @pytest.mark.parametrize("directions", [1, 4, 7])
+    def test_frostman_matches_the_per_zero_formula(self, directions):
+        # radius min(1 - (j + 1)^-4, RADIUS_CAP) in direction j % directions,
+        # formed for every j at once, bit for bit
+        j = np.arange(300)
+        ref = np.minimum(1.0 - (j + 1.0) ** -4, RADIUS_CAP) * np.exp(1j * (blaschke.TWO_PI * (j % directions) / directions))
+        assert generate_zeros(ZeroSequence.frostman_fast(directions), 300).tobytes() == ref.tobytes()
 
     def test_fold_sorts_when_a_part_is_first_read(self):
         # generate_zeros reads only the array, so a bare rule's zeros are not sorted

@@ -409,15 +409,27 @@ alpha_count = 8
         rows = (out / "hs_approx.json").read_text()
         assert [rec["diagnostics"]["rhs_converged"] for rec in json.loads(rows)] == [1.0, 1.0]
 
-    def test_a_run_that_cannot_double_writes_no_error_estimate(self, tmp_path, capsys):
-        # at N = 64 the nu-integral's first level (8 levels x 64 nodes) fills
-        # max_points = 512, so it cannot double and its error estimate is
-        # infinite: null in strict JSON and an empty CSV cell, as a missing
-        # diagnostic is written, and the run still warns
+    def test_a_starved_budget_still_doubles_once(self, tmp_path, capsys):
+        # the nu-integral's first level takes at most half of max_points = 512:
+        # at N = 64 four levels per winding, 256 nodes, doubled once to 512
         out = tmp_path / "res"
         assert main(["szego", "--config", str(REPO / "configs" / "dense_sweep.cfg"), "--function", "exp",
                      "--max-grid", "512", "--n", "32,64", "--out", str(out)]) == 0
-        assert capsys.readouterr().err.splitlines() == ["WARN: szego N=64 rhs_converged = 0"]
+        assert capsys.readouterr().err == ""
+        rows = [rec["diagnostics"] for rec in json.loads((out / "szego.json").read_text())]
+        assert [row["rhs_converged"] for row in rows] == [1.0, 1.0]
+        assert [row["quad_points"] for row in rows] == [512.0, 512.0]
+        assert all(math.isfinite(row["quad_error"]) for row in rows)
+
+    def test_a_run_that_cannot_double_writes_no_error_estimate(self, tmp_path, capsys):
+        # at N = 512 even one level per winding, the nu-integral's least first
+        # level, fills max_points = 512, so it cannot double and its error
+        # estimate is infinite: null in strict JSON and an empty CSV cell, as
+        # a missing diagnostic is written, and the run still warns
+        out = tmp_path / "res"
+        assert main(["szego", "--config", str(REPO / "configs" / "dense_sweep.cfg"), "--function", "exp",
+                     "--max-grid", "512", "--n", "32,512", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == ["WARN: szego N=512 rhs_converged = 0"]
 
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")

@@ -162,6 +162,24 @@ class TestNuIntegrals:
         B = FiniteBlaschke(np.array([0, 0.5]))
         assert nu_l2_norm(lambda t: np.exp(1j * t), B) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("N", [32, 64, 256, 512])
+    def test_first_level_leaves_room_to_double(self, N):
+        # 512 nodes at most: the first level takes MIN_LEVELS levels per
+        # winding or half the budget, and never less than one level per
+        # winding, so only N = 512 cannot double
+        B = FiniteBlaschke.from_sequence(ZeroSequence.dense_nonblaschke(), N)
+        res = nu_integral(lambda t: np.exp(np.exp(1j * t)), B, QuadratureConfig(max_points=512))
+        assert res.points_used == 512
+        assert math.isfinite(res.estimated_error) == (N < 512)
+        assert res.converged == (N <= 64)
+
+    def test_starved_frostman_reports_its_estimate(self):
+        # next to zeros at the radius cap 512 nodes do not settle at N = 64:
+        # one doubling gives a finite estimate, and the run is unconverged
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 64)
+        res = nu_integral(lambda t: np.exp(np.exp(1j * t)), B, QuadratureConfig(max_points=512))
+        assert not res.converged and 1e-6 < res.estimated_error < 1.0
+
     def test_initial_points_scale_with_zeros(self):
         near = FiniteBlaschke(np.array([0, 0.999]))
         far = FiniteBlaschke(np.array([0, 0.5]))
