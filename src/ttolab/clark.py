@@ -45,10 +45,11 @@ def _check_measures(phase: PhaseFunction, alphas: np.ndarray, atom_angles: np.nd
 class ClarkMeasure:
     """Atomic spectral measure of the Clark unitary at parameter alpha.
 
-    Exactly N atoms (zeta_k, w_k) with w_k = 1/|B'(zeta_k)|, sorted by angle.
-    For B vanishing at 0 the weights sum to 1.  Construction checks the atoms
-    and the mass; a whole alpha grid comes as rows of arrays (``clark_rows``),
-    checked at once, with no measure objects.
+    Exactly N atoms (zeta_k, w_k) with w_k = 1/|B'(zeta_k)|, sorted by angle
+    as ``clark_measure`` makes them.  For B vanishing at 0 the weights sum to
+    1.  Construction checks the atoms and the mass; a whole alpha grid comes
+    as rows of arrays (``clark_rows``), unsorted and checked at once, with no
+    measure objects.
     """
 
     blaschke: FiniteBlaschke
@@ -71,24 +72,16 @@ class ClarkMeasure:
         return float(self.weights.sum())
 
 
-def _rows(phase: PhaseFunction, count: int, offset: float = 0.0) -> tuple:
-    """The nodes of ``phase_nodes(phase, count, offset)`` as count rows, row j
-    the atoms of the Clark measure at alpha_j = e^{2 pi i (j + offset)/count}:
-    their angles in [0, 2 pi), increasing, and Theta' and the residual at each."""
-    nodes, slopes, residuals = (a.reshape(-1, count).T for a in phase_nodes(phase, count, offset))
-    atoms = np.mod(nodes, TWO_PI)
-    order = np.argsort(atoms, axis=1)
-    return tuple(np.take_along_axis(a, order, axis=1) for a in (atoms, slopes, residuals))
-
-
 def clark_measure(B: FiniteBlaschke, alpha: complex) -> ClarkMeasure:
     """The Clark measure at alpha: one level per winding, offset to the
-    argument of alpha, checked on construction."""
+    argument of alpha, its atoms sorted by angle and checked on construction."""
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-9:
         raise ValueError("alpha must be unimodular")
-    (atoms,), (slopes,), _ = _rows(PhaseFunction(B), 1, (math.atan2(alpha.imag, alpha.real) % TWO_PI) / TWO_PI)
-    return ClarkMeasure(B, alpha, atoms, 1.0 / slopes)
+    nodes, slopes, _ = phase_nodes(PhaseFunction(B), 1, (math.atan2(alpha.imag, alpha.real) % TWO_PI) / TWO_PI)
+    atoms = np.mod(nodes, TWO_PI)
+    order = np.argsort(atoms)
+    return ClarkMeasure(B, alpha, atoms[order], 1.0 / slopes[order])
 
 
 def clark_support(B: FiniteBlaschke, alpha: complex) -> np.ndarray:
@@ -98,12 +91,14 @@ def clark_support(B: FiniteBlaschke, alpha: complex) -> np.ndarray:
 
 def clark_rows(B: FiniteBlaschke, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Clark measures at the count-th roots of unity, alpha_j = e^{2 pi i j/count},
-    as (count x N) rows: atom angles in [0, 2 pi), increasing, B there
-    (alpha_j e^{i residual}) and the weights 1/Theta' = 1/|B'|, from one
-    phase inversion (``phase_nodes``) and one level-set and mass check of
-    every row (``_check_measures``): no |B'| pass."""
+    as (count x N) rows: atom angles in [0, 2 pi), B there (alpha_j e^{i residual})
+    and the weights 1/Theta' = 1/|B'|, from one phase inversion
+    (``phase_nodes``, whose nodes of alpha_j are row j in the order they are
+    solved: no row is sorted) and one level-set and mass check of every row
+    (``_check_measures``): no |B'| pass."""
     phase = PhaseFunction(B)
-    atoms, slopes, residuals = _rows(phase, count)
+    nodes, slopes, residuals = (a.reshape(-1, count).T for a in phase_nodes(phase, count))
+    atoms = np.mod(nodes, TWO_PI)
     alphas = np.exp(1j * circle_grid(count))
     weights = 1.0 / slopes
     _check_measures(phase, alphas, atoms, weights)
@@ -144,7 +139,7 @@ def disintegration_check(f, B: FiniteBlaschke, alpha_count: int = ALPHA_COUNT.de
     sample = f if callable(f) else f.evaluate  # a sampler or a symbol
     N = B.degree
     avg = phase_doubling(B, lambda nodes, slopes: np.sum(np.asarray(sample(nodes)) * (N / slopes)),
-                         alpha_count, cfg, limit=max(MAX_ALPHA, 2 * alpha_count) * N)
+                         cfg, alpha_count, limit=max(MAX_ALPHA, 2 * alpha_count) * N)
     lhs = complex(avg.value)
     quad = integrate_circle(lambda t: np.asarray(sample(t)), cfg)
     rhs = complex(quad.value)

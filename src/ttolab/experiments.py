@@ -285,31 +285,27 @@ def _random_trig_poly(rng: np.random.Generator, degree: int = 6) -> SymbolRep:
     return SymbolRep.trig({k: complex(rng.normal(), rng.normal()) for k in ks})
 
 
-#: phase nodes per block of ``fejer_suite``'s sums.  The shipped dense suite
-#: (4096 nodes per degree) took 46 to 51 ms in blocks of 1024, 43 to 48 ms in
-#: blocks of 2048 and 47 to 49 ms as one block (best of 12 in each of two
-#: runs, 2-vCPU host, one thread), 56 ms in blocks of 512; its traced peak is
-#: 2.0 MiB in blocks of 1024, the phase solve's, 2.25 MiB in blocks of 2048
-#: and 4.4 MiB as one block
+#: phase nodes per block of ``fejer_suite``'s sums, added one block after
+#: another.  The shipped dense suite (4096 nodes per degree) took 46 to 51 ms
+#: in blocks of 1024, 43 to 48 ms in blocks of 2048 and 47 to 49 ms as one
+#: block (best of 12 in each of two runs, 2-vCPU host, one thread), 56 ms in
+#: blocks of 512; its traced peak is 2.0 MiB in blocks of 1024, the phase
+#: solve's, 2.25 MiB in blocks of 2048 and 4.4 MiB as one block
 FEJER_NODES = 1024
 
 
 def _fejer_sums(B: FiniteBlaschke, symbols: list, nodes: tuple) -> tuple:
     """Sums over the nodes (arrays of angles, B and |B'|) of |E_N phi|^2 and
-    |phi|^2 per trial symbol (all but the last) and of |E_N phi - phi|^2 for the last.
-
-    Up to FEJER_NODES nodes are one block of ``fejer_trig_values``; more
-    are split where numpy's pairwise summation splits a row (half the
-    count, rounded down to a multiple of 8) and the halves' sums added, so
-    the terms add in the order of one row sum over all the nodes."""
-    n = len(nodes[0])
-    if n > FEJER_NODES:
-        half = n // 2 - n // 2 % 8
-        return tuple(x + y for x, y in zip(_fejer_sums(B, symbols, [a[:half] for a in nodes]),
-                                           _fejer_sums(B, symbols, [a[half:] for a in nodes])))
-    fvals, evals = fejer_trig_values(B, symbols, *nodes)
-    return (np.sum(np.abs(evals[:-1]) ** 2, axis=1), np.sum(np.abs(fvals[:-1]) ** 2, axis=1),
-            np.sum(np.abs(evals[-1] - fvals[-1]) ** 2))
+    |phi|^2 per trial symbol (all but the last) and of |E_N phi - phi|^2 for
+    the last, added block by block of FEJER_NODES nodes of ``fejer_trig_values``."""
+    sq_avg, sq_val, gap = np.zeros(len(symbols) - 1), np.zeros(len(symbols) - 1), 0.0
+    for start in range(0, len(nodes[0]), FEJER_NODES):
+        fvals, evals = fejer_trig_values(B, symbols, *(a[start:start + FEJER_NODES] for a in nodes))
+        sq_avg += np.sum(np.abs(evals[:-1]) ** 2, axis=1)
+        sq_val += np.sum(np.abs(fvals[:-1]) ** 2, axis=1)
+        gap += np.sum(np.abs(evals[-1] - fvals[-1]) ** 2)
+        del fvals, evals  # not held while the next block is formed
+    return sq_avg, sq_val, gap
 
 
 def _fejer_row(phase: PhaseFunction, count: int, symbols: list, probe_angles: np.ndarray) -> dict:

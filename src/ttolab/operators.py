@@ -6,8 +6,9 @@ lower-triangular-plus-spike matrix in this basis; trigonometric-polynomial
 symbols are therefore built exactly from its powers, while general sampled
 symbols fall back to shared-node circle quadrature: a uniform grid, or, next
 to zeros whose kernel peaks such a grid would have to resolve, the phase
-nodes of z^N B with their Lebesgue weights.  Functions of Hermitian matrices
-and Schatten norms use numpy.linalg (eigh, svd).
+nodes of z^N B with their Lebesgue weights (``quadrature.lebesgue_doubling``
+picks them).  Functions of Hermitian matrices and Schatten norms use
+numpy.linalg (eigh, svd).
 """
 
 from __future__ import annotations
@@ -17,18 +18,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blaschke import TWO_PI, FiniteBlaschke, abs_derivative_grid, tmw_matrix
+from .blaschke import FiniteBlaschke, abs_derivative_grid, tmw_matrix
 from .clark import ClarkMeasure
-from .quadrature import (
-    FIRST_POINTS,
-    MIN_LEVELS,
-    IntegralResult,
-    QuadratureConfig,
-    blaschke_initial_points,
-    doubling,
-    nu_integral,
-    phase_doubling,
-)
+from .quadrature import IntegralResult, QuadratureConfig, lebesgue_doubling, nu_integral
 
 _HERMITIAN_RTOL = 1e-8
 
@@ -295,16 +287,6 @@ def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
     return T
 
 
-#: cost of one phase node of z^N B (its share of the phase inversion) in
-#: uniform grid points (a basis sample and its share of the half-triangle
-#: Gram product): 0.3 to 12 on frostman_fast and dense_nonblaschke at
-#: N = 8...128, over four doubling levels in nested brackets (``phase_doubling``), the most
-#: at N = 8, where the Gram product is cheap (0.5 to 7 with full products
-#: and the scan's brackets alone; 1 to 15 with midpoint-started Newton).  Any
-#: value from 1 to 255 routes the benchmark configs alike: their dense
-#: products take the uniform grid, their frostman products the phase nodes
-PHASE_NODE_COST = 8
-
 #: nodes per block of a sampled build's Gram product.  A build holds one
 #: block of N x GRAM_NODES basis samples and one band of their weighted
 #: conjugate at a time: frostman T(1/|B'|) peaked at 3.7 MiB traced at
@@ -339,15 +321,10 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     """Shared-node quadrature: one basis-sample matrix per refinement level,
     all N^2 inner products formed as a Gram product.
 
-    The nodes are a uniform grid sized to the narrowest kernel peak, unless
-    that grid costs more than the phase nodes of Z = z^N B.  The phase of Z
-    carries (N + |B'|) dm onto uniform measure, so its nodes resolve the peaks
-    and the flat part of the circle at once, each with the Lebesgue weight
-    2N/|Z'| <= 2, |Z'| from the phase solve; their count stops at
-    max_points/PHASE_NODE_COST, and ``phase_doubling`` brackets each
-    level's phase solve by the nodes of the levels before it.  The symbol
-    1/|B'| of B itself (``inverse_derivative_symbol``) is 1/(|Z'| - N)
-    there, from the same solve, and is not sampled.
+    The nodes, their Lebesgue weights and, on the phase nodes of z^N B,
+    |B'| there come level by level from ``lebesgue_doubling``; the symbol
+    1/|B'| of B itself (``inverse_derivative_symbol``) is then taken from
+    that |B'| and not sampled.
 
     Each level streams its nodes in blocks of GRAM_NODES into one buffer of
     N x GRAM_NODES basis samples and one band of their weighted conjugate,
@@ -362,10 +339,11 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     the full product."""
     N = B.degree
     bands = _row_bands(N) if sym.is_real else [(0, N)]
+    from_slopes = sym.inverse_derivative_of is B
 
-    def gram(angles: np.ndarray, weights: np.ndarray, slopes: np.ndarray | None = None) -> np.ndarray:
+    def gram(angles: np.ndarray, weights: np.ndarray, slopes: np.ndarray | None) -> np.ndarray:
         """The weighted Gram product of the symbol's samples at the angles;
-        given |Z'| at them (``slopes``), the symbol is 1/(|Z'| - N)."""
+        given |B'| at them (``slopes``), the symbol 1/|B'| is 1/slopes."""
         acc = np.zeros((N, N), dtype=complex)
         # every block reuses one block of basis samples and one band of
         # their weighted conjugate, so two blocks are never held at once
@@ -377,10 +355,10 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
             n = len(th)
             # one contiguous row per basis function
             E = tmw_matrix(B, th, out=rows[:N * n].reshape(N, n)).T
-            if slopes is None:
-                vals = np.asarray(sym.evaluate(th))
+            if from_slopes and slopes is not None:
+                vals = 1.0 / slopes[start:start + GRAM_NODES]
             else:
-                vals = 1.0 / (slopes[start:start + GRAM_NODES] - N)
+                vals = np.asarray(sym.evaluate(th))
             if not np.all(np.isfinite(vals)):
                 raise ValueError("non-finite symbol sample")
             if sym.is_real and np.iscomplexobj(vals) and np.abs(vals.imag).max() > 1e-12:
@@ -392,21 +370,7 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
                 acc[r0:r1, :r1] += F @ E[:r1].T
         return acc
 
-    levels = max(MIN_LEVELS, -(-FIRST_POINTS // (2 * N)))
-    uniform = blaschke_initial_points(B, cfg)
-    if uniform <= PHASE_NODE_COST * 2 * N * levels:
-        def level(M: int, offset: float) -> np.ndarray:
-            return gram(TWO_PI * (np.arange(M) + offset) / M, np.ones(M))
-
-        res = doubling(level, uniform, cfg)
-    else:
-        Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(N, dtype=complex))))
-        from_slopes = sym.inverse_derivative_of is B
-
-        def level_sum(nodes: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-            return gram(nodes, 2 * N / slopes, slopes if from_slopes else None)
-
-        res = phase_doubling(Z, level_sum, levels, cfg, limit=cfg.max_points // PHASE_NODE_COST)
+    res = lebesgue_doubling(B, gram, cfg)
     T = _mirror_lower(res.value) if sym.is_real else res.value
     return T, res.converged, res.estimated_error
 

@@ -6,8 +6,10 @@ cap is reached; failure to converge is reported in the result, not raised.
 Lebesgue integrals use equispaced angles (the periodic trapezoid rule).  The
 boundary phase of B carries nu = |B'|/N dm onto uniform measure, so nu-integrals
 average over phase nodes, the inverse phase of equispaced levels.  Weighted by
-N/|B'| the same nodes give Lebesgue integrals; the sampled-symbol build in
-``operators`` uses those of z^N B, whose weights 2N/(N + |B'|) stay below 2.
+N/|B'| the same nodes give Lebesgue integrals; next to kernel peaks that a
+uniform grid would have to resolve, the sampled-symbol build in ``operators``
+sums over those of z^N B, whose weights 2N/(N + |B'|) stay below 2
+(``lebesgue_doubling`` picks its nodes).
 
 Samplers are callables taking a numpy array of angles and returning an array
 of values (complex or real; an extra trailing axis is allowed for batched
@@ -28,9 +30,10 @@ from .blaschke import FiniteBlaschke, TWO_PI, PhaseFunction, RuleParam, _checked
 #: number of grid points evaluated per chunk (keeps peak memory flat)
 CHUNK = 1 << 20
 
-#: least phase levels per winding of a nu-integral and of a sampled build's
-#: first level, unless half the node budget holds fewer: with every zero but
-#: the origin on the circle, the Lebesgue part of nu gets one node per level
+#: least phase levels per winding of a phase run's first level
+#: (``phase_doubling``), unless half the node budget holds fewer: with every
+#: zero but the origin on the circle, the Lebesgue part of nu gets one node
+#: per level
 MIN_LEVELS = 8
 
 #: the least first level, in nodes, of a circle integral, a nu-integral and
@@ -39,6 +42,17 @@ FIRST_POINTS = 256
 
 #: relative tolerance of every doubling run, beside the absolute ``abs_tol``
 REL_TOL = 1e-9
+
+#: cost of one phase node of z^N B (its share of the phase inversion) in
+#: uniform grid points (a basis sample and its share of the half-triangle
+#: Gram product of the sampled build): 0.3 to 12 on frostman_fast and
+#: dense_nonblaschke at N = 8...128, over four doubling levels in nested
+#: brackets (``phase_doubling``), the most at N = 8, where the Gram product
+#: is cheap (0.5 to 7 with full products and the scan's brackets alone; 1 to
+#: 15 with midpoint-started Newton).  Any value from 1 to 255 routes the
+#: benchmark configs alike: their dense products take the uniform grid,
+#: their frostman products the phase nodes (``lebesgue_doubling``)
+PHASE_NODE_COST = 8
 
 #: the [quadrature] settings: each ``QuadratureConfig`` field's default and
 #: condition, which it checks and the CLI parses its key by.  A budget of
@@ -138,17 +152,25 @@ def _scalarize(v):
     return complex(arr) if arr.ndim == 0 else arr
 
 
-def phase_doubling(B: FiniteBlaschke, level_sum: Callable, levels: int, cfg: QuadratureConfig,
-                   limit: int | None = None) -> IntegralResult:
+def _first_levels(degree: int) -> int:
+    """Levels per winding of a phase run's first level: MIN_LEVELS, and at
+    least FIRST_POINTS nodes."""
+    return max(MIN_LEVELS, -(-FIRST_POINTS // degree))
+
+
+def phase_doubling(B: FiniteBlaschke, level_sum: Callable, cfg: QuadratureConfig,
+                   levels: int | None = None, limit: int | None = None) -> IntegralResult:
     """``doubling`` from ``levels`` levels per winding, a level being
     ``level_sum(nodes, slopes)`` of the phase nodes of B and Theta' = |B'|
     there, each solve bracketed by the nodes before it (``phase_nodes``'s
-    ``solved``); ``limit`` counts nodes, as in ``doubling``.  The first level
-    takes at most half the limit, so that the run can double once, and never
-    less than one level per winding."""
+    ``solved``); ``limit`` counts nodes, as in ``doubling``.  By default the
+    first level takes MIN_LEVELS levels per winding and at least FIRST_POINTS
+    nodes; it takes at most half the limit, so that the run can double once,
+    and never less than one level per winding."""
     phase = PhaseFunction(B)
     N = B.degree
     limit = cfg.max_points if limit is None else limit
+    levels = _first_levels(N) if levels is None else levels
     levels = max(1, min(levels, limit // (2 * N)))
     solved = []  # each level's nodes bracket the next
 
@@ -160,8 +182,30 @@ def phase_doubling(B: FiniteBlaschke, level_sum: Callable, levels: int, cfg: Qua
 
 def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = QuadratureConfig()) -> IntegralResult:
     """Integral of f against the mean-of-harmonic-measures density |B'|/N:
-    the mean of f over phase nodes, from MIN_LEVELS levels per winding and
-    at least FIRST_POINTS nodes, or half of max_points if that is fewer
-    (``phase_doubling``)."""
-    return phase_doubling(B, lambda nodes, _: _sample(f, nodes).sum(axis=0),
-                          max(MIN_LEVELS, -(-FIRST_POINTS // B.degree)), cfg)
+    the mean of f over phase nodes (``phase_doubling`` from its default first level)."""
+    return phase_doubling(B, lambda nodes, _: _sample(f, nodes).sum(axis=0), cfg)
+
+
+def lebesgue_doubling(B: FiniteBlaschke, level_sum: Callable, cfg: QuadratureConfig) -> IntegralResult:
+    """``doubling`` of a Lebesgue integral next to the kernel peaks of B, a
+    level being ``level_sum(angles, weights, slopes)``: the nodes of the
+    sampled build.
+
+    They are a uniform grid sized to the narrowest peak
+    (``blaschke_initial_points``), with weights 1 and slopes None, unless
+    that grid costs more than PHASE_NODE_COST times the first level of the
+    phase nodes of Z = z^N B.  The phase of Z carries (N + |B'|) dm onto
+    uniform measure, so its nodes resolve the peaks and the flat part of the
+    circle at once, each with the Lebesgue weight 2N/|Z'| <= 2 and the slope
+    |B'| = |Z'| - N from the same solve; their count stops at
+    max_points/PHASE_NODE_COST."""
+    N = B.degree
+    uniform = blaschke_initial_points(B, cfg)
+    if uniform <= PHASE_NODE_COST * 2 * N * _first_levels(2 * N):
+        def level(M: int, offset: float):
+            return level_sum(TWO_PI * (np.arange(M) + offset) / M, np.ones(M), None)
+
+        return doubling(level, uniform, cfg)
+    Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(N, dtype=complex))))
+    return phase_doubling(Z, lambda nodes, slopes: level_sum(nodes, 2 * N / slopes, slopes - N),
+                          cfg, limit=cfg.max_points // PHASE_NODE_COST)

@@ -131,10 +131,11 @@ def tmw_kernel_coeffs(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
 
 def clark_measures(B: FiniteBlaschke, count: int) -> list[ClarkMeasure]:
     """The Clark measures at the count-th roots of unity as objects, one per
-    row of ``clark_rows``, each checked again on construction."""
+    row of ``clark_rows`` sorted by angle, each checked again on construction."""
     atoms, _, weights = clark_rows(B, count)
-    return [ClarkMeasure(B, complex(math.cos(a), math.sin(a)), row, w)
-            for a, row, w in zip(TWO_PI * np.arange(count) / count, atoms, weights)]
+    order = np.argsort(atoms, axis=1)
+    return [ClarkMeasure(B, complex(math.cos(a), math.sin(a)), row[o], w[o])
+            for a, row, w, o in zip(TWO_PI * np.arange(count) / count, atoms, weights, order)]
 
 
 def hs_lhs_reference(cfg) -> list[float]:

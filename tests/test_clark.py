@@ -279,7 +279,8 @@ class TestClarkMeasuresGridCheck:
     def corrupted_grid(self, monkeypatch, B, atom_rows=(), weight_rows=()):
         """Feed clark_rows nodes with one atom of each of atom_rows moved
         by 1e-3, and Theta' = |B'| doubled at the sixth atom (by angle) of
-        each of weight_rows; return the atoms and weights it then forms."""
+        each of weight_rows; return the atoms and weights it then forms,
+        each row in the order of the solve."""
         nodes, slopes, residuals = phase_nodes(PhaseFunction(B), self.COUNT)
         nodes, slopes = nodes.copy(), slopes.copy()
         for row in atom_rows:
@@ -288,9 +289,9 @@ class TestClarkMeasuresGridCheck:
         order = np.argsort(columns, axis=0)
         for row in weight_rows:
             slopes[order[5, row] * self.COUNT + row] *= 2.0
-        monkeypatch.setattr(clark, "phase_nodes", lambda phase, count, offset: (nodes, slopes, residuals))
-        atoms = np.take_along_axis(columns, order, axis=0).T.copy()
-        weights = 1.0 / np.take_along_axis(slopes.reshape(B.degree, self.COUNT), order, axis=0).T
+        monkeypatch.setattr(clark, "phase_nodes", lambda phase, count, offset=0.0: (nodes, slopes, residuals))
+        atoms = columns.T.copy()
+        weights = 1.0 / slopes.reshape(B.degree, self.COUNT).T
         return atoms, weights
 
     @pytest.mark.parametrize("atom_rows, weight_rows", [

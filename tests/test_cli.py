@@ -871,3 +871,42 @@ def test_sweeps_do_not_import_numpy_ma(tmp_path):
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+#: runs szego and stz on a config under perfbench's span recorder, then prints
+#: the problems of the benchmark's cross-module check and the span edges
+_SPAN_EDGES_SCRIPT = """
+import json, sys
+from run import cross_module_problems
+from spans import Tracer
+from ttolab.cli import main
+out, cfg = sys.argv[1], sys.argv[2]
+tracer = Tracer()
+tracer.install()
+for command in ("szego", "stz"):
+    assert main([command, "--config", cfg, "--out", f"{out}/{command}"]) == 0, command
+spans = tracer.spans
+edges = sorted({(spans[p][0], name) for name, _, _, p in spans if p >= 0})
+print(json.dumps({"problems": cross_module_problems({"spans": spans}), "edges": edges}))
+"""
+
+
+def test_traced_sweeps_have_the_benchmark_span_edges(tmp_path):
+    # the traced benchmark rejects a run without these parent -> child span
+    # edges; the sampled build calls tmw_matrix with no spanned quadrature
+    # layer (integrate_circle, nu_integral) in between
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), str(REPO / "perfbench"),
+                                                        os.environ.get("PYTHONPATH")])))
+    cfg = str(REPO / "perfbench" / "configs" / "frostman-boundary.cfg")
+    run = subprocess.run([sys.executable, "-c", _SPAN_EDGES_SCRIPT, str(tmp_path), cfg],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["problems"] == []
+    edges = {tuple(edge) for edge in report["edges"]}
+    assert {("operators.build_truncated_toeplitz.sampled", "blaschke.tmw_matrix"),
+            ("experiments.szego_gap", "operators.build_truncated_toeplitz.trig"),
+            ("cli.cmd_szego", "experiments.szego_gap")} <= edges
+    assert not {child for parent, child in edges
+                if parent == "operators.build_truncated_toeplitz.sampled" and child.startswith("quadrature.")}

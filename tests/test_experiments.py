@@ -464,16 +464,33 @@ class TestFejerSuite:
     @pytest.mark.parametrize("seq", [ZeroSequence.uniform_zero(), ZeroSequence.dense_nonblaschke()],
                              ids=["origin", "dense"])
     def test_blocks_give_the_sums_of_one_block(self, monkeypatch, seq):
-        # the node blocks are added where numpy's pairwise sum splits a row:
-        # the l2 gaps keep the bits of one block (4104 nodes at N = 24); a
-        # trial row of the BLAS product in fejer_trig_values may round apart
+        # the node blocks are added one after another, so the sums over
+        # blocks of 1024 nodes and over one block of 4104 nodes (N = 24)
+        # agree to rounding, not bit for bit
         cfg = ExperimentConfig(seq, TWO_COS, IDENTITY, (8, 24))
         ref = fejer_suite(cfg, trials=3)
         monkeypatch.setattr(experiments, "FEJER_NODES", 1 << 20)
         one = fejer_suite(cfg, trials=3)
-        assert [r["l2_gap_sq"] for r in ref["per_n"]] == [r["l2_gap_sq"] for r in one["per_n"]]
         for a, b in zip(ref["per_n"], one["per_n"]):
+            assert a["l2_gap_sq"] == pytest.approx(b["l2_gap_sq"], rel=1e-14, abs=0)
             assert a["contraction_max"] == pytest.approx(b["contraction_max"], rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("block", [8, 1024, 1 << 20])
+    def test_power_case_gives_exact_values(self, monkeypatch, block):
+        # B = z^N averages z^k to (1 - |k|/N) z^k for |k| < N: the gap of
+        # z + conj(z) is 2/N^2 and the contraction of a trial symbol is
+        # sqrt(sum |c_k|^2 (1 - |k|/N)^2 / sum |c_k|^2), in any block size
+        monkeypatch.setattr(experiments, "FEJER_NODES", block)
+        cfg = ExperimentConfig(ZeroSequence.uniform_zero(seed=5), TWO_COS, IDENTITY, (8, 24, 64))
+        report = fejer_suite(cfg)
+        rng = np.random.default_rng(cfg.sequence.seed)
+        trials = [experiments._random_trig_poly(rng) for _ in range(report["trials"])]
+        for row in report["per_n"]:
+            N = row["N"]
+            ratios = [math.sqrt(sum(abs(c) ** 2 * (1 - abs(k) / N) ** 2 for k, c in sym.coeffs)
+                                / sum(abs(c) ** 2 for _, c in sym.coeffs)) for sym in trials]
+            assert row["l2_gap_sq"] == pytest.approx(2 / N ** 2, rel=1e-14, abs=0)
+            assert row["contraction_max"] == pytest.approx(max(ratios), rel=1e-14, abs=0)
 
 
 class TestAveragingTakesItsNodes:

@@ -19,7 +19,6 @@ from ttolab.blaschke import (
 )
 from ttolab.clark import clark_measure
 from ttolab.operators import (
-    PHASE_NODE_COST,
     OperatorMatrix,
     ScalarFunction,
     SymbolRep,
@@ -35,7 +34,7 @@ from ttolab.operators import (
     trace_formula_rhs,
     trace_norm,
 )
-from ttolab.quadrature import MIN_LEVELS, QuadratureConfig, blaschke_initial_points
+from ttolab.quadrature import MIN_LEVELS, PHASE_NODE_COST, QuadratureConfig, blaschke_initial_points
 
 from oracles import (
     build_clark_unitary,
