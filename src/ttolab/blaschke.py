@@ -180,7 +180,9 @@ class ZeroSequence:
 
     @staticmethod
     def from_points(points: Sequence[complex], seed: int = SEED.default) -> "ZeroSequence":
-        return ZeroSequence("explicit", seed=seed, explicit_zeros=tuple(complex(p) for p in points))
+        pts = tuple(complex(p) for p in points)
+        _check_zeros(np.array(pts, dtype=complex), bool(pts))  # as a rule's zeros are, but when built
+        return ZeroSequence("explicit", seed=seed, explicit_zeros=pts)
 
 
 def _check_zeros(zeros: np.ndarray, first: bool):

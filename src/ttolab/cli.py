@@ -196,15 +196,19 @@ def _read_sections(path: str) -> dict:
     return sections
 
 
+def _keyed(name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a ValueError or OSError it raises made a config
+    error that names the key or flag ``name``."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _parse_key(sections: dict, section: str, key: str, default=None):
     """Parse one value with its key's parser, naming its key path if it is malformed."""
     text = sections.get(section, {}).get(key)
-    if text is None:
-        return default
-    try:
-        return _PARSERS[section][key](text)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from exc
+    return default if text is None else _keyed(f"{section}.{key}", _PARSERS[section][key], text)
 
 
 def _given(sections: dict, section: str, keys=None) -> dict:
@@ -232,7 +236,7 @@ def _sequence_from_section(sections: dict) -> ZeroSequence:
         zeros = _parse_key(sections, "sequence", "zeros")
         if zeros is None:
             raise ConfigError("sequence.zeros is required for explicit sequences")
-        return ZeroSequence.from_points(zeros, **seed)
+        return _keyed("sequence.zeros", ZeroSequence.from_points, zeros, **seed)
     return ZeroSequence(kind, _given(sections, "sequence", read or ()), **seed)  # an unknown tag fails here
 
 
@@ -286,6 +290,10 @@ def parse_config(path: str, overrides: dict | None = None, command: str | None =
         if symbol is None:
             raise ConfigError("a [symbol] section (or --symbol) is required")
         function = _text_from_section(sections, "function")
+        if function is not None and not function.is_poly and not symbol.is_real:
+            # only a preset function is pointwise
+            raise ConfigError(f"function.preset, symbol.{'preset' if 'preset' in sections['symbol'] else 'coeffs'}:"
+                              " a pointwise function needs a real-valued symbol")
         experiment = ExperimentConfig(sequence, symbol, **({} if function is None else {"function": function}),
                                       **_given(sections, "sweep"), **_given(sections, "angular"),
                                       quadrature=QuadratureConfig(**_given(sections, "quadrature")))
@@ -351,7 +359,6 @@ class Manifest:
     def flush(self, status: str):
         self.data["status"] = status
         self.data["outputs"] = sorted(set(self.data["outputs"]))
-        os.makedirs(self.out_dir, exist_ok=True)
         _atomic_write(os.path.join(self.out_dir, "manifest.json"), _file_text("manifest.json", self.data))
 
 
@@ -418,13 +425,6 @@ FLAG_KEYS = {
 }
 
 
-def _flag_value(dest: str, parse, text: str):
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"--{dest.replace('_', '-')}: {exc}") from exc
-
-
 def _flag_sections(args, defaults: dict | None = None) -> dict:
     """Config entries of the flags given, over ``defaults`` (flag text by
     flag).  Each value is read here by its key's parser too, so that a
@@ -441,7 +441,7 @@ def _flag_sections(args, defaults: dict | None = None) -> dict:
             kind = _text_kind(section, text)
             entries = {"kind": kind, "preset" if kind == "preset" else "coeffs": text.removeprefix("poly:")}
         for name, value in entries.items():
-            _flag_value(dest, _PARSERS[section][name], value)
+            _keyed(f"--{dest.replace('_', '-')}", _PARSERS[section][name], value)
         sections.setdefault(section, {}).update(entries)
     return sections
 
@@ -456,7 +456,8 @@ def _sweep(args) -> tuple[ExperimentConfig, Run]:
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
     parsed = parse_config(args.config, overrides, args.command)
-    out = args.out or parsed.out_dir or "results"
+    source, out = ("--out", args.out) if args.out else ("output.dir", parsed.out_dir or "results")
+    _keyed(source, os.makedirs, out, exist_ok=True)  # before any work runs
     return parsed.experiment, Run(args.command, out, parsed.canonical, parsed.experiment.sequence.seed)
 
 
@@ -464,6 +465,8 @@ def cmd_operator(args) -> int:
     sections = _flag_sections(args, {"symbol": "c1=1,c-1=1"})
     B, sym = _blaschke(sections), _text_from_section(sections, "symbol")
     quad = QuadratureConfig(**_given(sections, "quadrature"))
+    if args.out:
+        _keyed("--out", os.makedirs, args.out, exist_ok=True)
     run = Run(args.command, args.out, "operator|" + json.dumps(sections, sort_keys=True))
 
     def work():
@@ -478,7 +481,9 @@ def cmd_operator(args) -> int:
 
 def cmd_clark(args) -> int:
     B = _blaschke(_flag_sections(args))
-    a = 0.0 if args.alpha_angle is None else _flag_value("alpha_angle", _finite_float, args.alpha_angle)
+    a = 0.0 if args.alpha_angle is None else _keyed("--alpha-angle", _finite_float, args.alpha_angle)
+    if args.out:
+        _keyed("--out", os.makedirs, args.out, exist_ok=True)
     run = Run(args.command, args.out, f"clark|{args.zeros}|{a}")
 
     def work():

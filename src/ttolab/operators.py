@@ -3,7 +3,7 @@
 All matrices are written in the Takenaka-Malmquist-Walsh basis of the model
 space of a finite Blaschke product.  The compressed shift has a closed-form
 lower-triangular-plus-spike matrix in this basis; trigonometric-polynomial
-symbols are therefore built exactly from its powers, while general sampled
+symbols are therefore built exactly as p(S) + q(S)*, while general sampled
 symbols fall back to shared-node circle quadrature: a uniform grid, or, next
 to zeros whose kernel peaks such a grid would have to resolve, the phase
 nodes of z^N B with their Lebesgue weights (``quadrature.lebesgue_doubling``
@@ -176,7 +176,7 @@ class ScalarFunction:
             acc = SymbolRep.constant(0.0)
             for c in reversed(self.poly_coeffs):
                 acc = acc * sym + SymbolRep.constant(c)
-            return SymbolRep.trig(acc.coeff_dict)
+            return acc
         if not sym.is_real:
             raise ValueError("pointwise functions require a real-valued symbol")
 
@@ -258,32 +258,31 @@ def compressed_shift(B: FiniteBlaschke) -> np.ndarray:
     return S
 
 
+def _horner(M: np.ndarray, coeffs: Sequence[complex]) -> np.ndarray:
+    """sum_k coeffs[k] M^k (constant first) by Horner's rule, each constant added on the diagonal."""
+    lead, *lower = reversed(coeffs)
+    out = lead * (M if lower else np.eye(len(M), dtype=complex))
+    for i, c in enumerate(lower):
+        if i:
+            out = out @ M
+        _add_diagonal(out, c)
+    return out
+
+
 def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
-    """Exact compression of a trig-poly symbol via powers of the shift.
-    Each term is scaled in one scratch matrix and the constant term is
-    added on the diagonal, so the build holds the powers, T and one scratch."""
-    N = B.degree
+    """Exact compression T = p(S) + q(S)* + c_0 I of a trig-poly symbol, p =
+    sum_{k>0} c_k z^k and q = sum_{k>0} conj(c_{-k}) z^k trimmed and taken by
+    ``_horner``: a one-sided symbol's other part is 0 with no product, and a
+    real one has q = p, so T = P* + P is exactly Hermitian and holds S, P, T."""
+    c = sym.coeff_dict
+    ks = range(1, max(map(abs, c), default=0) + 1)
+    p = ScalarFunction.poly([0, *(c.get(k, 0j) for k in ks)]).poly_coeffs
+    q = ScalarFunction.poly([0, *(c.get(-k, 0j).conjugate() for k in ks)]).poly_coeffs
     S = compressed_shift(B)
-    dmax = max((abs(k) for k, _ in sym.coeffs), default=0)
-    powers = [None, S]  # the power 0 is I, added on the diagonal
-    while len(powers) <= dmax:
-        powers.append(powers[-1] @ S)
-    T = np.zeros((N, N), dtype=complex)
-    scratch = np.empty_like(T)
-    for k, ck in sym.coeffs:
-        if k == 0:
-            _add_diagonal(T, ck)
-            continue
-        if k > 0:
-            np.multiply(ck, powers[k], out=scratch)
-        else:
-            np.conjugate(powers[-k].T, out=scratch)
-            scratch *= ck
-        T += scratch
-    if sym.is_real:
-        np.conjugate(T.T, out=scratch)
-        T += scratch
-        T *= 0.5
+    P = _horner(S, p)
+    T = np.conjugate((P if sym.is_real else _horner(S, q)).T)
+    T += P
+    _add_diagonal(T, c.get(0, 0j))
     return T
 
 
@@ -379,8 +378,8 @@ def build_truncated_toeplitz(B: FiniteBlaschke, sym: SymbolRep,
                              cfg: QuadratureConfig = QuadratureConfig()) -> OperatorMatrix:
     """Compression of multiplication by the symbol to the model space.
 
-    Trig-poly symbols are assembled exactly from shift powers (the analytic
-    and anti-analytic parts compress to S^k and its adjoint); sampled symbols
+    Trig-poly symbols are assembled exactly from the shift (the analytic and
+    anti-analytic parts compress to p(S) and q(S)*); sampled symbols
     use adaptively refined shared-node quadrature.
     """
     if sym.is_trig:
@@ -454,19 +453,12 @@ def _require_hermitian(M: np.ndarray):
 
 
 def apply_function(A: OperatorMatrix, f: ScalarFunction) -> OperatorMatrix:
-    """f(A): Horner for polynomial f, eigenvalue map for pointwise f.  The
-    result carries A's ``converged`` and ``estimated_error``."""
+    """f(A): Horner for polynomial f (``_horner``, as a trig build forms
+    p(S)), eigenvalue map for pointwise f.  The result carries A's
+    ``converged`` and ``estimated_error``."""
     M = A.matrix
     if f.is_poly:
-        lead, *lower = reversed(f.poly_coeffs or (0j,))
-        # Horner, each constant added on the diagonal; its first product
-        # (lead I) M is lead M
-        out = lead * (M if lower else np.eye(len(M), dtype=complex))
-        for i, c in enumerate(lower):
-            if i:
-                out = out @ M
-            _add_diagonal(out, c)
-        return replace(A, matrix=out)
+        return replace(A, matrix=_horner(M, f.poly_coeffs or (0j,)))
     _require_hermitian(M)
     w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
     fw = np.asarray(f.eval_scalar(w), dtype=complex)

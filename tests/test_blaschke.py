@@ -135,6 +135,15 @@ class TestGenerators:
         with pytest.raises(ValueError, match="seed"):
             ZeroSequence.from_points([0, 0.5], seed=-1)
 
+    def test_explicit_list_starts_at_the_origin(self):
+        # refused when the sequence is built, not when its zeros are first
+        # read; a signed zero is the origin
+        with pytest.raises(ValueError, match="must start at the origin"):
+            ZeroSequence.from_points([0.5, 0, 0.3j])
+        with pytest.raises(ValueError, match="strictly inside the unit disk"):
+            ZeroSequence.from_points([0, 0.5, 1.0])
+        assert ZeroSequence.from_points([complex(-0.0, -0.0), 0.5]).explicit_zeros[1] == 0.5
+
 
 class TestEvaluation:
     def test_power(self):

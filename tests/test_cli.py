@@ -27,6 +27,8 @@ from ttolab.blaschke import ZeroSequence
 from ttolab.experiments import ANGULAR_PARAMS, SWEEP_PARAMS, ExperimentConfig
 from ttolab.quadrature import QUADRATURE_PARAMS, QuadratureConfig
 
+REPO = Path(__file__).resolve().parent.parent
+
 MINIMAL = """
 [sequence]
 kind = uniform_zero
@@ -611,6 +613,45 @@ alpha_count = 8
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["szego", "stz", "lemmas"])
+    def test_explicit_sequence_off_the_origin_names_key_and_writes_nothing(self, tmp_path, capsys, command):
+        path = tmp_path / "off.cfg"
+        path.write_text(EXPLICIT_THREE.replace("0,0.5,0.3i", "0.5,0,0.3i") + "[sweep]\nn_values = 2,3\n")
+        with pytest.raises(ConfigError, match="sequence.zeros: sequence must start at the origin"):
+            parse_config(str(path))
+        out = tmp_path / "x"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: sequence.zeros: sequence must start at the origin\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, source", [
+        (["szego", "--config", "{cfg}", "--out", "{file}"], "--out"),
+        (["stz", "--config", "{cfg}", "--out", "{file}/sub"], "--out"),
+        (["lemmas", "--config", "{under}"], "output.dir"),
+        (["lemmas", "--config", "{under}", "--out", "{file}"], "--out"),
+        (["operator", "--zeros", "0,0.5", "--out", "{file}"], "--out"),
+        (["clark", "--zeros", "0,0.5", "--out", "{file}/sub"], "--out"),
+    ], ids=["szego-out-file", "stz-out-under-file", "lemmas-output-dir", "lemmas-out-over-output-dir",
+            "operator-out-file", "clark-out-under-file"])
+    def test_result_directory_that_cannot_be_made_names_its_source(self, minimal_cfg, tmp_path, capsys,
+                                                                    monkeypatch, argv, source):
+        # --out naming a file, or a directory under one, exits 2 before any
+        # work runs, with no traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        under = tmp_path / "under.cfg"
+        under.write_text(MINIMAL + f"[output]\ndir = {blocker}/results\n")
+        for name in ("szego_gap", "stz_trace", "hs_approx_gap", "build_truncated_toeplitz", "clark_measure"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("work ran"))
+        argv = [arg.format(cfg=minimal_cfg, file=blocker, under=under) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(rf"config error: {source}: \[Errno \d+\] (File exists|Not a directory): ", captured.err)
+        assert captured.err.count("\n") == 1
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["szego", "stz", "lemmas"])
     def test_explicit_sequence_runs_under_the_default_j_terms(self, tmp_path, command):
         path = tmp_path / "three.cfg"
         path.write_text(EXPLICIT_THREE + "[sweep]\nn_values = 2,3\n")
@@ -753,11 +794,14 @@ class TestFlags:
         (["clark", "--zeros", "0,0.5", "--alpha-angle", "inf"], "--alpha-angle"),
         (["clark", "--zeros", "0,0.5", "--alpha-angle", "nan"], "--alpha-angle"),
         (["disintegrate", "--zeros", "0,0.5", "--symbol", "poly:1"], "--symbol"),
+        # a pointwise function of a complex symbol names both keys
+        (["szego", "--config", str(REPO / "configs" / "dense_sweep.cfg"), "--symbol", "z", "--function", "exp"],
+         "function.preset, symbol.preset"),
     ], ids=["operator-tol-0", "operator-max-grid-0", "operator-max-grid-1", "operator-max-grid-128",
             "operator-max-grid-256", "disintegrate-alpha-count-0",
             "operator-repeated-frequency", "operator-nan-zero", "operator-zero-outside",
             "clark-zero-outside", "clark-alpha-angle-inf", "clark-alpha-angle-nan",
-            "disintegrate-unknown-symbol"])
+            "disintegrate-unknown-symbol", "szego-pointwise-of-complex-symbol"])
     def test_malformed_flag_exits_2_and_names_it(self, capsys, argv, flag):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -845,8 +889,6 @@ n_values = 4,8,16
         b = parse_config(minimal_cfg, {"sequence": {"seed": "3"}})
         assert a.canonical != b.canonical
 
-
-REPO = Path(__file__).resolve().parent.parent
 
 #: runs the sweeps of each config given, then prints whether numpy.ma was imported
 _NO_MA_SCRIPT = """

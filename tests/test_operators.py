@@ -56,6 +56,17 @@ def random_blaschke(n, seed=0, rmax=0.85):
 
 
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
+REAL_DEGREE_2 = SymbolRep.trig({-2: 0.5 - 1j, -1: 0.25, 0: 2.0, 1: 0.25, 2: 0.5 + 1j})
+REAL_DEGREE_3 = SymbolRep.trig({-3: 1.5j, -1: 1 + 0.5j, 0: -0.3, 1: 1 - 0.5j, 3: -1.5j})
+
+#: real, one-sided and two-sided complex symbols of degree 1 to 3
+SHIFT_SUM_SYMBOLS = {
+    "cos": TWO_COS, "real-2": REAL_DEGREE_2, "real-3": REAL_DEGREE_3,
+    "z": SymbolRep.trig({1: 1}), "z^2": SymbolRep.trig({2: 1}), "conj-z^3": SymbolRep.trig({-3: 1}),
+    "complex-1": SymbolRep.trig({-1: 0.5j, 0: 0.3, 1: 1 - 0.5j}),
+    "complex-2": SymbolRep.trig({-2: 0.7j, -1: 0.2, 1: 1, 2: -0.4 + 0.1j}),
+    "complex-3": SymbolRep.trig({-3: 1.5, -1: 0.25, 0: 0.3, 1: 1 - 0.5j, 2: 2j}),
+}
 
 
 def shift_reference(B):
@@ -209,9 +220,10 @@ class TestCompressedShift:
             assert compressed_shift(B).tobytes() == ref.tobytes()
 
     def test_trig_build_and_polynomial_keep_output_sized_memory(self):
-        # frostman N = 512: T(cos) and its square hold S, T and one scratch
-        # (twice the 4 MiB result besides it; with identities and c I at each
-        # step it was four times), with the same bits as the identity forms
+        # frostman N = 512: T(cos) holds S, P = p(S) and T, and its square
+        # T, a Horner step and its product (twice the 4 MiB result besides
+        # it; with identities and c I at each step it was four times), with
+        # the same bits as the identity forms
         B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 512)
         sym, f = SymbolRep.preset("cos"), ScalarFunction.preset("square")
         tracemalloc.start()
@@ -267,10 +279,20 @@ class TestBuildToeplitz:
         quad = build_truncated_toeplitz(B, sampler).matrix
         assert np.abs(exact - quad).max() < 1e-9
 
-    def test_self_adjoint_for_real_symbol(self):
+    @pytest.mark.parametrize("sym", [TWO_COS, REAL_DEGREE_2, REAL_DEGREE_3], ids=["degree-1", "degree-2", "degree-3"])
+    def test_self_adjoint_for_real_symbol(self, sym):
+        # T = P* + P + c_0 I with a real c_0: Hermitian bit for bit
         B = random_blaschke(6, seed=5)
-        T = build_truncated_toeplitz(B, TWO_COS).matrix
-        assert np.abs(T - T.conj().T).max() == 0.0
+        T = build_truncated_toeplitz(B, sym).matrix
+        assert np.array_equal(T, T.conj().T)
+
+    @pytest.mark.parametrize("sym", list(SHIFT_SUM_SYMBOLS.values()), ids=list(SHIFT_SUM_SYMBOLS))
+    def test_matches_the_shift_power_sum(self, edge_blaschke, sym):
+        # p(S) + q(S)* by Horner against sum_k c_k S^k with adjoint powers
+        # for k < 0, formed power by power
+        T = build_truncated_toeplitz(edge_blaschke, sym).matrix
+        ref = trig_poly_identity_reference(edge_blaschke, sym, [0, 1])
+        assert np.abs(T - ref).max() <= 1e-14 * np.abs(T).max()
 
     def test_trace_of_shift_symbol(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
