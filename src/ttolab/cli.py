@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import hashlib
 import io
 import json
 import math
@@ -24,6 +23,17 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+
+# hashlib loads OpenSSL's libcrypto (about 5 ms and 3.6 MB resident) for the
+# one digest a run takes; CPython's builtin module gives the same sha256, as
+# random.py takes its sha512
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .blaschke import RULE_PARAMS, SEED, FiniteBlaschke, RuleParam, ZeroSequence
@@ -349,7 +359,7 @@ class Manifest:
 
     def __init__(self, out_dir: str, identity: str, seed: int):
         self.out_dir = out_dir
-        self.data = {"config_hash": hashlib.sha256(identity.encode()).hexdigest(), "version": __version__,
+        self.data = {"config_hash": sha256(identity.encode()).hexdigest(), "version": __version__,
                      "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "seed": seed, "outputs": []}
 
     def write(self, name: str, data: str):

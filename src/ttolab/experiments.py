@@ -9,6 +9,7 @@ and seed the records are bit-identical between runs.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,9 +36,11 @@ from .operators import (
     fejer_values,
     inverse_derivative_symbol,
     semicommutator_trace,
+    taylor_coefficients,
     trace,
     trace_formula_rhs,
     trace_norm,
+    trig_coefficients,
 )
 from .quadrature import IntegralResult, QuadratureConfig, integrate_circle
 
@@ -224,7 +227,8 @@ def hs_approx_gap(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
         T = build_truncated_toeplitz(B, sym, cfg.quadrature)
         atoms, b, weights = clark_rows(B, cfg.alpha_count)
         if sym.is_trig:
-            (values,), (averages,) = fejer_trig_values(B, [sym], atoms.ravel(), b.ravel(), 1.0 / weights.ravel())
+            (values,), (averages,) = fejer_trig_values(B, trig_coefficients([sym]), atoms.ravel(), b.ravel(),
+                                                       1.0 / weights.ravel())
         else:
             values = np.asarray(sym.evaluate(atoms.ravel()))
             averages = np.concatenate([fejer_values(B, T, row, 1.0 / w) for row, w in zip(atoms, weights)])
@@ -280,9 +284,15 @@ def stz_defect_s1(cfg: ExperimentConfig) -> list[ConvergenceRecord]:
 # averaging-operator suite
 # ---------------------------------------------------------------------------
 
-def _random_trig_poly(rng: np.random.Generator, degree: int = 6) -> SymbolRep:
+def _trial_symbols(seed: int, trials: int, degree: int = 6) -> list[SymbolRep]:
+    """``fejer_suite``'s trial trig polynomials: coefficients c_-degree...c_degree,
+    each with real and imaginary parts uniform on [-1, 1), from
+    ``random.Random(seed).random()``, the one draw whose stream Python keeps
+    across versions.  numpy.random would add about 8 ms and 2.5 MB resident
+    to a process, and OpenSSL's libcrypto with it (through ``secrets``)."""
+    draw = random.Random(seed).random
     ks = range(-degree, degree + 1)
-    return SymbolRep.trig({k: complex(rng.normal(), rng.normal()) for k in ks})
+    return [SymbolRep.trig({k: complex(2 * draw() - 1, 2 * draw() - 1) for k in ks}) for _ in range(trials)]
 
 
 #: phase nodes per block of ``fejer_suite``'s sums, added one block after
@@ -294,13 +304,14 @@ def _random_trig_poly(rng: np.random.Generator, degree: int = 6) -> SymbolRep:
 FEJER_NODES = 1024
 
 
-def _fejer_sums(B: FiniteBlaschke, symbols: list, nodes: tuple) -> tuple:
+def _fejer_sums(B: FiniteBlaschke, coeffs: np.ndarray, nodes: tuple, taylor: np.ndarray) -> tuple:
     """Sums over the nodes (arrays of angles, B and |B'|) of |E_N phi|^2 and
-    |phi|^2 per trial symbol (all but the last) and of |E_N phi - phi|^2 for
-    the last, added block by block of FEJER_NODES nodes of ``fejer_trig_values``."""
-    sq_avg, sq_val, gap = np.zeros(len(symbols) - 1), np.zeros(len(symbols) - 1), 0.0
+    |phi|^2 per trial symbol (all rows of ``coeffs`` but the last) and of
+    |E_N phi - phi|^2 for the last, added block by block of FEJER_NODES nodes
+    of ``fejer_trig_values``, which all take B1's ``taylor`` coefficients."""
+    sq_avg, sq_val, gap = np.zeros(len(coeffs) - 1), np.zeros(len(coeffs) - 1), 0.0
     for start in range(0, len(nodes[0]), FEJER_NODES):
-        fvals, evals = fejer_trig_values(B, symbols, *(a[start:start + FEJER_NODES] for a in nodes))
+        fvals, evals = fejer_trig_values(B, coeffs, *(a[start:start + FEJER_NODES] for a in nodes), taylor)
         sq_avg += np.sum(np.abs(evals[:-1]) ** 2, axis=1)
         sq_val += np.sum(np.abs(fvals[:-1]) ** 2, axis=1)
         gap += np.sum(np.abs(evals[-1] - fvals[-1]) ** 2)
@@ -308,20 +319,25 @@ def _fejer_sums(B: FiniteBlaschke, symbols: list, nodes: tuple) -> tuple:
     return sq_avg, sq_val, gap
 
 
-def _fejer_row(phase: PhaseFunction, count: int, symbols: list, probe_angles: np.ndarray) -> dict:
+def _fejer_row(phase: PhaseFunction, count: int, coeffs: np.ndarray, probe_coeffs: np.ndarray,
+               probe_angles: np.ndarray) -> dict:
     """One degree of ``fejer_suite`` on the phase nodes of count levels per
-    winding: symbols are the trials, then the Lipschitz symbol.  B at node k
-    is its level e^{2 pi i k/count} times e^{i residual} and |B'| the solve's
-    Theta'; at the probe angles both come from the phase.  One block of nodes
-    is held at a time."""
+    winding: the rows of ``coeffs`` are the trials, then the Lipschitz
+    symbol, whose own row ``probe_coeffs`` is averaged at the probe angles.
+    B at node k is its level e^{2 pi i k/count} times e^{i residual} and
+    |B'| the solve's Theta'; at the probe angles both come from the phase.
+    B1's Taylor coefficients are formed once and one block of nodes is held
+    at a time."""
     B = phase.blaschke
+    taylor = taylor_coefficients(B, coeffs.shape[1] // 2)
     angles, slopes, residuals = phase_nodes(phase, count)
     n = len(angles)
     levels = np.tile(np.exp(1j * circle_grid(count)), B.degree)
-    sq_avg, sq_val, gap = _fejer_sums(B, symbols, (angles, levels * np.exp(1j * residuals), slopes))
+    sq_avg, sq_val, gap = _fejer_sums(B, coeffs, (angles, levels * np.exp(1j * residuals), slopes), taylor)
     probe = np.empty((2, len(probe_angles)))
     phase(probe_angles, probe)
-    probe_f, probe_e = fejer_trig_values(B, symbols[-1:], probe_angles, phase.product(probe_angles), probe[0])
+    probe_f, probe_e = fejer_trig_values(B, probe_coeffs, probe_angles, phase.product(probe_angles), probe[0],
+                                         taylor)
     return {
         "N": B.degree,
         "contraction_max": float(np.max(np.sqrt((sq_avg / n) / (sq_val / n)))),
@@ -338,18 +354,20 @@ def fejer_suite(cfg: ExperimentConfig, trials: int = 20, grid_points: int = 4096
 
     nu-norms are plain means over at least grid_points phase nodes.  Every
     symbol here is a trig polynomial, so all of them take their samples and
-    averages from one set of shift moments per degree (``fejer_trig_values``)
-    and no Toeplitz matrix is built.
+    averages from one coefficient matrix, formed once, and the shift moments
+    of each block of nodes, from Taylor coefficients formed once per degree
+    (``fejer_trig_values``); no Toeplitz matrix is built.  The trials are
+    drawn from the sequence's seed (``_trial_symbols``).
     """
-    rng = np.random.default_rng(cfg.sequence.seed)
-    trial_symbols = [_random_trig_poly(rng) for _ in range(trials)]
     lipschitz = cfg.symbol if cfg.symbol.is_trig else SymbolRep.preset("re_z")
+    coeffs = trig_coefficients(_trial_symbols(cfg.sequence.seed, trials) + [lipschitz])
+    probe_coeffs = trig_coefficients([lipschitz])
 
     report: dict = {"per_n": [], "trials": trials}
     probe_angles = circle_grid(16, offset=0.37)
     for N in cfg.n_values:
         phase = PhaseFunction(FiniteBlaschke.from_sequence(cfg.sequence, N))
-        report["per_n"].append(_fejer_row(phase, -(-grid_points // N), trial_symbols + [lipschitz], probe_angles))
+        report["per_n"].append(_fejer_row(phase, -(-grid_points // N), coeffs, probe_coeffs, probe_angles))
 
     gaps = [row["l2_gap_sq"] for row in report["per_n"]]
     report["l2_decay_ratios"] = [b / a if a > 0 else 0.0 for a, b in zip(gaps, gaps[1:])]

@@ -272,16 +272,28 @@ def _horner(M: np.ndarray, coeffs: Sequence[complex]) -> np.ndarray:
 def _toeplitz_trig(B: FiniteBlaschke, sym: SymbolRep) -> np.ndarray:
     """Exact compression T = p(S) + q(S)* + c_0 I of a trig-poly symbol, p =
     sum_{k>0} c_k z^k and q = sum_{k>0} conj(c_{-k}) z^k trimmed and taken by
-    ``_horner``: a one-sided symbol's other part is 0 with no product, and a
-    real one has q = p, so T = P* + P is exactly Hermitian and holds S, P, T."""
+    ``_horner``.  A real symbol has q = p, so T = P* + P is exactly Hermitian
+    and holds S, P, T.  A one-sided symbol's absent side is the scalar 0 with
+    no product and no matrix, added to every entry as the zero matrix would
+    be, so T starts from the present side and the build holds no more than
+    a real symbol's of its degree."""
     c = sym.coeff_dict
     ks = range(1, max(map(abs, c), default=0) + 1)
     p = ScalarFunction.poly([0, *(c.get(k, 0j) for k in ks)]).poly_coeffs
     q = ScalarFunction.poly([0, *(c.get(-k, 0j).conjugate() for k in ks)]).poly_coeffs
     S = compressed_shift(B)
-    P = _horner(S, p)
-    T = np.conjugate((P if sym.is_real else _horner(S, q)).T)
-    T += P
+    if len(p) > 1 and (sym.is_real or len(q) > 1):
+        P = _horner(S, p)
+        T = np.conjugate((P if sym.is_real else _horner(S, q)).T)
+        T += P
+    elif len(p) > 1:
+        T = _horner(S, p)
+        T += np.conjugate(0j)  # q(S)* = 0: a -0 real part becomes +0, as with the zero matrix
+    elif len(q) > 1:
+        T = np.conjugate(_horner(S, q).T)
+        T += 0j  # p(S) = 0: a -0 part becomes +0, as with the zero matrix
+    else:
+        T = np.zeros_like(S)
     _add_diagonal(T, c.get(0, 0j))
     return T
 
@@ -446,10 +458,19 @@ def build_clark_spectral(B: FiniteBlaschke, clark: ClarkMeasure,
 # functional calculus
 # ---------------------------------------------------------------------------
 
-def _require_hermitian(M: np.ndarray):
+def _hermitian(M: np.ndarray) -> np.ndarray:
+    """M itself if it is exactly Hermitian, as every trig build and every
+    mirrored sampled build is (the average below equals it bit for bit
+    there, at a pass and two N x N temporaries), else the average
+    0.5 (M + M*) of a matrix Hermitian to _HERMITIAN_RTOL; a ValueError
+    for any other."""
+    skew = M - M.conj().T
+    if not skew.any():
+        return M
     scale = float(np.linalg.norm(M))
-    if scale > 0 and float(np.linalg.norm(M - M.conj().T)) > _HERMITIAN_RTOL * scale:
+    if float(np.linalg.norm(skew)) > _HERMITIAN_RTOL * scale:
         raise ValueError("pointwise functional calculus needs a Hermitian matrix")
+    return 0.5 * (M + M.conj().T)
 
 
 def apply_function(A: OperatorMatrix, f: ScalarFunction) -> OperatorMatrix:
@@ -459,8 +480,7 @@ def apply_function(A: OperatorMatrix, f: ScalarFunction) -> OperatorMatrix:
     M = A.matrix
     if f.is_poly:
         return replace(A, matrix=_horner(M, f.poly_coeffs or (0j,)))
-    _require_hermitian(M)
-    w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
+    w, V = np.linalg.eigh(_hermitian(M))
     fw = np.asarray(f.eval_scalar(w), dtype=complex)
     return replace(A, matrix=(V * fw) @ V.conj().T)
 
@@ -502,9 +522,34 @@ def fejer_values(B: FiniteBlaschke, toeplitz: OperatorMatrix, angles: np.ndarray
     return num / slopes
 
 
-def _shift_moments(B: FiniteBlaschke, b: np.ndarray, slopes: np.ndarray, powers: np.ndarray) -> np.ndarray:
+def taylor_coefficients(B: FiniteBlaschke, D: int) -> np.ndarray:
+    """The Taylor coefficients c_0...c_{D-m0-1} of B1 = B z^-m0, the m0 zeros at
+    the origin taken out: all of B's series that the shift moments m_0...m_D
+    read (``_shift_moments``), formed from the product's 1 - |lambda|^2 by one
+    np.convolve per zero.  They depend on the product alone, so a caller that
+    averages many blocks of nodes on one product forms them once; a prefix
+    serves a smaller D bit for bit."""
+    uniq, counts = B._distinct
+    inner = uniq != 0
+    c = np.zeros(max(0, D - int(counts[~inner].sum())), dtype=complex)
+    if len(c):
+        c[0] = 1.0
+        for lam, mult, defect in zip(uniq[inner], counts[inner], B._defects[inner]):
+            # sigma (z - lam)/(1 - conj(lam) z)
+            #   = -|lam| + sum_{n>=1} sigma conj(lam)^{n-1} (1 - |lam|^2) z^n
+            factor = np.empty(len(c), dtype=complex)
+            factor[0] = -abs(lam)
+            factor[1:] = np.exp(-1j * np.angle(lam)) * defect * np.conj(lam) ** np.arange(len(c) - 1)
+            for _ in range(mult):
+                c = np.convolve(c, factor)[:len(factor)]
+    return c
+
+
+def _shift_moments(B: FiniteBlaschke, b: np.ndarray, slopes: np.ndarray, powers: np.ndarray,
+                   taylor: np.ndarray) -> np.ndarray:
     """The shift moments m_k = <S^k k_zeta, k_zeta>/|B'(zeta)|, k = 0...D, in closed
-    form at the nodes zeta, given powers[k] = zeta^k, b = B(zeta) and slopes = |B'(zeta)|.
+    form at the nodes zeta, given powers[k] = zeta^k, b = B(zeta), slopes = |B'(zeta)|
+    and B1's ``taylor_coefficients`` to degree at least D.
 
     S^k = P_B z^k on the model space (Sarason) and P_B z^l = z^l - B P_+(conj(B) z^l)
     give m_k = zeta^k [1 - (k - B(zeta) sum_{n<k} (k-n) conj(b_n zeta^n))/|B'(zeta)|]
@@ -520,31 +565,38 @@ def _shift_moments(B: FiniteBlaschke, b: np.ndarray, slopes: np.ndarray, powers:
     D = len(powers) - 1
     uniq, counts = B._distinct
     inner = uniq != 0
-    m0 = B.degree - int(counts[inner].sum())
+    m0 = int(counts[~inner].sum())
     X = np.zeros(powers.shape, dtype=complex)
     X += np.arange(D + 1)[:, None]
     if D > m0:
         L = D - m0
-        c = np.zeros(L, dtype=complex)
-        c[0] = 1.0
-        for lam, mult, defect in zip(uniq[inner], counts[inner], B._defects[inner]):
-            # sigma (z - lam)/(1 - conj(lam) z)
-            #   = -|lam| + sum_{n>=1} sigma conj(lam)^{n-1} (1 - |lam|^2) z^n
-            factor = np.empty(L, dtype=complex)
-            factor[0] = -abs(lam)
-            factor[1:] = np.exp(-1j * np.angle(lam)) * defect * np.conj(lam) ** np.arange(L - 1)
-            for _ in range(mult):
-                c = np.convolve(c, factor)[:L]
-        a = np.conj(c)[:, None] * np.conj(powers[:L])
+        a = np.conj(taylor[:L])[:, None] * np.conj(powers[:L])
         b1 = b * np.conj(powers[m0]) if inner.any() else 1.0
         X[m0 + 1:] -= b1 * np.cumsum(np.cumsum(a, axis=0), axis=0)
     return powers * (1.0 - X / slopes)
 
 
-def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep], angles: np.ndarray,
-                      b: np.ndarray, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def trig_coefficients(symbols: Sequence[SymbolRep]) -> np.ndarray:
+    """The (symbols x 2D+1) coefficient matrix of trig-poly symbols, c_k of
+    row i in column D + k, D the largest |k|: the rows that
+    ``fejer_trig_values`` averages."""
+    D = max((abs(k) for sym in symbols for k, _ in sym.coeffs), default=0)
+    coeffs = np.zeros((len(symbols), 2 * D + 1), dtype=complex)
+    for row, sym in zip(coeffs, symbols):
+        if not sym.is_trig:
+            raise ValueError("trig_coefficients takes trig-poly symbols only")
+        for k, c in sym.coeffs:
+            row[D + k] = c
+    return coeffs
+
+
+def fejer_trig_values(B: FiniteBlaschke, coeffs: np.ndarray, angles: np.ndarray,
+                      b: np.ndarray, slopes: np.ndarray, taylor: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Samples and averages E_N phi of trig-poly symbols at the angles, one
-    row per symbol, given B (``b``) and |B'| (``slopes``) there.
+    row per row of their ``trig_coefficients``, given B (``b``) and |B'|
+    (``slopes``) there, and B1's ``taylor_coefficients`` to degree D or more
+    if the caller holds them.
 
     T(phi) = sum_k c_k S^k, with adjoint powers for k < 0, so
     E_N phi = sum_k c_k m_k with the shift moments
@@ -553,16 +605,12 @@ def fejer_trig_values(B: FiniteBlaschke, symbols: Sequence[SymbolRep], angles: n
     at the nodes (``_shift_moments``), in O(nodes x (N + D)) work; every
     symbol then costs one row of a (symbols x 2D+1) product.
     """
-    D = max((abs(k) for sym in symbols for k, _ in sym.coeffs), default=0)
-    coeffs = np.zeros((len(symbols), 2 * D + 1), dtype=complex)
-    for row, sym in zip(coeffs, symbols):
-        if not sym.is_trig:
-            raise ValueError("fejer_trig_values takes trig-poly symbols only")
-        for k, c in sym.coeffs:
-            row[D + k] = c
+    D = coeffs.shape[1] // 2
+    if taylor is None:
+        taylor = taylor_coefficients(B, D)
     th = np.asarray(angles, dtype=float)
     powers = np.exp(1j * th) ** np.arange(D + 1)[:, None]
-    moments = _shift_moments(B, b, slopes, powers)
+    moments = _shift_moments(B, b, slopes, powers, taylor)
     values = coeffs @ np.concatenate((np.conj(powers[:0:-1]), powers))
     averages = coeffs @ np.concatenate((np.conj(moments[:0:-1]), moments))
     return values, averages

@@ -883,6 +883,15 @@ n_values = 4,8,16
         assert digest("c", "--max-grid", "4096") != digest("a")
         assert digest("d", "--tol", "1e-8") != digest("a")
 
+    def test_config_hash_is_the_sha256_of_the_canonical_text(self, minimal_cfg, tmp_path):
+        # the builtin sha256 that the CLI takes gives hashlib's digest
+        import hashlib
+        out = tmp_path / "results"
+        assert main(["szego", "--config", minimal_cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        canonical = parse_config(minimal_cfg).canonical.encode()
+        assert manifest["config_hash"] == hashlib.sha256(canonical).hexdigest()
+
     def test_seed_override_changes_hash(self, minimal_cfg):
         # the manifest's config_hash is the hash of the canonical text
         a = parse_config(minimal_cfg)
@@ -890,7 +899,8 @@ n_values = 4,8,16
         assert a.canonical != b.canonical
 
 
-#: runs the sweeps of each config given, then prints whether numpy.ma was imported
+#: runs the sweeps of each config given, then prints whether numpy.ma was
+#: imported and which of OpenSSL's _hashlib and numpy.random were
 _NO_MA_SCRIPT = """
 import sys
 from ttolab.cli import main
@@ -899,20 +909,26 @@ for i, cfg in enumerate(configs):
     for command in ("szego", "stz", "angular", "lemmas"):
         assert main([command, "--config", cfg, "--out", f"{out}/{i}-{command}"]) == 0, (cfg, command)
 print("numpy.ma" in sys.modules)
+print([name for name in ("_hashlib", "numpy.random") if name in sys.modules])
 """
 
 
 def test_sweeps_do_not_import_numpy_ma(tmp_path):
     # np.union1d, np.unique of a real array and np.median import numpy.ma
-    # (13 ms and 1.3 MB) on first use; no sweep path may call them
+    # (13 ms and 1.3 MB) on first use; no sweep path may call them.  Nor
+    # may one load OpenSSL (hashlib's _hashlib, 3.6 MB resident, for the
+    # manifest's one digest) or numpy.random (2.5 MB more, for the averaging
+    # suite's trials, and OpenSSL again through secrets)
     configs = [str(REPO / "perfbench" / "configs" / name)
-               for name in ("shipped-dense.cfg", "frostman-boundary.cfg")]
+               for name in ("shipped-dense.cfg", "frostman-boundary.cfg")] + [str(REPO / "configs" / "dense_sweep.cfg")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _NO_MA_SCRIPT, str(tmp_path), *configs],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    no_ma, loaded = run.stdout.strip().splitlines()
+    assert no_ma == "False"
+    assert loaded == "[]"
 
 
 #: runs szego and stz on a config under perfbench's span recorder, then prints

@@ -38,6 +38,7 @@ from ttolab.operators import (
     inverse_derivative_symbol,
     semicommutator_trace,
     trace_formula_rhs,
+    trig_coefficients,
 )
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
@@ -87,7 +88,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
     def test_seed_is_checked(self, seed):
-        # numpy's default_rng would meet -1 only when the suite draws its trials
+        # random.Random would take -1 as 1 when the suite draws its trials
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(ZeroSequence.uniform_zero(seed=seed), TWO_COS, SQUARE, (8,))
 
@@ -475,6 +476,20 @@ class TestFejerSuite:
             assert a["l2_gap_sq"] == pytest.approx(b["l2_gap_sq"], rel=1e-14, abs=0)
             assert a["contraction_max"] == pytest.approx(b["contraction_max"], rel=1e-15, abs=0)
 
+    def test_taylor_coefficients_once_per_degree(self, monkeypatch):
+        # every block of nodes and the probe of a degree share one set of
+        # B1's Taylor coefficients, to the trials' degree 6
+        calls, taylor = [], experiments.taylor_coefficients
+        monkeypatch.setattr(experiments, "taylor_coefficients", lambda B, D: calls.append((B.degree, D)) or taylor(B, D))
+        fejer_suite(ExperimentConfig(ZeroSequence.dense_nonblaschke(), TWO_COS, IDENTITY, (8, 16)))
+        assert calls == [(8, 6), (16, 6)]
+
+    def test_trial_symbols_are_seeded(self):
+        a, b = experiments._trial_symbols(5, 20), experiments._trial_symbols(5, 20)
+        assert a == b and a != experiments._trial_symbols(6, 20)
+        assert all(sym.is_trig and len(sym.coeffs) == 13 for sym in a)
+        assert max(abs(c.real) for sym in a for _, c in sym.coeffs) < 1
+
     @pytest.mark.parametrize("block", [8, 1024, 1 << 20])
     def test_power_case_gives_exact_values(self, monkeypatch, block):
         # B = z^N averages z^k to (1 - |k|/N) z^k for |k| < N: the gap of
@@ -483,8 +498,7 @@ class TestFejerSuite:
         monkeypatch.setattr(experiments, "FEJER_NODES", block)
         cfg = ExperimentConfig(ZeroSequence.uniform_zero(seed=5), TWO_COS, IDENTITY, (8, 24, 64))
         report = fejer_suite(cfg)
-        rng = np.random.default_rng(cfg.sequence.seed)
-        trials = [experiments._random_trig_poly(rng) for _ in range(report["trials"])]
+        trials = experiments._trial_symbols(cfg.sequence.seed, report["trials"])
         for row in report["per_n"]:
             N = row["N"]
             ratios = [math.sqrt(sum(abs(c) ** 2 * (1 - abs(k) / N) ** 2 for k, c in sym.coeffs)
@@ -565,15 +579,16 @@ class TestAveragingTakesItsNodes:
         seen = []
         trig_values = experiments.fejer_trig_values
 
-        def recorded(B, symbols, angles, b, slopes):
+        def recorded(B, coeffs, angles, b, slopes, taylor=None):
             seen.append(np.abs(PhaseFunction(B).product(angles) - b).max())
-            return trig_values(B, symbols, angles, b, slopes)
+            return trig_values(B, coeffs, angles, b, slopes, taylor)
 
         monkeypatch.setattr(experiments, "fejer_trig_values", recorded)
         seq = ZeroSequence.frostman_fast(4)
         hs_approx_gap(ExperimentConfig(seq, TWO_COS, IDENTITY, (N,), alpha_count=count))
         phase = PhaseFunction(FiniteBlaschke.from_sequence(seq, N))
-        experiments._fejer_row(phase, count, [TWO_COS, TWO_COS], circle_grid(16, offset=0.37))
+        coeffs = trig_coefficients([TWO_COS])
+        experiments._fejer_row(phase, count, np.vstack((coeffs, coeffs)), coeffs, circle_grid(16, offset=0.37))
         assert len(seen) >= 3 and max(seen) <= bound
 
 

@@ -33,6 +33,7 @@ from ttolab.operators import (
     trace,
     trace_formula_rhs,
     trace_norm,
+    trig_coefficients,
 )
 from ttolab.quadrature import MIN_LEVELS, PHASE_NODE_COST, QuadratureConfig, blaschke_initial_points
 
@@ -234,6 +235,31 @@ class TestCompressedShift:
             tracemalloc.stop()
         assert peak - fT.matrix.nbytes <= 2.1 * fT.matrix.nbytes
         assert fT.matrix.tobytes() == trig_poly_identity_reference(B, sym, f.poly_coeffs).tobytes()
+
+    def test_one_sided_build_holds_no_more_than_a_real_one(self):
+        # frostman N = 512: T(z^2) and T(conj(z)^2) form one side and no
+        # matrix for the absent one, so they peak no higher than T(cos^2);
+        # an identity times 0 for it, and T = Q* + P formed beside P, had
+        # peaked at 64.0 against 48.3 MiB at N = 1024
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 512)
+        peaks = {}
+        for name, coeffs in (("cos^2", {-2: 1, 0: 2, 2: 1}), ("z^2", {2: 1}), ("conj-z^2", {-2: 1})):
+            tracemalloc.start()
+            try:
+                build_truncated_toeplitz(B, SymbolRep.trig(coeffs))
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["z^2"] <= peaks["cos^2"] and peaks["conj-z^2"] <= peaks["cos^2"]
+
+    def test_one_sided_build_adds_the_absent_side_as_zero(self, edge_blaschke):
+        # the bits, signed zeros included, of Q* + P with the zero matrix
+        # for the absent side
+        S = compressed_shift(edge_blaschke)
+        P, zero = operators._horner(S, (0, 0, 1)), np.zeros_like(S)
+        for coeffs, ref in (({2: 1}, zero.conj().T + P), ({-2: 1}, P.conj().T + zero),
+                            ({0: 2j}, zero.conj().T + zero + 2j * np.eye(len(S)))):
+            assert build_truncated_toeplitz(edge_blaschke, SymbolRep.trig(coeffs)).matrix.tobytes() == ref.tobytes()
 
     def test_defect_is_projector_onto_constants(self, edge_blaschke):
         S = compressed_shift(edge_blaschke)
@@ -685,6 +711,35 @@ class TestApplyFunction:
         with pytest.raises(ValueError):
             apply_function(T, ScalarFunction.preset("abs"))
 
+    @pytest.mark.parametrize("seq, N", [(ZeroSequence.dense_nonblaschke(), 64),
+                                        (ZeroSequence.frostman_fast(4), 128)], ids=["dense", "frostman"])
+    def test_pointwise_takes_an_exactly_hermitian_matrix_as_it_is(self, monkeypatch, seq, N):
+        # a real trig build (P* + P) and a sampled real build (mirrored) are
+        # exactly Hermitian: eigh gets the matrix itself, and f(T) has the
+        # bits of eigh of the average 0.5 (M + M*)
+        handed, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: handed.append(M) or eigh(M))
+        B = FiniteBlaschke.from_sequence(seq, N)
+        for sym in (REAL_DEGREE_2, inverse_derivative_symbol(B)):
+            T = build_truncated_toeplitz(B, sym)
+            M = T.matrix
+            assert np.array_equal(M, M.conj().T)
+            w, V = eigh(0.5 * (M + M.conj().T))
+            ref = (V * np.exp(w).astype(complex)) @ V.conj().T
+            assert apply_function(T, ScalarFunction.preset("exp")).matrix.tobytes() == ref.tobytes()
+            assert handed[-1] is M
+
+    def test_pointwise_averages_a_nearly_hermitian_matrix(self, monkeypatch):
+        handed, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: handed.append(M) or eigh(M))
+        B = random_blaschke(6, seed=7)
+        M = build_truncated_toeplitz(B, TWO_COS).matrix
+        M = M + 1e-12 * np.triu(np.ones_like(M), 1)  # skew, 1e-12 relative
+        fT = apply_function(OperatorMatrix(M, B), ScalarFunction.preset("exp"))
+        w, V = eigh(0.5 * (M + M.conj().T))
+        assert handed[-1].tobytes() == (0.5 * (M + M.conj().T)).tobytes()
+        assert fT.matrix.tobytes() == ((V * np.exp(w).astype(complex)) @ V.conj().T).tobytes()
+
     @pytest.mark.parametrize("f", ["square", "abs"])
     def test_carries_the_convergence_of_its_input(self, f):
         # a starved sampled build of T(abs_sin) next to a zero at 1 - 1e-6:
@@ -834,7 +889,8 @@ class TestFejerTrigValues:
         nodes, node_slopes, residuals = phase_nodes(phase, 4)
         angles = np.concatenate((grid, nodes))
         levels = np.tile(np.exp(1j * circle_grid(4)), B.degree) * np.exp(1j * residuals)
-        values, averages = fejer_trig_values(B, symbols, angles, np.concatenate((phase.product(grid), levels)),
+        values, averages = fejer_trig_values(B, trig_coefficients(symbols), angles,
+                                             np.concatenate((phase.product(grid), levels)),
                                              np.concatenate((grid_derivs[0], node_slopes)))
         assert values.shape == averages.shape == (len(symbols), len(angles))
         ref_values = np.array([sym.evaluate(angles) for sym in symbols])
@@ -855,7 +911,21 @@ class TestFejerTrigValues:
             scale = np.abs(ref).max(axis=1, keepdims=True)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
+    def test_taylor_prefix_serves_a_smaller_degree(self, small_edge_blaschke):
+        # the suite forms B1's Taylor coefficients once, to its trials'
+        # degree 6, and averages its probe symbol with them, whatever that
+        # symbol's degree
+        B = small_edge_blaschke
+        angles = circle_grid(64, offset=0.37)
+        derivs = np.empty((2, len(angles)))
+        phase = PhaseFunction(B)
+        phase(angles, derivs)
+        coeffs, b = trig_coefficients([REAL_DEGREE_3]), phase.product(angles)
+        own = fejer_trig_values(B, coeffs, angles, b, derivs[0])
+        held = fejer_trig_values(B, coeffs, angles, b, derivs[0], operators.taylor_coefficients(B, 6))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(own, held))
+
     def test_rejects_sampled_symbol(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
         with pytest.raises(ValueError):
-            fejer_trig_values(B, [SymbolRep.preset("abs_sin")], circle_grid(8), np.ones(8), np.ones(8))
+            trig_coefficients([SymbolRep.preset("abs_sin")])
