@@ -1,5 +1,5 @@
 """Finite Blaschke products: zero-sequence generators, boundary evaluation,
-angular derivatives, the boundary phase and its inverse, the
+angular derivatives, the critical points, the boundary phase and its inverse, the
 Takenaka-Malmquist-Walsh basis, and partial Poisson sums along a zero sequence.
 
 Everything here is a pure function of immutable inputs.
@@ -463,11 +463,113 @@ def abs_derivative_grid(B: FiniteBlaschke, angles: np.ndarray) -> np.ndarray:
     up to about eps/|zeta - lambda|^2, or eps/|zeta - lambda| relative:
     1.0e-6 relative at the Clark atoms next to zeros 1e-10 from the circle,
     where Theta' of ``PhaseFunction`` is within 4.2e-15 of the 50-digit
-    value.  The library calls it only on uniform grids, as the sampler of
-    T(1/|B'|); at nodes that a phase solve placed, B and |B'| come from
-    that solve."""
+    value.  The library calls it as the sampler of T(1/|B'|), on uniform
+    grids and at the Clark atoms of z W (``quadrature.inverse_derivative_doubling``),
+    where the basis samples round their points alike, so that each ratio
+    e_j conj(e_i)/|B'| is formed at one rounded point: there
+    sum_j |e_j|^2/|B'| is off 1 by 6.8e-15 in the mean over a Clark level
+    at constant_modulus(1 - 1e-6), N = 256, and by 8.3e-14 with Theta' of
+    ``PhaseFunction`` at the exact angles in place of this sum."""
     uniq, counts = B._distinct
     return _poisson_sum(angles, uniq, B._defects, counts)
+
+
+def _critical_starts(lam: np.ndarray, count: int) -> np.ndarray:
+    """``count`` starts for the roots of B'/B in the disk: one in each gap
+    between two zeros neighbouring in argument (then modulus), at their mean
+    modulus and 0.382 of the way across the gap, so that no start sits on
+    a mirror line of a symmetric product between two rays; the widest gaps
+    are left out."""
+    order = np.lexsort((np.abs(lam), np.angle(lam)))
+    a, r = np.angle(lam)[order], np.abs(lam)[order]
+    gap = np.diff(a, append=a[0] + TWO_PI)
+    starts = 0.5 * (r + np.roll(r, -1)) * np.exp(1j * (a + 0.381966 * gap))
+    return starts[np.sort(np.argsort(gap, kind="stable")[:count])]
+
+
+def _aberth_steps(z: np.ndarray, rows: np.ndarray, lam: np.ndarray, md: np.ndarray,
+                  m0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aberth steps of the roots z[rows] of f = B'/B, whether each root
+    has settled and each one's distance to its nearest other root.  The
+    numerator of f has the roots z and their reflections 1/conj(z), and f
+    has simple poles at 0 (if m0), lam_j and 1/conj(lam_j), so the step is
+    1/(f'/f + sum_poles 1/(z - q) - sum 1/(z - w)) over the other roots w
+    and the reflections; f and f' take the dipole form, each dipole
+    m_j d_j/((z - lam_j)(1 - conj(lam_j) z)), with md_j = m_j d_j/conj(lam_j).
+    A root has settled when its step is within 4 ulps or |f| is within
+    8 ulps of the sum of its terms' moduli: then the rounding of that sum
+    is the step's floor."""
+    eps = np.finfo(float).eps
+    zr = z[rows, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = 1.0 / (zr - lam)
+        b = np.conj(lam) / (1.0 - np.conj(lam) * zr)  # -1/(z - 1/conj(lam))
+        g = (a * b) * md
+        f, fp, poles = g.sum(axis=1), (g * (b - a)).sum(axis=1), (a - b).sum(axis=1)
+        size = np.abs(g).sum(axis=1)
+        if m0:
+            f += m0 / zr[:, 0]
+            fp -= m0 / zr[:, 0] ** 2
+            poles += 1.0 / zr[:, 0]
+            size += m0 / np.abs(zr[:, 0])
+        diff = zr - z
+        diff[np.arange(len(rows)), rows] = np.inf
+        roots = (1.0 / diff).sum(axis=1) + (np.conj(z) / (zr * np.conj(z) - 1.0)).sum(axis=1)
+        step = 1.0 / (fp / f + poles - roots)
+        done = (np.abs(step) <= 4.0 * eps * np.maximum(np.abs(zr[:, 0]), eps)) | (np.abs(f) <= 8.0 * eps * size)
+        return step, done, np.abs(diff).min(axis=1)
+
+
+def critical_points(B: FiniteBlaschke) -> tuple[np.ndarray, bool]:
+    """The N - 1 zeros of B' in the disk, with multiplicity, and whether
+    every root settled.  A zero of B of multiplicity m >= 2 is a zero of B'
+    repeated m - 1 times.  The others are the roots of B'/B, over the
+    distinct nonzero zeros lam_j of multiplicity m_j and the m0 zeros at the
+    origin, in dipole form:
+    B'/B = m0/z + sum_j m_j d_j/((z - lam_j)(1 - conj(lam_j) z)), with the
+    product's correctly rounded d_j = 1 - |lam_j|^2, so that no two poles
+    2 d_j apart cancel.  There are as many as distinct nonzero zeros, one
+    fewer if m0 is 0.
+
+    They are found together by Aberth-Ehrlich steps from one start per gap
+    between zeros (``_critical_starts``), each pass O(D^2) in the D distinct
+    nonzero zeros and taken in blocks of PHASE_BLOCK cells; a root stops
+    when it settles (``_aberth_steps``), and the others take their steps
+    against it.  A root that settled on the reflection 1/conj(c) of its
+    critical point c is reflected.  The roots have settled when every one
+    stopped within 100 passes, each is finite and no two meet (closer than
+    4 ulps); a root that rounds onto the circle is moved just inside it."""
+    eps = np.finfo(float).eps
+    uniq, counts = B._distinct
+    inner = uniq != 0
+    lam, md = uniq[inner], counts[inner] * B._defects[inner] / np.conj(uniq[inner])
+    m0 = float(counts[~inner].sum())
+    repeats = np.repeat(uniq, counts - 1)
+    z = _critical_starts(lam, len(lam) - (m0 == 0)) if len(lam) else np.empty(0, dtype=complex)
+    block = max(1, PHASE_BLOCK // (len(lam) + len(z) + 1))
+    active = np.arange(len(z))
+    for _ in range(100):
+        if not len(active):
+            break
+        moving = []
+        for start in range(0, len(active), block):
+            rows = active[start:start + block]
+            step, done = _aberth_steps(z, rows, lam, md, m0)[:2]
+            ok = np.isfinite(step)
+            z[rows[ok]] -= step[ok]
+            moving.append(rows[~done])
+        active = np.concatenate(moving)
+    # a root may settle on the reflection 1/conj(c) of its critical point c
+    outside = np.abs(z) > 1.0
+    z[outside] = 1.0 / np.conj(z[outside])
+    settled = not len(active)
+    for start in range(0, len(z), block):
+        rows = np.arange(start, min(start + block, len(z)))
+        nearest = _aberth_steps(z, rows, lam, md, m0)[2]
+        settled &= bool(np.all(nearest > 4.0 * eps * np.abs(z[rows])) and np.all(np.isfinite(z[rows])))
+    outside = np.abs(z) >= 1.0
+    z[outside] *= (1.0 - 1e-15) / np.abs(z[outside])
+    return np.concatenate((repeats, z)), settled
 
 
 # ---------------------------------------------------------------------------

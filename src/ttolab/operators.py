@@ -7,8 +7,13 @@ symbols are therefore built exactly as p(S) + q(S)*, while general sampled
 symbols fall back to shared-node circle quadrature: a uniform grid, or, next
 to zeros whose kernel peaks such a grid would have to resolve, the phase
 nodes of z^N B with their Lebesgue weights (``quadrature.lebesgue_doubling``
-picks them).  Functions of Hermitian matrices and Schatten norms use
-numpy.linalg (eigh, svd).
+picks them).  Every dense product takes the grid; products with zeros at
+the 1 - 1e-6 cap or nearer, such as frostman's, the phase nodes.  There the
+weight 1/|B'| of the STZ trace is exact on one Clark level of z W, W the
+Blaschke product of the critical points of B, since it turns each product
+e_j conj(e_i) of basis functions into F_j conj(F_i) with F_j in the model
+space of z W (``quadrature.inverse_derivative_doubling``).  Functions of
+Hermitian matrices and Schatten norms use numpy.linalg (eigh, svd).
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 
 from .blaschke import FiniteBlaschke, abs_derivative_grid, tmw_matrix
 from .clark import ClarkMeasure
-from .quadrature import IntegralResult, QuadratureConfig, lebesgue_doubling, nu_integral
+from .quadrature import (IntegralResult, QuadratureConfig, inverse_derivative_doubling, lebesgue_doubling, nu_integral,
+                         phase_route)
 
 _HERMITIAN_RTOL = 1e-8
 
@@ -37,8 +43,9 @@ class SymbolRep:
     vectorized sampler of angles.  ``is_real`` marks real-valued symbols,
     which unlocks continuous (non-polynomial) functional calculus downstream.
     ``inverse_derivative_of`` is the product B of the sampled symbol 1/|B'|
-    (``inverse_derivative_symbol``): a build on the phase nodes of z^N B
-    reads it from the phase solve there.
+    (``inverse_derivative_symbol``): a build that leaves the uniform grid
+    samples it at the Clark levels of z W, W the Blaschke product of the
+    critical points of B, in place of the phase nodes of z^N B.
     """
 
     coeffs: tuple = ()
@@ -332,10 +339,10 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     """Shared-node quadrature: one basis-sample matrix per refinement level,
     all N^2 inner products formed as a Gram product.
 
-    The nodes, their Lebesgue weights and, on the phase nodes of z^N B,
-    |B'| there come level by level from ``lebesgue_doubling``; the symbol
-    1/|B'| of B itself (``inverse_derivative_symbol``) is then taken from
-    that |B'| and not sampled.
+    The nodes and their Lebesgue weights come level by level from
+    ``lebesgue_doubling``, or, for the symbol 1/|B'| of B itself
+    (``inverse_derivative_symbol``) on the phase route, from the Clark
+    levels of z W and their masses (``inverse_derivative_doubling``).
 
     Each level streams its nodes in blocks of GRAM_NODES into one buffer of
     N x GRAM_NODES basis samples and one band of their weighted conjugate,
@@ -350,11 +357,9 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
     the full product."""
     N = B.degree
     bands = _row_bands(N) if sym.is_real else [(0, N)]
-    from_slopes = sym.inverse_derivative_of is B
 
-    def gram(angles: np.ndarray, weights: np.ndarray, slopes: np.ndarray | None) -> np.ndarray:
-        """The weighted Gram product of the symbol's samples at the angles;
-        given |B'| at them (``slopes``), the symbol 1/|B'| is 1/slopes."""
+    def gram(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The weighted Gram product of the symbol's samples at the angles."""
         acc = np.zeros((N, N), dtype=complex)
         # every block reuses one block of basis samples and one band of
         # their weighted conjugate, so two blocks are never held at once
@@ -366,10 +371,7 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
             n = len(th)
             # one contiguous row per basis function
             E = tmw_matrix(B, th, out=rows[:N * n].reshape(N, n)).T
-            if from_slopes and slopes is not None:
-                vals = 1.0 / slopes[start:start + GRAM_NODES]
-            else:
-                vals = np.asarray(sym.evaluate(th))
+            vals = np.asarray(sym.evaluate(th))
             if not np.all(np.isfinite(vals)):
                 raise ValueError("non-finite symbol sample")
             if sym.is_real and np.iscomplexobj(vals) and np.abs(vals.imag).max() > 1e-12:
@@ -381,7 +383,10 @@ def _toeplitz_quadrature(B: FiniteBlaschke, sym: SymbolRep, cfg: QuadratureConfi
                 acc[r0:r1, :r1] += F @ E[:r1].T
         return acc
 
-    res = lebesgue_doubling(B, gram, cfg)
+    if sym.inverse_derivative_of is B and phase_route(B, cfg):
+        res = inverse_derivative_doubling(B, gram, cfg)
+    else:
+        res = lebesgue_doubling(B, gram, cfg)
     T = _mirror_lower(res.value) if sym.is_real else res.value
     return T, res.converged, res.estimated_error
 

@@ -9,7 +9,9 @@ average over phase nodes, the inverse phase of equispaced levels.  Weighted by
 N/|B'| the same nodes give Lebesgue integrals; next to kernel peaks that a
 uniform grid would have to resolve, the sampled-symbol build in ``operators``
 sums over those of z^N B, whose weights 2N/(N + |B'|) stay below 2
-(``lebesgue_doubling`` picks its nodes).
+(``lebesgue_doubling`` picks its nodes), and T(1/|B'|) over the Clark levels
+of z W, W the Blaschke product of the critical points of B, where one level
+is exact (``inverse_derivative_doubling``).
 
 Samplers are callables taking a numpy array of angles and returning an array
 of values (complex or real; an extra trailing axis is allowed for batched
@@ -25,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .blaschke import FiniteBlaschke, TWO_PI, PhaseFunction, RuleParam, _checked_fields, phase_nodes
+from .blaschke import (TWO_PI, FiniteBlaschke, PhaseFunction, RuleParam, _checked_fields, circle_grid,
+                       critical_points, phase_nodes)
 
 #: number of grid points evaluated per chunk (keeps peak memory flat)
 CHUNK = 1 << 20
@@ -51,7 +54,17 @@ REL_TOL = 1e-9
 #: is cheap (0.5 to 7 with full products and the scan's brackets alone; 1 to
 #: 15 with midpoint-started Newton).  Any value from 1 to 255 routes the
 #: benchmark configs alike: their dense products take the uniform grid,
-#: their frostman products the phase nodes (``lebesgue_doubling``)
+#: their frostman products the phase route (``phase_route``).  There a
+#: sampled symbol takes the phase nodes of z^N B (``lebesgue_doubling``),
+#: and the symbol 1/|B'| of B itself the Clark levels of z W, one of which
+#: integrates it exactly (``inverse_derivative_doubling``).  For 1/|B'| the
+#: grid stays below the rule's cutoff because it wins on every dense
+#: product: the Clark levels took 4.2, 5.0, 6.4 and 11 ms against the
+#: grid's 0.87, 1.2, 2.9 and 8.6 ms at N = 8, 16, 32 and 64.  Their own
+#: crossover lies lower than the rule's: on constant_modulus at grids of
+#: 16N and 32N points they took 7.9 and 7.5 ms against 6.8 and 12 ms at
+#: N = 64, 18 against 25 ms at 16N at N = 128, but 4.9 against 3.2 ms at
+#: 128N at N = 16 (best of 5, 2-vCPU host, one thread)
 PHASE_NODE_COST = 8
 
 #: the [quadrature] settings: each ``QuadratureConfig`` field's default and
@@ -186,26 +199,68 @@ def nu_integral(f: Callable, B: FiniteBlaschke, cfg: QuadratureConfig = Quadratu
     return phase_doubling(B, lambda nodes, _: _sample(f, nodes).sum(axis=0), cfg)
 
 
+def phase_route(B: FiniteBlaschke, cfg: QuadratureConfig) -> bool:
+    """Whether the sampled build leaves the uniform grid sized to the
+    narrowest kernel peak of B (``blaschke_initial_points``): when that grid
+    costs more than PHASE_NODE_COST times the first level of the phase nodes
+    of z^N B."""
+    N = B.degree
+    return blaschke_initial_points(B, cfg) > PHASE_NODE_COST * 2 * N * _first_levels(2 * N)
+
+
 def lebesgue_doubling(B: FiniteBlaschke, level_sum: Callable, cfg: QuadratureConfig) -> IntegralResult:
     """``doubling`` of a Lebesgue integral next to the kernel peaks of B, a
-    level being ``level_sum(angles, weights, slopes)``: the nodes of the
-    sampled build.
+    level being ``level_sum(angles, weights)``: the nodes of the sampled
+    build.
 
     They are a uniform grid sized to the narrowest peak
-    (``blaschke_initial_points``), with weights 1 and slopes None, unless
-    that grid costs more than PHASE_NODE_COST times the first level of the
-    phase nodes of Z = z^N B.  The phase of Z carries (N + |B'|) dm onto
-    uniform measure, so its nodes resolve the peaks and the flat part of the
-    circle at once, each with the Lebesgue weight 2N/|Z'| <= 2 and the slope
-    |B'| = |Z'| - N from the same solve; their count stops at
-    max_points/PHASE_NODE_COST."""
+    (``blaschke_initial_points``), with weights 1, unless ``phase_route``
+    takes the phase nodes of Z = z^N B.  The phase of Z carries
+    (N + |B'|) dm onto uniform measure, so its nodes resolve the peaks and
+    the flat part of the circle at once, each with the Lebesgue weight
+    2N/|Z'| <= 2; their count stops at max_points/PHASE_NODE_COST.  Products
+    whose zeros keep a wide margin from the circle, such as every dense
+    product, take the grid; products with zeros at the 1 - 1e-6 cap, such
+    as frostman's, take the phase nodes (or, for the symbol 1/|B'|,
+    ``inverse_derivative_doubling``)."""
     N = B.degree
-    uniform = blaschke_initial_points(B, cfg)
-    if uniform <= PHASE_NODE_COST * 2 * N * _first_levels(2 * N):
-        def level(M: int, offset: float):
-            return level_sum(TWO_PI * (np.arange(M) + offset) / M, np.ones(M), None)
-
-        return doubling(level, uniform, cfg)
+    if not phase_route(B, cfg):
+        uniform = blaschke_initial_points(B, cfg)
+        return doubling(lambda M, offset: level_sum(circle_grid(M, offset), np.ones(M)), uniform, cfg)
     Z = FiniteBlaschke(np.concatenate((B.zeros, np.zeros(N, dtype=complex))))
-    return phase_doubling(Z, lambda nodes, slopes: level_sum(nodes, 2 * N / slopes, slopes - N),
+    return phase_doubling(Z, lambda nodes, slopes: level_sum(nodes, 2 * N / slopes),
                           cfg, limit=cfg.max_points // PHASE_NODE_COST)
+
+
+def inverse_derivative_doubling(B: FiniteBlaschke, level_sum: Callable, cfg: QuadratureConfig) -> IntegralResult:
+    """``phase_doubling`` of T(1/|B'|) over the phase nodes of Z = z W, W
+    the Blaschke product of the critical points of B (``critical_points``),
+    a level being ``level_sum(angles, weights)`` as in ``lebesgue_doubling``
+    (the build samples 1/|B'| at the angles): the weights are the Clark
+    masses 1/Theta_Z', scaled to sum to the level's windings, since each
+    Clark measure has mass 1 and their sum is off by the rounding of the
+    phase (3e-14 at constant_modulus(1 - 1e-6), N = 256).
+
+    On the circle |B'| = |R|/|Q|^2, R the numerator of B' and
+    Q(z) = prod_j (1 - conj(lam_j) z); R has the N - 1 critical points c_m
+    in the disk and their reflections 1/conj(c_m) as zeros, so
+    |R| = K |G|^2 with G(z) = prod_m (1 - conj(c_m) z) (Fejer-Riesz).  So
+    e_j conj(e_i)/|B'| = F_j conj(F_i) with F_j = Q e_j/(sqrt(K) G), and
+    Q e_j is a polynomial of degree below N: every F_j lies in the model
+    space of Z.  One Clark measure of Z, sum over its N atoms with weights
+    1/Theta_Z', integrates such a product exactly (Clark), and so does the
+    next level: when the critical points settled, the run starts from one
+    level per winding and stops at 2N nodes.  Its levels average to dm for
+    any W (Aleksandrov), so inexact critical points cost levels, not
+    accuracy: when they did not settle, the run starts from the default
+    first level of ``phase_doubling``, as a sampled symbol's does, so that
+    its first two levels are not both taken for exact.  The nodes stop at
+    max_points/PHASE_NODE_COST."""
+    points, settled = critical_points(B)
+    Z = FiniteBlaschke(np.concatenate(([0j], points)))
+
+    def level(nodes: np.ndarray, slopes: np.ndarray):
+        mass = 1.0 / slopes
+        return level_sum(nodes, mass * (len(nodes) / mass.sum()))
+
+    return phase_doubling(Z, level, cfg, 1 if settled else None, cfg.max_points // PHASE_NODE_COST)

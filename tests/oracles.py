@@ -6,6 +6,7 @@ the Clark unitary as a rank-one perturbation of the compressed shift, the
 defect I - SS*, the basis samples from one pass per zero, the kernel
 coefficients of the basis, the Clark measures of an alpha grid as objects,
 the Hilbert-Schmidt lemma's lhs from Clark spectral sums, T(1/|B'|) from the Clark atoms and by 50-digit quadrature,
+the critical points by 50-digit Newton steps,
 the Hilbert-Schmidt and operator norms, the per-zero loops of two zero
 rules, and the angular sums from the expanded zero list, folded by sorting.
 The library takes these quantities in closed form, from tangents of half
@@ -172,6 +173,32 @@ def inverse_derivative_from_clark(B: FiniteBlaschke, rtol: float = 1e-13) -> np.
         if L > 1 << 12:
             raise RuntimeError(f"Clark-atom T(1/|B'|) did not settle by {L} levels")
         prev, L = T, 2 * L
+
+
+def power_law_zeros(p: float, count: int) -> np.ndarray:
+    """The origin, then count - 1 zeros with 1 - |lam_j| = (j + 1)^-p at
+    golden-angle phases (j = 1, 2, ...)."""
+    j = np.arange(1, count)
+    return np.concatenate(([0j], (1.0 - (j + 1.0) ** -p) * np.exp(2j * np.pi * ((j * 0.6180339887498949) % 1.0))))
+
+
+def critical_points_mp(B: FiniteBlaschke, points: np.ndarray, mp) -> np.ndarray:
+    """Each point taken by Newton's method (``mp.findroot``, which raises
+    unless it converges) to a root of
+    B'/B = sum_j 1/(z - lam_j) - 1/(z - 1/conj(lam_j)) (1/z for a zero at
+    the origin), one term per stored zero, at the working precision of mp,
+    and rounded to double."""
+    zs = [mp.mpc(z.real, z.imag) for z in B.zeros]
+
+    def f(z):
+        return mp.fsum(1 / z if lam == 0 else 1 / (z - lam) - 1 / (z - 1 / mp.conj(lam)) for lam in zs)
+
+    def df(z):
+        return mp.fsum(-1 / z ** 2 if lam == 0 else 1 / (z - 1 / mp.conj(lam)) ** 2 - 1 / (z - lam) ** 2
+                       for lam in zs)
+
+    return np.array([complex(mp.findroot(f, mp.mpc(p.real, p.imag), solver="newton", df=df)) for p in points],
+                    dtype=complex)
 
 
 def inverse_derivative_mp(B: FiniteBlaschke, split: float, mp) -> tuple[np.ndarray, float]:

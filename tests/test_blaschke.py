@@ -15,6 +15,7 @@ from ttolab.blaschke import (
     abs_derivative_grid,
     angular_partial_sums,
     circle_grid,
+    critical_points,
     distinct_zeros,
     exact_defects,
     generate_zeros,
@@ -29,11 +30,13 @@ from oracles import (
     alternating_3k_loop,
     angular_sums_reference,
     clark_measures,
+    critical_points_mp,
     eval_blaschke,
     eval_blaschke_grid,
     half_angle,
     model_kernel,
     model_kernel_sq_grid,
+    power_law_zeros,
     tmw_per_zero,
     van_der_corput_loop,
 )
@@ -734,6 +737,68 @@ class TestAngularDerivative:
     def test_circle_point_argument(self):
         B = FiniteBlaschke(np.array([0, 0.5]))
         assert abs_derivative_boundary(B, 1.0 + 0j) == pytest.approx(4.0)
+
+
+def check_critical_points(B):
+    """N - 1 points strictly inside the disk: each repeated zero of B once
+    less than its multiplicity, exactly, and distinct roots of B'/B, each
+    within 1e-13 of the root that 50-digit Newton steps reach from it; and
+    the roots report that they settled."""
+    mp = pytest.importorskip("mpmath").mp
+    points, settled = critical_points(B)
+    assert settled
+    assert len(points) == B.degree - 1
+    assert np.all(np.abs(points) < 1.0)
+    values, counts = np.unique(B.zeros, return_counts=True)
+    at_zero = np.isin(points, values)
+    assert np.array_equal(np.sort(points[at_zero]), np.repeat(values, counts - 1))
+    roots = points[~at_zero]
+    with mp.workdps(50):
+        ref = critical_points_mp(B, roots, mp)
+    assert np.abs(roots - ref).max(initial=0.0) <= 1e-13
+    gaps = np.abs(ref[:, None] - ref[None, :]) + np.eye(len(ref))
+    assert gaps.min(initial=1.0) > 1e-9
+
+
+class TestCriticalPoints:
+    def test_edge_families(self, small_edge_blaschke):
+        check_critical_points(small_edge_blaschke)
+
+    def test_frostman_128(self):
+        check_critical_points(FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 128))
+
+    @pytest.mark.parametrize("zeros", [
+        [0.3 + 0.1j, -0.5j, (1 - 1e-8) * np.exp(0.7j), RADIUS_CAP * np.exp(2.1j), RADIUS_CAP * np.exp(2.1j), 0.6],
+        [0.5, -0.5],
+    ], ids=["near-circle", "even"])
+    def test_no_zero_at_origin(self, zeros):
+        # B'/B has no pole at 0 and one root fewer than distinct zeros.  The
+        # even product B(-z) = B(z) has B'(0) = 0, whose reflection is at
+        # infinity
+        B = FiniteBlaschke(np.array(zeros))
+        assert not B.vanishes_at_origin
+        check_critical_points(B)
+
+    def test_power_of_z(self):
+        points, settled = critical_points(FiniteBlaschke(np.zeros(5, dtype=complex)))
+        assert settled and np.array_equal(points, np.zeros(4))
+
+    @pytest.mark.parametrize("spec", [
+        ZeroSequence.constant_modulus(1 - 1e-6),
+        ZeroSequence.from_points(power_law_zeros(3.0, 1024)),
+    ], ids=["constant_modulus-cap", "power-law-3"])
+    def test_many_distinct_zeros(self, spec):
+        # 1023 distinct zeros: the passes take O(D^2) work in blocks, about
+        # 1 s on a 2-vCPU host where the eigenvalues of the 2046-square secular matrix
+        # took 16-30 s; a sample of the roots meets 30-digit Newton steps
+        mp = pytest.importorskip("mpmath").mp
+        B = FiniteBlaschke.from_sequence(spec, 1024)
+        points, settled = critical_points(B)
+        assert settled and len(points) == 1023 and np.all(np.abs(points) < 1.0)
+        sample = points[::256]
+        with mp.workdps(30):
+            ref = critical_points_mp(B, sample, mp)
+        assert np.abs(sample - ref).max() <= 1e-13
 
 
 class TestDensities:

@@ -1,10 +1,12 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ttolab import blaschke, clark, experiments, operators, quadrature
+from ttolab.cli import parse_config
 from ttolab.blaschke import (
     RADIUS_CAP,
     RULE_PARAMS,
@@ -33,6 +35,7 @@ from ttolab.experiments import (
 from ttolab.operators import (
     ScalarFunction,
     SymbolRep,
+    apply_function,
     build_truncated_toeplitz,
     fejer_values,
     inverse_derivative_symbol,
@@ -42,7 +45,7 @@ from ttolab.operators import (
 )
 from ttolab.quadrature import QuadratureConfig, integrate_circle, nu_integral
 
-from oracles import hs_lhs_reference, inverse_derivative_from_clark
+from oracles import hs_lhs_reference, inverse_derivative_from_clark, power_law_zeros
 
 TWO_COS = SymbolRep.trig({1: 1, -1: 1})
 SQUARE = ScalarFunction.preset("square")
@@ -181,6 +184,33 @@ class TestStzTrace:
             T = build_truncated_toeplitz(B, TWO_COS)
             want = np.trace(inverse_derivative_from_clark(B) @ (T.matrix @ T.matrix))
             assert abs(rec.lhs - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("name", ["shipped-dense", "frostman-boundary"])
+    def test_lhs_of_every_benchmark_record(self, name):
+        # Tr(T(1/|B'|) f(T(phi))) at every N of a benchmark config, against
+        # T(1/|B'|) built from 1/|B'| as a plain sampler: on the uniform grid
+        # (dense) or the phase nodes of z^N B (frostman)
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs", f"{name}.cfg")
+        cfg = parse_config(path, command="stz").experiment
+        recs = stz_trace(cfg)
+        assert [rec.N for rec in recs] == list(cfg.n_values)
+        for rec in recs:
+            B = FiniteBlaschke.from_sequence(cfg.sequence, rec.N)
+            plain = SymbolRep.from_sampler(inverse_derivative_symbol(B).evaluate, real=True)
+            T_ref = build_truncated_toeplitz(B, plain, cfg.quadrature)
+            assert T_ref.converged
+            fT = apply_function(build_truncated_toeplitz(B, cfg.symbol, cfg.quadrature), cfg.function)
+            want = np.trace(T_ref.matrix @ fT.matrix)
+            assert abs(rec.lhs - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("p", [2.5, 3])
+    def test_power_law_builds_converge(self, p):
+        # 1 - |lam_j| = (j + 1)^-p at golden-angle phases, up to 255 distinct
+        # zeros near the circle: two Clark levels of z W integrate T(1/|B'|)
+        # exactly
+        seq = ZeroSequence.from_points(power_law_zeros(p, 256))
+        recs = stz_trace(ExperimentConfig(seq, TWO_COS, SQUARE, (128, 256)))
+        assert [rec.diagnostics["beta_build_converged"] for rec in recs] == [1.0, 1.0]
 
     def test_rhs_is_the_constant_coefficient(self):
         # (z + 1/z)^2 has constant coefficient 2: no quadrature

@@ -13,6 +13,7 @@ from ttolab.blaschke import (
     ZeroSequence,
     abs_derivative_grid,
     circle_grid,
+    critical_points,
     generate_zeros,
     phase_nodes,
     tmw_matrix,
@@ -356,14 +357,22 @@ class TestSampledBuild:
     """Sampled symbols on products whose zeros sit near the circle, where the
     build averages over phase nodes of z^N B instead of a peak-sized grid."""
 
-    @pytest.mark.parametrize("N", [32, 128])
-    def test_inverse_derivative_has_trace_one(self, N):
-        # sum_i |e_i|^2 = |B'| on the circle, so Tr T(1/|B'|) = 1
-        B = FiniteBlaschke(generate_zeros(ZeroSequence.frostman_fast(4), N))
+    @pytest.mark.parametrize("seq, N", [
+        (ZeroSequence.frostman_fast(4), 32),
+        (ZeroSequence.frostman_fast(4), 64),
+        (ZeroSequence.frostman_fast(4), 128),
+        (ZeroSequence.frostman_fast(4), 256),
+        (ZeroSequence.constant_modulus(RADIUS_CAP), 256),
+    ], ids=["frostman-32", "frostman-64", "frostman-128", "frostman-256", "constant_modulus-cap-256"])
+    def test_inverse_derivative_has_trace_one(self, seq, N):
+        # sum_i |e_i|^2 = |B'| on the circle, so Tr T(1/|B'|) = 1: measured
+        # 7.8e-16 at most on frostman and 2.0e-15 on constant_modulus, where
+        # unscaled Clark masses with |B'| from the phase of B gave 8.2e-15 and 7e-14
+        B = FiniteBlaschke.from_sequence(seq, N)
         assert takes_phase_route(B)
         T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
         assert T.converged
-        assert abs(trace(T) - 1.0) <= 1e-12
+        assert abs(trace(T) - 1.0) <= 4e-15 if seq.kind == "frostman_fast" else 1e-14
 
     @pytest.mark.parametrize("seq, N", [
         (ZeroSequence.frostman_fast(4), 32),
@@ -371,8 +380,9 @@ class TestSampledBuild:
         (ZeroSequence.dense_nonblaschke(), 64),
     ], ids=["frostman-32", "frostman-64", "dense-64"])
     def test_inverse_derivative_matches_clark_atoms(self, seq, N):
-        # the build's nodes are phase nodes of z^N B weighted 2N/|Z'|; the
-        # oracle averages the Clark atoms of B itself weighted 1/|B'|^2
+        # frostman builds on two Clark levels of z W weighted N/(|B'| |(zW)'|),
+        # dense ones sample 1/|B'| on a uniform grid; the oracle averages the
+        # Clark atoms of B itself weighted 1/|B'|^2
         B = FiniteBlaschke(generate_zeros(seq, N))
         T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
         assert T.converged
@@ -392,27 +402,90 @@ class TestSampledBuild:
         assert err < 1e-40  # the reference converged
         assert np.abs(T.matrix - ref).max() <= 1e-10
 
+    @pytest.mark.parametrize("defect", [1e-8, 1e-10])
+    def test_inverse_derivative_of_near_circle_pair_is_exact(self, defect):
+        # [0, (1 - defect) e^{0.7i}]: two Clark levels of z W meet the
+        # 50-digit reference to rounding next to a zero this close to the circle
+        mp = pytest.importorskip("mpmath").mp
+        B = FiniteBlaschke(np.array([0, (1 - defect) * np.exp(0.7j)]))
+        T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
+        assert T.converged
+        with mp.workdps(50):
+            ref, err = inverse_derivative_mp(B, 0.7, mp)
+        assert err < 1e-40
+        assert np.abs(T.matrix - ref).max() <= 1e-14
+
     @pytest.mark.parametrize("seq, N, phase_route", [
         (ZeroSequence.frostman_fast(4), 32, True),
         (ZeroSequence.frostman_fast(4), 128, True),
         (ZeroSequence.dense_nonblaschke(), 64, False),
     ], ids=["frostman-32", "frostman-128", "dense-64"])
     def test_inverse_derivative_from_phase_solve(self, monkeypatch, seq, N, phase_route):
-        # on the phase nodes of z^N B, 1/|B'| = 1/(|Z'| - N) comes from the
-        # solve: no |B'| pass; a uniform grid samples the symbol
+        # on the phase route 1/|B'| is sampled at the Clark atoms of z W, two
+        # levels of N, and nowhere else: no |B'| grid pass; a uniform grid
+        # samples the symbol on its own two levels
         B = FiniteBlaschke.from_sequence(seq, N)
         assert takes_phase_route(B) == phase_route
-        calls = []
+        calls, nodes = [], []
 
         def counted(B, angles, *args):
-            calls.append(len(angles))
+            calls.append(np.array(angles))
             return abs_derivative_grid(B, angles, *args)
 
+        def sampled(B, angles, *args, **kwargs):
+            nodes.append(np.array(angles))
+            return tmw_matrix(B, angles, *args, **kwargs)
+
         monkeypatch.setattr(operators, "abs_derivative_grid", counted)
+        monkeypatch.setattr(operators, "tmw_matrix", sampled)
         T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
         assert T.converged
-        assert (len(calls) == 0) == phase_route
+        assert len(calls) == len(nodes)
+        assert all(np.array_equal(a, b) for a, b in zip(calls, nodes))
+        if phase_route:
+            assert sum(map(len, nodes)) == 2 * N
+        else:
+            assert sum(map(len, nodes)) == 2 * blaschke_initial_points(B, QuadratureConfig())
         assert abs(trace(T) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("settled", [True, False])
+    @pytest.mark.parametrize("fault", ["perturbed", "dropped", "duplicated", "origin"])
+    @pytest.mark.parametrize("case", ["frostman-32", "pair-1e-10"])
+    def test_faulty_critical_points_cost_levels_not_accuracy(self, monkeypatch, case, fault, settled):
+        # the build on critical points off by 1e-3, missing or repeated, or
+        # all at the origin (z W = z^N), reported settled or not: it either
+        # converges onto the reference or reports that it did not
+        if case == "frostman-32":
+            B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 32)
+            ref = inverse_derivative_from_clark(B)
+        else:
+            mp = pytest.importorskip("mpmath").mp
+            B = FiniteBlaschke(np.array([0, (1 - 1e-10) * np.exp(0.7j)]))
+            with mp.workdps(30):
+                ref = inverse_derivative_mp(B, 0.7, mp)[0]
+        points = critical_points(B)[0]
+        wrong = {"perturbed": points * (1 - 1e-3) * np.exp(1e-3j), "dropped": points[:-1],
+                 "duplicated": np.concatenate((points, points[-1:])), "origin": np.zeros_like(points)}[fault]
+        monkeypatch.setattr(quadrature, "critical_points", lambda B: (wrong, settled))
+        T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
+        assert not T.converged or np.abs(T.matrix - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_unsettled_critical_points_start_from_default_level(self, monkeypatch):
+        # critical points that did not settle: the run starts from the first
+        # level of a sampled symbol, MIN_LEVELS windings of z W, not one
+        B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 32)
+        points = critical_points(B)[0]
+        nodes = []
+
+        def sampled(B, angles, *args, **kwargs):
+            nodes.append(len(angles))
+            return tmw_matrix(B, angles, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "critical_points", lambda B: (points, False))
+        monkeypatch.setattr(operators, "tmw_matrix", sampled)
+        T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
+        assert T.converged and nodes[0] == MIN_LEVELS * 32
+        assert np.abs(T.matrix - inverse_derivative_from_clark(B)).max() <= 1e-10
 
     def test_phase_route_matches_uniform_grid(self):
         rng = np.random.default_rng(7)
@@ -454,6 +527,11 @@ class TestSampledBuild:
         # the uniform grid of max_points points takes about 5 s on a 2-vCPU
         # host, the budgeted phase nodes about 2 s
         assert elapsed < 6.0
+        # the symbol 1/|B'| of B itself takes two Clark levels of z W
+        # (levels 4.3e-15 apart, trace 4.4e-16 off 1)
+        T = build_truncated_toeplitz(B, inv, cfg)
+        assert T.converged and T.estimated_error <= 1e-13
+        assert abs(trace(T) - 1.0) <= 1e-14
 
     def test_build_memory_does_not_grow_with_node_count(self):
         # one reused block of GRAM_NODES basis samples keeps the build's
@@ -561,10 +639,10 @@ class TestHalfTriangleGram:
         assert mirrored == [(B.degree, B.degree)]
 
     def test_nested_brackets_cut_phase_rows(self, monkeypatch):
-        # frostman N = 128: every doubling level of the phase route solved
-        # inside the brackets of the levels before it takes at most 2.1 phase
-        # rows per node, bracket scan included (2.04 measured; the scan alone
-        # gave 2.34)
+        # frostman N = 128, 1/|B'| as a plain sampler, so on the phase nodes
+        # of z^N B: every doubling level solved inside the brackets of the
+        # levels before it takes at most 2.1 phase rows per node, bracket
+        # scan included (2.04 measured; the scan alone gave 2.34)
         B = FiniteBlaschke.from_sequence(ZeroSequence.frostman_fast(4), 128)
         assert takes_phase_route(B)
         rows, nodes = [0], [0]
@@ -581,7 +659,7 @@ class TestHalfTriangleGram:
 
         monkeypatch.setattr(quadrature, "PhaseFunction", CountingPhase)
         monkeypatch.setattr(quadrature, "phase_nodes", counted_nodes)
-        T = build_truncated_toeplitz(B, inverse_derivative_symbol(B))
+        T = build_truncated_toeplitz(B, SymbolRep.from_sampler(inverse_derivative_symbol(B).evaluate, real=True))
         assert T.converged
         assert nodes[0] >= 4 * 2 * 128 * MIN_LEVELS
         assert rows[0] <= 2.1 * nodes[0]
